@@ -14,41 +14,10 @@ import sys
 import numpy as np
 
 from dcrates.certificates import check_one_step, check_rate
-from dcrates.curvature import Curvature, make_params
 from dcrates.engine import run_dca
-from dcrates.oracles import FunctionSpec, Quadratic, analytic_infimum, make_instance
+from dcrates.oracles import analytic_infimum
 from dcrates.regimes import classify
-
-ANCHORS = {
-    1: make_params(0.5, 2.0, 0.0, 1.0),
-    3: make_params(2.0, 4.0, -1.0, 3.0),
-    5: make_params(2.0, 10.0, -1.0, 1.5),
-    7: make_params(3.0, 10.0, 0.5, 1.2),
-}
-
-
-def jitter(anchor, target, rng, scale=0.03, tries=200):
-    for _ in range(tries):
-        vals = [v + rng.uniform(-scale, scale) * (abs(v) if v else 0.5)
-                for v in (anchor.mu1, anchor.L1, anchor.mu2, anchor.L2)]
-        try:
-            p = make_params(*vals)
-            if classify(p).index == target:
-                return p
-        except Exception:
-            continue
-    raise RuntimeError("no sample for regime %d" % target)
-
-
-def random_instance(params, rng):
-    d = int(rng.integers(1, 4))
-    c1 = rng.uniform(max(params.mu1, 0.05 * params.L1), params.L1, d)
-    c2 = rng.uniform(params.mu2, params.L2, d)
-    f1 = FunctionSpec(Quadratic(tuple(c1), tuple(rng.normal(size=d))),
-                      Curvature(params.mu1, params.L1))
-    f2 = FunctionSpec(Quadratic(tuple(c2), tuple(rng.normal(size=d))),
-                      Curvature(params.mu2, params.L2))
-    return make_instance(f1, f2)
+from dcrates.sampling import ANCHORS, jitter_params, quad_instance_in
 
 
 def main(argv=None):
@@ -59,17 +28,14 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
-    anchors = dict(ANCHORS)
-    for i, p in ANCHORS.items():
-        anchors[i + 1] = p.swapped()
 
     worst = math.inf
     rate_failures = 0
     total = 0
-    for regime in sorted(anchors):
+    for regime in sorted(ANCHORS):
         for _ in range(args.per_regime):
-            params = jitter(anchors[regime], regime, rng)
-            inst = random_instance(params, rng)
+            params = jitter_params(ANCHORS[regime], regime, rng)
+            inst = quad_instance_in(params, rng)
             cert = classify(params)
             traj = run_dca(inst, rng.normal(size=inst.f1.dimension),
                            args.steps)

@@ -17,12 +17,12 @@ import numpy as np
 
 from . import __version__
 from .curvature import DcParams, InvalidParams, make_params, validate
-from .regimes import (GridSpec, NoRegime, one_step_certificate, regime_map,
-                      thresholds)
+from .regimes import (GridSpec, NoRegime, PreconditionViolated,
+                      one_step_certificate, regime_map, thresholds)
 from .oracles import instance_from_json
 from .engine import (run_dca, trajectory_to_csv, trajectory_to_json,
                      trajectory_from_json)
-from .certificates import certificate_report
+from .certificates import MissingFstar, certificate_report
 from .interpolation import check_interpolation, triplets_from_json
 from .curvature import Curvature
 from .probe import probe as run_probe
@@ -219,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L1", type=_parse_ext, required=True)
     p.add_argument("--L2", type=_parse_ext, required=True)
     p.add_argument("--grid", required=True, help="lo:hi:steps")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_regime_map)
 
@@ -262,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--starts", type=int, default=32)
     p.add_argument("--cold", action="store_true", help="random starts only")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_probe)
 
@@ -316,8 +314,8 @@ def main(argv=None) -> int:
     try:
         args = _apply_config(parser, sys.argv[1:] if argv is None else argv)
         return args.fn(args)
-    except (InvalidParams, NoRegime, FileNotFoundError,
-            json.JSONDecodeError, ValueError) as exc:
+    except (InvalidParams, NoRegime, PreconditionViolated, MissingFstar,
+            FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

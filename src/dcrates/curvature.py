@@ -11,11 +11,19 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 INF = math.inf
 
 
-def recip(x: float) -> float:
-    """Reciprocal with the conventions 1/0 = +inf and 1/inf = 0."""
+def recip(x):
+    """Reciprocal with the conventions 1/0 = +inf and 1/inf = 0.
+
+    Elementwise on a numpy array.
+    """
+    if isinstance(x, np.ndarray):
+        with np.errstate(divide="ignore"):
+            return np.where(x == 0.0, INF, 1.0 / x)
     if x == 0.0:
         return INF
     if x == INF:

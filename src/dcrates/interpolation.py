@@ -45,21 +45,35 @@ class InterpReport:
     tol: float
 
 
-def pair_lower_bound(cls: Curvature, dx: np.ndarray, dg: np.ndarray) -> float:
+def _lower_bound(cls: Curvature, dx: np.ndarray, dg: np.ndarray):
     """Right-hand side of the inequality for differences dx = x_i - x_j,
-    dg = g_i - g_j."""
+    dg = g_i - g_j, summed over the last axis: one pair or a grid of pairs."""
     mu, L = cls.mu, cls.L
     if math.isinf(L):
-        return 0.5 * mu * float(dx @ dx)
+        return 0.5 * mu * np.sum(dx * dx, axis=-1)
     r = dg - L * dx
-    return (float(dg @ dg) / (2.0 * L)
-            + mu / (2.0 * L * (L - mu)) * float(r @ r))
+    return (np.sum(dg * dg, axis=-1) / (2.0 * L)
+            + mu / (2.0 * L * (L - mu)) * np.sum(r * r, axis=-1))
+
+
+def pair_lower_bound(cls: Curvature, dx: np.ndarray, dg: np.ndarray) -> float:
+    """Right-hand side of the inequality for one pair."""
+    return float(_lower_bound(cls, dx, dg))
 
 
 def pair_slack(cls: Curvature, ti: Triplet, tj: Triplet) -> float:
     dx = ti.x - tj.x
     lhs = ti.f - tj.f - float(tj.g @ dx)
     return lhs - pair_lower_bound(cls, dx, ti.g - tj.g)
+
+
+def pair_matrix(X: np.ndarray, G: np.ndarray, cls: Curvature) -> np.ndarray:
+    """c[i, j]: minimal feasible f^i - f^j given the (x, g) data."""
+    dX = X[:, None, :] - X[None, :, :]
+    dG = G[:, None, :] - G[None, :, :]
+    c = np.einsum("jd,ijd->ij", G, dX) + _lower_bound(cls, dX, dG)
+    np.fill_diagonal(c, 0.0)
+    return c
 
 
 def check_interpolation(triplets, cls: Curvature, tol: float = DEFAULT_TOL,
@@ -70,25 +84,24 @@ def check_interpolation(triplets, cls: Curvature, tol: float = DEFAULT_TOL,
     before comparing against tol, for use on probe witnesses of wild scale.
     """
     n = len(triplets)
-    S = np.zeros((n, n))
-    min_eff = math.inf
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            s = pair_slack(cls, triplets[i], triplets[j])
-            S[i, j] = s
-            if scale_aware:
-                ti, tj = triplets[i], triplets[j]
-                scale = max(1.0, float((ti.g - tj.g) @ (ti.g - tj.g)),
-                            float((ti.x - tj.x) @ (ti.x - tj.x)),
-                            abs(ti.f), abs(tj.f))
-                s = s / scale
-            min_eff = min(min_eff, s)
     if n < 2:
-        min_eff = 0.0
-    return InterpReport(S, float(np.min(S)) if n > 1 else 0.0,
-                        min_eff >= -tol, tol)
+        return InterpReport(np.zeros((n, n)), 0.0, True, tol)
+    X = np.array([t.x for t in triplets])
+    G = np.array([t.g for t in triplets])
+    F = np.array([t.f for t in triplets])
+    S = F[:, None] - F[None, :] - pair_matrix(X, G, cls)
+    eff = S
+    if scale_aware:
+        dX = X[:, None, :] - X[None, :, :]
+        dG = G[:, None, :] - G[None, :, :]
+        absF = np.abs(F)
+        scale = np.maximum(np.maximum(1.0, np.sum(dG * dG, axis=-1)),
+                           np.maximum(np.sum(dX * dX, axis=-1),
+                                      np.maximum(absF[:, None], absF[None, :])))
+        eff = S / scale
+    off = ~np.eye(n, dtype=bool)
+    return InterpReport(S, float(np.min(S[off])),
+                        bool(np.min(eff[off]) >= -tol), tol)
 
 
 def sample_triplets(spec, xs, policy="least_norm") -> list:

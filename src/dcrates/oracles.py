@@ -307,26 +307,6 @@ def analytic_infimum(instance: DcInstance) -> Optional[float]:
 
 
 # ---------------------------------------------------------------------------
-# demo-only inexact inner solver (never used on the certified path)
-
-def solve_subproblem_inexact(spec: FunctionSpec, g, tol: float = 1e-10,
-                             max_iters: int = 100000) -> np.ndarray:
-    """Gradient descent on the strongly convex subproblem; flagged inexact."""
-    if spec.declared.mu <= 0.0:
-        raise Unbounded("inexact solver requires a strongly convex f1")
-    L = spec.declared.L if math.isfinite(spec.declared.L) else spec.declared.mu + 10.0
-    step = 1.0 / L
-    gv = _as_vec(g)
-    w = np.zeros(spec.dimension)
-    for _ in range(max_iters):
-        grad = evaluate(spec, w, "least_norm").subgradient - gv
-        if float(np.linalg.norm(grad)) <= tol:
-            break
-        w = w - step * grad
-    return w
-
-
-# ---------------------------------------------------------------------------
 # JSON instance format
 
 def family_to_json(fam: Family) -> dict:

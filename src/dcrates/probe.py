@@ -24,8 +24,9 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .curvature import Curvature, DcParams, require_valid
-from .interpolation import InterpReport, check_interpolation, make_triplet
+from .curvature import DcParams, require_valid
+from .interpolation import (check_interpolation, make_triplet, pair_lower_bound,
+                            pair_matrix)
 from .regimes import one_step_certificate
 
 FEAS_TOL = 1e-7
@@ -76,24 +77,7 @@ class ProbeResult:
 
 
 # ---------------------------------------------------------------------------
-# pairwise constraint matrices and longest paths
-
-def _pair_matrix(X: np.ndarray, G: np.ndarray, cls: Curvature) -> np.ndarray:
-    """c[i, j]: minimal feasible f^i - f^j given the (x, g) data."""
-    dX = X[:, None, :] - X[None, :, :]
-    dG = G[:, None, :] - G[None, :, :]
-    lin = np.einsum("jd,ijd->ij", G, dX)
-    mu, L = cls.mu, cls.L
-    if math.isinf(L):
-        quad = 0.5 * mu * np.sum(dX * dX, axis=2)
-    else:
-        r = dG - L * dX
-        quad = (np.sum(dG * dG, axis=2) / (2.0 * L)
-                + mu / (2.0 * L * (L - mu)) * np.sum(r * r, axis=2))
-    c = lin + quad
-    np.fill_diagonal(c, 0.0)
-    return c
-
+# longest paths in the pairwise constraint graph
 
 def _longest_paths(c: np.ndarray) -> np.ndarray:
     d = c.copy()
@@ -105,15 +89,6 @@ def _longest_paths(c: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # extremal one-step witnesses from the equality conditions
-
-def _quad_bound(cls: Curvature, gamma: float) -> float:
-    """Pair lower bound with dx = 1, dg = gamma."""
-    mu, L = cls.mu, cls.L
-    if math.isinf(L):
-        return 0.5 * mu
-    return (gamma * gamma / (2.0 * L)
-            + mu * (gamma - L) ** 2 / (2.0 * L * (L - mu)))
-
 
 def _gamma_candidates(regime_index: int, params: DcParams) -> list:
     L1, L2, m1, m2 = params.L1, params.L2, params.mu1, params.mu2
@@ -141,8 +116,9 @@ def _assemble_one_step(params: DcParams, gamma: float, gamma_plus: float) -> Pep
     x = np.array([[1.0], [0.0]])
     g1 = np.array([[gamma], [0.0]])
     g2 = np.array([[0.0], [-gamma_plus]])
-    r1 = _quad_bound(params.f1, gamma)
-    r2 = _quad_bound(params.f2, gamma_plus)
+    dx = np.array([1.0])
+    r1 = pair_lower_bound(params.f1, dx, np.array([gamma]))
+    r2 = pair_lower_bound(params.f2, dx, np.array([gamma_plus]))
     f1 = np.array([r1, 0.0])
     f2 = np.array([-r2, 0.0])
     return PepVariables(x, g1, g2, f1, f2)
@@ -195,8 +171,8 @@ class _Objective:
 
     def parts(self, z: np.ndarray):
         x, g1, g2 = self.unpack(z)
-        c1 = _pair_matrix(x, g1, self.params.f1)
-        c2 = _pair_matrix(x, g2, self.params.f2)
+        c1 = pair_matrix(x, g1, self.params.f1)
+        c2 = pair_matrix(x, g2, self.params.f2)
         d1 = _longest_paths(c1)
         d2 = _longest_paths(c2)
         cyc = max(float(np.max(np.diag(d1))), float(np.max(np.diag(d2))))
@@ -227,8 +203,8 @@ class _Objective:
             return None
         s = 1.0 / math.sqrt(D)   # ratio is invariant; normalize D to 1
         x, g1, g2 = s * x, s * g1, s * g2
-        d1 = _longest_paths(_pair_matrix(x, g1, self.params.f1))
-        d2 = _longest_paths(_pair_matrix(x, g2, self.params.f2))
+        d1 = _longest_paths(pair_matrix(x, g1, self.params.f1))
+        d2 = _longest_paths(pair_matrix(x, g2, self.params.f2))
         f1 = -d1[0, :]           # potentials: f^j = -dist(0, j)
         f2 = -d2[-1, :]
         return PepVariables(x, g1, g2, f1, f2)

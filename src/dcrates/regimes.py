@@ -83,10 +83,14 @@ class AsymptoticConstants:
 
 
 # ---------------------------------------------------------------------------
-# scalar helpers
+# helpers: mu1, mu2 may be floats or numpy arrays, L1, L2 are always floats
 
-def _le(a: float, b: float, tol: float = DOMAIN_TOL) -> bool:
+def _le(a, b, tol: float = DOMAIN_TOL):
     """a <= b up to relative closure slack; exact for infinite operands."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        near = (np.isfinite(a) & np.isfinite(b)
+                & (a - b <= tol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))))
+        return (a <= b) | near
     if a <= b:
         return True
     if math.isinf(a) or math.isinf(b):
@@ -94,18 +98,23 @@ def _le(a: float, b: float, tol: float = DOMAIN_TOL) -> bool:
     return a - b <= tol * max(1.0, abs(a), abs(b))
 
 
-def _ge(a: float, b: float, tol: float = DOMAIN_TOL) -> bool:
+def _ge(a, b, tol: float = DOMAIN_TOL):
     return _le(b, a, tol)
 
 
-def _lim_ratio(a: float, b: float) -> float:
+def _where(cond, a, b):
+    """a where cond holds, else b; elementwise when cond is an array."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _lim_ratio(a, b):
     """a/b, taking the joint limit 1 when both grow to +inf together."""
-    if math.isinf(b):
-        return 1.0 if math.isinf(a) else 0.0
-    return a / b
+    return _where(abs(b) == INF, _where(abs(a) == INF, 1.0, 0.0), a / b)
 
 
-def _threshold(L_other: float, L_here: float, mu: float) -> float:
+def _threshold(L_other: float, L_here: float, mu):
     """(1/L_other) * (2 + L_here/mu); only meaningful for mu < 0."""
     r = recip(L_other)
     if r == 0.0:
@@ -114,8 +123,13 @@ def _threshold(L_other: float, L_here: float, mu: float) -> float:
     return r * (2.0 + t)
 
 
-def _s_value(mu_a: float, mu_b: float, L: float) -> float:
+def _s_value(mu_a, mu_b, L):
     return recip(mu_a) + recip(mu_b) + recip(L)
+
+
+def _mu2_s1_sign(L2: float, m1, m2):
+    """mu2 * S1, expanded so mu2 -> 0 stays finite."""
+    return _where(m2 == 0.0, 1.0, 1.0 + m2 * recip(m1) + m2 * recip(L2))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +138,7 @@ def _s_value(mu_a: float, mu_b: float, L: float) -> float:
 def _coeffs_p1(L1, L2, m1, m2):
     sigma = recip(L2) * _lim_ratio(L2 - m1, L1 - m1)
     den = recip(m1) - recip(L1)
-    corr = 0.0 if math.isinf(den) else (recip(L2) - recip(L1)) / den
+    corr = _where(abs(den) == INF, 0.0, (recip(L2) - recip(L1)) / den)
     sigma_plus = recip(L2) * (1.0 + corr)
     alpha = m1 * recip(L2) * _lim_ratio(L1 - L2, L1 - m1)
     return sigma, sigma_plus, alpha
@@ -154,45 +168,44 @@ def _coeffs_p7(L1, L2, m1, m2):
 _ODD_COEFFS = {1: _coeffs_p1, 3: _coeffs_p3, 5: _coeffs_p5, 7: _coeffs_p7}
 
 
-def regime_coefficients(index: int, params: DcParams):
-    """(sigma, sigma_plus, alpha) of a smooth regime at the given parameters."""
-    L1, L2, m1, m2 = params.L1, params.L2, params.mu1, params.mu2
+def _coefficients(index: int, L1, L2, m1, m2):
     if index % 2 == 1:
         return _ODD_COEFFS[index](L1, L2, m1, m2)
     s, sp, a = _ODD_COEFFS[index - 1](L2, L1, m2, m1)
     return sp, s, a
 
 
+def regime_coefficients(index: int, params: DcParams):
+    """(sigma, sigma_plus, alpha) of a smooth regime at the given parameters."""
+    return _coefficients(index, params.L1, params.L2, params.mu1, params.mu2)
+
+
 # ---------------------------------------------------------------------------
-# smooth-regime domains, odd regimes
+# smooth-regime domains, odd regimes; each returns its conditions in the
+# order of the names in _ODD_DOMAINS
 
 def _domain_p1(L1, L2, m1, m2, tol):
-    conds = [
-        ("L1>=L2", _le(L2, L1, tol)),
-        ("L2>mu1", _le(m1, L2, tol)),
-        ("mu1>=0", _ge(m1, 0.0, tol)),
-    ]
-    if m2 >= 0.0:
-        conds.append(("mu2>=0", True))
-    else:
-        s1 = _s_value(m1, m2, L2)
-        thr = _threshold(L1, L2, m2)
-        conds.append(("mu1>-mu2", _ge(m1 + m2, 0.0, tol)))
-        conds.append(("S1<=thr1", _le(s1, thr, tol)))
-    return conds
+    s1 = _s_value(m1, m2, L2)
+    thr = _threshold(L1, L2, m2)
+    return (
+        _le(L2, L1, tol),
+        _le(m1, L2, tol),
+        _ge(m1, 0.0, tol),
+        (m2 >= 0.0) | (_ge(m1 + m2, 0.0, tol) & _le(s1, thr, tol)),
+    )
 
 
 def _domain_p3(L1, L2, m1, m2, tol):
     s1 = _s_value(m1, m2, L2)
     thr = _threshold(L1, L2, m2)
-    return [
-        ("mu2<0", m2 < 0.0),
-        ("mu1>-mu2", _ge(m1 + m2, 0.0, tol)),
-        ("L2>mu1", _le(m1, L2, tol)),
-        ("L1>mu2", _le(m2, L1, tol)),
-        ("thr1<=S1", _le(thr, s1, tol)),
-        ("S1<=0", _le(s1, 0.0, tol)),
-    ]
+    return (
+        m2 < 0.0,
+        _ge(m1 + m2, 0.0, tol),
+        _le(m1, L2, tol),
+        _le(m2, L1, tol),
+        _le(thr, s1, tol),
+        _le(s1, 0.0, tol),
+    )
 
 
 def _domain_p5(L1, L2, m1, m2, tol):
@@ -200,39 +213,40 @@ def _domain_p5(L1, L2, m1, m2, tol):
     # mu1 >= L2, which closes the sliver left between the p1 and p7 rows.
     s1 = _s_value(m1, m2, L2)
     thr = _threshold(L1, L2, m2)
-    return [
-        ("mu2<0", m2 < 0.0),
-        ("mu1>-mu2", _ge(m1 + m2, 0.0, tol)),
-        ("S1>=0", _ge(s1, 0.0, tol)),
-        ("S1>=thr1 or mu1>=L2", _ge(s1, thr, tol) or _ge(m1, L2, tol)),
-    ]
+    return (
+        m2 < 0.0,
+        _ge(m1 + m2, 0.0, tol),
+        _ge(s1, 0.0, tol),
+        _ge(s1, thr, tol) | _ge(m1, L2, tol),
+    )
 
 
 def _domain_p7(L1, L2, m1, m2, tol):
-    if m2 == 0.0:
-        sgn = 1.0
-    else:
-        # mu2 * S1, expanded so mu2 -> 0 stays finite
-        sgn = 1.0 + m2 * recip(m1) + m2 * recip(L2)
-    return [
-        ("mu1>=L2", _ge(m1, L2, tol)),
-        ("L2 finite", not math.isinf(L2)),
-        ("mu1>=0", _ge(m1, 0.0, tol)),
-        ("mu2*S1>=0", _ge(sgn, 0.0, tol)),
-    ]
+    return (
+        _ge(m1, L2, tol),
+        not math.isinf(L2),
+        _ge(m1, 0.0, tol),
+        _ge(_mu2_s1_sign(L2, m1, m2), 0.0, tol),
+    )
 
 
-_ODD_DOMAINS = {1: _domain_p1, 3: _domain_p3, 5: _domain_p5, 7: _domain_p7}
+_ODD_DOMAINS = {
+    1: (_domain_p1, ("L1>=L2", "L2>mu1", "mu1>=0",
+                     "mu2>=0 or (mu1>-mu2 and S1<=thr1)")),
+    3: (_domain_p3, ("mu2<0", "mu1>-mu2", "L2>mu1", "L1>mu2", "thr1<=S1", "S1<=0")),
+    5: (_domain_p5, ("mu2<0", "mu1>-mu2", "S1>=0", "S1>=thr1 or mu1>=L2")),
+    7: (_domain_p7, ("mu1>=L2", "L2 finite", "mu1>=0", "mu2*S1>=0")),
+}
 _SWAP_NAMES = str.maketrans("12", "21")
+# condition names of all eight domains; the even ones swap the indices 1 <-> 2
+_DOMAIN_NAMES = {i + k: tuple(n.translate(_SWAP_NAMES) if k else n for n in names)
+                 for i, (_, names) in _ODD_DOMAINS.items() for k in (0, 1)}
 
 
-def regime_domain(index: int, params: DcParams, tol: float = DOMAIN_TOL):
-    """Evaluate the domain predicates of one regime; list of (name, bool)."""
-    L1, L2, m1, m2 = params.L1, params.L2, params.mu1, params.mu2
+def _domain(index: int, L1, L2, m1, m2, tol):
     if index % 2 == 1:
-        return _ODD_DOMAINS[index](L1, L2, m1, m2, tol)
-    conds = _ODD_DOMAINS[index - 1](L2, L1, m2, m1, tol)
-    return [(name.translate(_SWAP_NAMES), ok) for name, ok in conds]
+        return _ODD_DOMAINS[index][0](L1, L2, m1, m2, tol)
+    return _ODD_DOMAINS[index - 1][0](L2, L1, m2, m1, tol)
 
 
 def _check_precondition(params: DcParams) -> None:
@@ -294,19 +308,20 @@ def classify(params: DcParams, tol: float = DOMAIN_TOL) -> RegimeCertificate:
     if math.isinf(params.L1) and math.isinf(params.L2):
         raise BothNonsmooth("both terms nonsmooth: use the T-measure analysis")
 
+    L1, L2, m1, m2 = params.L1, params.L2, params.mu1, params.mu2
     matched = []
     trace = []
     for i in range(1, 9):
-        conds = regime_domain(i, params, tol)
-        ok = all(v for _, v in conds)
+        vals = _domain(i, L1, L2, m1, m2, tol)
+        ok = all(vals)
         trace.append(("p%d" % i, ok))
         if ok:
-            matched.append((i, conds))
+            matched.append((i, vals))
 
     if not matched:
         raise NoRegime("no regime domain matched for %s" % (params.to_json_dict(),))
 
-    first, first_conds = matched[0]
+    first, first_vals = matched[0]
     coeffs = regime_coefficients(first, params)
     for other, _ in matched[1:]:
         oc = regime_coefficients(other, params)
@@ -315,7 +330,8 @@ def classify(params: DcParams, tol: float = DOMAIN_TOL) -> RegimeCertificate:
                 "regimes p%d and p%d both match at %s but disagree: %r vs %r"
                 % (first, other, params.to_json_dict(), coeffs[:2], oc[:2])
             )
-    detail = [("p%d:%s" % (first, name), v) for name, v in first_conds]
+    detail = [("p%d:%s" % (first, name), v)
+              for name, v in zip(_DOMAIN_NAMES[first], first_vals)]
     return _build_certificate(first, "p%d" % first, params, trace + detail)
 
 
@@ -356,14 +372,9 @@ def classify_nonsmooth(params: DcParams, tol: float = DOMAIN_TOL) -> RegimeCerti
 
 def _nonsmooth_row_f1_inf(params: DcParams, tol: float) -> int:
     """Row selection for L1 = inf: one of p_{1,7} (1), p4 (4), p5 (5)."""
-    m1, m2, L2 = params.mu1, params.mu2, params.L2
-    if m1 < 0.0:
+    if params.mu1 < 0.0:
         return 4
-    if m2 == 0.0:
-        sgn = 1.0
-    else:
-        sgn = 1.0 + m2 * recip(m1) + m2 * recip(L2)
-    if _ge(sgn, 0.0, tol):
+    if _ge(_mu2_s1_sign(params.L2, params.mu1, params.mu2), 0.0, tol):
         return 1
     return 5
 
@@ -409,91 +420,34 @@ def asymptotic_constants(params: DcParams) -> AsymptoticConstants:
 # ---------------------------------------------------------------------------
 # vectorized grid classification (for regime maps and partition testing)
 
-def _v_le(a, b, tol=DOMAIN_TOL):
-    with np.errstate(invalid="ignore"):
-        base = a <= b
-        both = np.isfinite(a) & np.isfinite(b)
-        scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-        near = both & (a - b <= tol * scale)
-    return base | near
-
-
-def _v_recip(a):
-    with np.errstate(divide="ignore"):
-        return np.where(a == 0.0, INF, 1.0 / np.where(a == 0.0, 1.0, a))
-
-
 def grid_classify(L1: float, L2: float, mu1, mu2, tol: float = DOMAIN_TOL):
     """Classify a whole (mu1, mu2) grid at fixed finite L1, L2.
 
     Returns (index, p, sigma, sigma_plus, n_matched); index 0 marks nodes
     outside the valid set (assumption or decrease precondition violated).
-    Matches the scalar classify on every valid node.
+    Evaluates the same domain and coefficient functions as the scalar
+    classify, so it matches it on every valid node.
     """
-    if math.isinf(L1) or math.isinf(L2):
-        raise InvalidParams("grid_classify requires finite L1, L2")
+    if not (0.0 < L1 < INF and 0.0 < L2 < INF):
+        raise InvalidParams("grid_classify requires finite positive L1, L2")
     M1 = np.asarray(mu1, dtype=float)
     M2 = np.asarray(mu2, dtype=float)
-    r1, r2 = _v_recip(M1), _v_recip(M2)
-
+    valid = (M1 < L1) & (M2 < L2) & ((M1 + M2 > 0.0) | ((M1 == 0.0) & (M2 == 0.0)))
+    masks, sigmas, sigma_ps = [], [], []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s1 = r1 + r2 + 1.0 / L2
-        s2 = r1 + r2 + 1.0 / L1
-        thr1 = (2.0 + L2 * r2) / L1
-        thr2 = (2.0 + L1 * r1) / L2
-
-        valid = (M1 < L1) & (M2 < L2) & (
-            (M1 + M2 > 0.0) | ((M1 == 0.0) & (M2 == 0.0))
-        )
-
-        hyp1 = (M2 < 0.0) & _v_le(-M2, M1, tol) & _v_le(s1, thr1, tol)
-        d1 = (L1 >= L2) & _v_le(M1, L2, tol) & _v_le(0.0, M1, tol) & ((M2 >= 0.0) | hyp1)
-        hyp2 = (M1 < 0.0) & _v_le(-M1, M2, tol) & _v_le(s2, thr2, tol)
-        d2 = (L2 >= L1) & _v_le(M2, L1, tol) & _v_le(0.0, M2, tol) & ((M1 >= 0.0) | hyp2)
-
-        d3 = ((M2 < 0.0) & _v_le(-M2, M1, tol) & _v_le(M1, L2, tol)
-              & _v_le(thr1, s1, tol) & _v_le(s1, 0.0, tol))
-        d4 = ((M1 < 0.0) & _v_le(-M1, M2, tol) & _v_le(M2, L1, tol)
-              & _v_le(thr2, s2, tol) & _v_le(s2, 0.0, tol))
-
-        d5 = ((M2 < 0.0) & _v_le(-M2, M1, tol) & _v_le(0.0, s1, tol)
-              & (_v_le(thr1, s1, tol) | _v_le(L2, M1, tol)))
-        d6 = ((M1 < 0.0) & _v_le(-M1, M2, tol) & _v_le(0.0, s2, tol)
-              & (_v_le(thr2, s2, tol) | _v_le(L1, M2, tol)))
-
-        e7 = np.where(M2 == 0.0, 1.0, 1.0 + M2 * r1 + M2 / L2)
-        d7 = _v_le(L2, M1, tol) & _v_le(0.0, M1, tol) & _v_le(0.0, e7, tol)
-        e8 = np.where(M1 == 0.0, 1.0, 1.0 + M1 * r2 + M1 / L1)
-        d8 = _v_le(L1, M2, tol) & _v_le(0.0, M2, tol) & _v_le(0.0, e8, tol)
-
-        masks = [d & valid for d in (d1, d2, d3, d4, d5, d6, d7, d8)]
-
-        sig1 = (1.0 / L2) * (L2 - M1) / (L1 - M1)
-        sp1 = (1.0 / L2) * (1.0 + (1.0 / L2 - 1.0 / L1) / (r1 - 1.0 / L1))
-        sig2 = (1.0 / L1) * (1.0 + (1.0 / L1 - 1.0 / L2) / (r2 - 1.0 / L2))
-        sp2 = (1.0 / L1) * (L1 - M2) / (L2 - M2)
-        sig3 = (1.0 / L1) * s1 / (s1 - 1.0 / L1)
-        sp3 = np.full_like(M1, np.nan) if L2 == 0 else 1.0 / (L2 + M2)
-        sig4 = 1.0 / (L1 + M1)
-        sp4 = (1.0 / L2) * s2 / (s2 - 1.0 / L2)
-        sig5 = np.zeros_like(M1)
-        sp5 = (M1 + M2) / (M2 * M2)
-        sig6 = (M1 + M2) / (M1 * M1)
-        sp6 = np.zeros_like(M1)
-        sig7 = np.zeros_like(M1)
-        sp7 = (L2 + M1) / (L2 * L2)
-        sig8 = (L1 + M2) / (L1 * L1)
-        sp8 = np.zeros_like(M1)
-
-    sigmas = [sig1, sig2, sig3, sig4, sig5, sig6, sig7, sig8]
-    sigma_ps = [sp1, sp2, sp3, sp4, sp5, sp6, sp7, sp8]
-
+        for i in range(1, 9):
+            mask = valid.copy()
+            for ok in _domain(i, L1, L2, M1, M2, tol):
+                mask &= ok
+            s, sp, _ = _coefficients(i, L1, L2, M1, M2)
+            masks.append(mask)
+            sigmas.append(s)
+            sigma_ps.append(sp)
     index = np.select(masks, list(range(1, 9)), default=0)
     sigma = np.select(masks, sigmas, default=np.nan)
     sigma_plus = np.select(masks, sigma_ps, default=np.nan)
     n_matched = np.sum(np.stack(masks), axis=0)
-    p = sigma + sigma_plus
-    return index, p, sigma, sigma_plus, n_matched
+    return index, sigma + sigma_plus, sigma, sigma_plus, n_matched
 
 
 @dataclass(frozen=True)
@@ -501,6 +455,14 @@ class GridSpec:
     lo: float
     hi: float
     steps: int
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise InvalidParams("grid bounds must be finite, got %r:%r" % (self.lo, self.hi))
+        if self.steps < 1:
+            raise InvalidParams("grid needs at least one step, got %r" % self.steps)
+        if self.lo > self.hi:
+            raise InvalidParams("grid needs lo <= hi, got %r:%r" % (self.lo, self.hi))
 
     @staticmethod
     def parse(text: str) -> "GridSpec":
@@ -518,9 +480,6 @@ def regime_map(L1: float, L2: float, grid: GridSpec):
     pts = grid.points()
     M1, M2 = np.meshgrid(pts, pts, indexing="ij")
     index, p, _, _, _ = grid_classify(L1, L2, M1, M2)
-    rows = []
-    for i in range(M1.shape[0]):
-        for j in range(M1.shape[1]):
-            rows.append((M1[i, j], M2[i, j], int(index[i, j]),
-                         float(p[i, j]) if index[i, j] else float("nan")))
-    return rows
+    # p is NaN exactly where index is 0
+    return list(zip(M1.ravel().tolist(), M2.ravel().tolist(),
+                    index.ravel().tolist(), p.ravel().tolist()))

@@ -18,6 +18,7 @@ from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, MaxOfQuadratics,
                              Quadratic, analytic_infimum, make_instance)
 from dcrates.probe import extremal_instance, probe, ratio_trend
 from dcrates.regimes import asymptotic_constants, classify, grid_classify
+from dcrates.sampling import ANCHORS, jitter_params, quad_instance_in
 
 INF = math.inf
 
@@ -33,46 +34,6 @@ def report(capfd):
             sys.stdout.write(line)
             sys.stdout.flush()
     return _report
-
-
-# one representative parameter point per odd regime; evens are the swaps
-ANCHORS = {
-    1: make_params(0.5, 2.0, 0.0, 1.0),
-    3: make_params(2.0, 4.0, -1.0, 3.0),
-    5: make_params(2.0, 10.0, -1.0, 1.5),
-    7: make_params(3.0, 10.0, 0.5, 1.2),
-}
-ALL_ANCHORS = {}
-for i, p in ANCHORS.items():
-    ALL_ANCHORS[i] = p
-    ALL_ANCHORS[i + 1] = p.swapped()
-
-
-def _jitter_params(anchor, target_index, rng, scale=0.03, tries=200):
-    for _ in range(tries):
-        vals = []
-        for v in (anchor.mu1, anchor.L1, anchor.mu2, anchor.L2):
-            base = abs(v) if v != 0.0 else 0.5
-            vals.append(v + rng.uniform(-scale, scale) * base)
-        try:
-            p = make_params(*vals)
-            if classify(p).index == target_index:
-                return p
-        except Exception:
-            continue
-    raise RuntimeError("could not sample regime %d near anchor" % target_index)
-
-
-def _quad_instance_in(params, rng):
-    d = int(rng.integers(1, 4))
-    lo1 = max(params.mu1, 0.05 * params.L1)
-    c1 = rng.uniform(lo1, params.L1, d)
-    c2 = rng.uniform(params.mu2, params.L2, d)
-    f1 = FunctionSpec(Quadratic(tuple(c1), tuple(rng.normal(size=d))),
-                      Curvature(params.mu1, params.L1))
-    f2 = FunctionSpec(Quadratic(tuple(c2), tuple(rng.normal(size=d))),
-                      Curvature(params.mu2, params.L2))
-    return make_instance(f1, f2)
 
 
 def test_criterion_1_convex_constant(report):
@@ -123,10 +84,10 @@ def test_criterion_3_soundness_sweep(report):
     per_regime = 1250
     failures = 0
     min_slack = math.inf
-    for regime, anchor in ALL_ANCHORS.items():
+    for regime, anchor in ANCHORS.items():
         for _ in range(per_regime):
-            params = _jitter_params(anchor, regime, rng)
-            inst = _quad_instance_in(params, rng)
+            params = jitter_params(anchor, regime, rng)
+            inst = quad_instance_in(params, rng)
             cert = classify(params)
             x0 = rng.normal(size=inst.f1.dimension)
             traj = run_dca(inst, x0, 25)
@@ -154,9 +115,9 @@ def test_criterion_4_equality_witnesses(report):
     rng = np.random.default_rng(404)
     ok = True
     worst = 0.0
-    for regime, anchor in ALL_ANCHORS.items():
+    for regime, anchor in ANCHORS.items():
         for _ in range(20):
-            params = _jitter_params(anchor, regime, rng, scale=0.25)
+            params = jitter_params(anchor, regime, rng, scale=0.25)
             cert = classify(params)
             w = extremal_instance(regime, params)
             gaps = w.gaps_sq()
@@ -179,13 +140,13 @@ def test_criterion_5_probe_consistency(report):
     notes = []
     for regime in (1, 2, 3, 4):
         d = 1 if regime <= 2 else 2
-        r = probe(ALL_ANCHORS[regime], N=1, d=d, budget=200000, seed=0,
+        r = probe(ANCHORS[regime], N=1, d=d, budget=200000, seed=0,
                   starts=32, warm=False)
         frac = r.best_ratio / r.certified_bound
         notes.append("r%d %.6f" % (regime, frac))
         ok = ok and frac >= 1.0 - 1e-3
         ok = ok and not r.certificate_violation
-    r5 = probe(ALL_ANCHORS[5], N=3, d=2, budget=80000, seed=0, starts=16)
+    r5 = probe(ANCHORS[5], N=3, d=2, budget=80000, seed=0, starts=16)
     cap = r5.certified_bound          # 1 / (3 p5)
     ok = ok and r5.best_ratio < cap
     notes.append("r5 N=3 ratio %.4f < %.4f" % (r5.best_ratio, cap))

@@ -7,8 +7,8 @@ import pytest
 from dcrates.cli import main
 from dcrates.curvature import Curvature
 from dcrates.interpolation import sample_triplets, triplets_to_json
-from dcrates.oracles import (FunctionSpec, Quadratic, instance_to_json,
-                             make_instance)
+from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, Quadratic,
+                             instance_to_json, make_instance)
 
 INF = math.inf
 
@@ -55,6 +55,38 @@ def test_regime_map_csv(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "mu1,mu2,regime,p"
     assert len(lines) == 145
+
+
+@pytest.mark.parametrize("grid", ["-1:2:0", "-1:2:-3", "2:-1:10", "-1:inf:10",
+                                  "nan:1:10"])
+def test_regime_map_rejects_bad_grid(tmp_path, capsys, grid):
+    out = tmp_path / "map.csv"
+    assert main(["regime-map", "--L1", "2", "--L2", "1", "--grid", grid,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_regime_map_rejects_nonpositive_L(tmp_path, capsys):
+    assert main(["regime-map", "--L1", "-1", "--L2", "1", "--grid", "-1:2:5",
+                 "--out", str(tmp_path / "map.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_classify_precondition_violated_exit_1(capsys):
+    assert main(["classify", "--mu1", "0.5", "--L1", "2", "--mu2=-1",
+                 "--L2", "1"]) == 1
+    assert "error: " in capsys.readouterr().err
+
+
+def test_run_certify_nonsmooth_without_fstar_exit_1(tmp_path, capsys):
+    f1 = FunctionSpec(AbsPlusQuadratic(1.0, 1.0, 0.0), Curvature(1.0, INF))
+    f2 = FunctionSpec(AbsPlusQuadratic(0.5, 0.5, 0.2), Curvature(0.5, INF))
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance_to_json(make_instance(f1, f2))))
+    assert main(["run", "--instance", str(path), "--x0", "1.0", "--N", "3",
+                 "--certify"]) == 1
+    assert "error: " in capsys.readouterr().err
 
 
 def test_run_certify_round_trip(tmp_path, instance_file, capsys):

@@ -43,6 +43,33 @@ def test_slack_detects_underdeclared_curvature():
     assert rep_ok.feasible
 
 
+def _random_triplets(rng, n, d=2):
+    return [make_triplet(rng.normal(size=d), rng.normal(size=d), rng.normal())
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("cls", [Curvature(-0.5, 2.0), Curvature(0.3, INF)])
+def test_slack_matrix_matches_pair_slack(cls):
+    rng = np.random.default_rng(41)
+    t = _random_triplets(rng, 8)
+    S = check_interpolation(t, cls).slack
+    for i in range(8):
+        assert S[i, i] == 0.0
+        for j in range(8):
+            if i != j:
+                assert S[i, j] == pytest.approx(pair_slack(cls, t[i], t[j]),
+                                                rel=1e-12)
+
+
+def test_min_slack_excludes_diagonal():
+    # f = x^2 declared in a looser class than its own: every pair is slack
+    cls = Curvature(-1.0, 4.0)
+    t = [make_triplet([x], [2.0 * x], x * x) for x in (-1.0, 0.5, 2.0)]
+    ref = min(pair_slack(cls, a, b) for a in t for b in t if a is not b)
+    assert ref > 0.0
+    assert check_interpolation(t, cls).min_slack == pytest.approx(ref, rel=1e-12)
+
+
 def _spec_samples(rng):
     kind = rng.integers(3)
     if kind == 0:

@@ -167,7 +167,9 @@ def test_grid_matches_scalar():
             continue
         c = classify(make_params(mu1[i], L1, mu2[i], L2))
         assert c.index == idx[i]
-        assert c.p == pytest.approx(pvals[i], rel=1e-12)
+        assert c.p == pvals[i]
+        assert c.sigma == sig[i]
+        assert c.sigma_plus == sigp[i]
 
 
 def test_regime_map_rows():
