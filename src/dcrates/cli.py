@@ -9,14 +9,14 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .curvature import DcParams, InvalidParams, make_params, validate
+from .curvature import (Curvature, DcParams, InvalidParams, make_params,
+                        validate)
 from .regimes import (GridSpec, NoRegime, PreconditionViolated,
                       one_step_certificate, regime_map, thresholds)
 from .oracles import instance_from_json
@@ -24,7 +24,6 @@ from .engine import (run_dca, trajectory_to_csv, trajectory_to_json,
                      trajectory_from_json)
 from .certificates import MissingFstar, certificate_report
 from .interpolation import check_interpolation, triplets_from_json
-from .curvature import Curvature
 from .probe import probe as run_probe
 
 EXIT_OK = 0
@@ -37,16 +36,28 @@ def _formula_revision() -> str:
     return hashlib.sha256(src).hexdigest()[:12]
 
 
-def _parse_ext(s: str) -> float:
-    if s.lower() in ("inf", "infinity"):
-        return math.inf
-    return float(s)
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1; argparse's own 2 would read as a failed check."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
+
+
+def _load(path: str, decode):
+    """Read the JSON file at path through decode.  Malformed content (bad
+    JSON, a missing key, a wrong-typed value) is a ValueError naming the file."""
+    try:
+        with open(path) as fh:
+            return decode(json.load(fh))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        what = "missing key %s" % exc if isinstance(exc, KeyError) else exc
+        raise ValueError("%s: %s" % (path, what)) from exc
 
 
 def _params_from_args(args) -> DcParams:
     if getattr(args, "params", None):
-        with open(args.params) as fh:
-            return DcParams.from_json_dict(json.load(fh))
+        return _load(args.params, DcParams.from_json_dict)
     missing = [k for k in ("mu1", "L1", "mu2", "L2")
                if getattr(args, k, None) is None]
     if missing:
@@ -102,16 +113,16 @@ def cmd_regime_map(args) -> int:
     return EXIT_OK
 
 
-def _load_instance(path: str):
-    with open(path) as fh:
-        return instance_from_json(json.load(fh))
+def _run(args):
+    """The one path `run` and `report` share: load, parse x0, iterate."""
+    inst = _load(args.instance, instance_from_json)
+    x0 = np.array([float(v) for v in args.x0.split(",")])
+    return run_dca(inst, x0, args.N, tol=args.tol, policy=args.policy,
+                   stop_on=args.stop_on)
 
 
 def cmd_run(args) -> int:
-    inst = _load_instance(args.instance)
-    x0 = np.array([float(v) for v in args.x0.split(",")])
-    traj = run_dca(inst, x0, args.N, tol=args.tol, policy=args.policy,
-                   stop_on=args.stop_on)
+    traj = _run(args)
     if args.out:
         payload = trajectory_to_json(traj)
         payload["tolerances"] = {"stop_tol": args.tol}
@@ -130,17 +141,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    with open(args.traj) as fh:
-        payload = json.load(fh)
-    traj = trajectory_from_json(payload)
+    traj = _load(args.traj, trajectory_from_json)
     report = certificate_report(traj, fstar=args.fstar, tol=args.check_tol)
     _emit(report, args.out)
     return EXIT_OK if report["holds"] else EXIT_CHECK_FAILED
 
 
 def cmd_interp_check(args) -> int:
-    with open(args.triplets) as fh:
-        triplets = triplets_from_json(json.load(fh))
+    triplets = _load(args.triplets, triplets_from_json)
     rep = check_interpolation(triplets, Curvature(args.mu, args.L), args.tol)
     _emit({"feasible": rep.feasible, "min_slack": rep.min_slack,
            "tol": rep.tol, "n_points": len(triplets)}, args.out)
@@ -172,14 +180,11 @@ def cmd_probe(args) -> int:
 
 
 def cmd_report(args) -> int:
-    inst = _load_instance(args.instance)
-    x0 = np.array([float(v) for v in args.x0.split(",")])
-    traj = run_dca(inst, x0, args.N, tol=args.tol, policy=args.policy)
+    traj = _run(args)
     report = certificate_report(traj, fstar=args.fstar, tol=args.check_tol)
-    cert = one_step_certificate(inst.params)
     payload = {
-        "instance_params": inst.params.to_json_dict(),
-        "regime": cert.to_json_dict(),
+        "instance_params": traj.instance.params.to_json_dict(),
+        "regime": report.get("regime"),   # None when both terms are nonsmooth
         "trajectory": {"n_steps": traj.n_steps,
                        "stop_reason": traj.stop_reason,
                        "F_first": traj.points[0].F,
@@ -194,21 +199,20 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="dcrates",
         description="DCA rate certificates: classify, run, verify, probe.")
     top.add_argument("--version", action="version",
                      version="%(prog)s " + __version__
                      + " (formula revision " + _formula_revision() + ")")
-    top.add_argument("--config", help="JSON file with flag defaults")
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_params(p):
         p.add_argument("--params", help="JSON file with mu1/L1/mu2/L2")
         p.add_argument("--mu1", type=float)
-        p.add_argument("--L1", type=_parse_ext)
+        p.add_argument("--L1", type=float)
         p.add_argument("--mu2", type=float)
-        p.add_argument("--L2", type=_parse_ext)
+        p.add_argument("--L2", type=float)
 
     p = sub.add_parser("classify", help="regime and one-step coefficients")
     add_params(p)
@@ -216,25 +220,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("regime-map", help="grid classification as CSV")
-    p.add_argument("--L1", type=_parse_ext, required=True)
-    p.add_argument("--L2", type=_parse_ext, required=True)
+    p.add_argument("--L1", type=float, required=True)
+    p.add_argument("--L2", type=float, required=True)
     p.add_argument("--grid", required=True, help="lo:hi:steps")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_regime_map)
 
+    def add_run(p):
+        p.add_argument("--instance", required=True)
+        p.add_argument("--x0", required=True, help="comma-separated start point")
+        p.add_argument("--N", type=int, required=True)
+        p.add_argument("--tol", type=float, default=0.0)
+        p.add_argument("--policy", default="least_norm")
+        p.add_argument("--fstar", type=float)
+        p.add_argument("--check-tol", dest="check_tol", type=float, default=1e-9)
+
     p = sub.add_parser("run", help="run DCA on an instance file")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--x0", required=True, help="comma-separated start point")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--tol", type=float, default=0.0)
-    p.add_argument("--policy", default="least_norm")
+    add_run(p)
     p.add_argument("--stop-on", dest="stop_on", default="grad_gap",
                    choices=["grad_gap", "t_measure"])
     p.add_argument("--out", help="trajectory JSON")
     p.add_argument("--csv", help="trajectory CSV")
     p.add_argument("--certify", action="store_true")
-    p.add_argument("--fstar", type=float)
-    p.add_argument("--check-tol", dest="check_tol", type=float, default=1e-9)
     p.add_argument("--report-out", dest="report_out")
     p.set_defaults(fn=cmd_run)
 
@@ -248,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("interp-check", help="pairwise interpolation feasibility")
     p.add_argument("--triplets", required=True, help="JSON list of {x,g,f}")
     p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--L", type=_parse_ext, required=True)
+    p.add_argument("--L", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_interp_check)
@@ -265,15 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_probe)
 
     p = sub.add_parser("report", help="run + classify + certify in one pass")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--x0", required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--tol", type=float, default=0.0)
-    p.add_argument("--policy", default="least_norm")
-    p.add_argument("--fstar", type=float)
-    p.add_argument("--check-tol", dest="check_tol", type=float, default=1e-9)
+    add_run(p)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_report)
+    p.set_defaults(fn=cmd_report, stop_on="grad_gap")
     return top
 
 
@@ -281,41 +282,22 @@ def _merge_value_flags(argv):
     """Join '--grid -1:2:300' into '--grid=-1:2:300' so argparse does not
     mistake a leading-minus value for an option."""
     out = []
-    i = 0
-    while i < len(argv):
-        a = argv[i]
-        if a in ("--grid", "--x0") and i + 1 < len(argv):
-            out.append(a + "=" + argv[i + 1])
-            i += 2
+    for a in argv:
+        if out and out[-1] in ("--grid", "--x0"):
+            out[-1] += "=" + a
         else:
             out.append(a)
-            i += 1
     return out
-
-
-def _apply_config(parser, argv):
-    argv = _merge_value_flags(argv)
-    args = parser.parse_args(argv)
-    if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        # precedence: explicit flags > config values > defaults
-        stated = {a.split("=")[0].lstrip("-").replace("-", "_")
-                  for a in argv if a.startswith("--")}
-        for key, val in cfg.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and attr not in stated:
-                setattr(args, attr, val)
-    return args
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = _apply_config(parser, sys.argv[1:] if argv is None else argv)
+        args = parser.parse_args(
+            _merge_value_flags(sys.argv[1:] if argv is None else argv))
         return args.fn(args)
-    except (InvalidParams, NoRegime, PreconditionViolated, MissingFstar,
-            FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (NoRegime, PreconditionViolated, MissingFstar, OSError,
+            ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -31,6 +31,11 @@ def recip(x):
     return 1.0 / x
 
 
+def ext_to_json(v):
+    """JSON form of an extended real: +inf as "inf", which float() reads."""
+    return "inf" if v == INF else v
+
+
 class InvalidParams(ValueError):
     """Raised when an operation requires parameters that fail validation."""
 
@@ -103,16 +108,13 @@ class DcParams:
         return DcParams(self.f2, self.f1)
 
     def to_json_dict(self) -> dict:
-        enc = lambda v: "inf" if v == INF else v
-        return {"mu1": self.mu1, "L1": enc(self.L1), "mu2": self.mu2, "L2": enc(self.L2)}
+        return {"mu1": self.mu1, "L1": ext_to_json(self.L1),
+                "mu2": self.mu2, "L2": ext_to_json(self.L2)}
 
     @staticmethod
     def from_json_dict(d: dict) -> "DcParams":
-        dec = lambda v: INF if v in ("inf", "Infinity") else float(v)
-        return DcParams(
-            Curvature(float(d["mu1"]), dec(d["L1"])),
-            Curvature(float(d["mu2"]), dec(d["L2"])),
-        )
+        return make_params(float(d["mu1"]), float(d["L1"]),
+                           float(d["mu2"]), float(d["L2"]))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict())

@@ -17,7 +17,8 @@ import numpy as np
 
 from .curvature import InvalidParams
 from .oracles import (DcInstance, Policy, Unbounded, evaluate,
-                      solve_dca_subproblem)
+                      instance_from_json, instance_to_json,
+                      solve_dca_subproblem, subgradient_interval)
 
 LINK_TOL = 1e-12
 
@@ -115,7 +116,6 @@ def run_dca(instance: DcInstance, x0, N: int, tol: float = 0.0,
         if gap > LINK_TOL * link_scale:
             # nonsmooth f1: the oracle's policy pick may differ from the
             # link subgradient, but g2 must still lie in the subdifferential
-            from .oracles import subgradient_interval
             if instance.dimension == 1:
                 lo, hi = subgradient_interval(instance.f1, x_new)
                 pad = LINK_TOL * link_scale
@@ -159,7 +159,6 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
 
 def trajectory_to_json(traj: Trajectory) -> dict:
-    from .oracles import instance_to_json
     return {
         "instance": instance_to_json(traj.instance),
         "stop_reason": traj.stop_reason,
@@ -172,14 +171,22 @@ def trajectory_to_json(traj: Trajectory) -> dict:
 
 
 def trajectory_from_json(d: dict) -> Trajectory:
-    from .oracles import instance_from_json
-    pts = [TrajectoryPoint(q["k"], np.array(q["x"], dtype=float),
-                           q["f1"], q["f2"], q["F"],
-                           np.array(q["g1"], dtype=float),
-                           np.array(q["g2"], dtype=float),
-                           q["G_norm_sq"], q.get("T"), q.get("dx_norm_sq"))
-           for q in d["points"]]
-    return Trajectory(pts, instance_from_json(d["instance"]), d["stop_reason"])
+    inst = instance_from_json(d["instance"])
+    pts = []
+    for q in d["points"]:
+        vecs = [np.array(q[key], dtype=float) for key in ("x", "g1", "g2")]
+        if any(v.shape != (inst.dimension,) for v in vecs):
+            raise InvalidParams("point %r: x, g1 and g2 need dimension %d"
+                                % (q["k"], inst.dimension))
+        t_dx = [None if q.get(key) is None else float(q[key])
+                for key in ("T", "dx_norm_sq")]
+        pts.append(TrajectoryPoint(
+            int(q["k"]), vecs[0], float(q["f1"]), float(q["f2"]),
+            float(q["F"]), vecs[1], vecs[2], float(q["G_norm_sq"]), *t_dx))
+    if not pts or any(p.T is None or p.dx_norm_sq is None for p in pts[:-1]):
+        raise InvalidParams("trajectory needs points, each but the last "
+                            "with T and dx_norm_sq")
+    return Trajectory(pts, inst, str(d["stop_reason"]))
 
 
 def dumps(traj: Trajectory) -> str:

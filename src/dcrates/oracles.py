@@ -11,12 +11,12 @@ solutions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
-from .curvature import Curvature, DcParams, InvalidParams
+from .curvature import Curvature, DcParams, InvalidParams, ext_to_json
 
 KINK_TOL = 1e-12
 
@@ -108,14 +108,18 @@ class OracleAnswer:
 
 @dataclass(frozen=True)
 class DcInstance:
+    """F = f1 - f2; params are the classes f1 and f2 declare, derived once."""
+
     f1: FunctionSpec
     f2: FunctionSpec
-    params: DcParams
     fstar: Optional[float] = None
+    params: DcParams = field(init=False)
 
     def __post_init__(self):
         if self.f1.dimension != self.f2.dimension:
             raise InvalidParams("f1 and f2 dimensions differ")
+        object.__setattr__(self, "params",
+                           DcParams(self.f1.declared, self.f2.declared))
 
     @property
     def dimension(self):
@@ -125,9 +129,7 @@ class DcInstance:
         return evaluate(self.f1, x).value - evaluate(self.f2, x).value
 
 
-def make_instance(f1: FunctionSpec, f2: FunctionSpec, fstar=None) -> DcInstance:
-    params = DcParams(f1.declared, f2.declared)
-    return DcInstance(f1, f2, params, fstar)
+make_instance = DcInstance
 
 
 # ---------------------------------------------------------------------------
@@ -320,31 +322,36 @@ def family_to_json(fam: Family) -> dict:
 def family_from_json(d: dict) -> Family:
     kind = d["family"]
     if kind == "quadratic":
-        return Quadratic(tuple(d["c"]), tuple(d["b"]))
+        c, b = tuple(map(float, d["c"])), tuple(map(float, d["b"]))
+        if not c or len(c) != len(b):
+            raise InvalidParams("quadratic needs c and b of one nonzero length")
+        return Quadratic(c, b)
     if kind == "max_quadratics":
-        return MaxOfQuadratics(tuple(tuple(p) for p in d["pieces"]))
+        pieces = tuple(tuple(map(float, p)) for p in d["pieces"])
+        if not pieces or any(len(p) != 3 for p in pieces):
+            raise InvalidParams("max_quadratics needs pieces of [c, b, a]")
+        return MaxOfQuadratics(pieces)
     if kind == "abs_quadratic":
-        return AbsPlusQuadratic(d["a"], d["m"], d["b"])
+        return AbsPlusQuadratic(float(d["a"]), float(d["m"]), float(d["b"]))
     raise InvalidParams("unknown function family %r" % kind)
 
 
 def instance_to_json(inst: DcInstance) -> dict:
-    enc = lambda v: "inf" if math.isinf(v) else v
-    spec_json = lambda s: dict(family_to_json(s.family),
-                               mu=s.declared.mu, L=enc(s.declared.L))
-    return {
-        "f1": spec_json(inst.f1),
-        "f2": spec_json(inst.f2),
-        "declared": inst.params.to_json_dict(),
-        "Fstar": inst.fstar,
-    }
+    spec_json = lambda s: dict(family_to_json(s.family), mu=s.declared.mu,
+                               L=ext_to_json(s.declared.L))
+    return {"f1": spec_json(inst.f1), "f2": spec_json(inst.f2),
+            "Fstar": inst.fstar}
 
 
 def instance_from_json(d: dict) -> DcInstance:
-    dec = lambda v: math.inf if v in ("inf", "Infinity") else float(v)
-    f1 = FunctionSpec(family_from_json(d["f1"]),
-                      Curvature(float(d["f1"]["mu"]), dec(d["f1"]["L"])))
-    f2 = FunctionSpec(family_from_json(d["f2"]),
-                      Curvature(float(d["f2"]["mu"]), dec(d["f2"]["L"])))
-    params = DcParams.from_json_dict(d["declared"])
-    return DcInstance(f1, f2, params, d.get("Fstar"))
+    """The classes are the ones f1 and f2 carry; an older file's "declared"
+    block is accepted only when it states the same classes."""
+    spec = lambda s: FunctionSpec(family_from_json(s),
+                                  Curvature(float(s["mu"]), float(s["L"])))
+    f1, f2 = spec(d["f1"]), spec(d["f2"])
+    fstar = d.get("Fstar")
+    inst = DcInstance(f1, f2, None if fstar is None else float(fstar))
+    if "declared" in d and DcParams.from_json_dict(d["declared"]) != inst.params:
+        raise InvalidParams("declared block %r disagrees with the classes of "
+                            "f1 and f2" % (d["declared"],))
+    return inst

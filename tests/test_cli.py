@@ -149,3 +149,133 @@ def test_report_command(tmp_path, instance_file):
 
 def test_missing_file_exit_1():
     assert main(["certify", "--traj", "/nonexistent/t.json"]) == 1
+
+
+def test_directory_as_file_exit_1(tmp_path, capsys):
+    assert main(["certify", "--traj", str(tmp_path)]) == 1
+    assert main(["classify", "--mu1", "0.5", "--L1", "2", "--mu2", "0",
+                 "--L2", "1", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.count("error: ") == 2
+
+
+def _strip(d: dict) -> dict:
+    return {k: v for k, v in d.items() if k != "formula_revision"}
+
+
+def _malformed(tmp_path, instance_file, kind):
+    """Write one malformed input file of the given kind; return its CLI argv."""
+    inst = json.loads(open(instance_file).read())
+    good = tmp_path / "good.json"
+    bad = tmp_path / "bad.json"
+    if kind == "instance_without_f2":
+        del inst["f2"]
+        body, argv = inst, ["run", "--instance", str(bad), "--x0", "1", "--N", "2"]
+    elif kind == "instance_c_not_a_list":
+        inst["f1"]["c"] = 2.0
+        body, argv = inst, ["run", "--instance", str(bad), "--x0", "1", "--N", "2"]
+    elif kind == "trajectory_without_instance":
+        assert main(["run", "--instance", instance_file, "--x0", "1", "--N", "2",
+                     "--out", str(good)]) == 0
+        body = json.loads(good.read_text())
+        del body["instance"]
+        argv = ["certify", "--traj", str(bad)]
+    elif kind == "triplet_without_f":
+        body = [{"x": [0.0], "g": [0.0], "f": 0.0}, {"x": [1.0], "g": [1.0]}]
+        argv = ["interp-check", "--triplets", str(bad), "--mu", "0", "--L", "2"]
+    else:
+        body = {"mu1": 0.5, "L1": 2.0, "L2": 1.0}
+        argv = ["classify", "--params", str(bad)]
+    bad.write_text(json.dumps(body))
+    return argv
+
+
+@pytest.mark.parametrize("kind", ["instance_without_f2", "instance_c_not_a_list",
+                                  "trajectory_without_instance",
+                                  "triplet_without_f", "params_without_mu2"])
+def test_malformed_file_exit_1(tmp_path, instance_file, capsys, kind):
+    argv = _malformed(tmp_path, instance_file, kind)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + str(tmp_path / "bad.json") + ": ")
+    assert "Traceback" not in err
+
+
+def _with_declared(instance_file, tmp_path, mu1):
+    d = json.loads(open(instance_file).read())
+    assert "declared" not in d
+    d["declared"] = {"mu1": mu1, "L1": d["f1"]["L"],
+                     "mu2": d["f2"]["mu"], "L2": d["f2"]["L"]}
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
+def test_disagreeing_declared_block_exit_1(tmp_path, instance_file, capsys):
+    old = _with_declared(instance_file, tmp_path, mu1=-0.4)   # f1.mu is 1.5
+    assert main(["report", "--instance", old, "--x0", "1.0", "--N", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "disagrees" in err
+
+
+def test_agreeing_declared_block_still_loads(tmp_path, instance_file, capsys):
+    old = _with_declared(instance_file, tmp_path, mu1=1.5)
+    argv = ["report", "--x0", "1.0", "--N", "3", "--instance"]
+    assert main(argv + [old]) == 0
+    a = capsys.readouterr().out
+    assert main(argv + [instance_file]) == 0
+    assert capsys.readouterr().out == a
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--instance", "inst.json", "--x0", "1.0"],
+    ["classify", "--mu1", "x", "--L1", "2", "--mu2", "0", "--L2", "1"]])
+def test_usage_error_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 1
+    assert "error: " in capsys.readouterr().err
+
+
+def test_report_both_nonsmooth_matches_run_certify(tmp_path, capsys):
+    f1 = FunctionSpec(AbsPlusQuadratic(1.0, 1.0, 0.0), Curvature(1.0, INF))
+    f2 = FunctionSpec(AbsPlusQuadratic(0.5, 0.5, 0.2), Curvature(0.5, INF))
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance_to_json(make_instance(f1, f2))))
+    common = ["--instance", str(path), "--x0", "1.0", "--N", "3",
+              "--fstar", "-1"]
+    code = main(["report", "--out", str(tmp_path / "rep.json")] + common)
+    assert code in (0, 2)
+    rep = json.loads((tmp_path / "rep.json").read_text())
+    assert main(["run", "--certify", "--report-out", str(tmp_path / "cert.json")]
+                + common) == code
+    cert = json.loads((tmp_path / "cert.json").read_text())
+    assert rep["certificates"] == _strip(cert)
+    assert rep["certificates"]["mode"] == "nonsmooth"
+    assert rep["regime"] is None
+
+
+@pytest.mark.parametrize("spelling", ["inf", "INF", "Infinity"])
+def test_infinity_spellings(tmp_path, capsys, spelling):
+    out = tmp_path / "cls.json"
+    assert main(["classify", "--mu1", "0.5", "--L1", spelling, "--mu2", "0",
+                 "--L2", "1", "--out", str(out)]) == 0
+    from_flag = json.loads(out.read_text())
+    assert from_flag["params"]["L1"] == "inf"
+    params = tmp_path / "params.json"
+    for value in (spelling, INF):      # a string and a bare JSON Infinity
+        params.write_text(json.dumps({"mu1": 0.5, "L1": value,
+                                      "mu2": 0.0, "L2": 1.0}))
+        assert main(["classify", "--params", str(params),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == from_flag
+    inst = {"f1": {"family": "abs_quadratic", "a": 1.0, "m": 1.0, "b": 0.0,
+                   "mu": 1.0, "L": spelling},
+            "f2": {"family": "quadratic", "c": [0.5], "b": [0.3],
+                   "mu": 0.5, "L": 0.75}}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    assert main(["report", "--instance", str(path), "--x0", "1.0", "--N", "2",
+                 "--out", str(tmp_path / "rep.json")]) == 0
+    rep = json.loads((tmp_path / "rep.json").read_text())
+    assert rep["instance_params"]["L1"] == "inf"
