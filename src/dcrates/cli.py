@@ -19,7 +19,7 @@ from .curvature import (Curvature, DcParams, InvalidParams, make_params,
                         validate)
 from .regimes import (GridSpec, NoRegime, PreconditionViolated,
                       one_step_certificate, regime_map, thresholds)
-from .oracles import instance_from_json
+from .oracles import instance_from_json, kink_policy
 from .engine import (run_dca, trajectory_to_csv, trajectory_to_json,
                      trajectory_from_json)
 from .certificates import MissingFstar, certificate_report
@@ -163,12 +163,15 @@ def cmd_probe(args) -> int:
     payload = {
         "params": params.to_json_dict(),
         "N": args.N, "d": args.d, "budget": args.budget, "seed": args.seed,
+        "starts": args.starts, "evals": result.evals,
+        "best_start": (None if result.best_start is None else
+                       dict(zip(("index", "kind"), result.best_start))),
+        "elapsed_s": result.elapsed_s,
         "best_ratio": result.best_ratio,
         "certified_bound": result.certified_bound,
         "gap": result.gap,
         "budget_exhausted": result.budget_exhausted,
         "certificate_violation": result.certificate_violation,
-        "evals": result.evals,
     }
     if result.witness is not None:
         w = result.witness
@@ -231,7 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--x0", required=True, help="comma-separated start point")
         p.add_argument("--N", type=int, required=True)
         p.add_argument("--tol", type=float, default=0.0)
-        p.add_argument("--policy", default="least_norm")
+        p.add_argument("--policy", type=kink_policy, default="least_norm",
+                       help="kink subgradient: leftmost, rightmost, "
+                       "least_norm or a weight in [0, 1]")
         p.add_argument("--fstar", type=float)
         p.add_argument("--check-tol", dest="check_tol", type=float, default=1e-9)
 

@@ -21,6 +21,7 @@ from .oracles import (DcInstance, Policy, Unbounded, evaluate,
                       solve_dca_subproblem, subgradient_interval)
 
 LINK_TOL = 1e-12
+RECORD_TOL = 1e-12   # relative; stored numbers against their recomputation
 
 STOP_MAX_ITERS = "max_iters"
 STOP_CRITICALITY = "criticality_tol"
@@ -186,7 +187,40 @@ def trajectory_from_json(d: dict) -> Trajectory:
     if not pts or any(p.T is None or p.dx_norm_sq is None for p in pts[:-1]):
         raise InvalidParams("trajectory needs points, each but the last "
                             "with T and dx_norm_sq")
+    _check_recorded(inst, pts)
     return Trajectory(pts, inst, str(d["stop_reason"]))
+
+
+def _check_recorded(inst: DcInstance, pts: list) -> None:
+    """Recompute what the certificates read: values and subgradients from
+    the instance at each stored x, then G_norm_sq, T and dx_norm_sq from the
+    stored vectors.  InvalidParams names the first mismatch."""
+    def same(p, name, stored, exact):
+        if not abs(stored - exact) <= RECORD_TOL * max(1.0, abs(exact)):
+            raise InvalidParams("step %d: stored %s = %r, recomputed %r"
+                                % (p.k, name, stored, exact))
+
+    for p in pts:
+        f1, f2 = evaluate(inst.f1, p.x).value, evaluate(inst.f2, p.x).value
+        same(p, "f1", p.f1, f1)
+        same(p, "f2", p.f2, f2)
+        same(p, "F", p.F, f1 - f2)
+        for name, spec, g in (("g1", inst.f1, p.g1), ("g2", inst.f2, p.g2)):
+            if inst.dimension == 1:
+                lo, hi = subgradient_interval(spec, p.x)
+            else:   # only quadratics have dimension > 1: one gradient
+                lo = hi = evaluate(spec, p.x).subgradient
+            pad = LINK_TOL * max(1.0, float(np.linalg.norm(g)))
+            if not np.all((lo - pad <= g) & (g <= hi + pad)):
+                raise InvalidParams("step %d: stored %s = %r is not a "
+                                    "subgradient of f%s at x"
+                                    % (p.k, name, g.tolist(), name[1]))
+    for p, q in zip(pts, pts[1:] + [None]):
+        same(p, "G_norm_sq", p.G_norm_sq, float(np.sum((p.g1 - p.g2) ** 2)))
+        if q is not None:
+            same(p, "T", p.T, p.f1 - q.f1 - float(q.g1 @ (p.x - q.x)))
+            same(p, "dx_norm_sq", p.dx_norm_sq,
+                 float(np.sum((p.x - q.x) ** 2)))
 
 
 def dumps(traj: Trajectory) -> str:

@@ -45,15 +45,25 @@ class InterpReport:
     tol: float
 
 
-def _lower_bound(cls: Curvature, dx: np.ndarray, dg: np.ndarray):
+def _lower_bound(cls, dx: np.ndarray, dg: np.ndarray):
     """Right-hand side of the inequality for differences dx = x_i - x_j,
-    dg = g_i - g_j, summed over the last axis: one pair or a grid of pairs."""
-    mu, L = cls.mu, cls.L
-    if math.isinf(L):
-        return 0.5 * mu * np.sum(dx * dx, axis=-1)
-    r = dg - L * dx
-    return (np.sum(dg * dg, axis=-1) / (2.0 * L)
-            + mu / (2.0 * L * (L - mu)) * np.sum(r * r, axis=-1))
+    dg = g_i - g_j, summed over the last axis: one pair or a grid of pairs.
+
+    cls may also be a sequence of classes, one per leading entry of a stacked
+    dg that shares dx; the L = inf limit is then taken per class.
+    """
+    if isinstance(cls, Curvature):
+        if math.isinf(cls.L):
+            return 0.5 * cls.mu * (dx * dx).sum(-1)
+        mu, L, Ldx = cls.mu, cls.L, cls.L * dx
+    elif any(math.isinf(c.L) for c in cls):
+        return np.stack([_lower_bound(c, dx, g) for c, g in zip(cls, dg)])
+    else:   # one (mu, L) per stack entry, shaped (k, 1, 1) like the sums
+        mu, L = np.array([(c.mu, c.L) for c in cls]).T[..., None, None]
+        Ldx = L[..., None] * dx
+    r = dg - Ldx
+    return ((dg * dg).sum(-1) / (2.0 * L)
+            + mu / (2.0 * L * (L - mu)) * (r * r).sum(-1))
 
 
 def pair_lower_bound(cls: Curvature, dx: np.ndarray, dg: np.ndarray) -> float:
@@ -67,12 +77,16 @@ def pair_slack(cls: Curvature, ti: Triplet, tj: Triplet) -> float:
     return lhs - pair_lower_bound(cls, dx, ti.g - tj.g)
 
 
-def pair_matrix(X: np.ndarray, G: np.ndarray, cls: Curvature) -> np.ndarray:
-    """c[i, j]: minimal feasible f^i - f^j given the (x, g) data."""
+def pair_matrix(X: np.ndarray, G: np.ndarray, cls) -> np.ndarray:
+    """c[i, j]: minimal feasible f^i - f^j given the (x, g) data.
+
+    G may also be a stack (k, n, d) of gradient sets at the same points X,
+    with cls a sequence of k classes; c is then (k, n, n).
+    """
     dX = X[:, None, :] - X[None, :, :]
-    dG = G[:, None, :] - G[None, :, :]
-    c = np.einsum("jd,ijd->ij", G, dX) + _lower_bound(cls, dX, dG)
-    np.fill_diagonal(c, 0.0)
+    dG = G[..., :, None, :] - G[..., None, :, :]
+    c = np.einsum("...jd,ijd->...ij", G, dX) + _lower_bound(cls, dX, dG)
+    np.einsum("...ii->...i", c)[...] = 0.0     # a view of the diagonal(s)
     return c
 
 

@@ -159,19 +159,28 @@ def subgradient_interval(spec: FunctionSpec, x) -> tuple:
     return min(grads), max(grads)
 
 
+def kink_policy(policy: Policy) -> Policy:
+    """The policy as _pick reads it: leftmost, rightmost, least_norm, or a
+    weight in [0, 1] given as a number or its string form."""
+    if policy in ("leftmost", "rightmost", "least_norm"):
+        return policy
+    w = float(policy)
+    if not 0.0 <= w <= 1.0:
+        raise ValueError("subgradient weight must lie in [0, 1], got %r" % w)
+    return w
+
+
 def _pick(lo: float, hi: float, policy: Policy) -> tuple:
     if lo == hi:
         return lo, "unique"
+    policy = kink_policy(policy)
     if policy == "leftmost":
         return lo, "leftmost"
     if policy == "rightmost":
         return hi, "rightmost"
     if policy == "least_norm":
         return min(max(0.0, lo), hi), "least_norm"
-    w = float(policy)
-    if not 0.0 <= w <= 1.0:
-        raise ValueError("subgradient weight must lie in [0, 1], got %r" % w)
-    return lo + w * (hi - lo), "weight=%g" % w
+    return lo + policy * (hi - lo), "weight=%g" % policy
 
 
 def evaluate(spec: FunctionSpec, x, policy: Policy = "least_norm") -> OracleAnswer:

@@ -18,11 +18,11 @@ potentials, making every reported witness exactly feasible.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .curvature import DcParams, require_valid
 from .interpolation import (check_interpolation, make_triplet, pair_lower_bound,
@@ -36,6 +36,13 @@ _D_FLOOR = 1e-13
 
 class InfeasibleConstruction(RuntimeError):
     """No interpolation-feasible f-values exist for the equality system."""
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first use: scipy is most of the
+    package's import time and only the search needs it."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -74,17 +81,18 @@ class ProbeResult:
     budget_exhausted: bool
     certificate_violation: bool
     evals: int
+    best_start: Optional[tuple]    # (index, kind) of the start that won
+    elapsed_s: float
 
 
 # ---------------------------------------------------------------------------
 # longest paths in the pairwise constraint graph
 
 def _longest_paths(c: np.ndarray) -> np.ndarray:
-    d = c.copy()
-    n = d.shape[0]
-    for k in range(n):
-        np.maximum(d, d[:, k:k + 1] + d[k:k + 1, :], out=d)
-    return d
+    """Max-plus Floyd-Warshall, in place, on c[..., i, j] (a stack of graphs)."""
+    for k in range(c.shape[-1]):
+        np.maximum(c, c[..., :, k:k + 1] + c[..., k:k + 1, :], out=c)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +143,9 @@ def extremal_instance(regime_index: int, params: DcParams,
     cert = one_step_certificate(params)
     last_bad = None
     for gamma, gamma_plus in _gamma_candidates(regime_index, params):
+        if not (math.isfinite(gamma) and math.isfinite(gamma_plus)):
+            last_bad = "gamma=%r, gamma_plus=%r" % (gamma, gamma_plus)
+            continue
         w = _assemble_one_step(params, gamma, gamma_plus)
         rep1 = check_interpolation(w.triplets(1), params.f1, tol)
         rep2 = check_interpolation(w.triplets(2), params.f2, tol)
@@ -155,30 +166,29 @@ def extremal_instance(regime_index: int, params: DcParams,
 # the search itself
 
 class _Objective:
+    """The search vector z packs x (n rows), then g1^0 and g2 (n rows): one
+    gradient block W with g1 = W[:-1] and g2 = W[1:].  Both classes' pair
+    matrices and longest paths are computed as one (2, n, n) stack."""
+
     def __init__(self, params: DcParams, N: int, d: int):
-        self.params = params
         self.N = N
         self.d = d
         self.evals = 0
-
-    def unpack(self, z: np.ndarray):
-        n, d = self.N + 1, self.d
-        x = z[:n * d].reshape(n, d)
-        g1_0 = z[n * d:(n + 1) * d]
-        g2 = z[(n + 1) * d:].reshape(n, d)
-        g1 = np.vstack([g1_0, g2[:-1]])
-        return x, g1, g2
+        n = N + 1
+        self._classes = (params.f1, params.f2)
+        self._rows = np.arange(2)[:, None] + np.arange(n)   # g1, g2 in W
+        self._diag = slice(None, None, n + 1)   # of a flattened (n, n)
 
     def parts(self, z: np.ndarray):
-        x, g1, g2 = self.unpack(z)
-        c1 = pair_matrix(x, g1, self.params.f1)
-        c2 = pair_matrix(x, g2, self.params.f2)
-        d1 = _longest_paths(c1)
-        d2 = _longest_paths(c2)
-        cyc = max(float(np.max(np.diag(d1))), float(np.max(np.diag(d2))))
-        D = float(d1[0, -1] + d2[-1, 0])
-        num = 0.5 * float(np.min(np.sum((g1 - g2) ** 2, axis=1)))
-        return num, D, cyc, (d1, d2, x, g1, g2)
+        n = self.N + 1
+        x = z[:n * self.d].reshape(n, self.d)
+        W = z[n * self.d:].reshape(n + 1, self.d)
+        dist = _longest_paths(pair_matrix(x, W[self._rows], self._classes))
+        cyc = dist.reshape(2, -1)[:, self._diag].max(1)
+        gap = W[:-1] - W[1:]
+        num = 0.5 * float((gap * gap).sum(axis=1).min())
+        D = float(dist[0, 0, -1] + dist[1, -1, 0])
+        return num, D, max(float(cyc[0]), float(cyc[1])), (dist, x, W)
 
     def ratio(self, z: np.ndarray) -> float:
         self.evals += 1
@@ -198,21 +208,19 @@ class _Objective:
         return -(val - 1e3 * max(cyc, 0.0))
 
     def witness(self, z: np.ndarray) -> Optional[PepVariables]:
-        num, D, cyc, (d1, d2, x, g1, g2) = self.parts(z)
+        num, D, cyc, (_, x, W) = self.parts(z)
         if cyc > _CYCLE_TOL or D < _D_FLOOR:
             return None
         s = 1.0 / math.sqrt(D)   # ratio is invariant; normalize D to 1
-        x, g1, g2 = s * x, s * g1, s * g2
-        d1 = _longest_paths(pair_matrix(x, g1, self.params.f1))
-        d2 = _longest_paths(pair_matrix(x, g2, self.params.f2))
-        f1 = -d1[0, :]           # potentials: f^j = -dist(0, j)
-        f2 = -d2[-1, :]
-        return PepVariables(x, g1, g2, f1, f2)
+        x, W = s * x, s * W
+        dist = _longest_paths(pair_matrix(x, W[self._rows], self._classes))
+        # potentials: f1^j = -dist1(0, j), f2^j = -dist2(N, j)
+        return PepVariables(x, W[:-1].copy(), W[1:].copy(), -dist[0, 0, :],
+                            -dist[1, -1, :])
 
 
-def _chain_start(params: DcParams, regime_index: int, N: int, d: int) -> np.ndarray:
+def _chain_start(gamma: float, N: int, d: int) -> np.ndarray:
     """Repeat the one-step equality pattern: constant gradient gap gamma."""
-    gamma, _ = _gamma_candidates(regime_index, params)[0]
     ks = np.arange(N + 1, dtype=float)
     x = np.zeros((N + 1, d))
     x[:, 0] = N - ks
@@ -255,6 +263,7 @@ def probe(params: DcParams, N: int = 1, d: int = 1, budget: int = 200000,
     warm=False runs cold (random starts only).  init adds one caller-supplied
     start vector.  Deterministic for fixed (seed, budget, starts).
     """
+    t_start = time.perf_counter()
     require_valid(params)
     if N < 1 or N > 10 or d < 1 or d > 3:
         raise ValueError("desk scale only: 1 <= N <= 10, 1 <= d <= 3")
@@ -264,20 +273,26 @@ def probe(params: DcParams, N: int = 1, d: int = 1, budget: int = 200000,
     rng = np.random.default_rng(seed)
     nz = (N + 1) * d + d + (N + 1) * d
 
-    inits = []
+    inits, kinds = [], []
     if init is not None:
         inits.append(np.asarray(init, dtype=float))
+        kinds.append("init")
     if warm:
-        inits.append(_chain_start(params, cert.index, N, d))
+        gamma = _gamma_candidates(cert.index, params)[0][0]
+        if math.isfinite(gamma):    # not so when the L it involves is inf
+            inits.append(_chain_start(gamma, N, d))
+            kinds.append("chain")
         try:
             ez = _pack_witness(extremal_instance(cert.index, params), d)
             inits.append(ez if N == 1 else _resample_chain(ez, 1, N, d))
+            kinds.append("extremal")
         except InfeasibleConstruction:
             pass
     while len(inits) < starts:
         z = rng.normal(size=nz)
         scale = 10.0 ** rng.uniform(-1, 1)
         inits.append(scale * z)
+        kinds.append("random")
 
     restarts = 4
     per_chunk = max(0, budget // (max(1, len(inits)) * restarts))
@@ -325,8 +340,10 @@ def probe(params: DcParams, N: int = 1, d: int = 1, budget: int = 200000,
         if not (feas[0].feasible and feas[1].feasible):
             witness, feas, ratio = None, None, 0.0
     violation = ratio > certified + 1e-6
+    best_start = None if best[2] is None else (best[1], kinds[best[1]])
     return ProbeResult(ratio, certified, certified - ratio, witness, feas,
-                       exhausted, violation, obj.evals)
+                       exhausted, violation, obj.evals, best_start,
+                       time.perf_counter() - t_start)
 
 
 def ratio_trend(params: DcParams, Ns, d: int = 1, budget: int = 200000,

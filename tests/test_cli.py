@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,3 +282,97 @@ def test_infinity_spellings(tmp_path, capsys, spelling):
                  "--out", str(tmp_path / "rep.json")]) == 0
     rep = json.loads((tmp_path / "rep.json").read_text())
     assert rep["instance_params"]["L1"] == "inf"
+
+
+@pytest.mark.parametrize("policy", ["bogus", "1.5", "-0.1", "nan", ""])
+def test_bad_policy_is_usage_error(instance_file, capsys, policy):
+    """Rejected when read, not only when an iterate lands on a kink: the
+    quadratic instance never reaches one."""
+    with pytest.raises(SystemExit) as e:
+        main(["run", "--instance", instance_file, "--x0", "1", "--N", "4",
+              "--policy", policy])
+    assert e.value.code == 1
+    assert "--policy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("policy", ["leftmost", "rightmost", "least_norm",
+                                    "0", "0.25", "1"])
+def test_good_policy_accepted(instance_file, capsys, policy):
+    assert main(["run", "--instance", instance_file, "--x0", "1", "--N", "4",
+                 "--policy", policy]) == 0
+
+
+def _run_to_file(tmp_path, instance, x0, *extra):
+    traj = tmp_path / "traj.json"
+    assert main(["run", "--instance", instance, "--x0", x0, "--N", "4",
+                 "--out", str(traj), *extra]) == 0
+    return traj
+
+
+@pytest.mark.parametrize("field", ["F_and_f1", "f2", "g1", "g2", "G_norm_sq",
+                                   "T", "dx_norm_sq"])
+def test_certify_rejects_tampered_trajectory(tmp_path, instance_file, capsys,
+                                             field):
+    body = json.loads(_run_to_file(tmp_path, instance_file, "3.0").read_text())
+    pts = body["points"]
+    if field == "F_and_f1":      # a steeper, self-consistent decrease
+        for k, p in enumerate(pts):
+            p["F"] = -10.0 * k
+            p["f1"] = p["f2"] + p["F"]
+    elif field in ("g1", "g2"):
+        pts[1][field] = [pts[1][field][0] + 1e-6]
+    else:
+        assert pts[0][field] != 0.0
+        pts[0][field] *= 1.0 + 1e-9
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(body))
+    capsys.readouterr()
+    assert main(["certify", "--traj", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: step " % bad)
+    assert field.split("_")[-1] in err or field == "F_and_f1"
+
+
+def _abs_instance(tmp_path):
+    f1 = FunctionSpec(AbsPlusQuadratic(1.0, 1.0, 0.0), Curvature(1.0, INF))
+    f2 = FunctionSpec(AbsPlusQuadratic(0.5, 0.5, 0.2), Curvature(0.5, INF))
+    path = tmp_path / "abs.json"
+    path.write_text(json.dumps(instance_to_json(make_instance(f1, f2))))
+    return str(path)
+
+
+def _quad2_instance(tmp_path):
+    f1 = FunctionSpec(Quadratic((2.0, 3.0), (0.0, 1.0)), Curvature(1.5, 3.5))
+    f2 = FunctionSpec(Quadratic((1.0, 0.5), (1.0, -1.0)), Curvature(0.25, 1.5))
+    path = tmp_path / "quad2.json"
+    path.write_text(json.dumps(instance_to_json(make_instance(f1, f2))))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["quadratic", "quadratic_2d", "abs_rightmost"])
+def test_certify_untampered_matches_run_certify(tmp_path, instance_file, case):
+    if case == "quadratic":
+        instance, x0, extra = instance_file, "1.0", []
+    elif case == "quadratic_2d":
+        instance, x0, extra = _quad2_instance(tmp_path), "1.0,-2.0", []
+    else:      # starts on the kink of both terms
+        instance, x0, extra = (_abs_instance(tmp_path), "0.0",
+                               ["--policy", "rightmost", "--fstar", "-1"])
+    run_rep = tmp_path / "run_report.json"
+    cert_rep = tmp_path / "cert_report.json"
+    traj = _run_to_file(tmp_path, instance, x0, "--certify", "--report-out",
+                        str(run_rep), *extra)
+    code = main(["certify", "--traj", str(traj), "--out", str(cert_rep),
+                 *extra[2:]])
+    assert code in (0, 2)
+    assert cert_rep.read_bytes() == run_rep.read_bytes()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; import dcrates.cli; "
+         "print('scipy' in sys.modules)"],
+        env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -1,11 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from dcrates.cli import main
 from dcrates.curvature import make_params
-from dcrates.interpolation import check_interpolation
-from dcrates.probe import extremal_instance, probe, ratio_trend
+from dcrates.interpolation import check_interpolation, make_triplet, pair_matrix
+from dcrates.probe import (FEAS_TOL, InfeasibleConstruction, _Objective,
+                           extremal_instance, probe, ratio_trend)
 from dcrates.regimes import classify
 
 INF = math.inf
@@ -45,6 +48,7 @@ def test_probe_deterministic():
     b = probe(params, N=1, d=1, budget=3000, seed=7, starts=4)
     assert a.best_ratio == b.best_ratio
     assert a.evals == b.evals
+    assert a.best_start == b.best_start
     c = probe(params, N=1, d=1, budget=3000, seed=8, starts=4)
     assert c.best_ratio == pytest.approx(a.best_ratio, rel=0.2)
 
@@ -58,6 +62,14 @@ def test_probe_warm_start_recovers_one_step_bound():
     assert r.witness is not None
     rep1, rep2 = r.feasibility
     assert rep1.feasible and rep2.feasible
+    # starts are: chain, extremal, then six random ones; the chain wins
+    assert r.best_start == (0, "chain")
+    assert r.elapsed_s > 0.0
+    init = probe(params, N=1, d=1, budget=2000, seed=0, starts=3,
+                 init=np.zeros(5))
+    assert init.best_start in ((0, "init"), (1, "chain"), (2, "extremal"))
+    cold = probe(params, N=1, d=1, budget=2000, seed=0, starts=3, warm=False)
+    assert cold.best_start[0] in (0, 1, 2) and cold.best_start[1] == "random"
 
 
 def test_probe_never_exceeds_certificate():
@@ -83,3 +95,80 @@ def test_ratio_trend_shape():
     assert set(out["results"]) == {1, 2}
     assert out["a_fit"] > 0.0
     assert out["asymptotic"] is not None
+
+
+# The benchmark's probe anchors: as above, but regime 5 (and its swap 6) at
+# the point of the asymptotic-trend criterion.
+ANCHORS = {i + k: p.swapped() if k else p
+           for i, p in {**REGIME_POINTS,
+                        5: make_params(1.0, 10.0, -0.8, 2.0)}.items()
+           for k in (0, 1)}
+
+
+def _reference_parts(params, N, d, z):
+    """(num, D, cyc) from one pair matrix per class and a plain
+    Floyd-Warshall on each, with g1 = (g1^0, g2^0, ..., g2^{N-1})."""
+    n = N + 1
+    x = z[:n * d].reshape(n, d)
+    g2 = z[(n + 1) * d:].reshape(n, d)
+    g1 = np.vstack([z[n * d:(n + 1) * d], g2[:-1]])
+    dist = []
+    for g, cls in ((g1, params.f1), (g2, params.f2)):
+        c = pair_matrix(x, g, cls)
+        for k in range(n):
+            c = np.maximum(c, c[:, [k]] + c[[k], :])
+        dist.append(c)
+    num = 0.5 * float(np.min(np.sum((g1 - g2) ** 2, axis=1)))
+    D = float(dist[0][0, -1] + dist[1][-1, 0])
+    cyc = max(float(np.max(np.diag(dist[0]))), float(np.max(np.diag(dist[1]))))
+    return num, D, cyc
+
+
+@pytest.mark.parametrize("params", list(ANCHORS.values())
+                         + [make_params(1.0, INF, -0.5, 2.0),
+                            make_params(1.0, 10.0, -0.5, INF)],
+                         ids=["r%d" % i for i in ANCHORS] + ["L1inf", "L2inf"])
+def test_stacked_objective_matches_per_class_reference(params):
+    """The stacked evaluation is bit-identical to evaluating each class on
+    its own, on random points of the probe's start scales."""
+    rng = np.random.default_rng(11)
+    for N in (1, 2, 4, 6):
+        for d in (1, 2, 3):
+            obj = _Objective(params, N, d)
+            for _ in range(12):
+                z = rng.normal(size=(2 * N + 3) * d) * 10.0 ** rng.uniform(-1, 1)
+                assert obj.parts(z)[:3] == _reference_parts(params, N, d, z)
+
+
+def test_probe_one_nonsmooth_term():
+    """L2 = inf: the regime-3 equality pattern needs a finite L2, so the
+    warm starts that use it are skipped instead of crashing the search."""
+    params = make_params(1.0, 10.0, -0.5, INF)
+    cert = classify(params)
+    assert cert.index == 3 and cert.p == pytest.approx(1.0 / 11.0)
+    with pytest.raises(InfeasibleConstruction):
+        extremal_instance(3, params)
+    r = probe(params, N=1, d=1, budget=3000, seed=0, starts=4)
+    assert not r.certificate_violation
+    assert r.witness is not None
+    assert r.feasibility[0].feasible and r.feasibility[1].feasible
+    assert r.best_ratio >= 0.99 * r.certified_bound
+
+
+def test_probe_cli_one_nonsmooth_term(tmp_path, capsys):
+    out = tmp_path / "probe.json"
+    assert main(["probe", "--mu1", "1", "--L1", "10", "--mu2", "-0.5",
+                 "--L2", "inf", "--budget", "3000", "--starts", "4",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert not payload["certificate_violation"]
+    w = payload["witness"]
+    params = make_params(1.0, 10.0, -0.5, INF)
+    for cls, g, f in ((params.f1, w["g1"], w["f1"]),
+                      (params.f2, w["g2"], w["f2"])):
+        trips = [make_triplet(*t) for t in zip(w["x"], g, f)]
+        assert check_interpolation(trips, cls, FEAS_TOL,
+                                   scale_aware=True).feasible
+    assert payload["starts"] == 4
+    assert payload["best_start"]["kind"] == "random"
+    assert payload["elapsed_s"] > 0.0
