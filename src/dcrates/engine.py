@@ -66,6 +66,10 @@ class Trajectory:
         return min(p.dx_norm_sq for p in self.points[:-1])
 
 
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.sum((a - b) ** 2))
+
+
 def t_measure(instance: DcInstance, x, x_plus, g1_plus) -> float:
     """Linearization gap f1(x) - f1(x+) - <g1+, x - x+> of a genuine step."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
@@ -96,7 +100,7 @@ def run_dca(instance: DcInstance, x0, N: int, tol: float = 0.0,
     a2 = evaluate(instance.f2, x, policy)
     pt = TrajectoryPoint(0, x, a1.value, a2.value, a1.value - a2.value,
                          a1.subgradient, a2.subgradient,
-                         float(np.sum((a1.subgradient - a2.subgradient) ** 2)))
+                         _sq_dist(a1.subgradient, a2.subgradient))
     points = [pt]
     stop = STOP_MAX_ITERS
 
@@ -128,11 +132,11 @@ def run_dca(instance: DcInstance, x0, N: int, tol: float = 0.0,
                                  "by %g at step %d" % (gap, k))
         t_val = cur.f1 - b1.value - float(g1_new @ (cur.x - x_new))
         cur.T = t_val
-        cur.dx_norm_sq = float(np.sum((cur.x - x_new) ** 2))
+        cur.dx_norm_sq = _sq_dist(cur.x, x_new)
         nxt = TrajectoryPoint(
             k + 1, x_new, b1.value, b2.value, b1.value - b2.value,
             g1_new, b2.subgradient,
-            float(np.sum((g1_new - b2.subgradient) ** 2)))
+            _sq_dist(g1_new, b2.subgradient))
         points.append(nxt)
         if tol > 0.0:
             crit = math.sqrt(nxt.G_norm_sq) if stop_on == "grad_gap" else t_val
@@ -193,8 +197,8 @@ def trajectory_from_json(d: dict) -> Trajectory:
 
 def _check_recorded(inst: DcInstance, pts: list) -> None:
     """Recompute what the certificates read: values and subgradients from
-    the instance at each stored x, then G_norm_sq, T and dx_norm_sq from the
-    stored vectors.  InvalidParams names the first mismatch."""
+    the instance at each stored x, the link g1^{k+1} = g2^k, then G_norm_sq,
+    T and dx_norm_sq.  InvalidParams names the first mismatch."""
     def same(p, name, stored, exact):
         if not abs(stored - exact) <= RECORD_TOL * max(1.0, abs(exact)):
             raise InvalidParams("step %d: stored %s = %r, recomputed %r"
@@ -216,11 +220,16 @@ def _check_recorded(inst: DcInstance, pts: list) -> None:
                                     "subgradient of f%s at x"
                                     % (p.k, name, g.tolist(), name[1]))
     for p, q in zip(pts, pts[1:] + [None]):
-        same(p, "G_norm_sq", p.G_norm_sq, float(np.sum((p.g1 - p.g2) ** 2)))
+        same(p, "G_norm_sq", p.G_norm_sq, _sq_dist(p.g1, p.g2))
         if q is not None:
-            same(p, "T", p.T, p.f1 - q.f1 - float(q.g1 @ (p.x - q.x)))
-            same(p, "dx_norm_sq", p.dx_norm_sq,
-                 float(np.sum((p.x - q.x) ** 2)))
+            # the DCA link: g1 at the next point is the current g2
+            gap = float(np.linalg.norm(q.g1 - p.g2))
+            if gap > LINK_TOL * max(1.0, float(np.linalg.norm(p.g2))):
+                raise InvalidParams("step %d: stored g1 of the next point "
+                                    "differs from g2 by %g (link "
+                                    "g1^{k+1} = g2^k)" % (p.k, gap))
+            same(p, "T", p.T, t_measure(inst, p.x, q.x, q.g1))
+            same(p, "dx_norm_sq", p.dx_norm_sq, _sq_dist(p.x, q.x))
 
 
 def dumps(traj: Trajectory) -> str:

@@ -50,18 +50,14 @@ def _lower_bound(cls, dx: np.ndarray, dg: np.ndarray):
     dg = g_i - g_j, summed over the last axis: one pair or a grid of pairs.
 
     cls may also be a sequence of classes, one per leading entry of a stacked
-    dg that shares dx; the L = inf limit is then taken per class.
+    dg that shares dx; each entry is then bounded with its own class.
     """
-    if isinstance(cls, Curvature):
-        if math.isinf(cls.L):
-            return 0.5 * cls.mu * (dx * dx).sum(-1)
-        mu, L, Ldx = cls.mu, cls.L, cls.L * dx
-    elif any(math.isinf(c.L) for c in cls):
+    if not isinstance(cls, Curvature):
         return np.stack([_lower_bound(c, dx, g) for c, g in zip(cls, dg)])
-    else:   # one (mu, L) per stack entry, shaped (k, 1, 1) like the sums
-        mu, L = np.array([(c.mu, c.L) for c in cls]).T[..., None, None]
-        Ldx = L[..., None] * dx
-    r = dg - Ldx
+    mu, L = cls.mu, cls.L
+    if math.isinf(L):
+        return 0.5 * mu * (dx * dx).sum(-1)
+    r = dg - L * dx
     return ((dg * dg).sum(-1) / (2.0 * L)
             + mu / (2.0 * L * (L - mu)) * (r * r).sum(-1))
 

@@ -10,8 +10,10 @@ import pytest
 from dcrates.cli import main
 from dcrates.curvature import Curvature
 from dcrates.interpolation import sample_triplets, triplets_to_json
+from dcrates.engine import t_measure
 from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, Quadratic,
-                             instance_to_json, make_instance)
+                             evaluate, instance_from_json, instance_to_json,
+                             make_instance)
 
 INF = math.inf
 
@@ -309,8 +311,25 @@ def _run_to_file(tmp_path, instance, x0, *extra):
     return traj
 
 
+def _move_x1_to_minimizer(body):
+    """Put x^1 at the minimizer x = 1 of F = x^2/2 - x and recompute every
+    stored number from the instance; only the link g1^1 = g2^0 is broken."""
+    inst = instance_from_json(body["instance"])
+    p0, p1, p2 = body["points"][:3]
+    x1 = np.array([1.0])
+    a1, a2 = evaluate(inst.f1, x1), evaluate(inst.f2, x1)
+    p1.update(x=x1.tolist(), f1=a1.value, f2=a2.value,
+              F=a1.value - a2.value, g1=a1.subgradient.tolist(),
+              g2=a2.subgradient.tolist(),
+              G_norm_sq=float(np.sum((a1.subgradient - a2.subgradient) ** 2)))
+    for p, q in ((p0, p1), (p1, p2)):
+        x, xq = np.array(p["x"]), np.array(q["x"])
+        p["T"] = t_measure(inst, x, xq, np.array(q["g1"]))
+        p["dx_norm_sq"] = float(np.sum((x - xq) ** 2))
+
+
 @pytest.mark.parametrize("field", ["F_and_f1", "f2", "g1", "g2", "G_norm_sq",
-                                   "T", "dx_norm_sq"])
+                                   "T", "dx_norm_sq", "link"])
 def test_certify_rejects_tampered_trajectory(tmp_path, instance_file, capsys,
                                              field):
     body = json.loads(_run_to_file(tmp_path, instance_file, "3.0").read_text())
@@ -319,6 +338,8 @@ def test_certify_rejects_tampered_trajectory(tmp_path, instance_file, capsys,
         for k, p in enumerate(pts):
             p["F"] = -10.0 * k
             p["f1"] = p["f2"] + p["F"]
+    elif field == "link":
+        _move_x1_to_minimizer(body)
     elif field in ("g1", "g2"):
         pts[1][field] = [pts[1][field][0] + 1e-6]
     else:
