@@ -52,7 +52,7 @@ class OneStepCheck:
 
 def check_one_step(traj: Trajectory, k: int = 0,
                    regime: Optional[RegimeCertificate] = None,
-                   tol: float = SLACK_TOL, eq_tol: float = EQ_TOL) -> OneStepCheck:
+                   tol: float = SLACK_TOL) -> OneStepCheck:
     """Check the decrease certificate on the step k -> k+1."""
     params = traj.instance.params
     _require_precondition(params)
@@ -62,15 +62,14 @@ def check_one_step(traj: Trajectory, k: int = 0,
         regime = one_step_certificate(params)
     a, b = traj.points[k], traj.points[k + 1]
     lhs = a.F - b.F
-    rhs = regime.sigma * 0.5 * a.G_norm_sq + regime.sigma_plus * 0.5 * b.G_norm_sq
+    rhs = regime.decrease_bound(a.G_norm_sq, b.G_norm_sq)
     slack = lhs - rhs
     scale = max(1.0, abs(lhs), abs(rhs))
     return OneStepCheck(regime, lhs, rhs, slack,
-                        abs(slack) <= eq_tol * scale, slack >= -tol)
+                        abs(slack) <= EQ_TOL * scale, slack >= -tol)
 
 
 def replay_proof_combination(traj: Trajectory, k: int = 0,
-                             regime: Optional[RegimeCertificate] = None,
                              alpha: Optional[float] = None) -> float:
     """Slack of the alpha-weighted intermediate inequality behind the regime.
 
@@ -84,8 +83,7 @@ def replay_proof_combination(traj: Trajectory, k: int = 0,
     """
     params = traj.instance.params
     _require_precondition(params)
-    if regime is None:
-        regime = one_step_certificate(params)
+    regime = one_step_certificate(params)
     if alpha is None:
         alpha = regime.alpha
     a, b = traj.points[k], traj.points[k + 1]

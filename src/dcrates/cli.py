@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .curvature import (Curvature, DcParams, InvalidParams, make_params,
-                        validate)
+from .curvature import Curvature, DcParams, InvalidParams, make_params
 from .regimes import (GridSpec, NoRegime, PreconditionViolated,
                       one_step_certificate, regime_map, thresholds)
 from .oracles import instance_from_json, kink_policy
@@ -80,10 +79,6 @@ def _emit(payload: dict, out: str | None):
 
 def cmd_classify(args) -> int:
     params = _params_from_args(args)
-    rep = validate(params)
-    if not rep.ok:
-        print("invalid parameters: " + "; ".join(rep.violations), file=sys.stderr)
-        return EXIT_USAGE
     cert = one_step_certificate(params)
     thr = thresholds(params)
     print("regime %d (%s): sigma=%.12g sigma_plus=%.12g p=%.12g alpha=%.12g"

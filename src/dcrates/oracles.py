@@ -108,7 +108,8 @@ class OracleAnswer:
 
 @dataclass(frozen=True)
 class DcInstance:
-    """F = f1 - f2; params are the classes f1 and f2 declare, derived once."""
+    """F = f1 - f2; params are the classes f1 and f2 declare, derived once
+    and checked against the functions themselves."""
 
     f1: FunctionSpec
     f2: FunctionSpec
@@ -118,15 +119,16 @@ class DcInstance:
     def __post_init__(self):
         if self.f1.dimension != self.f2.dimension:
             raise InvalidParams("f1 and f2 dimensions differ")
+        wrong = ["%s: %s" % (tag, v) for tag, spec in (("f1", self.f1), ("f2", self.f2))
+                 for v in spec.certify_declared()]
+        if wrong:
+            raise InvalidParams("; ".join(wrong))
         object.__setattr__(self, "params",
                            DcParams(self.f1.declared, self.f2.declared))
 
     @property
     def dimension(self):
         return self.f1.dimension
-
-    def objective(self, x) -> float:
-        return evaluate(self.f1, x).value - evaluate(self.f2, x).value
 
 
 make_instance = DcInstance

@@ -27,7 +27,8 @@ import numpy as np
 from .curvature import DcParams, require_valid
 from .interpolation import (check_interpolation, make_triplet, pair_lower_bound,
                             pair_matrix)
-from .regimes import one_step_certificate
+from .regimes import (DenominatorZero, asymptotic_constants, equality_gammas,
+                      one_step_certificate)
 
 FEAS_TOL = 1e-7
 _CYCLE_TOL = 1e-11
@@ -98,27 +99,6 @@ def _longest_paths(c: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # extremal one-step witnesses from the equality conditions
 
-def _gamma_candidates(regime_index: int, params: DcParams) -> list:
-    L1, L2, m1, m2 = params.L1, params.L2, params.mu1, params.mu2
-    if regime_index == 1:
-        return [(L2, L2)]
-    if regime_index == 2:
-        return [(L1, L1)]
-    if regime_index == 3:
-        g3 = L1 + L2 * m2 * (L1 - m1) / (m1 * (L2 + m2))
-        return [(g3, m2), (g3, L2)]
-    if regime_index == 4:
-        g4 = L2 + L1 * m1 * (L2 - m2) / (m2 * (L1 + m1))
-        return [(m1, g4), (L1, g4)]
-    if regime_index in (5, 6):
-        return [(m1, m2)]
-    if regime_index == 7:
-        return [(m1, L2)]
-    if regime_index == 8:
-        return [(L1, m2)]
-    raise ValueError("regime index must lie in 1..8, got %r" % regime_index)
-
-
 def _assemble_one_step(params: DcParams, gamma: float, gamma_plus: float) -> PepVariables:
     # x0 = 1, x1 = 0, g2^0 = 0 (so g1^1 = 0), G = gamma, G+ = gamma_plus
     x = np.array([[1.0], [0.0]])
@@ -132,28 +112,27 @@ def _assemble_one_step(params: DcParams, gamma: float, gamma_plus: float) -> Pep
     return PepVariables(x, g1, g2, f1, f2)
 
 
-def extremal_instance(regime_index: int, params: DcParams,
-                      tol: float = FEAS_TOL) -> PepVariables:
+def extremal_instance(regime_index: int, params: DcParams) -> PepVariables:
     """One-step data hitting the decrease bound with equality.
 
-    The per-regime equality conditions fix G and G+ as multiples of the step
-    dx = 1; the two binding pairwise inequalities then pin the f-values.
+    The per-regime equality conditions (regimes.equality_gammas) fix G and G+
+    as multiples of the step dx = 1; the two binding pairwise inequalities
+    then pin the f-values.
     """
     require_valid(params)
     cert = one_step_certificate(params)
     last_bad = None
-    for gamma, gamma_plus in _gamma_candidates(regime_index, params):
+    for gamma, gamma_plus in equality_gammas(regime_index, params):
         if not (math.isfinite(gamma) and math.isfinite(gamma_plus)):
             last_bad = "gamma=%r, gamma_plus=%r" % (gamma, gamma_plus)
             continue
         w = _assemble_one_step(params, gamma, gamma_plus)
-        rep1 = check_interpolation(w.triplets(1), params.f1, tol)
-        rep2 = check_interpolation(w.triplets(2), params.f2, tol)
-        bound = (cert.sigma * 0.5 * gamma ** 2
-                 + cert.sigma_plus * 0.5 * gamma_plus ** 2)
+        rep1 = check_interpolation(w.triplets(1), params.f1, FEAS_TOL)
+        rep2 = check_interpolation(w.triplets(2), params.f2, FEAS_TOL)
+        bound = cert.decrease_bound(gamma ** 2, gamma_plus ** 2)
         slack = w.decrease() - bound
         scale = max(1.0, abs(bound))
-        if rep1.feasible and rep2.feasible and abs(slack) <= tol * scale:
+        if rep1.feasible and rep2.feasible and abs(slack) <= FEAS_TOL * scale:
             return w
         last_bad = ("f1" if not rep1.feasible else
                     "f2" if not rep2.feasible else "slack=%g" % slack)
@@ -275,10 +254,14 @@ def probe(params: DcParams, N: int = 1, d: int = 1, budget: int = 200000,
 
     inits, kinds = [], []
     if init is not None:
-        inits.append(np.asarray(init, dtype=float))
+        z = np.asarray(init, dtype=float)
+        if z.shape != (nz,):
+            raise ValueError("init must be a vector of (2N + 3) d = %d entries, "
+                             "got shape %r" % (nz, z.shape))
+        inits.append(z)
         kinds.append("init")
     if warm:
-        gamma = _gamma_candidates(cert.index, params)[0][0]
+        gamma = equality_gammas(cert.index, params)[0][0]
         if math.isfinite(gamma):    # not so when the L it involves is inf
             inits.append(_chain_start(gamma, N, d))
             kinds.append("chain")
@@ -353,7 +336,6 @@ def ratio_trend(params: DcParams, Ns, d: int = 1, budget: int = 200000,
     Fits 1/ratio = a N + b by least squares and reports (a, b) together with
     the asymptotic constants, as trend evidence only.
     """
-    from .regimes import asymptotic_constants
     results = {}
     prev = None
     for N in Ns:
@@ -371,6 +353,6 @@ def ratio_trend(params: DcParams, Ns, d: int = 1, budget: int = 200000,
     out = {"results": results, "a_fit": float(a), "b_fit": float(b)}
     try:
         out["asymptotic"] = asymptotic_constants(params)
-    except Exception:
+    except DenominatorZero:
         out["asymptotic"] = None
     return out

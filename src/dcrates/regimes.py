@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import INF, DcParams, InvalidParams, recip, require_valid, validate
+from .curvature import INF, DcParams, InvalidParams, recip, require_valid
 
 DOMAIN_TOL = 1e-12      # closure slack for strict domain inequalities
 BOUNDARY_AGREE_TOL = 1e-9
@@ -57,6 +57,10 @@ class RegimeCertificate:
     domain_trace: tuple
     boundary_margin: float
 
+    def decrease_bound(self, G_sq: float, G_plus_sq: float) -> float:
+        """sigma/2 ||G||^2 + sigma_plus/2 ||G+||^2, from the squared gaps."""
+        return self.sigma * 0.5 * G_sq + self.sigma_plus * 0.5 * G_plus_sq
+
     def to_json_dict(self) -> dict:
         return {
             "index": self.index,
@@ -85,21 +89,21 @@ class AsymptoticConstants:
 # ---------------------------------------------------------------------------
 # helpers: mu1, mu2 may be floats or numpy arrays, L1, L2 are always floats
 
-def _le(a, b, tol: float = DOMAIN_TOL):
+def _le(a, b):
     """a <= b up to relative closure slack; exact for infinite operands."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         near = (np.isfinite(a) & np.isfinite(b)
-                & (a - b <= tol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))))
+                & (a - b <= DOMAIN_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))))
         return (a <= b) | near
     if a <= b:
         return True
     if math.isinf(a) or math.isinf(b):
         return False
-    return a - b <= tol * max(1.0, abs(a), abs(b))
+    return a - b <= DOMAIN_TOL * max(1.0, abs(a), abs(b))
 
 
-def _ge(a, b, tol: float = DOMAIN_TOL):
-    return _le(b, a, tol)
+def _ge(a, b):
+    return _le(b, a)
 
 
 def _where(cond, a, b):
@@ -181,52 +185,70 @@ def regime_coefficients(index: int, params: DcParams):
 
 
 # ---------------------------------------------------------------------------
+# equality conditions: the (G, G+) pairs, as multiples of a unit step, at
+# which one step can meet the decrease bound exactly
+
+def equality_gammas(index: int, params: DcParams) -> list:
+    """Candidate (G, G+) pairs of regime `index`; an even regime's pairs are
+    its odd mirror's at the swapped parameters, with G and G+ exchanged."""
+    if index not in range(1, 9):
+        raise ValueError("regime index must lie in 1..8, got %r" % index)
+    if index % 2 == 0:
+        return [(gp, g) for g, gp in equality_gammas(index - 1, params.swapped())]
+    L1, L2, m1, m2 = params.L1, params.L2, params.mu1, params.mu2
+    if index == 3:
+        g3 = L1 + L2 * m2 * (L1 - m1) / (m1 * (L2 + m2))
+        return [(g3, m2), (g3, L2)]
+    return [{1: (L2, L2), 5: (m1, m2), 7: (m1, L2)}[index]]
+
+
+# ---------------------------------------------------------------------------
 # smooth-regime domains, odd regimes; each returns its conditions in the
 # order of the names in _ODD_DOMAINS
 
-def _domain_p1(L1, L2, m1, m2, tol):
+def _domain_p1(L1, L2, m1, m2):
     s1 = _s_value(m1, m2, L2)
     thr = _threshold(L1, L2, m2)
     return (
-        _le(L2, L1, tol),
-        _le(m1, L2, tol),
-        _ge(m1, 0.0, tol),
-        (m2 >= 0.0) | (_ge(m1 + m2, 0.0, tol) & _le(s1, thr, tol)),
+        _le(L2, L1),
+        _le(m1, L2),
+        _ge(m1, 0.0),
+        (m2 >= 0.0) | (_ge(m1 + m2, 0.0) & _le(s1, thr)),
     )
 
 
-def _domain_p3(L1, L2, m1, m2, tol):
+def _domain_p3(L1, L2, m1, m2):
     s1 = _s_value(m1, m2, L2)
     thr = _threshold(L1, L2, m2)
     return (
         m2 < 0.0,
-        _ge(m1 + m2, 0.0, tol),
-        _le(m1, L2, tol),
-        _le(m2, L1, tol),
-        _le(thr, s1, tol),
-        _le(s1, 0.0, tol),
+        _ge(m1 + m2, 0.0),
+        _le(m1, L2),
+        _le(m2, L1),
+        _le(thr, s1),
+        _le(s1, 0.0),
     )
 
 
-def _domain_p5(L1, L2, m1, m2, tol):
+def _domain_p5(L1, L2, m1, m2):
     # the published domain uses S1 > max{thr1, 0}; the decrease argument only needs S1 > 0 once
     # mu1 >= L2, which closes the sliver left between the p1 and p7 rows.
     s1 = _s_value(m1, m2, L2)
     thr = _threshold(L1, L2, m2)
     return (
         m2 < 0.0,
-        _ge(m1 + m2, 0.0, tol),
-        _ge(s1, 0.0, tol),
-        _ge(s1, thr, tol) | _ge(m1, L2, tol),
+        _ge(m1 + m2, 0.0),
+        _ge(s1, 0.0),
+        _ge(s1, thr) | _ge(m1, L2),
     )
 
 
-def _domain_p7(L1, L2, m1, m2, tol):
+def _domain_p7(L1, L2, m1, m2):
     return (
-        _ge(m1, L2, tol),
+        _ge(m1, L2),
         not math.isinf(L2),
-        _ge(m1, 0.0, tol),
-        _ge(_mu2_s1_sign(L2, m1, m2), 0.0, tol),
+        _ge(m1, 0.0),
+        _ge(_mu2_s1_sign(L2, m1, m2), 0.0),
     )
 
 
@@ -243,24 +265,23 @@ _DOMAIN_NAMES = {i + k: tuple(n.translate(_SWAP_NAMES) if k else n for n in name
                  for i, (_, names) in _ODD_DOMAINS.items() for k in (0, 1)}
 
 
-def _domain(index: int, L1, L2, m1, m2, tol):
+def _domain(index: int, L1, L2, m1, m2):
     if index % 2 == 1:
-        return _ODD_DOMAINS[index][0](L1, L2, m1, m2, tol)
-    return _ODD_DOMAINS[index - 1][0](L2, L1, m2, m1, tol)
+        return _ODD_DOMAINS[index][0](L1, L2, m1, m2)
+    return _ODD_DOMAINS[index - 1][0](L2, L1, m2, m1)
 
 
-def _check_precondition(params: DcParams) -> None:
-    m1, m2 = params.mu1, params.mu2
-    if not ((m1 + m2 > 0.0) or (m1 == 0.0 and m2 == 0.0)):
+def _require_decrease(params: DcParams) -> None:
+    if not require_valid(params).decrease_precondition:
         raise PreconditionViolated(
             "decrease precondition needs mu1+mu2 > 0 or mu1 = mu2 = 0 "
-            "(got mu1=%r, mu2=%r)" % (m1, m2)
+            "(got mu1=%r, mu2=%r)" % (params.mu1, params.mu2)
         )
 
 
-def _coeffs_agree(a, b, tol=BOUNDARY_AGREE_TOL) -> bool:
-    scale = max(1.0, abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]))
-    return abs(a[0] - b[0]) <= tol * scale and abs(a[1] - b[1]) <= tol * scale
+def _coeffs_agree(a, b) -> bool:
+    tol = BOUNDARY_AGREE_TOL * max(1.0, abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]))
+    return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
 
 
 def _build_certificate(index, label, params, trace):
@@ -297,14 +318,13 @@ def _boundary_margin(params: DcParams) -> float:
     return min(cands)
 
 
-def classify(params: DcParams, tol: float = DOMAIN_TOL) -> RegimeCertificate:
+def classify(params: DcParams) -> RegimeCertificate:
     """Find the unique smooth regime containing the parameters.
 
     On a boundary where several regime closures meet the lowest index wins,
     after asserting that all matched rows produce the same coefficients.
     """
-    require_valid(params)
-    _check_precondition(params)
+    _require_decrease(params)
     if math.isinf(params.L1) and math.isinf(params.L2):
         raise BothNonsmooth("both terms nonsmooth: use the T-measure analysis")
 
@@ -312,7 +332,7 @@ def classify(params: DcParams, tol: float = DOMAIN_TOL) -> RegimeCertificate:
     matched = []
     trace = []
     for i in range(1, 9):
-        vals = _domain(i, L1, L2, m1, m2, tol)
+        vals = _domain(i, L1, L2, m1, m2)
         ok = all(vals)
         trace.append(("p%d" % i, ok))
         if ok:
@@ -341,14 +361,13 @@ def classify(params: DcParams, tol: float = DOMAIN_TOL) -> RegimeCertificate:
 _NONSMOOTH_LABELS = {1: "p17", 2: "p28", 3: "p3", 4: "p4", 5: "p5", 6: "p6"}
 
 
-def classify_nonsmooth(params: DcParams, tol: float = DOMAIN_TOL) -> RegimeCertificate:
+def classify_nonsmooth(params: DcParams) -> RegimeCertificate:
     """Classify when exactly one of L1, L2 is infinite.
 
     The coefficients coincide with the extended-real limits of the smooth
     regimes; the p7/p8 rows condense into p1/p2.
     """
-    require_valid(params)
-    _check_precondition(params)
+    _require_decrease(params)
     inf1, inf2 = math.isinf(params.L1), math.isinf(params.L2)
     if inf1 and inf2:
         raise BothNonsmooth("both L1 and L2 are infinite")
@@ -356,9 +375,9 @@ def classify_nonsmooth(params: DcParams, tol: float = DOMAIN_TOL) -> RegimeCerti
         raise BothSmooth("both terms smooth: use classify")
 
     if inf1:
-        index = _nonsmooth_row_f1_inf(params, tol)
+        index = _nonsmooth_row_f1_inf(params)
     else:
-        index = _nonsmooth_row_f1_inf(params.swapped(), tol)
+        index = _nonsmooth_row_f1_inf(params.swapped())
         index = {1: 2, 4: 3, 5: 6}[index]
 
     label = _NONSMOOTH_LABELS[index]
@@ -370,23 +389,21 @@ def classify_nonsmooth(params: DcParams, tol: float = DOMAIN_TOL) -> RegimeCerti
                              trace, _boundary_margin(params))
 
 
-def _nonsmooth_row_f1_inf(params: DcParams, tol: float) -> int:
+def _nonsmooth_row_f1_inf(params: DcParams) -> int:
     """Row selection for L1 = inf: one of p_{1,7} (1), p4 (4), p5 (5)."""
     if params.mu1 < 0.0:
         return 4
-    if _ge(_mu2_s1_sign(params.L2, params.mu1, params.mu2), 0.0, tol):
+    if _ge(_mu2_s1_sign(params.L2, params.mu1, params.mu2), 0.0):
         return 1
     return 5
 
 
 def one_step_certificate(params: DcParams) -> RegimeCertificate:
-    """Dispatch to classify / classify_nonsmooth by finiteness of L1, L2."""
-    n_inf = int(math.isinf(params.L1)) + int(math.isinf(params.L2))
-    if n_inf == 0:
-        return classify(params)
-    if n_inf == 1:
+    """Dispatch to classify / classify_nonsmooth by finiteness of L1, L2;
+    classify validates the parameters before it rejects two nonsmooth terms."""
+    if math.isinf(params.L1) != math.isinf(params.L2):
         return classify_nonsmooth(params)
-    raise BothNonsmooth("both terms nonsmooth: no decrease certificate")
+    return classify(params)
 
 
 # ---------------------------------------------------------------------------
@@ -399,28 +416,28 @@ def thresholds(params: DcParams) -> ThresholdValues:
     )
 
 
-def asymptotic_constants(params: DcParams) -> AsymptoticConstants:
-    """Conjectured leading constants of the regime-5/6 asymptotic rates."""
-    L1, L2, m1, m2 = params.L1, params.L2, params.mu1, params.mu2
-    if m1 == 0.0 or L2 + m2 == 0.0:
-        raise DenominatorZero("p5_inf undefined: (L2+mu2)*mu1^2 vanishes")
-    if m2 == 0.0 or L1 + m1 == 0.0:
-        raise DenominatorZero("p6_inf undefined: (L1+mu1)*mu2^2 vanishes")
+def _p5_inf(p: DcParams) -> float:
+    L2, m1, m2 = p.L2, p.mu1, p.mu2
     if math.isinf(L2):
-        p5 = (m1 + m2) / (m1 * m1)
-    else:
-        p5 = (L2 + m1) * (m1 + m2) / ((L2 + m2) * m1 * m1)
-    if math.isinf(L1):
-        p6 = (m1 + m2) / (m2 * m2)
-    else:
-        p6 = (L1 + m2) * (m1 + m2) / ((L1 + m1) * m2 * m2)
-    return AsymptoticConstants(p5_inf=p5, p6_inf=p6)
+        return (m1 + m2) / (m1 * m1)
+    return (L2 + m1) * (m1 + m2) / ((L2 + m2) * m1 * m1)
+
+
+def asymptotic_constants(params: DcParams) -> AsymptoticConstants:
+    """Conjectured leading constants of the regime-5/6 asymptotic rates;
+    p6_inf is the p5_inf formula at the swapped parameters."""
+    sides = (params, params.swapped())
+    for i, p in zip((5, 6), sides):   # L2, mu1, mu2 of the swap are L1, mu2, mu1
+        if p.mu1 == 0.0 or p.L2 + p.mu2 == 0.0:
+            raise DenominatorZero("p%d_inf undefined: (L%d+mu%d)*mu%d^2 vanishes"
+                                  % (i, 7 - i, 7 - i, i - 4))
+    return AsymptoticConstants(*map(_p5_inf, sides))
 
 
 # ---------------------------------------------------------------------------
 # vectorized grid classification (for regime maps and partition testing)
 
-def grid_classify(L1: float, L2: float, mu1, mu2, tol: float = DOMAIN_TOL):
+def grid_classify(L1: float, L2: float, mu1, mu2):
     """Classify a whole (mu1, mu2) grid at fixed finite L1, L2.
 
     Returns (index, p, sigma, sigma_plus, n_matched); index 0 marks nodes
@@ -437,7 +454,7 @@ def grid_classify(L1: float, L2: float, mu1, mu2, tol: float = DOMAIN_TOL):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(1, 9):
             mask = valid.copy()
-            for ok in _domain(i, L1, L2, M1, M2, tol):
+            for ok in _domain(i, L1, L2, M1, M2):
                 mask &= ok
             s, sp, _ = _coefficients(i, L1, L2, M1, M2)
             masks.append(mask)

@@ -51,6 +51,7 @@ def test_classify_output(tmp_path, capsys):
 def test_classify_invalid_params_exit_1(capsys):
     assert main(["classify", "--mu1", "1", "--L1", "1", "--mu2", "0",
                  "--L2", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_regime_map_csv(tmp_path, capsys):
@@ -204,6 +205,22 @@ def test_malformed_file_exit_1(tmp_path, instance_file, capsys, kind):
     err = capsys.readouterr().err
     assert err.startswith("error: " + str(tmp_path / "bad.json") + ": ")
     assert "Traceback" not in err
+
+
+def test_false_declared_class_exit_1(tmp_path, capsys):
+    """f2 declares L = 0.1 but has curvature 0.95: the instance is rejected
+    before any certificate is checked against the false class."""
+    body = {"f1": {"family": "quadratic", "c": [1.0], "b": [0.0],
+                   "mu": 1.0, "L": 1.2},
+            "f2": {"family": "quadratic", "c": [0.95], "b": [0.0],
+                   "mu": 0.0, "L": 0.1}}
+    path = tmp_path / "false.json"
+    path.write_text(json.dumps(body))
+    assert main(["run", "--instance", str(path), "--x0", "3", "--N", "5",
+                 "--certify"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: %s: f2: actual upper curvature 0.95 exceeds "
+                   "declared L=0.1\n" % path)
 
 
 def _with_declared(instance_file, tmp_path, mu1):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dcrates.curvature import Curvature
+from dcrates.curvature import Curvature, InvalidParams
 from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, MaxOfQuadratics,
                              Quadratic, Unbounded, analytic_infimum, evaluate,
                              instance_from_json, instance_to_json,
@@ -127,6 +127,18 @@ def test_certify_declared():
     assert ok.certify_declared() == []
     bad = FunctionSpec(Quadratic((2.0,), (0.0,)), Curvature(0.0, 1.0))
     assert bad.certify_declared()
+
+
+def test_instance_rejects_false_declared_class():
+    f1 = FunctionSpec(Quadratic((1.0,), (0.0,)), Curvature(1.0, 1.2))
+    f2 = FunctionSpec(Quadratic((0.95,), (0.0,)), Curvature(0.0, 0.1))
+    with pytest.raises(InvalidParams) as exc:
+        make_instance(f1, f2)
+    assert str(exc.value) == "f2: actual upper curvature 0.95 exceeds declared L=0.1"
+    f1_low = FunctionSpec(Quadratic((1.0,), (0.0,)), Curvature(1.1, 1.2))
+    with pytest.raises(InvalidParams, match="^f1: declared mu=1.1 exceeds"):
+        make_instance(f1_low, FunctionSpec(Quadratic((0.95,), (0.0,)),
+                                           Curvature(0.0, 1.0)))
 
 
 def test_analytic_infimum_quadratic():

@@ -9,7 +9,7 @@ from dcrates.curvature import make_params
 from dcrates.interpolation import check_interpolation, make_triplet, pair_matrix
 from dcrates.probe import (FEAS_TOL, InfeasibleConstruction, _Objective,
                            extremal_instance, probe, ratio_trend)
-from dcrates.regimes import classify
+from dcrates.regimes import classify, equality_gammas
 
 INF = math.inf
 
@@ -34,12 +34,51 @@ def test_extremal_hits_bound_and_interpolates(idx):
     assert check_interpolation(w.triplets(2), params.f2, 1e-7).feasible
 
 
+def _explicit_even_gammas(index, params):
+    """The even-regime equality rows written out, independently of the swap."""
+    L1, L2, m1, m2 = params.L1, params.L2, params.mu1, params.mu2
+    if index == 2:
+        return [(L1, L1)]
+    if index == 4:
+        g4 = L2 + L1 * m1 * (L2 - m2) / (m2 * (L1 + m1))
+        return [(m1, g4), (L1, g4)]
+    if index == 6:
+        return [(m1, m2)]
+    return [(L1, m2)]
+
+
+def _outcome(rows, index, params):
+    try:
+        return rows(index, params)
+    except ZeroDivisionError:
+        return "ZeroDivisionError"
+
+
+# the benchmark's regime anchors (even ones are the swaps), the regime-5
+# trend point, and one point each with L1 = inf and L2 = inf
+PIN_POINTS = ([p for q in REGIME_POINTS.values() for p in (q, q.swapped())]
+              + [make_params(1.0, 10.0, -0.8, 2.0), make_params(-0.8, 2.0, 1.0, 10.0),
+                 make_params(1.0, INF, -0.5, 2.0), make_params(-0.5, 2.0, 1.0, INF)])
+
+
 @pytest.mark.parametrize("idx", sorted(REGIME_POINTS))
 def test_extremal_mirror_regime(idx):
     params = REGIME_POINTS[idx].swapped()
     w = extremal_instance(idx + 1, params)
     ref = extremal_instance(idx, REGIME_POINTS[idx])
     assert w.decrease() == pytest.approx(ref.decrease(), rel=1e-10)
+    for p in PIN_POINTS:
+        got, want = (_outcome(f, idx + 1, p)
+                     for f in (equality_gammas, _explicit_even_gammas))
+        # exact; NaN (inf/inf in the regime-4 row) equals itself, and a zero
+        # denominator (mu = 0 in the regime-4 row) must raise in both
+        assert got == want or np.array_equal(got, want, equal_nan=True), (idx + 1, p)
+
+
+def test_equality_gammas_rejects_unknown_regime():
+    for index in (0, 9):
+        with pytest.raises(ValueError):
+            equality_gammas(index, REGIME_POINTS[1])
 
 
 def test_probe_deterministic():
@@ -86,6 +125,12 @@ def test_probe_rejects_large_problems():
         probe(REGIME_POINTS[1], N=11)
     with pytest.raises(ValueError):
         probe(REGIME_POINTS[1], d=4)
+
+
+def test_probe_rejects_init_of_wrong_length():
+    # N = 2, d = 1 searches over (2N + 3) d = 7 entries
+    with pytest.raises(ValueError, match="7 entries"):
+        probe(REGIME_POINTS[1], N=2, d=1, budget=100, starts=2, init=np.zeros(8))
 
 
 def test_ratio_trend_shape():

@@ -53,9 +53,26 @@ def test_thresholds_examples():
     assert t.S2 == pytest.approx(2.0, rel=1e-12)
 
 
+def _explicit_p6_inf(L1, m1, m2):
+    """p6_inf written out, independently of the swap."""
+    if math.isinf(L1):
+        return (m1 + m2) / (m2 * m2)
+    return (L1 + m2) * (m1 + m2) / ((L1 + m1) * m2 * m2)
+
+
 def test_asymptotic_constants_example():
     a = asymptotic_constants(make_params(2.0, 10.0, -1.0, 1.5))
     assert a.p5_inf == pytest.approx(1.75, rel=1e-12)
+    # p6_inf at non-symmetric points: the benchmark anchors of regimes 3, 5
+    # and 7 and their swaps, and one point each with L1 = inf and L2 = inf
+    for mu1, L1, mu2, L2 in [
+            (2.0, 4.0, -1.0, 3.0), (-1.0, 3.0, 2.0, 4.0),
+            (2.0, 10.0, -1.0, 1.5), (-1.0, 1.5, 2.0, 10.0),
+            (1.0, 10.0, -0.8, 2.0), (-0.8, 2.0, 1.0, 10.0),
+            (3.0, 10.0, 0.5, 1.2), (0.5, 1.2, 3.0, 10.0),
+            (1.0, INF, -0.5, 2.0), (2.0, 4.0, -1.0, INF)]:
+        a = asymptotic_constants(make_params(mu1, L1, mu2, L2))
+        assert a.p6_inf == _explicit_p6_inf(L1, mu1, mu2), (mu1, L1, mu2, L2)
 
 
 def test_asymptotic_constants_symmetric():
