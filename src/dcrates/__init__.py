@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 from .curvature import (Curvature, DcParams, InvalidParams, ValidationReport,
                         make_params, recip, shift_curvature, validate)
 from .regimes import (AsymptoticConstants, RegimeCertificate, ThresholdValues,
-                      asymptotic_constants, classify, classify_nonsmooth,
-                      one_step_certificate, regime_map, thresholds)
+                      asymptotic_constants, classify, one_step_certificate,
+                      regime_map, thresholds)
 from .oracles import (AbsPlusQuadratic, DcInstance, FunctionSpec,
                       MaxOfQuadratics, OracleAnswer, Quadratic,
                       analytic_infimum, evaluate, make_instance,

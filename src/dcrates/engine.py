@@ -48,9 +48,6 @@ class Trajectory:
     instance: DcInstance
     stop_reason: str = STOP_MAX_ITERS
 
-    def __len__(self):
-        return len(self.points)
-
     @property
     def n_steps(self) -> int:
         return len(self.points) - 1

@@ -103,7 +103,6 @@ class FunctionSpec:
 class OracleAnswer:
     value: float
     subgradient: np.ndarray
-    selection_tag: str
 
 
 @dataclass(frozen=True)
@@ -172,17 +171,17 @@ def kink_policy(policy: Policy) -> Policy:
     return w
 
 
-def _pick(lo: float, hi: float, policy: Policy) -> tuple:
+def _pick(lo: float, hi: float, policy: Policy) -> float:
     if lo == hi:
-        return lo, "unique"
+        return lo
     policy = kink_policy(policy)
     if policy == "leftmost":
-        return lo, "leftmost"
+        return lo
     if policy == "rightmost":
-        return hi, "rightmost"
+        return hi
     if policy == "least_norm":
-        return min(max(0.0, lo), hi), "least_norm"
-    return lo + policy * (hi - lo), "weight=%g" % policy
+        return min(max(0.0, lo), hi)
+    return lo + policy * (hi - lo)
 
 
 def evaluate(spec: FunctionSpec, x, policy: Policy = "least_norm") -> OracleAnswer:
@@ -195,15 +194,14 @@ def evaluate(spec: FunctionSpec, x, policy: Policy = "least_norm") -> OracleAnsw
         c = np.asarray(fam.c)
         b = np.asarray(fam.b)
         val = float(np.sum(0.5 * c * v * v + b * v))
-        return OracleAnswer(val, c * v + b, "gradient")
+        return OracleAnswer(val, c * v + b)
     t = float(v[0])
     if isinstance(fam, AbsPlusQuadratic):
         val = fam.a * abs(t) + 0.5 * fam.m * t * t + fam.b * t
     else:
         val = max(0.5 * c * t * t + b * t + a for c, b, a in fam.pieces)
     lo, hi = subgradient_interval(spec, x)
-    g, tag = _pick(lo, hi, policy)
-    return OracleAnswer(val, np.array([g]), tag)
+    return OracleAnswer(val, np.array([_pick(lo, hi, policy)]))
 
 
 # ---------------------------------------------------------------------------

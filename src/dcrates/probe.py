@@ -122,7 +122,11 @@ def extremal_instance(regime_index: int, params: DcParams) -> PepVariables:
     require_valid(params)
     cert = one_step_certificate(params)
     last_bad = None
-    for gamma, gamma_plus in equality_gammas(regime_index, params):
+    try:
+        candidates = equality_gammas(regime_index, params)
+    except ZeroDivisionError:   # a row that divides by a mu zero off its regime
+        candidates, last_bad = [], "zero denominator"
+    for gamma, gamma_plus in candidates:
         if not (math.isfinite(gamma) and math.isfinite(gamma_plus)):
             last_bad = "gamma=%r, gamma_plus=%r" % (gamma, gamma_plus)
             continue

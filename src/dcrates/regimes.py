@@ -7,7 +7,9 @@ the current and next iterate.  Regimes with even index mirror the odd ones
 under the swap (L1, mu1) <-> (L2, mu2), sigma <-> sigma^+.
 
 All formulas are evaluated in extended-real arithmetic (1/0 = inf, 1/inf = 0)
-so that the one-nonsmooth-term rows arise as exact limits of the smooth rows.
+so that the one-nonsmooth-term rows arise as exact limits of the smooth rows:
+`classify` sends a point with one infinite L through the same eight domains,
+and only merges rows 1/7 and 2/8, which coincide there, into p17 and p28.
 """
 from __future__ import annotations
 
@@ -32,10 +34,6 @@ class InconsistentBoundary(RuntimeError):
 
 class PreconditionViolated(RuntimeError):
     """The decrease precondition mu1 + mu2 > 0 (or both zero) fails."""
-
-
-class BothSmooth(ValueError):
-    pass
 
 
 class BothNonsmooth(ValueError):
@@ -284,20 +282,6 @@ def _coeffs_agree(a, b) -> bool:
     return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
 
 
-def _build_certificate(index, label, params, trace):
-    s, sp, a = regime_coefficients(index, params)
-    return RegimeCertificate(
-        index=index,
-        label=label,
-        sigma=s,
-        sigma_plus=sp,
-        p=s + sp,
-        alpha=a,
-        domain_trace=tuple(trace),
-        boundary_margin=_boundary_margin(params),
-    )
-
-
 def _boundary_margin(params: DcParams) -> float:
     """Distance-like margin to the nearest regime boundary surface."""
     L1, L2, m1, m2 = params.L1, params.L2, params.mu1, params.mu2
@@ -319,16 +303,19 @@ def _boundary_margin(params: DcParams) -> float:
 
 
 def classify(params: DcParams) -> RegimeCertificate:
-    """Find the unique smooth regime containing the parameters.
+    """Find the regime containing the parameters, with at most one L infinite.
 
     On a boundary where several regime closures meet the lowest index wins,
     after asserting that all matched rows produce the same coefficients.
+    With one infinite L, rows 1/7 and 2/8 merge into p17 (index 1) and p28
+    (index 2), which take the L-independent p7/p8 coefficients: the exact
+    L -> inf limits of the p1/p2 rows.
     """
     _require_decrease(params)
-    if math.isinf(params.L1) and math.isinf(params.L2):
+    L1, L2, m1, m2 = params.L1, params.L2, params.mu1, params.mu2
+    if math.isinf(L1) and math.isinf(L2):
         raise BothNonsmooth("both terms nonsmooth: use the T-measure analysis")
 
-    L1, L2, m1, m2 = params.L1, params.L2, params.mu1, params.mu2
     matched = []
     trace = []
     for i in range(1, 9):
@@ -342,68 +329,26 @@ def classify(params: DcParams) -> RegimeCertificate:
         raise NoRegime("no regime domain matched for %s" % (params.to_json_dict(),))
 
     first, first_vals = matched[0]
-    coeffs = regime_coefficients(first, params)
+    index, label, row = first, "p%d" % first, first
+    if (math.isinf(L1) or math.isinf(L2)) and first in (1, 2, 7, 8):
+        index = 2 - first % 2           # rows 1, 7 -> 1; rows 2, 8 -> 2
+        label, row = "p%d%d" % (index, index + 6), index + 6
+    s, sp, a = regime_coefficients(row, params)
     for other, _ in matched[1:]:
         oc = regime_coefficients(other, params)
-        if not _coeffs_agree(coeffs, oc):
+        if not _coeffs_agree((s, sp), oc):
             raise InconsistentBoundary(
-                "regimes p%d and p%d both match at %s but disagree: %r vs %r"
-                % (first, other, params.to_json_dict(), coeffs[:2], oc[:2])
+                "regimes %s and p%d both match at %s but disagree: %r vs %r"
+                % (label, other, params.to_json_dict(), (s, sp), oc[:2])
             )
     detail = [("p%d:%s" % (first, name), v)
               for name, v in zip(_DOMAIN_NAMES[first], first_vals)]
-    return _build_certificate(first, "p%d" % first, params, trace + detail)
-
-
-# ---------------------------------------------------------------------------
-# one nonsmooth term
-
-_NONSMOOTH_LABELS = {1: "p17", 2: "p28", 3: "p3", 4: "p4", 5: "p5", 6: "p6"}
-
-
-def classify_nonsmooth(params: DcParams) -> RegimeCertificate:
-    """Classify when exactly one of L1, L2 is infinite.
-
-    The coefficients coincide with the extended-real limits of the smooth
-    regimes; the p7/p8 rows condense into p1/p2.
-    """
-    _require_decrease(params)
-    inf1, inf2 = math.isinf(params.L1), math.isinf(params.L2)
-    if inf1 and inf2:
-        raise BothNonsmooth("both L1 and L2 are infinite")
-    if not inf1 and not inf2:
-        raise BothSmooth("both terms smooth: use classify")
-
-    if inf1:
-        index = _nonsmooth_row_f1_inf(params)
-    else:
-        index = _nonsmooth_row_f1_inf(params.swapped())
-        index = {1: 2, 4: 3, 5: 6}[index]
-
-    label = _NONSMOOTH_LABELS[index]
-    # rows p_{1,7}/p_{2,8} take the L-independent p7/p8 formulas, which are
-    # also the exact L -> inf limits of the p1/p2 rows
-    s, sp, a = regime_coefficients({1: 7, 2: 8}.get(index, index), params)
-    trace = (("L1=inf", inf1), ("L2=inf", inf2), ("row", True))
     return RegimeCertificate(index, label, s, sp, s + sp, a,
-                             trace, _boundary_margin(params))
+                             tuple(trace + detail), _boundary_margin(params))
 
 
-def _nonsmooth_row_f1_inf(params: DcParams) -> int:
-    """Row selection for L1 = inf: one of p_{1,7} (1), p4 (4), p5 (5)."""
-    if params.mu1 < 0.0:
-        return 4
-    if _ge(_mu2_s1_sign(params.L2, params.mu1, params.mu2), 0.0):
-        return 1
-    return 5
-
-
-def one_step_certificate(params: DcParams) -> RegimeCertificate:
-    """Dispatch to classify / classify_nonsmooth by finiteness of L1, L2;
-    classify validates the parameters before it rejects two nonsmooth terms."""
-    if math.isinf(params.L1) != math.isinf(params.L2):
-        return classify_nonsmooth(params)
-    return classify(params)
+# the name the certificates, the probe and the CLI import classify under
+one_step_certificate = classify
 
 
 # ---------------------------------------------------------------------------

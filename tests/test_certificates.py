@@ -8,8 +8,8 @@ from dcrates.certificates import (MissingFstar, certificate_report,
                                   check_rate, replay_proof_combination)
 from dcrates.curvature import Curvature
 from dcrates.engine import run_dca
-from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, Quadratic,
-                             make_instance)
+from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, MaxOfQuadratics,
+                             Quadratic, make_instance)
 from dcrates.regimes import PreconditionViolated
 
 INF = math.inf
@@ -175,3 +175,52 @@ def test_report_smooth_and_nonsmooth():
     rep2 = certificate_report(traj2)
     assert rep2["mode"] == "nonsmooth"
     assert rep2["holds"]
+
+
+def _one_nonsmooth_pair(rng, abs_first):
+    """An abs_quadratic term and a 1-D quadratic, the abs term first or second.
+    The declared classes are drawn first; the functions inside them have a
+    convex f1 (a solvable subproblem) more curved than f2 (F bounded below)."""
+    while True:
+        mu_abs, mu_q = rng.uniform(-1.0, 3.0, 2)
+        L_q = max(mu_q, 0.0) + rng.uniform(0.05, 3.0)
+        mu1, mu2 = (mu_abs, mu_q) if abs_first else (mu_q, mu_abs)
+        lo1, hi1 = max(mu1, mu2 + 0.1, 0.1), (mu1 + 3.0 if abs_first else L_q)
+        if mu1 + mu2 > 0.05 and lo1 < hi1:
+            break
+    c1 = rng.uniform(lo1, hi1)
+    c2 = rng.uniform(mu2, min(c1 - 0.1, L_q if abs_first else mu2 + 3.0))
+
+    def spec(c, mu, smooth):
+        if smooth:
+            return FunctionSpec(Quadratic((c,), (rng.normal(),)), Curvature(mu, L_q))
+        return FunctionSpec(AbsPlusQuadratic(rng.uniform(0.0, 2.0), c, rng.normal()),
+                            Curvature(mu, INF))
+    return make_instance(spec(c1, mu1, not abs_first), spec(c2, mu2, abs_first))
+
+
+def _hypoconvex_max_pair(rng):
+    """f1 a max of a concave and a convex quadratic (mu1 < 0, L1 = inf)."""
+    cn, cp = -rng.uniform(0.1, 1.0), rng.uniform(1.5, 3.0)
+    c2 = rng.uniform(0.05 - cn, cp - 0.1)
+    f1 = FunctionSpec(MaxOfQuadratics(((cn, rng.normal(), rng.normal()),
+                                       (cp, rng.normal(), rng.normal()))),
+                      Curvature(cn, INF))
+    f2 = FunctionSpec(Quadratic((c2,), (rng.normal(),)),
+                      Curvature(c2, c2 + rng.uniform(0.05, 4.0)))
+    return make_instance(f1, f2)
+
+
+def test_one_nonsmooth_soundness_sweep():
+    rng = np.random.default_rng(2024)
+    instances = ([_one_nonsmooth_pair(rng, i % 2 == 0) for i in range(1000)]
+                 + [_hypoconvex_max_pair(rng) for _ in range(100)])
+    rows = set()
+    for inst in instances:
+        traj = run_dca(inst, rng.normal(size=1) * 3.0, 8)
+        assert traj.n_steps == 8
+        rep = certificate_report(traj)
+        rows.add(rep["regime"]["label"])
+        assert rep["holds"], inst
+        assert min(rep["per_step_slacks"]) >= -1e-9, inst
+    assert rows == {"p17", "p28", "p3", "p4", "p5", "p6"}

@@ -54,6 +54,19 @@ def test_classify_invalid_params_exit_1(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_classify_one_nonsmooth_term(tmp_path, capsys):
+    out = tmp_path / "cls.json"
+    argv = ["classify", "--mu1", "1", "--L1", "inf", "--mu2", "0", "--L2", "2",
+            "--out", str(out)]
+    assert main(argv) == 0
+    cert = json.loads(out.read_text())["certificate"]
+    assert (cert["label"], cert["index"], cert["sigma_plus"]) == ("p17", 1, 0.75)
+    capsys.readouterr()
+    argv[argv.index("--L2") + 1] = "inf"
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: both terms nonsmooth")
+
+
 def test_regime_map_csv(tmp_path, capsys):
     out = tmp_path / "map.csv"
     assert main(["regime-map", "--L1", "2", "--L2", "1",

@@ -75,6 +75,12 @@ def test_extremal_mirror_regime(idx):
         assert got == want or np.array_equal(got, want, equal_nan=True), (idx + 1, p)
 
 
+def test_extremal_zero_denominator_is_infeasible():
+    # the regime-4 row divides by mu2, which is 0 at the regime-1 anchor
+    with pytest.raises(InfeasibleConstruction, match="zero denominator"):
+        extremal_instance(4, REGIME_POINTS[1])
+
+
 def test_equality_gammas_rejects_unknown_regime():
     for index in (0, 9):
         with pytest.raises(ValueError):

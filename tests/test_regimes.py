@@ -1,14 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dcrates.curvature import make_params
-from dcrates.regimes import (BothNonsmooth, BothSmooth, DenominatorZero,
+from dcrates.regimes import (BOUNDARY_AGREE_TOL, BothNonsmooth, DenominatorZero,
                              GridSpec, asymptotic_constants, classify,
-                             classify_nonsmooth, grid_classify,
-                             one_step_certificate, regime_map, thresholds)
+                             grid_classify, one_step_certificate, regime_map,
+                             thresholds)
 
 INF = math.inf
 
@@ -86,7 +87,7 @@ def test_asymptotic_denominator_zero():
 
 
 def test_nonsmooth_row_p17():
-    c = classify_nonsmooth(make_params(1.0, INF, 0.0, 2.0))
+    c = classify(make_params(1.0, INF, 0.0, 2.0))
     assert c.label == "p17"
     assert c.sigma == pytest.approx(0.0, abs=1e-15)
     assert c.sigma_plus == pytest.approx(0.75, rel=1e-12)  # (L2+mu1)/L2^2
@@ -95,34 +96,101 @@ def test_nonsmooth_row_p17():
 
 def test_nonsmooth_row_p3():
     # L2 = inf with hypoconvex f2; sigma = 1/6 at these parameters
-    c = classify_nonsmooth(make_params(2.0, 4.0, -1.0, INF))
+    c = classify(make_params(2.0, 4.0, -1.0, INF))
     assert c.label == "p3"
     assert c.sigma == pytest.approx(1.0 / 6.0, rel=1e-12)
     assert c.sigma_plus == pytest.approx(0.0, abs=1e-15)
 
 
 def test_nonsmooth_row_p5():
-    c = classify_nonsmooth(make_params(2.0, INF, -1.0, 1.5))
+    c = classify(make_params(2.0, INF, -1.0, 1.5))
     assert c.label == "p5"
     assert c.sigma == pytest.approx(0.0, abs=1e-15)
     assert c.sigma_plus == pytest.approx(1.0, rel=1e-12)
 
 
 def test_nonsmooth_requires_one_inf():
-    with pytest.raises(BothSmooth):
-        classify_nonsmooth(make_params(0.5, 2.0, 0.0, 1.0))
     with pytest.raises(BothNonsmooth):
-        classify_nonsmooth(make_params(1.0, INF, 0.0, INF))
+        classify(make_params(1.0, INF, 0.0, INF))
 
 
 def test_limit_consistency_monotone():
-    ns = classify_nonsmooth(make_params(2.0, INF, -1.0, 1.5))
+    ns = classify(make_params(2.0, INF, -1.0, 1.5))
     errs = []
     for k in (3, 5, 8):
         c = classify(make_params(2.0, 10.0 ** k, -1.0, 1.5))
         errs.append(abs(c.p - ns.p))
     assert errs[0] >= errs[1] >= errs[2]
     assert errs[2] < 1e-7
+
+
+def _nonsmooth_reference(mu1, L1, mu2, L2):
+    """(index, label, sigma, sigma_plus, alpha) of a one-nonsmooth point from
+    the row table written out: for L1 = inf, mu1 < 0 gives p4, mu2*S1 >= 0
+    (closed, decided in exact rationals) gives p17, anything else p5; for
+    L2 = inf the swap gives p3, p28 and p6.  The coefficients are the p7, p3
+    and p5 formulas at L1 = inf."""
+    if math.isinf(L2):
+        i, _, s, sp, a = _nonsmooth_reference(mu2, L2, mu1, L1)
+        i = i + 1 if i % 2 else i - 1
+        return i, {2: "p28"}.get(i, "p%d" % i), sp, s, a
+    if mu1 < 0.0:
+        S, r = 1.0 / mu1 + 1.0 / mu2 + 0.0, 1.0 / L2
+        return 4, "p4", 0.0, r * S / (S - r), 0.0
+    if mu2 == 0.0 or Fraction(mu2) * (1 / Fraction(mu1) + 1 / Fraction(mu2)
+                                      + 1 / Fraction(L2)) >= 0:
+        return 1, "p17", 0.0, (L2 + mu1) / (L2 * L2), mu1 / L2
+    return 5, "p5", 0.0, (mu1 + mu2) / (mu2 * mu2), (mu1 + mu2) / (-mu2)
+
+
+_NONSMOOTH_ROW_CASES = [(1.0, INF, 0.0, 2.0), (2.0, 4.0, -1.0, INF),
+                        (2.0, INF, -1.0, 1.5)]
+
+
+def _off_boundary_nonsmooth_points(rng, n):
+    """Valid points with one infinite L, clear of every row boundary."""
+    out = []
+    while len(out) < n:
+        mu1, mu2 = rng.uniform(-3.0, 4.0, 2)
+        L = max(mu2, 0.0) + rng.uniform(0.1, 8.0)
+        if min(abs(mu1), abs(mu2), mu1 + mu2) < 0.05:
+            continue
+        if abs(Fraction(mu2) * (1 / Fraction(mu1) + 1 / Fraction(mu2)
+                                + 1 / Fraction(L))) < 1e-3:
+            continue
+        out.append((mu1, INF, mu2, L) if rng.random() < 0.5 else (mu2, L, mu1, INF))
+    return out
+
+
+def test_nonsmooth_rows_match_written_out_table():
+    points = (_NONSMOOTH_ROW_CASES
+              + _off_boundary_nonsmooth_points(np.random.default_rng(17), 3000))
+    seen = set()
+    for p in points:
+        c = classify(make_params(*p))
+        ref = _nonsmooth_reference(*p)
+        assert (c.index, c.label, c.sigma, c.sigma_plus, c.alpha) == ref, p
+        seen.add(c.label)
+    assert seen == {"p17", "p28", "p3", "p4", "p5", "p6"}
+
+
+def test_nonsmooth_rows_on_s1_boundary_agree_with_table():
+    # on S1 = 0 (S2 = 0 for the swap) rows p5 and p17 meet; classify may
+    # report either, with the same coefficients up to rounding
+    rng = np.random.default_rng(19)
+    points = [(3.0, INF, -1.0, 1.5)]
+    for _ in range(300):
+        mu1, L2 = rng.uniform(0.1, 5.0), rng.uniform(0.2, 6.0)
+        points.append((mu1, INF, -1.0 / (1.0 / mu1 + 1.0 / L2), L2))
+    for mu1, L1, mu2, L2 in list(points):
+        points.append((mu2, L2, mu1, L1))
+    for p in points:
+        c = classify(make_params(*p))
+        _, _, s, sp, a = _nonsmooth_reference(*p)
+        tol = BOUNDARY_AGREE_TOL * max(1.0, abs(s), abs(sp), abs(a))
+        assert abs(c.sigma - s) <= tol, p
+        assert abs(c.sigma_plus - sp) <= tol, p
+        assert abs(c.alpha - a) <= tol, p
 
 
 def test_boundary_continuity_p1_p3():
@@ -216,6 +284,7 @@ def test_convex_p_formula(L1, L2):
 
 
 def test_one_step_certificate_dispatch():
+    assert one_step_certificate is classify
     assert one_step_certificate(make_params(0.5, 2.0, 0.0, 1.0)).index == 1
     assert one_step_certificate(make_params(1.0, INF, 0.0, 2.0)).label == "p17"
     with pytest.raises(BothNonsmooth):
