@@ -6,18 +6,20 @@ fails (slack below tolerance) -- the CI-visible signal.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
+import itertools
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .curvature import Curvature, DcParams, InvalidParams, make_params
-from .regimes import (GridSpec, NoRegime, PreconditionViolated,
-                      one_step_certificate, regime_map, thresholds)
+from .regimes import (GridSpec, InconsistentBoundary, NoRegime,
+                      PreconditionViolated, one_step_certificate, regime_map,
+                      thresholds)
 from .oracles import instance_from_json, kink_policy
 from .engine import (run_dca, trajectory_to_csv, trajectory_to_json,
                      trajectory_from_json)
@@ -95,14 +97,15 @@ def cmd_classify(args) -> int:
 def cmd_regime_map(args) -> int:
     grid = GridSpec.parse(args.grid)
     rows = regime_map(args.L1, args.L2, grid)
+    # rows run over the axis values mu1-major; each value is formatted once
+    # and found by position (a float key would merge 0.0 and -0.0)
+    axis = [repr(v) for v in grid.points().tolist()]
     target = args.out or "regime_map.csv"
     with open(target, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["mu1", "mu2", "regime", "p"])
-        w.writerows(rows)
-    counts = {}
-    for _, _, idx, _ in rows:
-        counts[idx] = counts.get(idx, 0) + 1
+        fh.write("mu1,mu2,regime,p\r\n")
+        fh.writelines(f"{a},{b},{i},{p!r}\r\n" for (a, b), (_, _, i, p)
+                      in zip(itertools.product(axis, axis), rows))
+    counts = Counter(row[2] for row in rows)
     print("wrote %d rows to %s; regime counts: %s"
           % (len(rows), target, dict(sorted(counts.items()))))
     return EXIT_OK
@@ -296,8 +299,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(
             _merge_value_flags(sys.argv[1:] if argv is None else argv))
         return args.fn(args)
-    except (NoRegime, PreconditionViolated, MissingFstar, OSError,
-            ValueError) as exc:
+    except (NoRegime, InconsistentBoundary, PreconditionViolated, MissingFstar,
+            OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

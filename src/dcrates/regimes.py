@@ -89,15 +89,17 @@ class AsymptoticConstants:
 
 def _le(a, b):
     """a <= b up to relative closure slack; exact for infinite operands."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        near = (np.isfinite(a) & np.isfinite(b)
-                & (a - b <= DOMAIN_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))))
-        return (a <= b) | near
-    if a <= b:
-        return True
-    if math.isinf(a) or math.isinf(b):
-        return False
-    return a - b <= DOMAIN_TOL * max(1.0, abs(a), abs(b))
+    # two floats skip the ndarray checks, which cost more than the comparison
+    if (isinstance(a, float) and isinstance(b, float)
+            or not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray))):
+        if a <= b:
+            return True
+        if math.isinf(a) or math.isinf(b):
+            return False
+        return a - b <= DOMAIN_TOL * max(1.0, abs(a), abs(b))
+    near = (np.isfinite(a) & np.isfinite(b)
+            & (a - b <= DOMAIN_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))))
+    return (a <= b) | near
 
 
 def _ge(a, b):
@@ -201,12 +203,16 @@ def equality_gammas(index: int, params: DcParams) -> list:
 
 
 # ---------------------------------------------------------------------------
-# smooth-regime domains, odd regimes; each returns its conditions in the
-# order of the names in _ODD_DOMAINS
+# smooth-regime domains, odd regimes; each takes S1 and thr1 from _sides and
+# returns its conditions in the order of the names in _ODD_DOMAINS
 
-def _domain_p1(L1, L2, m1, m2):
-    s1 = _s_value(m1, m2, L2)
-    thr = _threshold(L1, L2, m2)
+def _sides(L1, L2, m1, m2):
+    """((S1, thr1), (S2, thr2)): what the odd domains test, and at the swap the even."""
+    return ((_s_value(m1, m2, L2), _threshold(L1, L2, m2)),
+            (_s_value(m2, m1, L1), _threshold(L2, L1, m1)))
+
+
+def _domain_p1(L1, L2, m1, m2, s1, thr):
     return (
         _le(L2, L1),
         _le(m1, L2),
@@ -215,9 +221,7 @@ def _domain_p1(L1, L2, m1, m2):
     )
 
 
-def _domain_p3(L1, L2, m1, m2):
-    s1 = _s_value(m1, m2, L2)
-    thr = _threshold(L1, L2, m2)
+def _domain_p3(L1, L2, m1, m2, s1, thr):
     return (
         m2 < 0.0,
         _ge(m1 + m2, 0.0),
@@ -228,11 +232,9 @@ def _domain_p3(L1, L2, m1, m2):
     )
 
 
-def _domain_p5(L1, L2, m1, m2):
+def _domain_p5(L1, L2, m1, m2, s1, thr):
     # the published domain uses S1 > max{thr1, 0}; the decrease argument only needs S1 > 0 once
     # mu1 >= L2, which closes the sliver left between the p1 and p7 rows.
-    s1 = _s_value(m1, m2, L2)
-    thr = _threshold(L1, L2, m2)
     return (
         m2 < 0.0,
         _ge(m1 + m2, 0.0),
@@ -241,7 +243,7 @@ def _domain_p5(L1, L2, m1, m2):
     )
 
 
-def _domain_p7(L1, L2, m1, m2):
+def _domain_p7(L1, L2, m1, m2, s1, thr):
     return (
         _ge(m1, L2),
         not math.isinf(L2),
@@ -263,10 +265,11 @@ _DOMAIN_NAMES = {i + k: tuple(n.translate(_SWAP_NAMES) if k else n for n in name
                  for i, (_, names) in _ODD_DOMAINS.items() for k in (0, 1)}
 
 
-def _domain(index: int, L1, L2, m1, m2):
-    if index % 2 == 1:
-        return _ODD_DOMAINS[index][0](L1, L2, m1, m2)
-    return _ODD_DOMAINS[index - 1][0](L2, L1, m2, m1)
+def _domains(L1, L2, m1, m2, sides):
+    """Condition tuples of rows 1..8, given the _sides of the point."""
+    odd, even = sides
+    return [conds for dom, _ in _ODD_DOMAINS.values()
+            for conds in (dom(L1, L2, m1, m2, *odd), dom(L2, L1, m2, m1, *even))]
 
 
 def _require_decrease(params: DcParams) -> None:
@@ -282,9 +285,8 @@ def _coeffs_agree(a, b) -> bool:
     return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
 
 
-def _boundary_margin(params: DcParams) -> float:
+def _boundary_margin(L1, L2, m1, m2, sides) -> float:
     """Distance-like margin to the nearest regime boundary surface."""
-    L1, L2, m1, m2 = params.L1, params.L2, params.mu1, params.mu2
     cands = [abs(m1), abs(m2)]
     if not math.isinf(L1) and not math.isinf(L2):
         cands.append(abs(L1 - L2))
@@ -293,12 +295,7 @@ def _boundary_margin(params: DcParams) -> float:
     if not math.isinf(L1):
         cands.append(abs(m2 - L1))
     if m1 != 0.0 and m2 != 0.0:
-        s1 = _s_value(m1, m2, L2)
-        s2 = _s_value(m1, m2, L1)
-        if math.isfinite(s1):
-            cands.append(abs(s1))
-        if math.isfinite(s2):
-            cands.append(abs(s2))
+        cands.extend(abs(s) for s, _ in sides if math.isfinite(s))
     return min(cands)
 
 
@@ -316,10 +313,9 @@ def classify(params: DcParams) -> RegimeCertificate:
     if math.isinf(L1) and math.isinf(L2):
         raise BothNonsmooth("both terms nonsmooth: use the T-measure analysis")
 
-    matched = []
-    trace = []
-    for i in range(1, 9):
-        vals = _domain(i, L1, L2, m1, m2)
+    sides = _sides(L1, L2, m1, m2)
+    matched, trace = [], []
+    for i, vals in enumerate(_domains(L1, L2, m1, m2, sides), 1):
         ok = all(vals)
         trace.append(("p%d" % i, ok))
         if ok:
@@ -344,7 +340,7 @@ def classify(params: DcParams) -> RegimeCertificate:
     detail = [("p%d:%s" % (first, name), v)
               for name, v in zip(_DOMAIN_NAMES[first], first_vals)]
     return RegimeCertificate(index, label, s, sp, s + sp, a,
-                             tuple(trace + detail), _boundary_margin(params))
+                             tuple(trace + detail), _boundary_margin(L1, L2, m1, m2, sides))
 
 
 # the name the certificates, the probe and the CLI import classify under
@@ -397,9 +393,9 @@ def grid_classify(L1: float, L2: float, mu1, mu2):
     valid = (M1 < L1) & (M2 < L2) & ((M1 + M2 > 0.0) | ((M1 == 0.0) & (M2 == 0.0)))
     masks, sigmas, sigma_ps = [], [], []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(1, 9):
+        for i, conds in enumerate(_domains(L1, L2, M1, M2, _sides(L1, L2, M1, M2)), 1):
             mask = valid.copy()
-            for ok in _domain(i, L1, L2, M1, M2):
+            for ok in conds:
                 mask &= ok
             s, sp, _ = _coefficients(i, L1, L2, M1, M2)
             masks.append(mask)

@@ -1,7 +1,10 @@
+import csv
+import io
 import json
 import math
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from dcrates.cli import main
 from dcrates.curvature import Curvature
 from dcrates.interpolation import sample_triplets, triplets_to_json
 from dcrates.engine import t_measure
+from dcrates.regimes import GridSpec, regime_map
 from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, Quadratic,
                              evaluate, instance_from_json, instance_to_json,
                              make_instance)
@@ -67,13 +71,28 @@ def test_classify_one_nonsmooth_term(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: both terms nonsmooth")
 
 
-def test_regime_map_csv(tmp_path, capsys):
+@pytest.mark.parametrize("L1, L2, grid, has_invalid", [
+    (2.0, 1.0, "-1:1.5:12", True),
+    (2.0, 1.0, "0.3:0.3:1", False),
+    (2.0, 1.0, "0:-0.0:2", False),
+    (1.5, 1.5, "-1:1.25:10", True),
+    (1.0, 0.5, "-2:3:11", True),
+], ids=["basic", "one_step", "signed_zero", "equal_L", "invalid_nodes"])
+def test_regime_map_csv(tmp_path, capsys, L1, L2, grid, has_invalid):
+    # the file is what csv.writer makes of regime_map's rows, byte for byte
     out = tmp_path / "map.csv"
-    assert main(["regime-map", "--L1", "2", "--L2", "1",
-                 "--grid", "-1:1.5:12", "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "mu1,mu2,regime,p"
-    assert len(lines) == 145
+    assert main(["regime-map", "--L1", repr(L1), "--L2", repr(L2),
+                 "--grid", grid, "--out", str(out)]) == 0
+    rows = regime_map(L1, L2, GridSpec.parse(grid))
+    ref = io.StringIO(newline="")
+    csv.writer(ref).writerows([("mu1", "mu2", "regime", "p")] + rows)
+    data = out.read_bytes()
+    assert data == ref.getvalue().encode()
+    assert len(data.splitlines()) == 1 + GridSpec.parse(grid).steps ** 2
+    counts = Counter(idx for _, _, idx, _ in rows)
+    assert capsys.readouterr().out == "wrote %d rows to %s; regime counts: %s\n" % (
+        len(rows), out, dict(sorted(counts.items())))
+    assert (counts[0] > 0) == (b",nan\r\n" in data) == has_invalid
 
 
 @pytest.mark.parametrize("grid", ["-1:2:0", "-1:2:-3", "2:-1:10", "-1:inf:10",
@@ -93,9 +112,12 @@ def test_regime_map_rejects_nonpositive_L(tmp_path, capsys):
 
 
 def test_classify_precondition_violated_exit_1(capsys):
-    assert main(["classify", "--mu1", "0.5", "--L1", "2", "--mu2=-1",
-                 "--L2", "1"]) == 1
-    assert "error: " in capsys.readouterr().err
+    # the second point is within an ulp of the corner mu1 = L1 = L2, where
+    # two matched rows disagree (InconsistentBoundary)
+    for argv in (["--mu1", "0.5", "--L1", "2", "--mu2=-1", "--L2", "1"],
+                 ["--mu1", "2.9999999999999996", "--L1", "3", "--mu2=-1", "--L2", "3"]):
+        assert main(["classify"] + argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_run_certify_nonsmooth_without_fstar_exit_1(tmp_path, capsys):

@@ -10,6 +10,7 @@ from dcrates.regimes import (BOUNDARY_AGREE_TOL, BothNonsmooth, DenominatorZero,
                              GridSpec, asymptotic_constants, classify,
                              grid_classify, one_step_certificate, regime_map,
                              thresholds)
+from dcrates.regimes import _coefficients, _coeffs_p1, _coeffs_p7
 
 INF = math.inf
 
@@ -191,6 +192,52 @@ def test_nonsmooth_rows_on_s1_boundary_agree_with_table():
         assert abs(c.sigma - s) <= tol, p
         assert abs(c.sigma_plus - sp) <= tol, p
         assert abs(c.alpha - a) <= tol, p
+
+
+# (row, the L taken to infinity, label classify reports there or None, points
+# (mu1, L1, mu2, L2) in the row's domain with that L infinite).  Row 3 keeps a
+# domain as L2 -> inf (p3); as L1 -> inf thr1 -> 0 and it shrinks to S1 = 0,
+# where p17 and p5 meet it, so those points solve S1 = 0 exactly.
+_LIMIT_ROWS = [
+    (1, "L1", "p17", [(1, INF, 0, 2), (Fraction(1, 2), INF, Fraction(1, 4), 3),
+                      (Fraction(3, 2), INF, Fraction(-1, 2), 2)]),
+    (3, "L2", "p3", [(2, 4, -1, INF), (3, 5, Fraction(-1, 2), INF),
+                     (1, Fraction(3, 2), Fraction(-1, 3), INF)]),
+    (3, "L1", None, [(m1, INF, -1 / (1 / Fraction(m1) + Fraction(1, L2)), L2)
+                     for m1, L2 in [(2, 3), (1, 2), (Fraction(1, 2), 4)]]),
+]
+
+
+def test_row_limits_match_one_nonsmooth_classify():
+    """The one-nonsmooth rows are the L -> inf limits of the smooth rows,
+    taken in sympy on the same coefficient functions; rows 2 and 4 take
+    the other L to infinity at the swapped points."""
+    import sympy
+
+    L1, L2 = sympy.symbols("L1 L2", positive=True)
+    m1, m2 = sympy.symbols("mu1 mu2", real=True)
+    sym = {"L1": L1, "L2": L2}
+    p1_limit = [sympy.limit(sympy.nsimplify(c), L1, sympy.oo)
+                for c in _coeffs_p1(L1, L2, m1, m2)]
+    assert [sympy.simplify(a - sympy.nsimplify(b))
+            for a, b in zip(p1_limit, _coeffs_p7(L1, L2, m1, m2))] == [0, 0, 0]
+    cases = []
+    for row, var, label, points in _LIMIT_ROWS:
+        cases.append((row, var, label, points))
+        cases.append((row + 1, {"L1": "L2", "L2": "L1"}[var],
+                      label and {"p17": "p28", "p3": "p4"}[label],
+                      [(b, B, a, A) for a, A, b, B in points]))
+    for row, var, label, points in cases:
+        limit = [sympy.limit(sympy.nsimplify(c), sym[var], sympy.oo)
+                 for c in _coefficients(row, L1, L2, m1, m2)]
+        for p in points:
+            at = {k: v for k, v in zip((m1, L1, m2, L2), p) if k is not sym[var]}
+            c = classify(make_params(*map(float, p)))
+            if label is not None:
+                assert c.label == label, (row, var, p)
+            for got, e in zip((c.sigma, c.sigma_plus, c.alpha), limit):
+                want = float(e.subs(at))
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (row, var, p)
 
 
 def test_boundary_continuity_p1_p3():
