@@ -40,6 +40,13 @@ def _require_precondition(params):
             "(got mu1=%r, mu2=%r)" % (params.mu1, params.mu2))
 
 
+def _step(traj: Trajectory, k: int) -> tuple:
+    """The points x^k and x^{k+1} of step k, for 0 <= k < N."""
+    if not 0 <= k < traj.n_steps:
+        raise InvalidParams("trajectory has no step %d" % k)
+    return traj.points[k], traj.points[k + 1]
+
+
 @dataclass(frozen=True)
 class OneStepCheck:
     regime: RegimeCertificate
@@ -56,11 +63,9 @@ def check_one_step(traj: Trajectory, k: int = 0,
     """Check the decrease certificate on the step k -> k+1."""
     params = traj.instance.params
     _require_precondition(params)
-    if k + 1 >= len(traj.points):
-        raise InvalidParams("trajectory has no step %d" % k)
+    a, b = _step(traj, k)
     if regime is None:
         regime = one_step_certificate(params)
-    a, b = traj.points[k], traj.points[k + 1]
     lhs = a.F - b.F
     rhs = regime.decrease_bound(a.G_norm_sq, b.G_norm_sq)
     slack = lhs - rhs
@@ -82,11 +87,10 @@ def replay_proof_combination(traj: Trajectory, k: int = 0,
     Returns lhs - rhs; a valid certificate gives a nonnegative value.
     """
     params = traj.instance.params
-    _require_precondition(params)
     regime = one_step_certificate(params)
     if alpha is None:
         alpha = regime.alpha
-    a, b = traj.points[k], traj.points[k + 1]
+    a, b = _step(traj, k)
     dx = a.x - b.x
     G = a.g1 - a.g2
     Gp = b.g1 - b.g2
@@ -114,11 +118,9 @@ def check_rate(traj: Trajectory, fstar: Optional[float] = None,
                tol: float = SLACK_TOL) -> Tuple[RatePrediction, float, bool]:
     """N-step certificate: (prediction, observed half min grad gap, holds)."""
     params = traj.instance.params
-    _require_precondition(params)
     regime = one_step_certificate(params)
+    _step(traj, 0)     # at least one completed step
     N = traj.n_steps
-    if N < 1:
-        raise InvalidParams("need at least one completed step")
     F0 = traj.points[0].F
     FN = traj.points[-1].F
     p = regime.p
@@ -160,6 +162,7 @@ def check_nonsmooth_rate(traj: Trajectory, fstar: Optional[float] = None,
     if fstar is None:
         raise MissingFstar("the N-step bound is stated against F*")
     m1, m2 = params.mu1, params.mu2
+    _step(traj, 0)     # at least one completed step
     N = traj.n_steps
     slacks = []
     for a, b in zip(traj.points, traj.points[1:]):

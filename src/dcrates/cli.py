@@ -299,8 +299,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(
             _merge_value_flags(sys.argv[1:] if argv is None else argv))
         return args.fn(args)
+    # ArithmeticError: numbers past the float range the regime formulas use
     except (NoRegime, InconsistentBoundary, PreconditionViolated, MissingFstar,
-            OSError, ValueError) as exc:
+            OSError, ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -77,6 +77,42 @@ def t_measure(instance: DcInstance, x, x_plus, g1_plus) -> float:
     return f1x - f1p - float(gp @ (xv - xp))
 
 
+def _is_subgradient(spec, x: np.ndarray, g: np.ndarray, pick: np.ndarray) -> bool:
+    """Whether g lies within LINK_TOL * max(1, ||g||), in Euclidean distance,
+    of the subdifferential of spec at x; pick is the oracle's subgradient."""
+    pad = LINK_TOL * max(1.0, float(np.linalg.norm(g)))
+    if float(np.linalg.norm(pick - g)) <= pad:
+        return True
+    if spec.dimension > 1:   # only quadratics: the gradient is all there is
+        return False
+    lo, hi = subgradient_interval(spec, x)
+    return lo - pad <= float(g[0]) <= hi + pad
+
+
+def _record(points: list, instance: DcInstance, x: np.ndarray,
+            policy: Policy = "least_norm", g1=None, g2=None) -> TrajectoryPoint:
+    """Append the point at x: values from the oracles, and g1, g2 the
+    oracles' picks unless given, in which case each must be a subgradient.
+    F and G_norm_sq, and T and dx_norm_sq of the point before it, are
+    computed here and nowhere else."""
+    a1, a2 = evaluate(instance.f1, x, policy), evaluate(instance.f2, x, policy)
+    for name, spec, g, a in (("g1", instance.f1, g1, a1),
+                             ("g2", instance.f2, g2, a2)):
+        if g is not None and not _is_subgradient(spec, x, g, a.subgradient):
+            raise InvalidParams("step %d: %s = %r is not a subgradient of f%s "
+                                "at x" % (len(points), name, g.tolist(), name[1]))
+    g1 = a1.subgradient if g1 is None else g1
+    g2 = a2.subgradient if g2 is None else g2
+    if points:
+        prev = points[-1]
+        prev.T = prev.f1 - a1.value - float(g1 @ (prev.x - x))
+        prev.dx_norm_sq = _sq_dist(prev.x, x)
+    pt = TrajectoryPoint(len(points), x, a1.value, a2.value,
+                         a1.value - a2.value, g1, g2, _sq_dist(g1, g2))
+    points.append(pt)
+    return pt
+
+
 def run_dca(instance: DcInstance, x0, N: int, tol: float = 0.0,
             policy: Policy = "least_norm", stop_on: str = "grad_gap") -> Trajectory:
     """Run at most N DCA iterations from x0.
@@ -93,50 +129,23 @@ def run_dca(instance: DcInstance, x0, N: int, tol: float = 0.0,
         raise InvalidParams("x0 has dimension %d, instance needs %d"
                             % (x.size, instance.dimension))
 
-    a1 = evaluate(instance.f1, x, policy)
-    a2 = evaluate(instance.f2, x, policy)
-    pt = TrajectoryPoint(0, x, a1.value, a2.value, a1.value - a2.value,
-                         a1.subgradient, a2.subgradient,
-                         _sq_dist(a1.subgradient, a2.subgradient))
-    points = [pt]
+    points = []
+    _record(points, instance, x, policy)
     stop = STOP_MAX_ITERS
 
-    for k in range(N):
+    for _ in range(N):
         cur = points[-1]
         try:
             x_new = solve_dca_subproblem(instance.f1, cur.g2)
         except Unbounded:
             stop = STOP_UNBOUNDED
             break
-        # the subproblem optimality condition supplies g1 at the new point
-        g1_new = cur.g2.copy()
-        b1 = evaluate(instance.f1, x_new, policy)
-        b2 = evaluate(instance.f2, x_new, policy)
-        gap = float(np.linalg.norm(b1.subgradient - g1_new))
-        link_scale = max(1.0, float(np.linalg.norm(g1_new)))
-        lo_hi_ok = True
-        if gap > LINK_TOL * link_scale:
-            # nonsmooth f1: the oracle's policy pick may differ from the
-            # link subgradient, but g2 must still lie in the subdifferential
-            if instance.dimension == 1:
-                lo, hi = subgradient_interval(instance.f1, x_new)
-                pad = LINK_TOL * link_scale
-                lo_hi_ok = lo - pad <= float(g1_new[0]) <= hi + pad
-            else:
-                lo_hi_ok = False
-        if not lo_hi_ok:
-            raise AssertionError("link constraint g1^{k+1} = g2^k violated "
-                                 "by %g at step %d" % (gap, k))
-        t_val = cur.f1 - b1.value - float(g1_new @ (cur.x - x_new))
-        cur.T = t_val
-        cur.dx_norm_sq = _sq_dist(cur.x, x_new)
-        nxt = TrajectoryPoint(
-            k + 1, x_new, b1.value, b2.value, b1.value - b2.value,
-            g1_new, b2.subgradient,
-            _sq_dist(g1_new, b2.subgradient))
-        points.append(nxt)
+        # the subproblem optimality condition supplies g1 at the new point,
+        # the link g1^{k+1} = g2^k; past the precision of the instance's
+        # numbers (|b| near 2^53) it is no subgradient, and the run is refused
+        nxt = _record(points, instance, x_new, policy, g1=cur.g2.copy())
         if tol > 0.0:
-            crit = math.sqrt(nxt.G_norm_sq) if stop_on == "grad_gap" else t_val
+            crit = math.sqrt(nxt.G_norm_sq) if stop_on == "grad_gap" else cur.T
             if crit <= tol:
                 stop = STOP_CRITICALITY
                 break
@@ -193,31 +202,13 @@ def trajectory_from_json(d: dict) -> Trajectory:
 
 
 def _check_recorded(inst: DcInstance, pts: list) -> None:
-    """Recompute what the certificates read: values and subgradients from
-    the instance at each stored x, the link g1^{k+1} = g2^k, then G_norm_sq,
-    T and dx_norm_sq.  InvalidParams names the first mismatch."""
-    def same(p, name, stored, exact):
-        if not abs(stored - exact) <= RECORD_TOL * max(1.0, abs(exact)):
-            raise InvalidParams("step %d: stored %s = %r, recomputed %r"
-                                % (p.k, name, stored, exact))
-
+    """Rebuild each point from the instance at its stored x, with its stored
+    subgradients, as run_dca records it; check the link g1^{k+1} = g2^k and
+    compare.  InvalidParams names the first mismatch."""
+    fresh = []
     for p in pts:
-        f1, f2 = evaluate(inst.f1, p.x).value, evaluate(inst.f2, p.x).value
-        same(p, "f1", p.f1, f1)
-        same(p, "f2", p.f2, f2)
-        same(p, "F", p.F, f1 - f2)
-        for name, spec, g in (("g1", inst.f1, p.g1), ("g2", inst.f2, p.g2)):
-            if inst.dimension == 1:
-                lo, hi = subgradient_interval(spec, p.x)
-            else:   # only quadratics have dimension > 1: one gradient
-                lo = hi = evaluate(spec, p.x).subgradient
-            pad = LINK_TOL * max(1.0, float(np.linalg.norm(g)))
-            if not np.all((lo - pad <= g) & (g <= hi + pad)):
-                raise InvalidParams("step %d: stored %s = %r is not a "
-                                    "subgradient of f%s at x"
-                                    % (p.k, name, g.tolist(), name[1]))
-    for p, q in zip(pts, pts[1:] + [None]):
-        same(p, "G_norm_sq", p.G_norm_sq, _sq_dist(p.g1, p.g2))
+        _record(fresh, inst, p.x, g1=p.g1, g2=p.g2)
+    for p, exact, q in zip(pts, fresh, pts[1:] + [None]):
         if q is not None:
             # the DCA link: g1 at the next point is the current g2
             gap = float(np.linalg.norm(q.g1 - p.g2))
@@ -225,8 +216,12 @@ def _check_recorded(inst: DcInstance, pts: list) -> None:
                 raise InvalidParams("step %d: stored g1 of the next point "
                                     "differs from g2 by %g (link "
                                     "g1^{k+1} = g2^k)" % (p.k, gap))
-            same(p, "T", p.T, t_measure(inst, p.x, q.x, q.g1))
-            same(p, "dx_norm_sq", p.dx_norm_sq, _sq_dist(p.x, q.x))
+        for name in ("f1", "f2", "F", "G_norm_sq", "T", "dx_norm_sq"):
+            stored, want = getattr(p, name), getattr(exact, name)
+            if want is not None and not (
+                    abs(stored - want) <= RECORD_TOL * max(1.0, abs(want))):
+                raise InvalidParams("step %d: stored %s = %r, recomputed %r"
+                                    % (p.k, name, stored, want))
 
 
 def dumps(traj: Trajectory) -> str:

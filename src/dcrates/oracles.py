@@ -71,7 +71,8 @@ class AbsPlusQuadratic:
     def curvature_range(self):
         if self.a == 0.0:
             return self.m, self.m
-        return self.m, math.inf
+        # a convex kink has no finite upper curvature, a concave one no lower
+        return (self.m, math.inf) if self.a > 0.0 else (-math.inf, self.m)
 
 
 Family = Union[Quadratic, MaxOfQuadratics, AbsPlusQuadratic]
@@ -140,24 +141,28 @@ def _as_vec(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
-def subgradient_interval(spec: FunctionSpec, x) -> tuple:
-    """One-sided derivative range [lo, hi] at a 1D point."""
-    fam = spec.family
-    t = float(_as_vec(x)[0])
+def _value_interval(fam: Family, t: float) -> tuple:
+    """(value, lo, hi): value and one-sided derivative range at a 1D point."""
     if isinstance(fam, Quadratic):
         g = fam.c[0] * t + fam.b[0]
-        return g, g
+        return 0.5 * fam.c[0] * t * t + fam.b[0] * t, g, g
     if isinstance(fam, AbsPlusQuadratic):
+        val = fam.a * abs(t) + 0.5 * fam.m * t * t + fam.b * t
         base = fam.m * t + fam.b
         if t == 0.0:
-            return base - fam.a, base + fam.a
-        return base + math.copysign(fam.a, t), base + math.copysign(fam.a, t)
+            return val, base - fam.a, base + fam.a
+        return val, base + math.copysign(fam.a, t), base + math.copysign(fam.a, t)
     vals = [0.5 * c * t * t + b * t + a for c, b, a in fam.pieces]
     top = max(vals)
     scale = max(1.0, abs(top))
     grads = [c * t + b for (c, b, a), v in zip(fam.pieces, vals)
              if top - v <= KINK_TOL * scale]
-    return min(grads), max(grads)
+    return top, min(grads), max(grads)
+
+
+def subgradient_interval(spec: FunctionSpec, x) -> tuple:
+    """One-sided derivative range [lo, hi] at a 1D point."""
+    return _value_interval(spec.family, float(_as_vec(x)[0]))[1:]
 
 
 def kink_policy(policy: Policy) -> Policy:
@@ -195,12 +200,7 @@ def evaluate(spec: FunctionSpec, x, policy: Policy = "least_norm") -> OracleAnsw
         b = np.asarray(fam.b)
         val = float(np.sum(0.5 * c * v * v + b * v))
         return OracleAnswer(val, c * v + b)
-    t = float(v[0])
-    if isinstance(fam, AbsPlusQuadratic):
-        val = fam.a * abs(t) + 0.5 * fam.m * t * t + fam.b * t
-    else:
-        val = max(0.5 * c * t * t + b * t + a for c, b, a in fam.pieces)
-    lo, hi = subgradient_interval(spec, x)
+    val, lo, hi = _value_interval(fam, float(v[0]))
     return OracleAnswer(val, np.array([_pick(lo, hi, policy)]))
 
 

@@ -6,11 +6,11 @@ import pytest
 from dcrates.certificates import (MissingFstar, certificate_report,
                                   check_nonsmooth_rate, check_one_step,
                                   check_rate, replay_proof_combination)
-from dcrates.curvature import Curvature
+from dcrates.curvature import Curvature, InvalidParams
 from dcrates.engine import run_dca
 from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, MaxOfQuadratics,
                              Quadratic, make_instance)
-from dcrates.regimes import PreconditionViolated
+from dcrates.regimes import BothNonsmooth, PreconditionViolated
 
 INF = math.inf
 
@@ -121,6 +121,34 @@ def test_precondition_violation_raises():
     traj = run_dca(inst, np.array([1.0]), 1)
     with pytest.raises(PreconditionViolated):
         check_one_step(traj)
+
+
+@pytest.mark.parametrize("k", [-1, 2])
+def test_step_index_outside_trajectory_raises(k):
+    traj = run_dca(halving_instance(), np.array([1.0]), 2)
+    assert traj.n_steps == 2
+    for check in (check_one_step, replay_proof_combination):
+        with pytest.raises(InvalidParams, match="trajectory has no step %d" % k):
+            check(traj, k)
+
+
+@pytest.mark.parametrize("case", ["invalid", "precondition", "both_nonsmooth"])
+def test_replay_and_rate_refuse_what_the_regime_gate_refuses(case):
+    """replay_proof_combination and check_rate are gated by the regime
+    classification they start with."""
+    if case == "invalid":      # f1 declares mu = L
+        inst = quad_instance(2.0, Curvature(2.0, 2.0), 1.0, Curvature(0.5, 1.5))
+        exc = InvalidParams
+    elif case == "precondition":       # mu1 + mu2 < 0
+        inst = quad_instance(1.0, Curvature(0.5, 2.0), -2.0, Curvature(-2.5, 1.0))
+        exc = PreconditionViolated
+    else:
+        inst, exc = nonsmooth_instance(+1), BothNonsmooth
+    traj = run_dca(inst, np.array([1.0]), 2)
+    with pytest.raises(exc):
+        replay_proof_combination(traj, 0)
+    with pytest.raises(exc):
+        check_rate(traj)
 
 
 def test_linear_regime_warning_flag():

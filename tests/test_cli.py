@@ -9,11 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dcrates.cli import main
 from dcrates.curvature import Curvature
 from dcrates.interpolation import sample_triplets, triplets_to_json
-from dcrates.engine import t_measure
+from dcrates.engine import LINK_TOL, t_measure
 from dcrates.regimes import GridSpec, regime_map
 from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, Quadratic,
                              evaluate, instance_from_json, instance_to_json,
@@ -258,6 +259,78 @@ def test_false_declared_class_exit_1(tmp_path, capsys):
                    "declared L=0.1\n" % path)
 
 
+@pytest.mark.parametrize("position", ["f1", "f2"])
+def test_concave_kink_term_exit_1(tmp_path, capsys, position):
+    """abs_quadratic with a < 0 has no finite lower curvature, whatever it
+    declares: as f1 the run used to end in a bare AssertionError, as f2 it
+    was certified against the false class (exit 2)."""
+    quad = {"family": "quadratic", "c": [1], "b": [0], "mu": 1, "L": 1.5}
+    kink = {"family": "abs_quadratic", "a": -1, "m": 2, "b": 0, "mu": 2,
+            "L": "inf"}
+    if position == "f2":
+        quad = {"family": "quadratic", "c": [2], "b": [0], "mu": 1.5, "L": 2.5}
+        kink = dict(kink, a=-2.5, m=1, mu=1)
+    body = {"f1": kink, "f2": quad} if position == "f1" else {"f1": quad, "f2": kink}
+    path = tmp_path / "kink.json"
+    path.write_text(json.dumps(body))
+    assert main(["run", "--instance", str(path), "--x0", "0", "--N", "3",
+                 "--certify"]) == 1
+    assert capsys.readouterr().err == (
+        "error: %s: %s: declared mu=%r exceeds actual lower curvature -inf\n"
+        % (path, position, float(kink["mu"])))
+
+
+_NUM = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]),
+                 st.floats(allow_nan=False, allow_infinity=False))
+_FAMILY = st.one_of(
+    st.lists(st.tuples(_NUM, _NUM), min_size=1, max_size=2).map(
+        lambda cb: {"family": "quadratic", "c": [c for c, _ in cb],
+                    "b": [b for _, b in cb]}),
+    st.lists(st.tuples(_NUM, _NUM, _NUM), min_size=1, max_size=3).map(
+        lambda pieces: {"family": "max_quadratics", "pieces": pieces}),
+    st.tuples(_NUM, _NUM, _NUM).map(
+        lambda amb: dict(zip("amb", amb), family="abs_quadratic")))
+# a declared class, or None for the one the coefficients suggest
+_DECLARED = st.one_of(st.none(), st.tuples(_NUM, st.one_of(st.just("inf"), _NUM)))
+_POLICY = st.one_of(st.sampled_from(["leftmost", "rightmost", "least_norm"]),
+                    st.floats(0.0, 1.0).map(repr))
+
+
+def _term(fam, declared):
+    """The term's JSON; with declared None, mu is the smallest curvature
+    coefficient and L is 1 above the largest, or inf at a possible kink."""
+    if declared is None:
+        if fam["family"] == "quadratic":
+            declared = min(fam["c"]), max(fam["c"]) + 1.0
+        elif fam["family"] == "max_quadratics":
+            cs = [p[0] for p in fam["pieces"]]
+            declared = min(cs), (cs[0] + 1.0 if len(cs) == 1 else "inf")
+        else:
+            declared = fam["m"], (fam["m"] + 1.0 if fam["a"] == 0.0 else "inf")
+    return dict(fam, mu=declared[0], L=declared[1])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.tuples(_FAMILY, _DECLARED), st.tuples(_FAMILY, _DECLARED),
+       st.one_of(st.none(), _NUM), st.lists(_NUM, min_size=1, max_size=2),
+       _POLICY, st.integers(1, 6))
+def test_run_certify_fuzzed_instance_keeps_exit_contract(
+        tmp_path, capsys, t1, t2, fstar, x0, policy, N):
+    """Any instance file ends in exit 0, 1 or 2, with `error: ` on 1, and
+    never in an exception out of main."""
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps({"f1": _term(*t1), "f2": _term(*t2),
+                                "Fstar": fstar}))
+    capsys.readouterr()
+    code = main(["run", "--instance", str(path), "--x0",
+                 ",".join(map(repr, x0)), "--N", str(N), "--policy", policy,
+                 "--certify"])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def _with_declared(instance_file, tmp_path, mu1):
     d = json.loads(open(instance_file).read())
     assert "declared" not in d
@@ -439,6 +512,26 @@ def test_certify_untampered_matches_run_certify(tmp_path, instance_file, case):
                  *extra[2:]])
     assert code in (0, 2)
     assert cert_rep.read_bytes() == run_rep.read_bytes()
+
+
+def test_certify_refuses_g2_off_the_gradient_in_euclidean_distance(tmp_path,
+                                                                   capsys):
+    """Both coordinates of the last point's g2 move by 0.8 pad: inside a
+    per-coordinate box of half-width pad around the gradient, but 0.8 sqrt(2)
+    pad from it.  The stored G_norm_sq is rewritten to match."""
+    traj = _run_to_file(tmp_path, _quad2_instance(tmp_path), "1.0,-2.0")
+    body = json.loads(traj.read_text())
+    p = body["points"][-1]
+    g1, g2 = np.array(p["g1"]), np.array(p["g2"])
+    g2 = g2 + 0.8 * LINK_TOL * max(1.0, float(np.linalg.norm(g2)))
+    p["g2"] = g2.tolist()
+    p["G_norm_sq"] = float(np.sum((g1 - g2) ** 2))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(body))
+    capsys.readouterr()
+    assert main(["certify", "--traj", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: %s: step %d: g2 = " % (bad, p["k"]))
 
 
 def test_cli_import_leaves_scipy_unloaded():
