@@ -114,7 +114,6 @@ class RatePrediction:
 
 
 def check_rate(traj: Trajectory, fstar: Optional[float] = None,
-               require_fstar: bool = False,
                tol: float = SLACK_TOL) -> Tuple[RatePrediction, float, bool]:
     """N-step certificate: (prediction, observed half min grad gap, holds)."""
     params = traj.instance.params
@@ -131,8 +130,6 @@ def check_rate(traj: Trajectory, fstar: Optional[float] = None,
     if fstar is not None and params.L1 > params.mu2:
         extra = 0.0 if math.isinf(params.L1) else 1.0 / (params.L1 - params.mu2)
         bound_star = (F0 - fstar) / (p * N + extra)
-    elif require_fstar and fstar is None:
-        raise MissingFstar("no lower bound supplied for the F* variant")
     pred = RatePrediction(bound, bound_star, p, N, regime.index in (7, 8))
     observed = 0.5 * traj.min_grad_gap_sq()
     holds = observed <= bound + tol

@@ -114,12 +114,12 @@ def check_interpolation(triplets, cls: Curvature, tol: float = DEFAULT_TOL,
                         bool(np.min(eff[off]) >= -tol), tol)
 
 
-def sample_triplets(spec, xs, policy="least_norm") -> list:
+def sample_triplets(spec, xs) -> list:
     """Exact triplets of a function family at the given points."""
     from .oracles import evaluate
     out = []
     for x in xs:
-        a = evaluate(spec, x, policy)
+        a = evaluate(spec, x)
         out.append(make_triplet(x, a.subgradient, a.value))
     return out
 

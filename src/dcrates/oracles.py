@@ -153,6 +153,9 @@ def _value_interval(fam: Family, t: float) -> tuple:
             return val, base - fam.a, base + fam.a
         return val, base + math.copysign(fam.a, t), base + math.copysign(fam.a, t)
     vals = [0.5 * c * t * t + b * t + a for c, b, a in fam.pieces]
+    if not all(map(math.isfinite, vals)):
+        raise InvalidParams("max_quadratics values %r at x = %r are not finite "
+                            "(past the float range)" % (vals, t))
     top = max(vals)
     scale = max(1.0, abs(top))
     grads = [c * t + b for (c, b, a), v in zip(fam.pieces, vals)
@@ -198,10 +201,14 @@ def evaluate(spec: FunctionSpec, x, policy: Policy = "least_norm") -> OracleAnsw
     if isinstance(fam, Quadratic):
         c = np.asarray(fam.c)
         b = np.asarray(fam.b)
-        val = float(np.sum(0.5 * c * v * v + b * v))
-        return OracleAnswer(val, c * v + b)
-    val, lo, hi = _value_interval(fam, float(v[0]))
-    return OracleAnswer(val, np.array([_pick(lo, hi, policy)]))
+        val, g = float(np.sum(0.5 * c * v * v + b * v)), c * v + b
+    else:
+        val, lo, hi = _value_interval(fam, float(v[0]))
+        g = np.array([_pick(lo, hi, policy)])
+    if not all(map(math.isfinite, [val] + g.tolist())):
+        raise InvalidParams("value %r or subgradient %r at x = %r is not finite "
+                            "(past the float range)" % (val, g.tolist(), v.tolist()))
+    return OracleAnswer(val, g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Worst-case search over algorithm-consistent, interpolation-feasible data.
 
-The search space is the discrete data of N steps: points x^k, subgradients
-g1^k and g2^k with the link g1^{k+1} = g2^k enforced by substitution
-(g1 is stored only at k = 0).  Function values are eliminated exactly: the
-interpolation inequalities are difference constraints f^i - f^j >= c_ij, so
-the minimal feasible decrease f^0 - f^N equals the longest-path weight from
-0 to N in the constraint graph (max-plus Floyd-Warshall; a positive cycle
-means the (x, g) data is infeasible for the class).  The search therefore
-maximizes
+The search space is the discrete data of N steps: points x^k and one
+gradient block W with g1^k = W[k] and g2^k = W[k+1], so the link
+g1^{k+1} = g2^k holds by construction.  Function values are eliminated
+exactly: the interpolation inequalities are difference constraints
+f^i - f^j >= c_ij, so the minimal feasible decrease f^0 - f^N equals the
+longest-path weight from 0 to N in the constraint graph (max-plus
+Floyd-Warshall; a positive cycle means the (x, g) data is infeasible for
+the class).  The search therefore maximizes
 
     ratio(x, g) = (1/2) min_k ||g1^k - g2^k||^2 / D(x, g),
 
@@ -31,6 +31,8 @@ from .regimes import (DenominatorZero, asymptotic_constants, equality_gammas,
                       one_step_certificate)
 
 FEAS_TOL = 1e-7
+# a best ratio above the certified bound by more than this is a violation
+CERT_ALLOWANCE = 1e-6
 _CYCLE_TOL = 1e-11
 _D_FLOOR = 1e-13
 
@@ -49,14 +51,17 @@ def minimize(*args, **kwargs):
 @dataclass(frozen=True)
 class PepVariables:
     x: np.ndarray       # (N+1, d)
-    g1: np.ndarray      # (N+1, d), rows 1..N equal g2 rows 0..N-1
-    g2: np.ndarray      # (N+1, d)
+    W: np.ndarray       # (N+2, d): g1 = W[:-1], g2 = W[1:]
     f1: np.ndarray      # (N+1,)
     f2: np.ndarray      # (N+1,)
 
     @property
-    def N(self) -> int:
-        return self.x.shape[0] - 1
+    def g1(self) -> np.ndarray:
+        return self.W[:-1]
+
+    @property
+    def g2(self) -> np.ndarray:
+        return self.W[1:]
 
     def gaps_sq(self) -> np.ndarray:
         return np.sum((self.g1 - self.g2) ** 2, axis=1)
@@ -74,6 +79,9 @@ class PepVariables:
 
 @dataclass(frozen=True)
 class ProbeResult:
+    """gap = certified_bound - best_ratio.  A witness is feasible only within
+    FEAS_TOL, so gap may be negative by up to CERT_ALLOWANCE; beyond that,
+    certificate_violation is set.  budget_exhausted means evals >= budget."""
     best_ratio: float
     certified_bound: float
     gap: float
@@ -102,14 +110,13 @@ def _longest_paths(c: np.ndarray) -> np.ndarray:
 def _assemble_one_step(params: DcParams, gamma: float, gamma_plus: float) -> PepVariables:
     # x0 = 1, x1 = 0, g2^0 = 0 (so g1^1 = 0), G = gamma, G+ = gamma_plus
     x = np.array([[1.0], [0.0]])
-    g1 = np.array([[gamma], [0.0]])
-    g2 = np.array([[0.0], [-gamma_plus]])
+    W = np.array([[gamma], [0.0], [-gamma_plus]])
     dx = np.array([1.0])
     r1 = pair_lower_bound(params.f1, dx, np.array([gamma]))
     r2 = pair_lower_bound(params.f2, dx, np.array([gamma_plus]))
     f1 = np.array([r1, 0.0])
     f2 = np.array([-r2, 0.0])
-    return PepVariables(x, g1, g2, f1, f2)
+    return PepVariables(x, W, f1, f2)
 
 
 def extremal_instance(regime_index: int, params: DcParams) -> PepVariables:
@@ -148,9 +155,18 @@ def extremal_instance(regime_index: int, params: DcParams) -> PepVariables:
 # ---------------------------------------------------------------------------
 # the search itself
 
+def _pack(x: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The search vector: the rows of x, then the rows of W."""
+    return np.concatenate([x.ravel(), W.ravel()])
+
+
+def _unpack(z: np.ndarray, N: int, d: int) -> tuple:
+    n = N + 1
+    return z[:n * d].reshape(n, d), z[n * d:].reshape(n + 1, d)
+
+
 class _Objective:
-    """The search vector z packs x (n rows), then g1^0 and g2 (n rows): one
-    gradient block W with g1 = W[:-1] and g2 = W[1:].  Both classes' pair
+    """Ratio and merit of a search vector (see _pack).  Both classes' pair
     matrices and longest paths are computed as one (2, n, n) stack."""
 
     def __init__(self, params: DcParams, N: int, d: int):
@@ -163,19 +179,17 @@ class _Objective:
         self._diag = slice(None, None, n + 1)   # of a flattened (n, n)
 
     def parts(self, z: np.ndarray):
-        n = self.N + 1
-        x = z[:n * self.d].reshape(n, self.d)
-        W = z[n * self.d:].reshape(n + 1, self.d)
+        x, W = _unpack(z, self.N, self.d)
         dist = _longest_paths(pair_matrix(x, W[self._rows], self._classes))
         cyc = dist.reshape(2, -1)[:, self._diag].max(1)
         gap = W[:-1] - W[1:]
         num = 0.5 * float((gap * gap).sum(axis=1).min())
         D = float(dist[0, 0, -1] + dist[1, -1, 0])
-        return num, D, max(float(cyc[0]), float(cyc[1])), (dist, x, W)
+        return num, D, max(float(cyc[0]), float(cyc[1]))
 
     def ratio(self, z: np.ndarray) -> float:
         self.evals += 1
-        num, D, cyc, _ = self.parts(z)
+        num, D, cyc = self.parts(z)
         if cyc > _CYCLE_TOL:
             return -1e3 * (1.0 + cyc)
         if D < _D_FLOOR:
@@ -186,20 +200,19 @@ class _Objective:
         """Continuous merit for the local search: the hard feasibility wall
         is replaced by a linear penalty so the simplex can slide along it."""
         self.evals += 1
-        num, D, cyc, _ = self.parts(z)
+        num, D, cyc = self.parts(z)
         val = num / D if D >= _D_FLOOR else D - _D_FLOOR
         return -(val - 1e3 * max(cyc, 0.0))
 
     def witness(self, z: np.ndarray) -> Optional[PepVariables]:
-        num, D, cyc, (_, x, W) = self.parts(z)
+        num, D, cyc = self.parts(z)
         if cyc > _CYCLE_TOL or D < _D_FLOOR:
             return None
         s = 1.0 / math.sqrt(D)   # ratio is invariant; normalize D to 1
-        x, W = s * x, s * W
+        x, W = (s * v for v in _unpack(z, self.N, self.d))
         dist = _longest_paths(pair_matrix(x, W[self._rows], self._classes))
         # potentials: f1^j = -dist1(0, j), f2^j = -dist2(N, j)
-        return PepVariables(x, W[:-1].copy(), W[1:].copy(), -dist[0, 0, :],
-                            -dist[1, -1, :])
+        return PepVariables(x, W, -dist[0, 0, :], -dist[1, -1, :])
 
 
 def _chain_start(gamma: float, N: int, d: int) -> np.ndarray:
@@ -207,35 +220,21 @@ def _chain_start(gamma: float, N: int, d: int) -> np.ndarray:
     ks = np.arange(N + 1, dtype=float)
     x = np.zeros((N + 1, d))
     x[:, 0] = N - ks
-    g2 = np.zeros((N + 1, d))
-    g2[:, 0] = -ks * gamma
-    g1_0 = np.zeros(d)
-    g1_0[0] = gamma
-    return np.concatenate([x.ravel(), g1_0, g2.ravel()])
+    W = np.zeros((N + 2, d))
+    W[0, 0] = gamma
+    W[1:, 0] = -ks * gamma
+    return _pack(x, W)
 
 
-def _pack_witness(w: PepVariables, d: Optional[int] = None) -> np.ndarray:
-    """Flatten a witness to a search vector, zero-padding to dimension d."""
-    x, g1, g2 = w.x, w.g1, w.g2
-    if d is not None and d > x.shape[1]:
-        pad = ((0, 0), (0, d - x.shape[1]))
-        x = np.pad(x, pad)
-        g1 = np.pad(g1, pad)
-        g2 = np.pad(g2, pad)
-    return np.concatenate([x.ravel(), g1[0], g2.ravel()])
-
-
-def _resample_chain(z_prev: np.ndarray, N_prev: int, N: int, d: int) -> np.ndarray:
-    """Stretch a previous witness onto a finer iteration grid (warm start)."""
-    n_prev = N_prev + 1
-    x = z_prev[:n_prev * d].reshape(n_prev, d)
-    g1_0 = z_prev[n_prev * d:(n_prev + 1) * d]
-    g2 = z_prev[(n_prev + 1) * d:].reshape(n_prev, d)
-    t_old = np.linspace(0.0, 1.0, n_prev)
+def _stretch(w: PepVariables, N: int, d: int) -> np.ndarray:
+    """Warm start from a witness: x and g2 interpolated onto N steps, g1^0
+    kept, zero-padded to dimension d (the identity at the witness's N, d)."""
+    t_old = np.linspace(0.0, 1.0, w.x.shape[0])
     t_new = np.linspace(0.0, 1.0, N + 1)
-    xi = np.column_stack([np.interp(t_new, t_old, x[:, j]) for j in range(d)])
-    gi = np.column_stack([np.interp(t_new, t_old, g2[:, j]) for j in range(d)])
-    return np.concatenate([xi.ravel(), g1_0, gi.ravel()])
+    pad = ((0, 0), (0, d - w.x.shape[1]))
+    x, g2 = (np.pad(np.column_stack([np.interp(t_new, t_old, col) for col in a.T]),
+                    pad) for a in (w.x, w.g2))
+    return _pack(x, np.vstack([np.pad(w.W[:1], pad), g2]))
 
 
 def probe(params: DcParams, N: int = 1, d: int = 1, budget: int = 200000,
@@ -254,69 +253,56 @@ def probe(params: DcParams, N: int = 1, d: int = 1, budget: int = 200000,
     certified = 1.0 / (cert.p * N)
     obj = _Objective(params, N, d)
     rng = np.random.default_rng(seed)
-    nz = (N + 1) * d + d + (N + 1) * d
+    nz = (2 * N + 3) * d
 
-    inits, kinds = [], []
+    inits = []     # (start vector, kind)
     if init is not None:
         z = np.asarray(init, dtype=float)
         if z.shape != (nz,):
             raise ValueError("init must be a vector of (2N + 3) d = %d entries, "
                              "got shape %r" % (nz, z.shape))
-        inits.append(z)
-        kinds.append("init")
+        inits.append((z, "init"))
     if warm:
         gamma = equality_gammas(cert.index, params)[0][0]
         if math.isfinite(gamma):    # not so when the L it involves is inf
-            inits.append(_chain_start(gamma, N, d))
-            kinds.append("chain")
+            inits.append((_chain_start(gamma, N, d), "chain"))
         try:
-            ez = _pack_witness(extremal_instance(cert.index, params), d)
-            inits.append(ez if N == 1 else _resample_chain(ez, 1, N, d))
-            kinds.append("extremal")
+            inits.append((_stretch(extremal_instance(cert.index, params), N, d),
+                          "extremal"))
         except InfeasibleConstruction:
             pass
     while len(inits) < starts:
         z = rng.normal(size=nz)
-        scale = 10.0 ** rng.uniform(-1, 1)
-        inits.append(scale * z)
-        kinds.append("random")
+        inits.append((10.0 ** rng.uniform(-1, 1) * z, "random"))
 
     restarts = 4
     per_chunk = max(0, budget // (max(1, len(inits)) * restarts))
+
+    def search(z):
+        return minimize(obj.neg_smooth, z, method="Nelder-Mead",
+                        options={"maxfev": min(per_chunk, budget - obj.evals),
+                                 "xatol": 1e-13, "fatol": 1e-15,
+                                 "adaptive": True}).x
+
     best = (-math.inf, -1, None)     # (ratio, start index, z)
-    exhausted = False
-    for idx, z0 in enumerate(inits):
-        z = z0.copy()
-        r = obj.ratio(z)
-        if r > best[0]:
-            best = (r, idx, z.copy())
+    for idx, (z, _) in enumerate(inits):
+        best = max(best, (obj.ratio(z), idx, z), key=lambda b: b[0])
         for _ in range(restarts):
             if per_chunk == 0 or obj.evals >= budget:
                 break
-            res = minimize(obj.neg_smooth, z, method="Nelder-Mead",
-                           options={"maxfev": min(per_chunk,
-                                                  budget - obj.evals),
-                                    "xatol": 1e-13, "fatol": 1e-15,
-                                    "adaptive": True})
-            z = res.x
-        r = obj.ratio(z)
-        if r > best[0]:
-            best = (r, idx, z.copy())
+            z = search(z)
+        best = max(best, (obj.ratio(z), idx, z), key=lambda b: b[0])
         if obj.evals >= budget:
-            exhausted = True
             break
     # polish the champion with whatever budget remains
     while best[2] is not None and obj.evals < budget and per_chunk > 0:
-        res = minimize(obj.neg_smooth, best[2], method="Nelder-Mead",
-                       options={"maxfev": min(per_chunk, budget - obj.evals),
-                                "xatol": 1e-13, "fatol": 1e-15,
-                                "adaptive": True})
-        r = obj.ratio(res.x)
+        z = search(best[2])
+        r = obj.ratio(z)
         if r <= best[0]:
             break
-        best = (r, best[1], res.x.copy())
+        best = (r, best[1], z)
 
-    ratio = max(best[0], 0.0) if best[0] > -1.0 else 0.0
+    ratio = max(best[0], 0.0)
     witness = obj.witness(best[2]) if best[2] is not None else None
     feas = None
     if witness is not None:
@@ -326,10 +312,10 @@ def probe(params: DcParams, N: int = 1, d: int = 1, budget: int = 200000,
                                     FEAS_TOL, scale_aware=True))
         if not (feas[0].feasible and feas[1].feasible):
             witness, feas, ratio = None, None, 0.0
-    violation = ratio > certified + 1e-6
-    best_start = None if best[2] is None else (best[1], kinds[best[1]])
+    violation = ratio > certified + CERT_ALLOWANCE
+    best_start = None if best[2] is None else (best[1], inits[best[1]][1])
     return ProbeResult(ratio, certified, certified - ratio, witness, feas,
-                       exhausted, violation, obj.evals, best_start,
+                       obj.evals >= budget, violation, obj.evals, best_start,
                        time.perf_counter() - t_start)
 
 
@@ -343,14 +329,11 @@ def ratio_trend(params: DcParams, Ns, d: int = 1, budget: int = 200000,
     results = {}
     prev = None
     for N in Ns:
-        init = None
-        if prev is not None:
-            z_prev, N_prev = prev
-            init = _resample_chain(z_prev, N_prev, N, d)
+        init = None if prev is None else _stretch(prev, N, d)
         r = probe(params, N, d, budget, seed, starts, warm=True, init=init)
         results[N] = r
         if r.witness is not None:
-            prev = (_pack_witness(r.witness), N)
+            prev = r.witness
     xs = np.array([N for N in Ns if results[N].best_ratio > 0.0], dtype=float)
     ys = np.array([1.0 / results[N].best_ratio for N in xs.astype(int)])
     a, b = (np.polyfit(xs, ys, 1) if xs.size >= 2 else (math.nan, math.nan))

@@ -20,10 +20,10 @@ ANCHORS = {i + k: p.swapped() if k else p
            for i, p in _ODD_ANCHORS.items() for k in (0, 1)}
 
 
-def jitter_params(anchor, target_index, rng, scale=0.03, tries=200):
+def jitter_params(anchor, target_index, rng, scale=0.03):
     """Parameters within a relative `scale` of `anchor` that classify into
     regime `target_index`, by rejection sampling."""
-    for _ in range(tries):
+    for _ in range(200):
         vals = []
         for v in (anchor.mu1, anchor.L1, anchor.mu2, anchor.L2):
             base = abs(v) if v != 0.0 else 0.5

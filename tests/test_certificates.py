@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dcrates.certificates import (MissingFstar, certificate_report,
-                                  check_nonsmooth_rate, check_one_step,
-                                  check_rate, replay_proof_combination)
+from dcrates.certificates import (certificate_report, check_nonsmooth_rate,
+                                  check_one_step, check_rate,
+                                  replay_proof_combination)
 from dcrates.curvature import Curvature, InvalidParams
 from dcrates.engine import run_dca
 from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, MaxOfQuadratics,
@@ -108,12 +108,6 @@ def test_rate_with_fstar_variant():
     expect = (traj.points[0].F - 0.0) / (pred.p_used * 3 + extra)
     assert pred.bound_with_fstar == pytest.approx(expect)
     assert holds
-
-
-def test_rate_missing_fstar_raises():
-    traj = run_dca(halving_instance(), np.array([1.0]), 1)
-    with pytest.raises(MissingFstar):
-        check_rate(traj, require_fstar=True)
 
 
 def test_precondition_violation_raises():

@@ -259,6 +259,23 @@ def test_false_declared_class_exit_1(tmp_path, capsys):
                    "declared L=0.1\n" % path)
 
 
+@pytest.mark.parametrize("f1, x0", [
+    # x^2/2 at 1e200: the value overflows, and F was inf - inf = nan (exit 2)
+    ({"family": "quadratic", "c": [1.0], "b": [0.0], "mu": 0.5, "L": 2},
+     "1e200"),
+    # b x = -inf at a finite x: max() of the piece values was empty
+    ({"family": "max_quadratics", "pieces": [[1e-15, 1.797e308, 1]],
+      "mu": 1e-15, "L": 1}, "-2.2e92")], ids=["quadratic", "max_quadratics"])
+def test_value_past_float_range_exit_1(tmp_path, capsys, f1, x0):
+    f2 = {"family": "quadratic", "c": [0.5], "b": [0.0], "mu": 0, "L": 1}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"f1": f1, "f2": f2}))
+    assert main(["run", "--instance", str(path), "--x0", x0, "--N", "2",
+                 "--certify"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "inf" in err and "not finite" in err
+
+
 @pytest.mark.parametrize("position", ["f1", "f2"])
 def test_concave_kink_term_exit_1(tmp_path, capsys, position):
     """abs_quadratic with a < 0 has no finite lower curvature, whatever it

@@ -7,8 +7,8 @@ import pytest
 from dcrates.cli import main
 from dcrates.curvature import make_params
 from dcrates.interpolation import check_interpolation, make_triplet, pair_matrix
-from dcrates.probe import (FEAS_TOL, InfeasibleConstruction, _Objective,
-                           extremal_instance, probe, ratio_trend)
+from dcrates.probe import (CERT_ALLOWANCE, FEAS_TOL, InfeasibleConstruction,
+                           _Objective, extremal_instance, probe, ratio_trend)
 from dcrates.regimes import classify, equality_gammas
 
 INF = math.inf
@@ -124,6 +124,28 @@ def test_probe_never_exceeds_certificate():
                   seed=int(rng.integers(100)), starts=4)
         assert r.best_ratio <= r.certified_bound + 1e-6
         assert not r.certificate_violation
+
+
+def test_budget_exhausted_counts_the_polish_loop():
+    # the start loop ends under budget here, and the polish loop spends the rest
+    r = probe(REGIME_POINTS[1], N=2, d=1, budget=2000, seed=0, starts=3)
+    assert r.evals >= 2000 and r.budget_exhausted
+    for budget, starts in ((3000, 4), (100, 2), (5, 2)):
+        r = probe(REGIME_POINTS[1], N=1, d=1, budget=budget, seed=7,
+                  starts=starts)
+        assert r.budget_exhausted == (r.evals >= budget)
+    assert not r.budget_exhausted     # 5 evals leave no Nelder-Mead chunk
+
+
+def test_ratio_within_allowance_above_bound_is_no_violation():
+    """The witness is feasible within FEAS_TOL, so its ratio may exceed the
+    certified bound by rounding; only more than CERT_ALLOWANCE is a violation."""
+    r = probe(make_params(1.0, 10.0, -0.5, INF), N=1, d=1, budget=20000,
+              seed=0, starts=8)
+    assert r.gap == r.certified_bound - r.best_ratio
+    assert r.gap < 0.0 and -r.gap <= CERT_ALLOWANCE
+    assert not r.certificate_violation
+    assert r.feasibility[0].feasible and r.feasibility[1].feasible
 
 
 def test_probe_rejects_large_problems():
