@@ -146,8 +146,16 @@ def cmd_certify(args) -> int:
 
 
 def cmd_interp_check(args) -> int:
+    cls = Curvature(args.mu, args.L)
+    violations = cls.violations("class")
+    if violations:
+        raise InvalidParams("; ".join(violations))
     triplets = _load(args.triplets, triplets_from_json)
-    rep = check_interpolation(triplets, Curvature(args.mu, args.L), args.tol)
+    rep = check_interpolation(triplets, cls, args.tol)
+    nonfinite = rep.slack[~np.isfinite(rep.slack)]
+    if nonfinite.size:
+        raise ValueError("%s: slack %r is not finite (past the float range)"
+                         % (args.triplets, float(nonfinite[0])))
     _emit({"feasible": rep.feasible, "min_slack": rep.min_slack,
            "tol": rep.tol, "n_points": len(triplets)}, args.out)
     return EXIT_OK if rep.feasible else EXIT_CHECK_FAILED
@@ -298,12 +306,18 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(
             _merge_value_flags(sys.argv[1:] if argv is None else argv))
-        return args.fn(args)
-    # ArithmeticError: numbers past the float range the regime formulas use
+        # numpy's overflow warnings would precede the error line; the library
+        # checks finiteness itself and says so
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (NoRegime, InconsistentBoundary, PreconditionViolated, MissingFstar,
-            OSError, ValueError, ArithmeticError) as exc:
+            OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    except ArithmeticError as exc:
+        print("error: %s: the declared curvatures are past what the regime "
+              "and interpolation formulas can evaluate (about 1e-154 to "
+              "1e154)" % exc, file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

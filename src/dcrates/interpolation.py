@@ -8,11 +8,24 @@ curvature mu and upper curvature L iff for every ordered pair (i, j)
          + mu/(2L(L-mu)) ||g_i - g_j - L (x_i - x_j)||^2,
 
 with the L = inf limit   f_i - f_j - <g_j, x_i - x_j> >= mu/2 ||x_i - x_j||^2.
+
+Both cases are one expression in four per-class coefficients (a, b, p, q):
+with s = p dg and r = s - q dx, the right-hand side is
+
+    ||s||^2 / a + b ||r||^2,
+
+(a, b, p, q) = (2L, mu/(2L(L-mu)), 1, L) for finite L and (inf, mu/2, 0, -1)
+for L = inf, where s = 0 and r = dx exactly (s, not dg, enters the first
+term, so an L = inf class never squares dg).  For a stack of k classes each
+coefficient is an array with one entry per class, so k gradient sets at the
+same points are bounded in one broadcast pass (pair_matrix), each with its
+own class, by the same arithmetic as one class on its own.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -45,26 +58,42 @@ class InterpReport:
     tol: float
 
 
-def _lower_bound(cls, dx: np.ndarray, dg: np.ndarray):
-    """Right-hand side of the inequality for differences dx = x_i - x_j,
-    dg = g_i - g_j, summed over the last axis: one pair or a grid of pairs.
+class BoundCoefficients(NamedTuple):
+    """The (a, b, p, q) of the module docstring.  Floats for one class; for
+    a sequence of k classes, arrays shaped to broadcast over a stack of k
+    pair grids: a and b over the (k, n, n) sums, p and q over the (k, n, n, d)
+    differences."""
+    a: Any
+    b: Any
+    p: Any
+    q: Any
 
-    cls may also be a sequence of classes, one per leading entry of a stacked
-    dg that shares dx; each entry is then bounded with its own class.
-    """
+
+def bound_coefficients(cls) -> BoundCoefficients:
+    """Coefficients of one Curvature or of a sequence of them (a stack)."""
     if not isinstance(cls, Curvature):
-        return np.stack([_lower_bound(c, dx, g) for c, g in zip(cls, dg)])
+        a, b, p, q = np.array([bound_coefficients(c) for c in cls]).T
+        return BoundCoefficients(a[:, None, None], b[:, None, None],
+                                 p[:, None, None, None], q[:, None, None, None])
     mu, L = cls.mu, cls.L
     if math.isinf(L):
-        return 0.5 * mu * (dx * dx).sum(-1)
-    r = dg - L * dx
-    return ((dg * dg).sum(-1) / (2.0 * L)
-            + mu / (2.0 * L * (L - mu)) * (r * r).sum(-1))
+        return BoundCoefficients(L, mu / 2.0, 0.0, -1.0)
+    return BoundCoefficients(2.0 * L, mu / (2.0 * L * (L - mu)), 1.0, L)
+
+
+def _lower_bound(coef: BoundCoefficients, dx: np.ndarray, dg: np.ndarray):
+    """Right-hand side of the inequality for differences dx = x_i - x_j,
+    dg = g_i - g_j, summed over the last axis: one pair, a grid of pairs,
+    or a stack of grids with one class each (see bound_coefficients)."""
+    a, b, p, q = coef
+    s = p * dg
+    r = s - q * dx
+    return np.add.reduce(s * s, -1) / a + b * np.add.reduce(r * r, -1)
 
 
 def pair_lower_bound(cls: Curvature, dx: np.ndarray, dg: np.ndarray) -> float:
     """Right-hand side of the inequality for one pair."""
-    return float(_lower_bound(cls, dx, dg))
+    return float(_lower_bound(bound_coefficients(cls), dx, dg))
 
 
 def pair_slack(cls: Curvature, ti: Triplet, tj: Triplet) -> float:
@@ -73,15 +102,18 @@ def pair_slack(cls: Curvature, ti: Triplet, tj: Triplet) -> float:
     return lhs - pair_lower_bound(cls, dx, ti.g - tj.g)
 
 
-def pair_matrix(X: np.ndarray, G: np.ndarray, cls) -> np.ndarray:
+def pair_matrix(X: np.ndarray, G: np.ndarray, cls, out=None) -> np.ndarray:
     """c[i, j]: minimal feasible f^i - f^j given the (x, g) data.
 
     G may also be a stack (k, n, d) of gradient sets at the same points X,
-    with cls a sequence of k classes; c is then (k, n, n).
+    with cls a sequence of k classes; c is then (k, n, n).  cls may be given
+    as its bound_coefficients, and c written into out.
     """
-    dX = X[:, None, :] - X[None, :, :]
+    coef = cls if isinstance(cls, BoundCoefficients) else bound_coefficients(cls)
+    dX = X[:, None] - X
     dG = G[..., :, None, :] - G[..., None, :, :]
-    c = np.einsum("...jd,ijd->...ij", G, dX) + _lower_bound(cls, dX, dG)
+    c = np.add(np.einsum("...jd,ijd->...ij", G, dX), _lower_bound(coef, dX, dG),
+               out=out)
     np.einsum("...ii->...i", c)[...] = 0.0     # a view of the diagonal(s)
     return c
 
@@ -129,4 +161,13 @@ def triplets_to_json(triplets) -> list:
 
 
 def triplets_from_json(rows) -> list:
-    return [make_triplet(r["x"], r["g"], r["f"]) for r in rows]
+    """Triplets from a JSON list of {x, g, f}; every x and g must be a vector
+    of one shared length d >= 1."""
+    if not isinstance(rows, list):
+        raise ValueError("expected a list of triplets, got %s" % type(rows).__name__)
+    out = [make_triplet(r["x"], r["g"], r["f"]) for r in rows]
+    shapes = {a.shape for t in out for a in (t.x, t.g)}
+    if len(shapes) > 1 or any(len(s) != 1 or s[0] < 1 for s in shapes):
+        raise ValueError("every x and g must be a vector of one shared "
+                         "length d >= 1, got shapes %s" % sorted(shapes))
+    return out

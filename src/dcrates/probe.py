@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .curvature import DcParams, require_valid
-from .interpolation import (check_interpolation, make_triplet, pair_lower_bound,
-                            pair_matrix)
+from .interpolation import (bound_coefficients, check_interpolation,
+                            make_triplet, pair_lower_bound, pair_matrix)
 from .regimes import (DenominatorZero, asymptotic_constants, equality_gammas,
                       one_step_certificate)
 
@@ -95,16 +95,6 @@ class ProbeResult:
 
 
 # ---------------------------------------------------------------------------
-# longest paths in the pairwise constraint graph
-
-def _longest_paths(c: np.ndarray) -> np.ndarray:
-    """Max-plus Floyd-Warshall, in place, on c[..., i, j] (a stack of graphs)."""
-    for k in range(c.shape[-1]):
-        np.maximum(c, c[..., :, k:k + 1] + c[..., k:k + 1, :], out=c)
-    return c
-
-
-# ---------------------------------------------------------------------------
 # extremal one-step witnesses from the equality conditions
 
 def _assemble_one_step(params: DcParams, gamma: float, gamma_plus: float) -> PepVariables:
@@ -167,25 +157,39 @@ def _unpack(z: np.ndarray, N: int, d: int) -> tuple:
 
 class _Objective:
     """Ratio and merit of a search vector (see _pack).  Both classes' pair
-    matrices and longest paths are computed as one (2, n, n) stack."""
+    matrices and longest paths are computed as one (2, n, n) stack, in a
+    buffer reused by every evaluation, from bound coefficients built once."""
 
     def __init__(self, params: DcParams, N: int, d: int):
         self.N = N
         self.d = d
         self.evals = 0
         n = N + 1
-        self._classes = (params.f1, params.f2)
+        self._coef = bound_coefficients((params.f1, params.f2))
         self._rows = np.arange(2)[:, None] + np.arange(n)   # g1, g2 in W
-        self._diag = slice(None, None, n + 1)   # of a flattened (n, n)
+        self._dist = np.empty((2, n, n))
+        self._tmp = np.empty((2, n, n))
+        self._diag = np.einsum("kii->ki", self._dist)
+        self._fw_cols = [self._dist[:, :, k:k + 1] for k in range(n)]
+        self._fw_rows = [self._dist[:, k:k + 1, :] for k in range(n)]
+
+    def _longest_paths(self, x: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """Max-plus Floyd-Warshall on both classes' pair matrices, in the
+        reused buffer: valid until the next evaluation."""
+        dist = pair_matrix(x, G, self._coef, out=self._dist)
+        for col, row in zip(self._fw_cols, self._fw_rows):
+            np.maximum(dist, np.add(col, row, out=self._tmp), out=dist)
+        return dist
 
     def parts(self, z: np.ndarray):
         x, W = _unpack(z, self.N, self.d)
-        dist = _longest_paths(pair_matrix(x, W[self._rows], self._classes))
-        cyc = dist.reshape(2, -1)[:, self._diag].max(1)
-        gap = W[:-1] - W[1:]
-        num = 0.5 * float((gap * gap).sum(axis=1).min())
+        G = W[self._rows]                   # g1 = W[:-1], g2 = W[1:]
+        dist = self._longest_paths(x, G)
+        cyc1, cyc2 = np.maximum.reduce(self._diag, 1).tolist()
+        gap = G[0] - G[1]
+        num = 0.5 * float(np.minimum.reduce(np.add.reduce(gap * gap, 1)))
         D = float(dist[0, 0, -1] + dist[1, -1, 0])
-        return num, D, max(float(cyc[0]), float(cyc[1]))
+        return num, D, max(cyc1, cyc2)
 
     def ratio(self, z: np.ndarray) -> float:
         self.evals += 1
@@ -210,8 +214,8 @@ class _Objective:
             return None
         s = 1.0 / math.sqrt(D)   # ratio is invariant; normalize D to 1
         x, W = (s * v for v in _unpack(z, self.N, self.d))
-        dist = _longest_paths(pair_matrix(x, W[self._rows], self._classes))
-        # potentials: f1^j = -dist1(0, j), f2^j = -dist2(N, j)
+        dist = self._longest_paths(x, W[self._rows])
+        # potentials: f1^j = -dist1(0, j), f2^j = -dist2(N, j); new arrays
         return PepVariables(x, W, -dist[0, 0, :], -dist[1, -1, :])
 
 

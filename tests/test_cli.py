@@ -167,6 +167,72 @@ def test_interp_check_exit_codes(tmp_path, capsys):
                  "--mu", "0", "--L", "1.0"]) == 2
 
 
+@pytest.mark.parametrize("body, message", [
+    # a dict read as zero triplets: "feasible": true, exit 0
+    ({}, "expected a list of triplets, got dict"),
+    # einsum broadcast the length-1 g against the length-2 x: a verdict, exit 2
+    ([{"x": [0, 1], "g": [1], "f": 0}, {"x": [1, 0], "g": [0], "f": 1}],
+     "every x and g must be a vector of one shared length d >= 1"),
+    # inf - inf in the slack: "min_slack": NaN, which is not JSON, exit 2
+    ([{"x": [1e200], "g": [1e200], "f": 0}, {"x": [-1e200], "g": [-1e200], "f": 1}],
+     "slack nan is not finite (past the float range)"),
+], ids=["dict", "dimension_mismatch", "past_float_range"])
+def test_interp_check_refuses_bad_triplet_file(tmp_path, capsys, body, message):
+    path = tmp_path / "trips.json"
+    path.write_text(json.dumps(body))
+    assert main(["interp-check", "--triplets", str(path),
+                 "--mu", "0", "--L", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: %s: " % path)
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("mu, L", [("1", "1"), ("2", "1"), ("0", "-1"),
+                                   ("nan", "1")])
+def test_interp_check_refuses_invalid_class(tmp_path, capsys, mu, L):
+    """mu = L divided by zero, and mu > L or L <= 0 got a verdict."""
+    path = tmp_path / "trips.json"
+    path.write_text(json.dumps([{"x": [0], "g": [1], "f": 0},
+                                {"x": [1], "g": [0], "f": 1}]))
+    assert main(["interp-check", "--triplets", str(path), "--mu", mu,
+                 "--L", L]) == 1
+    assert capsys.readouterr().err.startswith("error: class: ")
+
+
+_VEC = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=3)
+_TRIPLET_FILE = st.one_of(
+    st.lists(st.fixed_dictionaries({"x": _VEC, "g": _VEC, "f": st.floats()}),
+             max_size=4),
+    st.dictionaries(st.sampled_from("xgf"), _VEC, max_size=3),
+    st.floats(), st.none())
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_TRIPLET_FILE, st.floats(-3.0, 3.0),
+       st.one_of(st.just("inf"), st.floats(0.5, 1e300).map(repr)))
+def test_interp_check_fuzzed_triplets_keep_exit_contract(tmp_path, capsys,
+                                                         body, mu, L):
+    """Any triplet file ends in exit 0, 1 or 2, with `error: ` on 1 and a
+    report without NaN or infinities otherwise."""
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(body))
+    capsys.readouterr()
+    code = main(["interp-check", "--triplets", str(path), "--mu=%r" % mu,
+                 "--L", L])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert captured.err.startswith("error: ")
+        return
+
+    def refuse(name):
+        raise AssertionError("%s in the report" % name)
+    report = json.loads(captured.out, parse_constant=refuse)
+    assert report["feasible"] == (code == 0)
+
+
 def test_probe_deterministic_json(tmp_path, capsys):
     argv = ["probe", "--mu1", "0.5", "--L1", "2", "--mu2", "0", "--L2", "1",
             "--N", "1", "--d", "1", "--budget", "4000", "--seed", "3",
@@ -274,6 +340,32 @@ def test_value_past_float_range_exit_1(tmp_path, capsys, f1, x0):
                  "--certify"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "inf" in err and "not finite" in err
+
+
+def test_overflow_warning_does_not_precede_error(tmp_path):
+    """A real process: pytest captures warnings, so only a subprocess shows
+    numpy's RuntimeWarning reaching stderr ahead of the error line."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "f1": {"family": "quadratic", "c": [1.0], "b": [0.0], "mu": 0.5, "L": 2},
+        "f2": {"family": "quadratic", "c": [0.5], "b": [0.0], "mu": 0, "L": 1}}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-m", "dcrates.cli", "run", "--instance", str(path),
+         "--x0", "1e200", "--N", "2", "--certify"],
+        env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: "), out.stderr
+    assert "not finite (past the float range)" in out.stderr
+
+
+def test_curvatures_past_formula_range_name_the_cause(capsys):
+    assert main(["classify", "--mu1", "0", "--L1", "1", "--mu2", "1e-313",
+                 "--L2", "1.75e-313"]) == 1
+    assert capsys.readouterr().err == (
+        "error: float division by zero: the declared curvatures are past what "
+        "the regime and interpolation formulas can evaluate (about 1e-154 to "
+        "1e154)\n")
 
 
 @pytest.mark.parametrize("position", ["f1", "f2"])

@@ -6,7 +6,7 @@ import pytest
 
 from dcrates.curvature import Curvature
 from dcrates.interpolation import (check_interpolation, make_triplet,
-                                   pair_lower_bound, pair_slack,
+                                   pair_lower_bound, pair_matrix, pair_slack,
                                    sample_triplets, triplets_from_json,
                                    triplets_to_json)
 from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, MaxOfQuadratics,
@@ -26,6 +26,8 @@ def test_pair_lower_bound_nonsmooth_limit():
     cls = Curvature(0.5, INF)
     dx, dg = np.array([2.0]), np.array([7.0])
     assert pair_lower_bound(cls, dx, dg) == pytest.approx(1.0, rel=1e-12)
+    # the limit never squares dg, which would overflow here
+    assert pair_lower_bound(cls, dx, np.array([1e200])) == pytest.approx(1.0, rel=1e-12)
     # large finite L approaches the limit
     near = pair_lower_bound(Curvature(0.5, 1e8), dx, dg)
     assert near == pytest.approx(1.0, abs=1e-6)
@@ -41,6 +43,43 @@ def test_slack_detects_underdeclared_curvature():
     assert not rep.feasible
     rep_ok = check_interpolation([t0, t1], Curvature(0.0, 2.5))
     assert rep_ok.feasible
+
+
+def _written_out_pair_matrix(X, g, cls):
+    """The inequality as the module docstring states it, with the L = inf
+    limit as its own case."""
+    dX = X[:, None, :] - X[None, :, :]
+    dG = g[:, None, :] - g[None, :, :]
+    if math.isinf(cls.L):
+        bound = 0.5 * cls.mu * (dX * dX).sum(-1)
+    else:
+        r = dG - cls.L * dX
+        bound = ((dG * dG).sum(-1) / (2.0 * cls.L)
+                 + cls.mu / (2.0 * cls.L * (cls.L - cls.mu)) * (r * r).sum(-1))
+    c = np.einsum("jd,ijd->ij", g, dX) + bound
+    np.fill_diagonal(c, 0.0)
+    return c
+
+
+@pytest.mark.parametrize("classes", [
+    (Curvature(1.0, 10.0), Curvature(-0.8, 2.0)),
+    (Curvature(0.5, INF), Curvature(-1.0, INF)),
+    (Curvature(1.0, INF), Curvature(-0.5, 2.0)),
+    (Curvature(0.0, 3.0), Curvature(2.0, INF), Curvature(-2.0, 0.5)),
+], ids=["finite", "inf", "mixed", "mixed3"])
+def test_stacked_pair_matrix_matches_per_class(classes):
+    """A stack of gradient sets, one class each, gives bit for bit the
+    matrices of the one-class form and of the inequality written out."""
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3):
+        for n in (2, 5, 11, 26):
+            X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-1, 1)
+            G = rng.normal(size=(len(classes), n, d)) * 10.0 ** rng.uniform(-1, 1)
+            stacked = pair_matrix(X, G, classes)
+            assert stacked.shape == (len(classes), n, n)
+            for c, g, cls in zip(stacked, G, classes):
+                assert np.array_equal(c, pair_matrix(X, g, cls))
+                assert np.array_equal(c, _written_out_pair_matrix(X, g, cls))
 
 
 def _random_triplets(rng, n, d=2):
@@ -122,6 +161,19 @@ def test_json_round_trip():
     assert len(back) == 2
     assert np.allclose(back[0].x, t[0].x)
     assert back[0].f == 3.0
+
+
+@pytest.mark.parametrize("rows", [
+    {},
+    {"x": [1.0], "g": [1.0], "f": 0.0},
+    [{"x": [0.0, 1.0], "g": [1.0], "f": 0.0}],
+    [{"x": [0.0], "g": [1.0], "f": 0.0}, {"x": [0.0, 1.0], "g": [1.0, 0.0], "f": 0.0}],
+    [{"x": [], "g": [], "f": 0.0}],
+    [{"x": [[1.0]], "g": [[1.0]], "f": 0.0}],
+], ids=["dict", "one_object", "x_g_mismatch", "d_mismatch", "empty_vectors", "matrix"])
+def test_triplets_from_json_refuses_malformed(rows):
+    with pytest.raises(ValueError):
+        triplets_from_json(rows)
 
 
 def test_rejects_nonfinite():

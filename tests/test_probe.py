@@ -8,7 +8,8 @@ from dcrates.cli import main
 from dcrates.curvature import make_params
 from dcrates.interpolation import check_interpolation, make_triplet, pair_matrix
 from dcrates.probe import (CERT_ALLOWANCE, FEAS_TOL, InfeasibleConstruction,
-                           _Objective, extremal_instance, probe, ratio_trend)
+                           _Objective, _pack, extremal_instance, probe,
+                           ratio_trend)
 from dcrates.regimes import classify, equality_gammas
 
 INF = math.inf
@@ -245,3 +246,40 @@ def test_probe_cli_one_nonsmooth_term(tmp_path, capsys):
     assert payload["starts"] == 4
     assert payload["best_start"]["kind"] == "random"
     assert payload["elapsed_s"] > 0.0
+
+
+def test_witness_does_not_alias_the_reused_buffer():
+    """The objective reuses one buffer for every evaluation; a witness must
+    own its arrays, so later evaluations leave it unchanged."""
+    params = ANCHORS[5]
+    obj = _Objective(params, 2, 2)
+    r = probe(params, N=2, d=2, budget=600, seed=0, starts=2)
+    w = obj.witness(_pack(r.witness.x, r.witness.W))
+    assert w is not None
+    before = [a.copy() for a in (w.x, w.W, w.f1, w.f2)]
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        obj.parts(rng.normal(size=7 * 2))
+    for a, b in zip((w.x, w.W, w.f1, w.f2), before):
+        assert np.array_equal(a, b)
+
+
+# (regime, N, d): best_ratio.hex(), evals, best_start of the benchmark's
+# probe call (budget 1200, 4 starts, seed 0).  Any change to the arithmetic
+# of one evaluation, or to the search, moves the Nelder-Mead path and shows
+# here first.
+SEARCH_PATH = {
+    (3, 2, 2): ("0x1.951ed3a8ea0f7p-1", 1201, (0, "chain")),
+    (4, 1, 3): ("0x1.ff990077066bdp-1", 1201, (1, "extremal")),
+    (4, 2, 1): ("0x1.f1911f4a56383p-2", 1201, (3, "random")),
+    (5, 4, 3): ("0x1.a5c4f96d83836p-3", 1201, (0, "chain")),
+    (6, 2, 1): ("0x1.057a585e2a250p-1", 1201, (3, "random")),
+    (8, 2, 1): ("0x1.1b7916570dc87p-5", 1201, (0, "chain")),
+}
+
+
+@pytest.mark.parametrize("item", sorted(SEARCH_PATH), ids=str)
+def test_search_path_is_pinned(item):
+    regime, N, d = item
+    r = probe(ANCHORS[regime], N=N, d=d, budget=1200, seed=0, starts=4)
+    assert (r.best_ratio.hex(), r.evals, r.best_start) == SEARCH_PATH[item]
