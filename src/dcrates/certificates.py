@@ -57,21 +57,41 @@ class OneStepCheck:
     holds: bool
 
 
-def check_one_step(traj: Trajectory, k: int = 0,
-                   regime: Optional[RegimeCertificate] = None,
-                   tol: float = SLACK_TOL) -> OneStepCheck:
-    """Check the decrease certificate on the step k -> k+1."""
+def _regime(traj: Trajectory) -> RegimeCertificate:
+    """The certificate of traj.instance.params, classified once per params
+    object.  It is stored on the trajectory, as an attribute that is no
+    dataclass field (so in neither eq, repr nor JSON), with the params it was
+    computed for, and reused while that object is traj.instance.params; a
+    replaced instance is classified anew.  Classifying is the gate:
+    InvalidParams, PreconditionViolated, BothNonsmooth."""
     params = traj.instance.params
-    _require_precondition(params)
-    a, b = _step(traj, k)
-    if regime is None:
-        regime = one_step_certificate(params)
+    memo = getattr(traj, "_regime_memo", None)
+    if memo is None or memo[0] is not params:
+        memo = traj._regime_memo = (params, one_step_certificate(params))
+    return memo[1]
+
+
+def _one_step(a, b, regime: RegimeCertificate, tol: float) -> OneStepCheck:
+    """The decrease certificate on the step from point a to point b."""
     lhs = a.F - b.F
     rhs = regime.decrease_bound(a.G_norm_sq, b.G_norm_sq)
     slack = lhs - rhs
     scale = max(1.0, abs(lhs), abs(rhs))
     return OneStepCheck(regime, lhs, rhs, slack,
                         abs(slack) <= EQ_TOL * scale, slack >= -tol)
+
+
+def check_one_step(traj: Trajectory, k: int = 0,
+                   regime: Optional[RegimeCertificate] = None,
+                   tol: float = SLACK_TOL) -> OneStepCheck:
+    """Check the decrease certificate on the step k -> k+1: the run's own
+    (gated by classifying it), or a supplied regime after the precondition
+    gate alone."""
+    if regime is None:
+        regime = _regime(traj)
+    else:
+        _require_precondition(traj.instance.params)
+    return _one_step(*_step(traj, k), regime, tol)
 
 
 def replay_proof_combination(traj: Trajectory, k: int = 0,
@@ -87,7 +107,7 @@ def replay_proof_combination(traj: Trajectory, k: int = 0,
     Returns lhs - rhs; a valid certificate gives a nonnegative value.
     """
     params = traj.instance.params
-    regime = one_step_certificate(params)
+    regime = _regime(traj)
     if alpha is None:
         alpha = regime.alpha
     a, b = _step(traj, k)
@@ -117,7 +137,7 @@ def check_rate(traj: Trajectory, fstar: Optional[float] = None,
                tol: float = SLACK_TOL) -> Tuple[RatePrediction, float, bool]:
     """N-step certificate: (prediction, observed half min grad gap, holds)."""
     params = traj.instance.params
-    regime = one_step_certificate(params)
+    regime = _regime(traj)
     _step(traj, 0)     # at least one completed step
     N = traj.n_steps
     F0 = traj.points[0].F
@@ -194,9 +214,9 @@ def certificate_report(traj: Trajectory, fstar: Optional[float] = None,
                    n_step_bound=c.n_step_bound,
                    n_step_observed=c.n_step_observed, holds=c.holds)
         return out
-    regime = one_step_certificate(params)
-    checks = [check_one_step(traj, k, regime, tol)
-              for k in range(traj.n_steps)]
+    regime = _regime(traj)
+    checks = [_one_step(a, b, regime, tol)
+              for a, b in zip(traj.points, traj.points[1:])]
     pred, observed, rate_ok = check_rate(traj, fstar, tol=tol)
     out.update(
         mode="smooth", regime=regime.to_json_dict(),

@@ -38,20 +38,24 @@ def _formula_revision() -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1; argparse's own 2 would read as a failed check."""
+    """Usage errors exit 1; argparse's own 2 would read as a failed check.
+    Their standard error starts with `error: `, as every other error's does,
+    and the usage line follows."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
+        self.exit(EXIT_USAGE, "error: %s: %s\n%s"
+                  % (self.prog, message, self.format_usage()))
 
 
 def _load(path: str, decode):
     """Read the JSON file at path through decode.  Malformed content (bad
-    JSON, a missing key, a wrong-typed value) is a ValueError naming the file."""
+    JSON, a missing key, a wrong-typed value, an infinite integer) is a
+    ValueError naming the file."""
     try:
         with open(path) as fh:
             return decode(json.load(fh))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         what = "missing key %s" % exc if isinstance(exc, KeyError) else exc
         raise ValueError("%s: %s" % (path, what)) from exc
 
@@ -289,23 +293,43 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _merge_value_flags(argv):
-    """Join '--grid -1:2:300' into '--grid=-1:2:300' so argparse does not
-    mistake a leading-minus value for an option."""
+def _value_options(parser: argparse.ArgumentParser) -> set:
+    """The option strings of parser and its subcommands that take a value;
+    flags such as --cold, --certify and --help take none."""
+    opts = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                opts |= _value_options(sub)
+        elif action.nargs != 0:
+            opts.update(action.option_strings)
+    return opts
+
+
+def _merge_value_flags(parser: argparse.ArgumentParser, argv):
+    """Join '--mu2 -1e-5' into '--mu2=-1e-5' for every option that takes a
+    value, so argparse does not mistake a leading-minus value for an option
+    (it reads only '-<digits>' and '-<digits>.<digits>' as numbers)."""
+    joined = _value_options(parser)
     out = []
     for a in argv:
-        if out and out[-1] in ("--grid", "--x0"):
+        if out and out[-1] in joined:
             out[-1] += "=" + a
         else:
             out.append(a)
+    for a in out:
+        opt, eq, value = a.partition("=")
+        if eq and value == "--" and opt in joined:
+            # argparse would drop the '--' and store [] under the option
+            parser.error("argument %s: expected one argument" % opt)
     return out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(
-            _merge_value_flags(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_merge_value_flags(
+            parser, sys.argv[1:] if argv is None else argv))
         # numpy's overflow warnings would precede the error line; the library
         # checks finiteness itself and says so
         with np.errstate(all="ignore"):

@@ -64,7 +64,13 @@ class Trajectory:
 
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum((a - b) ** 2))
+    d = a - b
+    return float(np.add.reduce(d * d))
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a vector, bit for bit, without its dispatch."""
+    return math.sqrt(v.dot(v))
 
 
 def t_measure(instance: DcInstance, x, x_plus, g1_plus) -> float:
@@ -80,8 +86,8 @@ def t_measure(instance: DcInstance, x, x_plus, g1_plus) -> float:
 def _is_subgradient(spec, x: np.ndarray, g: np.ndarray, pick: np.ndarray) -> bool:
     """Whether g lies within LINK_TOL * max(1, ||g||), in Euclidean distance,
     of the subdifferential of spec at x; pick is the oracle's subgradient."""
-    pad = LINK_TOL * max(1.0, float(np.linalg.norm(g)))
-    if float(np.linalg.norm(pick - g)) <= pad:
+    pad = LINK_TOL * max(1.0, _norm(g))
+    if _norm(pick - g) <= pad:
         return True
     if spec.dimension > 1:   # only quadratics: the gradient is all there is
         return False
@@ -211,8 +217,8 @@ def _check_recorded(inst: DcInstance, pts: list) -> None:
     for p, exact, q in zip(pts, fresh, pts[1:] + [None]):
         if q is not None:
             # the DCA link: g1 at the next point is the current g2
-            gap = float(np.linalg.norm(q.g1 - p.g2))
-            if gap > LINK_TOL * max(1.0, float(np.linalg.norm(p.g2))):
+            gap = _norm(q.g1 - p.g2)
+            if gap > LINK_TOL * max(1.0, _norm(p.g2)):
                 raise InvalidParams("step %d: stored g1 of the next point "
                                     "differs from g2 by %g (link "
                                     "g1^{k+1} = g2^k)" % (p.k, gap))

@@ -44,8 +44,8 @@ class Triplet:
 def make_triplet(x, g, f) -> Triplet:
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     gv = np.atleast_1d(np.asarray(g, dtype=float))
-    if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(gv))
-            and math.isfinite(float(f))):
+    entries = xv.ravel().tolist() + gv.ravel().tolist()
+    if not (all(map(math.isfinite, entries)) and math.isfinite(float(f))):
         raise InvalidParams("triplet entries must be finite")
     return Triplet(xv, gv, float(f))
 

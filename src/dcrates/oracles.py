@@ -195,13 +195,13 @@ def _pick(lo: float, hi: float, policy: Policy) -> float:
 def evaluate(spec: FunctionSpec, x, policy: Policy = "least_norm") -> OracleAnswer:
     """Exact value and one subgradient, chosen by the kink policy."""
     v = _as_vec(x)
-    if not np.all(np.isfinite(v)):
+    if not all(map(math.isfinite, v.tolist())):
         raise InvalidParams("oracle point must be finite")
     fam = spec.family
     if isinstance(fam, Quadratic):
         c = np.asarray(fam.c)
         b = np.asarray(fam.b)
-        val, g = float(np.sum(0.5 * c * v * v + b * v)), c * v + b
+        val, g = float(np.add.reduce(0.5 * c * v * v + b * v)), c * v + b
     else:
         val, lo, hi = _value_interval(fam, float(v[0]))
         g = np.array([_pick(lo, hi, policy)])
@@ -227,13 +227,13 @@ def solve_dca_subproblem(spec: FunctionSpec, g) -> np.ndarray:
 def _solve_quadratic(fam: Quadratic, g: np.ndarray) -> np.ndarray:
     c = np.asarray(fam.c)
     b = np.asarray(fam.b)
-    if np.any(c < 0.0):
+    if (c < 0.0).any():
         raise Unbounded("quadratic subproblem with negative curvature")
     out = np.zeros_like(g)
     pos = c > 0.0
     out[pos] = (g[pos] - b[pos]) / c[pos]
     flat = ~pos
-    if np.any(np.abs(g[flat] - b[flat]) > 0.0):
+    if (np.abs(g[flat] - b[flat]) > 0.0).any():
         raise Unbounded("flat coordinate with nonzero linear drift")
     return out
 
@@ -301,12 +301,12 @@ def analytic_infimum(instance: DcInstance) -> Optional[float]:
     if isinstance(a1, Quadratic) and isinstance(a2, Quadratic):
         dc = np.asarray(a1.c) - np.asarray(a2.c)
         db = np.asarray(a1.b) - np.asarray(a2.b)
-        if np.any(dc < 0.0):
+        if (dc < 0.0).any():
             return None
-        if np.any((dc == 0.0) & (db != 0.0)):
+        if ((dc == 0.0) & (db != 0.0)).any():
             return None
         pos = dc > 0.0
-        return float(-np.sum(db[pos] * db[pos] / (2.0 * dc[pos])))
+        return float(-np.add.reduce(db[pos] * db[pos] / (2.0 * dc[pos])))
     if isinstance(a1, AbsPlusQuadratic) and isinstance(a2, AbsPlusQuadratic):
         da, dm, db = a1.a - a2.a, a1.m - a2.m, a1.b - a2.b
         # F(x) = da|x| + dm/2 x^2 + db x

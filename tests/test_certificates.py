@@ -7,10 +7,10 @@ from dcrates.certificates import (certificate_report, check_nonsmooth_rate,
                                   check_one_step, check_rate,
                                   replay_proof_combination)
 from dcrates.curvature import Curvature, InvalidParams
-from dcrates.engine import run_dca
+from dcrates.engine import dumps, run_dca
 from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, MaxOfQuadratics,
                              Quadratic, make_instance)
-from dcrates.regimes import BothNonsmooth, PreconditionViolated
+from dcrates.regimes import BothNonsmooth, PreconditionViolated, classify
 
 INF = math.inf
 
@@ -246,3 +246,67 @@ def test_one_nonsmooth_soundness_sweep():
         assert rep["holds"], inst
         assert min(rep["per_step_slacks"]) >= -1e-9, inst
     assert rows == {"p17", "p28", "p3", "p4", "p5", "p6"}
+
+
+@pytest.fixture
+def classify_calls(monkeypatch):
+    """Calls to the classifier, counted at the name certificates calls."""
+    import dcrates.certificates as certificates
+    calls = []
+    orig = certificates.one_step_certificate
+
+    def counting(params):
+        calls.append(params)
+        return orig(params)
+    monkeypatch.setattr(certificates, "one_step_certificate", counting)
+    return calls
+
+
+def test_run_is_classified_once(classify_calls):
+    inst = quad_instance([2.0, 3.0], Curvature(1.5, 3.5), [1.0, 0.5],
+                         Curvature(0.25, 1.5), b1=[0.0, 1.0], b2=[1.0, -1.0])
+    traj = run_dca(inst, np.array([1.0, -2.0]), 25)
+    assert traj.n_steps == 25
+    before = (repr(traj), dumps(traj))
+    rep = certificate_report(traj)
+    assert rep["mode"] == "smooth" and rep["holds"]
+    assert rep["regime"] == classify(inst.params).to_json_dict()
+    assert classify_calls == [inst.params]
+    for k in range(traj.n_steps):
+        assert replay_proof_combination(traj, k) >= -1e-9
+        assert check_one_step(traj, k).holds
+    assert check_rate(traj)[2]
+    assert len(classify_calls) == 1
+    # the stored certificate is no field: repr and JSON are as before
+    assert (repr(traj), dumps(traj)) == before
+
+
+def test_replaced_instance_is_classified_anew(classify_calls):
+    traj = run_dca(halving_instance(), np.array([1.0]), 2)
+    first = certificate_report(traj)["regime"]
+    other = quad_instance(2.0, Curvature(0.5, 2.5), 1.0, Curvature(0.5, 1.5))
+    assert other.params != traj.instance.params
+    traj.instance = other
+    second = certificate_report(traj)["regime"]
+    assert len(classify_calls) == 2 and classify_calls[1] is other.params
+    assert second == classify(other.params).to_json_dict() != first
+    # equal params in a new object are classified again too: a hit needs the
+    # object the certificate was computed for
+    traj.instance = quad_instance(2.0, Curvature(0.5, 2.5), 1.0,
+                                  Curvature(0.5, 1.5))
+    check_rate(traj)
+    assert len(classify_calls) == 3
+
+
+def test_supplied_regime_keeps_the_precondition_gate():
+    cert = classify(halving_instance().params)
+    inst = quad_instance(1.0, Curvature(0.5, 2.0), 1.0, Curvature(-1.0, 1.5))
+    traj = run_dca(inst, np.array([1.0]), 1)
+    with pytest.raises(PreconditionViolated):
+        check_one_step(traj, 0, regime=cert)
+    # both terms nonsmooth passes the precondition gate: a supplied regime is
+    # checked as before, where classifying would raise BothNonsmooth
+    traj = run_dca(nonsmooth_instance(+1), np.array([0.0]), 1)
+    assert check_one_step(traj, 0, regime=cert).regime is cert
+    with pytest.raises(BothNonsmooth):
+        check_one_step(traj, 0)

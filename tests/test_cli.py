@@ -651,3 +651,164 @@ def test_cli_import_leaves_scipy_unloaded():
         env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def _main_code(argv):
+    """main's exit code, also when argparse exits with SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _command_argv(command, tmp_path, instance_file):
+    """The required arguments of each subcommand, on small inputs."""
+    if command == "certify":
+        return ["--traj", str(_run_to_file(tmp_path, instance_file, "3.0"))]
+    if command == "interp-check":
+        path = tmp_path / "trips.json"
+        spec = FunctionSpec(Quadratic((2.0,), (0.0,)), Curvature(1.5, 2.5))
+        path.write_text(json.dumps(triplets_to_json(sample_triplets(
+            spec, [np.array([t]) for t in (-1.0, 0.0, 2.0)]))))
+        return ["--triplets", str(path), "--L", "2.5"]
+    return {
+        "classify": ["--mu1", "1", "--L1", "2", "--L2", "1"],
+        "regime-map": ["--L1", "2", "--grid", "-1:1:3",
+                       "--out", str(tmp_path / "map.csv")],
+        "run": ["--instance", instance_file, "--x0", "-3e0", "--N", "2",
+                "--certify"],
+        "probe": ["--mu1", "1", "--L1", "10", "--L2", "2", "--budget", "60",
+                  "--starts", "2"],
+        "report": ["--instance", instance_file, "--x0", "1", "--N", "2"],
+    }[command]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("classify", "--mu2", "-1e-5"),
+    ("regime-map", "--L2", "-1e+0"),      # refused by the library, not argparse
+    ("run", "--fstar", "-1e0"),
+    ("certify", "--fstar", "-1e0"),
+    ("interp-check", "--mu", "-1e-1"),
+    ("probe", "--mu2", "-8e-1"),
+    ("report", "--fstar", "-1e0")])
+def test_negative_exponent_value_reads_as_a_value(tmp_path, instance_file,
+                                                  capsys, command, flag, value):
+    """'--flag -1e-5' reads as '--flag=-1e-5'.  argparse takes only
+    '-<digits>' and '-<digits>.<digits>' for numbers, so it read the value
+    as an option and exited 1 with 'expected one argument'."""
+    argv = [command] + _command_argv(command, tmp_path, instance_file)
+    capsys.readouterr()
+    results = []
+    for flag_value in ([flag, value], ["%s=%s" % (flag, value)]):
+        code = _main_code(argv + flag_value)
+        out, err = capsys.readouterr()
+        # a probe reports its wall time
+        results.append((code, [line for line in out.splitlines()
+                               if "elapsed_s" not in line], err))
+    assert results[0] == results[1]
+    code, _, err = results[0]
+    assert "expected one argument" not in err
+    assert code == (1 if command == "regime-map" else 0), err
+
+
+_FLOAT_FLAGS = {
+    "classify": ("--mu1", "--L1", "--mu2", "--L2"),
+    "regime-map": ("--L1", "--L2"),
+    "run": ("--tol", "--fstar", "--check-tol"),
+    "certify": ("--fstar", "--check-tol"),
+    "interp-check": ("--mu", "--L", "--tol"),
+    "probe": ("--mu1", "--L1", "--mu2", "--L2"),
+    "report": ("--tol", "--fstar", "--check-tol"),
+}
+_FLOAT_TEXT = st.one_of(
+    st.floats().map(repr), st.floats().map("{:e}".format),
+    st.floats(-10.0, 10.0).map("{:g}".format),
+    st.sampled_from(["inf", "-inf", "nan", "-", "--", "", "1e", "-e5",
+                     "--mu1", "x"]))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_float_flags_fuzzed_keep_exit_contract(tmp_path, instance_file, capsys,
+                                               data):
+    """Any text for any float flag, each flag given or not, ends in exit 0, 1
+    or 2, with `error: ` first on standard error on 1, and never in an
+    exception out of main."""
+    command = data.draw(st.sampled_from(sorted(_FLOAT_FLAGS)))
+    flags = data.draw(st.dictionaries(st.sampled_from(_FLOAT_FLAGS[command]),
+                                      _FLOAT_TEXT))
+    argv = [command] + [a for fv in flags.items() for a in fv]
+    argv += _command_argv(command, tmp_path, instance_file)
+    capsys.readouterr()
+    code = _main_code(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def _json_entries(node):
+    """(container, key) of every dict entry and list item in a JSON body."""
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield node, key
+        yield from _json_entries(value)
+
+
+_TRAJ_VALUE = st.one_of(st.floats(), st.none(), st.just("1"), st.just([]),
+                        st.integers(-3, 30))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["quadratic", "quadratic_2d", "abs"]), st.data())
+def test_certify_fuzzed_trajectory_keeps_exit_contract(tmp_path, instance_file,
+                                                       capsys, case, data):
+    """A run's trajectory file with numbers changed, keys dropped or points
+    reordered ends in exit 0, 1 or 2, with `error: ` first on standard error
+    on 1, and never in an exception out of main."""
+    instance, x0 = {"quadratic": (instance_file, "3.0"),
+                    "quadratic_2d": (_quad2_instance(tmp_path), "1.0,-2.0"),
+                    "abs": (_abs_instance(tmp_path), "0.5")}[case]
+    body = json.loads(_run_to_file(tmp_path, instance, x0).read_text())
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["number", "drop", "swap"]))
+        pts = body.get("points")
+        if kind == "swap":
+            if isinstance(pts, list) and pts:
+                index = st.integers(0, len(pts) - 1)
+                i, j = data.draw(index), data.draw(index)
+                pts[i], pts[j] = pts[j], pts[i]
+            continue
+        entries = [(n, k) for n, k in _json_entries(body)
+                   if (type(n[k]) in (int, float) if kind == "number"
+                       else isinstance(n, dict))]
+        if not entries:
+            continue
+        node, key = data.draw(st.sampled_from(entries))
+        if kind == "number":
+            node[key] = data.draw(_TRAJ_VALUE)
+        else:
+            del node[key]
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(body))
+    capsys.readouterr()
+    code = main(["certify", "--traj", str(path)])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_certify_names_the_file_of_an_infinite_step_index(tmp_path,
+                                                          instance_file, capsys):
+    """int(inf) raises OverflowError, an ArithmeticError: it read as declared
+    curvatures past the formulas' range, without the file's name."""
+    body = json.loads(_run_to_file(tmp_path, instance_file, "3.0").read_text())
+    body["points"][0]["k"] = math.inf
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(body))
+    capsys.readouterr()
+    assert main(["certify", "--traj", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        "error: %s: cannot convert float infinity to integer\n" % bad)

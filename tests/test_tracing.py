@@ -5,6 +5,7 @@ a traced benchmark run.  Running one item of each workload under the
 installed tracer checks that the library still calls through every one of
 those names."""
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -35,11 +36,15 @@ def test_tracer_sees_every_layer(tmp_path):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        oks = [W.verify_item(api, smooth)[0],
-               W.probe_item(api, W.probe_inputs(1)[0])[0],
-               W.atlas_item(api, W.atlas_inputs(1)[0], tmp_path / "map.csv")[0]]
+        oks = [W.verify_item(api, smooth)[0]]
+        verify_calls = Counter(span[0] for span in tracer.spans)
+        oks += [W.probe_item(api, W.probe_inputs(1)[0])[0],
+                W.atlas_item(api, W.atlas_inputs(1)[0], tmp_path / "map.csv")[0]]
     finally:
         tracer.uninstall()
     assert oks == [True, True, True]
+    # a run is classified once: the report, the 25 replays and the rate
+    # check share one certificate
+    assert verify_calls["regimes.classify"] == 1
     seen = {span[0] for span in tracer.spans}
     assert {name for _, _, name in tracing.PATCHES} <= seen
