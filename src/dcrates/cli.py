@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -45,6 +45,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_USAGE, "error: %s: %s\n%s"
                   % (self.prog, message, self.format_usage()))
+
+
+def finite_float(text: str) -> float:
+    """A flag value that must be a finite number (F*, tolerances)."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError("expected a finite number, got %r" % text)
+    return v
 
 
 def _load(path: str, decode):
@@ -102,13 +110,17 @@ def cmd_regime_map(args) -> int:
     grid = GridSpec.parse(args.grid)
     rows = regime_map(args.L1, args.L2, grid)
     # rows run over the axis values mu1-major; each value is formatted once
-    # and found by position (a float key would merge 0.0 and -0.0)
+    # and found by position (a float key would merge 0.0 and -0.0), and each
+    # mu1 block is written as one string
     axis = [repr(v) for v in grid.points().tolist()]
+    mids = ["," + b + "," for b in axis]
+    n = len(axis)
     target = args.out or "regime_map.csv"
     with open(target, "w", newline="") as fh:
         fh.write("mu1,mu2,regime,p\r\n")
-        fh.writelines(f"{a},{b},{i},{p!r}\r\n" for (a, b), (_, _, i, p)
-                      in zip(itertools.product(axis, axis), rows))
+        for k, a in enumerate(axis):
+            fh.write("".join([f"{a}{m}{i},{p!r}\r\n" for m, (_, _, i, p)
+                              in zip(mids, rows[k * n:(k + 1) * n])]))
     counts = Counter(row[2] for row in rows)
     print("wrote %d rows to %s; regime counts: %s"
           % (len(rows), target, dict(sorted(counts.items()))))
@@ -243,12 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--instance", required=True)
         p.add_argument("--x0", required=True, help="comma-separated start point")
         p.add_argument("--N", type=int, required=True)
-        p.add_argument("--tol", type=float, default=0.0)
+        p.add_argument("--tol", type=finite_float, default=0.0)
         p.add_argument("--policy", type=kink_policy, default="least_norm",
                        help="kink subgradient: leftmost, rightmost, "
                        "least_norm or a weight in [0, 1]")
-        p.add_argument("--fstar", type=float)
-        p.add_argument("--check-tol", dest="check_tol", type=float, default=1e-9)
+        p.add_argument("--fstar", type=finite_float)
+        p.add_argument("--check-tol", dest="check_tol", type=finite_float, default=1e-9)
 
     p = sub.add_parser("run", help="run DCA on an instance file")
     add_run(p)
@@ -262,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="verify certificates on a saved trajectory")
     p.add_argument("--traj", required=True)
-    p.add_argument("--fstar", type=float)
-    p.add_argument("--check-tol", dest="check_tol", type=float, default=1e-9)
+    p.add_argument("--fstar", type=finite_float)
+    p.add_argument("--check-tol", dest="check_tol", type=finite_float, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_certify)
 
@@ -271,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triplets", required=True, help="JSON list of {x,g,f}")
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--L", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=finite_float, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_interp_check)
 

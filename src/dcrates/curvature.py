@@ -149,7 +149,7 @@ def validate(params: DcParams) -> ValidationReport:
     """
     viol = params.f1.violations("f1") + params.f2.violations("f2")
     m1, m2 = params.mu1, params.mu2
-    if any(math.isnan(v) for v in (m1, m2)):
+    if math.isnan(m1) or math.isnan(m2):
         precond = False
         nonconvex = False
         nonconcave = False

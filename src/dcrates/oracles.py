@@ -123,6 +123,8 @@ class DcInstance:
                  for v in spec.certify_declared()]
         if wrong:
             raise InvalidParams("; ".join(wrong))
+        if self.fstar is not None and not math.isfinite(self.fstar):
+            raise InvalidParams("Fstar must be finite, got %r" % self.fstar)
         object.__setattr__(self, "params",
                            DcParams(self.f1.declared, self.f2.declared))
 

@@ -118,17 +118,13 @@ def _lim_ratio(a, b):
     return _where(abs(b) == INF, _where(abs(a) == INF, 1.0, 0.0), a / b)
 
 
-def _threshold(L_other: float, L_here: float, mu):
-    """(1/L_other) * (2 + L_here/mu); only meaningful for mu < 0."""
-    r = recip(L_other)
-    if r == 0.0:
+def _threshold(r_other: float, L_here: float, mu, r_mu):
+    """r_other * (2 + L_here/mu), given r_other = 1/L_other and r_mu = 1/mu;
+    only meaningful for mu < 0."""
+    if r_other == 0.0:
         return 0.0
-    t = L_here * recip(mu) if not math.isinf(L_here) else math.copysign(INF, mu)
-    return r * (2.0 + t)
-
-
-def _s_value(mu_a, mu_b, L):
-    return recip(mu_a) + recip(mu_b) + recip(L)
+    t = L_here * r_mu if not math.isinf(L_here) else math.copysign(INF, mu)
+    return r_other * (2.0 + t)
 
 
 def _mu2_s1_sign(L2: float, m1, m2):
@@ -140,20 +136,20 @@ def _mu2_s1_sign(L2: float, m1, m2):
 # smooth-regime coefficients, odd regimes (evens by the parameter swap)
 
 def _coeffs_p1(L1, L2, m1, m2):
-    sigma = recip(L2) * _lim_ratio(L2 - m1, L1 - m1)
-    den = recip(m1) - recip(L1)
-    corr = _where(abs(den) == INF, 0.0, (recip(L2) - recip(L1)) / den)
-    sigma_plus = recip(L2) * (1.0 + corr)
-    alpha = m1 * recip(L2) * _lim_ratio(L1 - L2, L1 - m1)
+    rl1, rl2 = recip(L1), recip(L2)
+    sigma = rl2 * _lim_ratio(L2 - m1, L1 - m1)
+    den = recip(m1) - rl1
+    corr = _where(abs(den) == INF, 0.0, (rl2 - rl1) / den)
+    sigma_plus = rl2 * (1.0 + corr)
+    alpha = m1 * rl2 * _lim_ratio(L1 - L2, L1 - m1)
     return sigma, sigma_plus, alpha
 
 
 def _coeffs_p3(L1, L2, m1, m2):
-    s1 = _s_value(m1, m2, L2)
-    rl1 = recip(L1)
+    s1 = recip(m1) + recip(m2) + recip(L2)
+    rl1, sigma_plus = recip(L1), recip(L2 + m2)
     sigma = 0.0 if rl1 == 0.0 else rl1 * s1 / (s1 - rl1)
-    sigma_plus = recip(L2 + m2)
-    alpha = -m2 * recip(L2 + m2)
+    alpha = -m2 * sigma_plus
     return sigma, sigma_plus, alpha
 
 
@@ -179,11 +175,6 @@ def _coefficients(index: int, L1, L2, m1, m2):
     return sp, s, a
 
 
-def regime_coefficients(index: int, params: DcParams):
-    """(sigma, sigma_plus, alpha) of a smooth regime at the given parameters."""
-    return _coefficients(index, params.L1, params.L2, params.mu1, params.mu2)
-
-
 # ---------------------------------------------------------------------------
 # equality conditions: the (G, G+) pairs, as multiples of a unit step, at
 # which one step can meet the decrease bound exactly
@@ -204,54 +195,49 @@ def equality_gammas(index: int, params: DcParams) -> list:
 
 # ---------------------------------------------------------------------------
 # smooth-regime domains, odd regimes; each takes S1 and thr1 from _sides and
-# returns its conditions in the order of the names in _ODD_DOMAINS
+# yields its conditions lazily, in the order of the names in _ODD_DOMAINS
 
 def _sides(L1, L2, m1, m2):
     """((S1, thr1), (S2, thr2)): what the odd domains test, and at the swap the even."""
-    return ((_s_value(m1, m2, L2), _threshold(L1, L2, m2)),
-            (_s_value(m2, m1, L1), _threshold(L2, L1, m1)))
+    r1, r2, rl1, rl2 = recip(m1), recip(m2), recip(L1), recip(L2)
+    return ((r1 + r2 + rl2, _threshold(rl1, L2, m2, r2)),
+            (r2 + r1 + rl1, _threshold(rl2, L1, m1, r1)))
 
 
 def _domain_p1(L1, L2, m1, m2, s1, thr):
-    return (
-        _le(L2, L1),
-        _le(m1, L2),
-        _ge(m1, 0.0),
-        (m2 >= 0.0) | (_ge(m1 + m2, 0.0) & _le(s1, thr)),
-    )
+    yield _le(L2, L1)
+    yield _le(m1, L2)
+    yield _ge(m1, 0.0)
+    yield (m2 >= 0.0) | (_ge(m1 + m2, 0.0) & _le(s1, thr))
 
 
 def _domain_p3(L1, L2, m1, m2, s1, thr):
-    return (
-        m2 < 0.0,
-        _ge(m1 + m2, 0.0),
-        _le(m1, L2),
-        _le(m2, L1),
-        _le(thr, s1),
-        _le(s1, 0.0),
-    )
+    yield m2 < 0.0
+    yield _ge(m1 + m2, 0.0)
+    yield _le(m1, L2)
+    yield _le(m2, L1)
+    yield _le(thr, s1)
+    yield _le(s1, 0.0)
 
 
 def _domain_p5(L1, L2, m1, m2, s1, thr):
     # the published domain uses S1 > max{thr1, 0}; the decrease argument only needs S1 > 0 once
     # mu1 >= L2, which closes the sliver left between the p1 and p7 rows.
-    return (
-        m2 < 0.0,
-        _ge(m1 + m2, 0.0),
-        _ge(s1, 0.0),
-        _ge(s1, thr) | _ge(m1, L2),
-    )
+    yield m2 < 0.0
+    yield _ge(m1 + m2, 0.0)
+    yield _ge(s1, 0.0)
+    yield _ge(s1, thr) | _ge(m1, L2)
 
 
 def _domain_p7(L1, L2, m1, m2, s1, thr):
-    return (
-        _ge(m1, L2),
-        not math.isinf(L2),
-        _ge(m1, 0.0),
-        _ge(_mu2_s1_sign(L2, m1, m2), 0.0),
-    )
+    yield _ge(m1, L2)
+    yield not math.isinf(L2)
+    yield _ge(m1, 0.0)
+    yield _ge(_mu2_s1_sign(L2, m1, m2), 0.0)
 
 
+# the one domain table of both paths: grid_classify consumes every condition
+# of every row on arrays, classify stops each row at its first failed one
 _ODD_DOMAINS = {
     1: (_domain_p1, ("L1>=L2", "L2>mu1", "mu1>=0",
                      "mu2>=0 or (mu1>-mu2 and S1<=thr1)")),
@@ -263,13 +249,17 @@ _SWAP_NAMES = str.maketrans("12", "21")
 # condition names of all eight domains; the even ones swap the indices 1 <-> 2
 _DOMAIN_NAMES = {i + k: tuple(n.translate(_SWAP_NAMES) if k else n for n in names)
                  for i, (_, names) in _ODD_DOMAINS.items() for k in (0, 1)}
+# each row's label and the "p<i>:<condition>" names of its detail trace
+_LABELS = {i: "p%d" % i for i in _DOMAIN_NAMES}
+_DETAIL_NAMES = {i: tuple("p%d:%s" % (i, n) for n in names)
+                 for i, names in _DOMAIN_NAMES.items()}
 
 
 def _domains(L1, L2, m1, m2, sides):
-    """Condition tuples of rows 1..8, given the _sides of the point."""
-    odd, even = sides
+    """Condition generators of rows 1..8, given the _sides of the point."""
+    (s1, thr1), (s2, thr2) = sides
     return [conds for dom, _ in _ODD_DOMAINS.values()
-            for conds in (dom(L1, L2, m1, m2, *odd), dom(L2, L1, m2, m1, *even))]
+            for conds in (dom(L1, L2, m1, m2, s1, thr1), dom(L2, L1, m2, m1, s2, thr2))]
 
 
 def _require_decrease(params: DcParams) -> None:
@@ -295,7 +285,7 @@ def _boundary_margin(L1, L2, m1, m2, sides) -> float:
     if not math.isinf(L1):
         cands.append(abs(m2 - L1))
     if m1 != 0.0 and m2 != 0.0:
-        cands.extend(abs(s) for s, _ in sides if math.isfinite(s))
+        cands += [abs(s) for s, _ in sides if math.isfinite(s)]
     return min(cands)
 
 
@@ -315,30 +305,34 @@ def classify(params: DcParams) -> RegimeCertificate:
 
     sides = _sides(L1, L2, m1, m2)
     matched, trace = [], []
-    for i, vals in enumerate(_domains(L1, L2, m1, m2, sides), 1):
-        ok = all(vals)
-        trace.append(("p%d" % i, ok))
-        if ok:
+    for i, conds in enumerate(_domains(L1, L2, m1, m2, sides), 1):
+        vals = []
+        for v in conds:             # a row stops at its first failed condition
+            if not v:
+                trace.append((_LABELS[i], False))
+                break
+            vals.append(v)
+        else:
+            trace.append((_LABELS[i], True))
             matched.append((i, vals))
 
     if not matched:
         raise NoRegime("no regime domain matched for %s" % (params.to_json_dict(),))
 
     first, first_vals = matched[0]
-    index, label, row = first, "p%d" % first, first
+    index, label, row = first, _LABELS[first], first
     if (math.isinf(L1) or math.isinf(L2)) and first in (1, 2, 7, 8):
         index = 2 - first % 2           # rows 1, 7 -> 1; rows 2, 8 -> 2
         label, row = "p%d%d" % (index, index + 6), index + 6
-    s, sp, a = regime_coefficients(row, params)
+    s, sp, a = _coefficients(row, L1, L2, m1, m2)
     for other, _ in matched[1:]:
-        oc = regime_coefficients(other, params)
+        oc = _coefficients(other, L1, L2, m1, m2)
         if not _coeffs_agree((s, sp), oc):
             raise InconsistentBoundary(
                 "regimes %s and p%d both match at %s but disagree: %r vs %r"
                 % (label, other, params.to_json_dict(), (s, sp), oc[:2])
             )
-    detail = [("p%d:%s" % (first, name), v)
-              for name, v in zip(_DOMAIN_NAMES[first], first_vals)]
+    detail = list(zip(_DETAIL_NAMES[first], first_vals))
     return RegimeCertificate(index, label, s, sp, s + sp, a,
                              tuple(trace + detail), _boundary_margin(L1, L2, m1, m2, sides))
 
@@ -351,14 +345,11 @@ one_step_certificate = classify
 # thresholds and conjectured asymptotic constants
 
 def thresholds(params: DcParams) -> ThresholdValues:
-    return ThresholdValues(
-        S1=_s_value(params.mu1, params.mu2, params.L2),
-        S2=_s_value(params.mu1, params.mu2, params.L1),
-    )
+    r = recip(params.mu1) + recip(params.mu2)    # S1 and S2 differ in the L only
+    return ThresholdValues(S1=r + recip(params.L2), S2=r + recip(params.L1))
 
 
-def _p5_inf(p: DcParams) -> float:
-    L2, m1, m2 = p.L2, p.mu1, p.mu2
+def _p5_inf(L2: float, m1: float, m2: float) -> float:
     if math.isinf(L2):
         return (m1 + m2) / (m1 * m1)
     return (L2 + m1) * (m1 + m2) / ((L2 + m2) * m1 * m1)
@@ -367,12 +358,13 @@ def _p5_inf(p: DcParams) -> float:
 def asymptotic_constants(params: DcParams) -> AsymptoticConstants:
     """Conjectured leading constants of the regime-5/6 asymptotic rates;
     p6_inf is the p5_inf formula at the swapped parameters."""
-    sides = (params, params.swapped())
-    for i, p in zip((5, 6), sides):   # L2, mu1, mu2 of the swap are L1, mu2, mu1
-        if p.mu1 == 0.0 or p.L2 + p.mu2 == 0.0:
+    L1, L2, m1, m2 = params.L1, params.L2, params.mu1, params.mu2
+    sides = ((L2, m1, m2), (L1, m2, m1))     # (L2, mu1, mu2) here and at the swap
+    for i, (L, ma, mb) in zip((5, 6), sides):
+        if ma == 0.0 or L + mb == 0.0:
             raise DenominatorZero("p%d_inf undefined: (L%d+mu%d)*mu%d^2 vanishes"
                                   % (i, 7 - i, 7 - i, i - 4))
-    return AsymptoticConstants(*map(_p5_inf, sides))
+    return AsymptoticConstants(*[_p5_inf(*side) for side in sides])
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcrates.curvature import make_params
+from dcrates.curvature import InvalidParams, make_params
 from dcrates.regimes import (BOUNDARY_AGREE_TOL, BothNonsmooth, DenominatorZero,
-                             GridSpec, asymptotic_constants, classify,
-                             grid_classify, one_step_certificate, regime_map,
-                             thresholds)
-from dcrates.regimes import _coefficients, _coeffs_p1, _coeffs_p7
+                             GridSpec, InconsistentBoundary, NoRegime,
+                             PreconditionViolated, asymptotic_constants,
+                             classify, grid_classify, one_step_certificate,
+                             regime_map, thresholds)
+from dcrates.regimes import (_DETAIL_NAMES, _coefficients, _coeffs_p1,
+                             _coeffs_p7, _domains, _sides)
+from dcrates.sampling import ANCHORS, jitter_params
 
 INF = math.inf
 
@@ -336,3 +339,99 @@ def test_one_step_certificate_dispatch():
     assert one_step_certificate(make_params(1.0, INF, 0.0, 2.0)).label == "p17"
     with pytest.raises(BothNonsmooth):
         one_step_certificate(make_params(1.0, INF, 0.0, INF))
+
+
+def _p5_sliver(rng, n):
+    """Points with mu1 >= L2 and 0 <= S1 < thr1, where the widened p5 domain
+    alone applies, half of them swapped into the p6 sliver."""
+    out = []
+    while len(out) < n:
+        L2 = rng.uniform(0.3, 3.0)
+        mu1 = L2 * rng.uniform(1.0, 3.0)
+        L1 = mu1 + rng.uniform(0.01, 4.0)
+        mu2 = -mu1 * rng.uniform(0.01, 1.0)
+        if 0.0 <= 1 / mu1 + 1 / mu2 + 1 / L2 < (1 / L1) * (2 + L2 / mu2):
+            out.append(make_params(mu1, L1, mu2, L2) if len(out) % 2
+                       else make_params(mu2, L2, mu1, L1))
+    return out
+
+
+def _atlas_boundary_nodes(rng, pages, per_page):
+    """Valid nodes of the benchmark's 100 x 100 atlas grid whose regime
+    differs from a grid neighbour's, per_page of them at each of `pages`
+    seeded finite (L1, L2), and every valid node of a grid that hits
+    mu2 = 0, mu1 = L2 and mu1 + mu2 = 0."""
+    def valid_nodes(L1, L2, pts, pick):
+        M1, M2 = np.meshgrid(pts, pts, indexing="ij")
+        idx = grid_classify(L1, L2, M1, M2)[0]
+        nodes = np.flatnonzero(pick(idx) & (idx > 0))
+        return [make_params(float(M1.flat[k]), L1, float(M2.flat[k]), L2)
+                for k in nodes]
+
+    def edge(idx):
+        d1, d2 = np.diff(idx, axis=0) != 0, np.diff(idx, axis=1) != 0
+        out = np.zeros(idx.shape, dtype=bool)
+        out[1:] |= d1
+        out[:-1] |= d1
+        out[:, 1:] |= d2
+        out[:, :-1] |= d2
+        return out
+
+    atlas = np.linspace(-1.9871, 4.0137, 100)
+    out = valid_nodes(2.0, 1.0, np.linspace(-1.0, 2.0, 13), lambda idx: True)
+    for _ in range(pages):
+        L1, L2 = (float(v) for v in rng.uniform(1.5, 6.0, 2))
+        nodes = valid_nodes(L1, L2, atlas, edge)
+        out += [nodes[k] for k in rng.choice(len(nodes), per_page, replace=False)]
+    return out
+
+
+def test_short_circuit_flags_match_the_full_array_rows():
+    """classify stops each row at its first failed condition; its row flags
+    must equal all() of the row evaluated in full by the array path, and its
+    count of matched rows must equal grid_classify's n_matched."""
+    rng = np.random.default_rng(23)
+    points = [jitter_params(a, i, rng, scale=0.3)
+              for i, a in sorted(ANCHORS.items()) for _ in range(40)]
+    points += _p5_sliver(rng, 150) + _atlas_boundary_nodes(rng, 4, 120)
+    refused = 0
+    for p in points:
+        try:
+            c = classify(p)
+        except (NoRegime, InconsistentBoundary):
+            refused += 1
+            continue
+        L1, L2 = p.L1, p.L2
+        m1, m2 = np.array([p.mu1]), np.array([p.mu2])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            full = [all(tuple(conds))
+                    for conds in _domains(L1, L2, m1, m2, _sides(L1, L2, m1, m2))]
+        flags = [ok for _, ok in c.domain_trace[:8]]
+        assert [name for name, _ in c.domain_trace[:8]] == ["p%d" % i for i in range(1, 9)]
+        assert flags == full, p
+        first = flags.index(True) + 1
+        assert c.domain_trace[8:] == tuple((n, True) for n in _DETAIL_NAMES[first]), p
+        assert sum(flags) == grid_classify(L1, L2, m1, m2)[4][0], p
+    assert refused < len(points) // 20, (refused, len(points))
+
+
+@pytest.mark.parametrize("p, error, message", [
+    ((1.0, 1.0, 0.0, 1.0), InvalidParams,
+     "f1: mu < L must hold strictly (mu=1.0, L=1.0)"),
+    ((math.nan, 2.0, 0.0, 1.0), InvalidParams, "f1: NaN curvature parameter"),
+    ((0.5, 2.0, -INF, 1.0), InvalidParams, "f2: mu must be finite (got -inf)"),
+    ((1.0, 2.0, -1.0, 3.0), PreconditionViolated,
+     "decrease precondition needs mu1+mu2 > 0 or mu1 = mu2 = 0 (got mu1=1.0, mu2=-1.0)"),
+    ((1.0, INF, -1.0, INF), PreconditionViolated,
+     "decrease precondition needs mu1+mu2 > 0 or mu1 = mu2 = 0 (got mu1=1.0, mu2=-1.0)"),
+    ((1.0, INF, 0.0, INF), BothNonsmooth, "both terms nonsmooth: use the T-measure analysis"),
+    ((2.9999999999999996, 3.0, -1.0, 3.0), InconsistentBoundary, None),
+])
+def test_scalar_refusals_keep_their_type_and_message(p, error, message):
+    """The row short-circuit changes no refusal: which error wins and what it
+    says stay as before, the corner point next to mu1 = L1 = L2 included."""
+    with pytest.raises(error) as exc:
+        classify(make_params(*p))
+    assert type(exc.value) is error
+    if message is not None:
+        assert str(exc.value) == message
