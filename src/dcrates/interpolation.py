@@ -106,13 +106,15 @@ def pair_matrix(X: np.ndarray, G: np.ndarray, cls, out=None) -> np.ndarray:
     """c[i, j]: minimal feasible f^i - f^j given the (x, g) data.
 
     G may also be a stack (k, n, d) of gradient sets at the same points X,
-    with cls a sequence of k classes; c is then (k, n, n).  cls may be given
-    as its bound_coefficients, and c written into out.
+    with cls a sequence of k classes; c is then (k, n, n).  Both may carry
+    further leading axes that broadcast, as X (m, 1, n, d) against G
+    (m, k, n, d) for m point sets with k classes each, c (m, k, n, n).  cls
+    may be given as its bound_coefficients, and c written into out.
     """
     coef = cls if isinstance(cls, BoundCoefficients) else bound_coefficients(cls)
-    dX = X[:, None] - X
+    dX = X[..., None, :] - X[..., None, :, :]
     dG = G[..., :, None, :] - G[..., None, :, :]
-    c = np.add(np.einsum("...jd,ijd->...ij", G, dX), _lower_bound(coef, dX, dG),
+    c = np.add(np.einsum("...jd,...ijd->...ij", G, dX), _lower_bound(coef, dX, dG),
                out=out)
     np.einsum("...ii->...i", c)[...] = 0.0     # a view of the diagonal(s)
     return c

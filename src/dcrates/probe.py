@@ -14,13 +14,18 @@ the class).  The search therefore maximizes
 with D the minimal feasible F(x^0) - F(x^N), by multi-start Nelder-Mead on a
 penalized objective.  Witness f-values are recovered from the longest-path
 potentials, making every reported witness exactly feasible.
+
+The local search (minimize) is scipy's adaptive Nelder-Mead, step for step,
+so it gives scipy's points; it passes the initial simplex and each shrink to
+the objective as one stack, which is evaluated in one broadcast pass.  The
+package therefore needs no scipy at run time.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -35,17 +40,106 @@ FEAS_TOL = 1e-7
 CERT_ALLOWANCE = 1e-6
 _CYCLE_TOL = 1e-11
 _D_FLOOR = 1e-13
+# the Nelder-Mead stopping tolerances: x spread and f spread of the simplex
+_XATOL = 1e-13
+_FATOL = 1e-15
 
 
 class InfeasibleConstruction(RuntimeError):
     """No interpolation-feasible f-values exist for the equality system."""
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first use: scipy is most of the
-    package's import time and only the search needs it."""
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(*args, **kwargs)
+class NelderMeadResult(NamedTuple):
+    x: np.ndarray       # the best vertex, sim[0]
+    nfev: int
+    sim: np.ndarray     # the final simplex, sorted by value
+    fsim: np.ndarray
+
+
+def minimize(fun, x0: np.ndarray, maxfev: int) -> NelderMeadResult:
+    """Adaptive Nelder-Mead from x0, with at most maxfev evaluations.
+
+    This is scipy's ``minimize(fun, x0, method="Nelder-Mead",
+    options={"adaptive": True, "maxfev": maxfev, "xatol": 1e-13,
+    "fatol": 1e-15})`` step for step: the same initial simplex, parameters
+    (Gao & Han 2012), sorts, steps and stopping test, and evaluations
+    refused where scipy's count refuses them, so the same x, evaluation
+    count and final simplex come out.  fun maps one point, or an
+    (m, len(x0)) stack of them, to the list of their values: the initial
+    simplex and each shrink go to it as one stack.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    N = len(x0)
+    dim = float(N)
+    # scipy's reflection coefficient rho is 1 here, and multiplying by it is
+    # exact, so it is left out of the step formulas below
+    chi = 1 + 2/dim
+    psi = 0.75 - 1/(2*dim)
+    sigma = 1 - 1/dim
+
+    sim = np.tile(x0, (N + 1, 1))
+    sim[np.arange(1, N + 1), np.arange(N)] = np.where(x0 != 0, (1 + 0.05)*x0,
+                                                      0.00025)
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    nfev = min(N + 1, maxfev)
+    if nfev:
+        fsim[:nfev] = fun(sim[:nfev])
+    for _ in range(2):      # scipy sorts twice before the first step
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
+
+    def value(x):
+        nonlocal nfev
+        nfev += 1
+        return fun(x)[0]
+
+    while nfev < maxfev:
+        # fsim is sorted, so fsim[-1] - fsim[0] is max |fsim[0] - fsim[1:]|
+        if (fsim[-1] - fsim[0] <= _FATOL and
+                np.abs(sim[1:] - sim[0]).max() <= _XATOL):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = 2 * xbar - sim[-1]
+        fxr = value(xr)
+        doshrink = False
+        if nfev == maxfev and (fxr < fsim[0] or not fxr < fsim[-2]):
+            pass    # the expansion or contraction this step needs is refused
+        elif fxr < fsim[0]:
+            xe = (1 + chi) * xbar - chi * sim[-1]
+            fxe = value(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = (1 + psi) * xbar - psi * sim[-1]
+            fxc = value(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                doshrink = True
+        else:   # inside contraction
+            xcc = (1 - psi) * xbar + psi * sim[-1]
+            fxcc = value(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                doshrink = True
+        if doshrink:
+            # scipy shrinks row k + 1 before it refuses to evaluate it
+            k = min(N, maxfev - nfev)
+            rows = slice(1, min(N, k + 1) + 1)
+            sim[rows] = sim[0] + sigma * (sim[rows] - sim[0])
+            if k:
+                fsim[1:k + 1] = fun(sim[1:k + 1])
+                nfev += k
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
+    return NelderMeadResult(sim[0], nfev, sim, fsim)
 
 
 @dataclass(frozen=True)
@@ -156,67 +250,86 @@ def _unpack(z: np.ndarray, N: int, d: int) -> tuple:
 
 
 class _Objective:
-    """Ratio and merit of a search vector (see _pack).  Both classes' pair
-    matrices and longest paths are computed as one (2, n, n) stack, in a
-    buffer reused by every evaluation, from bound coefficients built once."""
+    """Ratio, merit and witness of search vectors (see _pack), given as one
+    vector (nz,) or a stack (m, nz).  The two classes' pair matrices and
+    longest paths of every vector are one (..., 2, n, n) broadcast pass,
+    from bound coefficients built once, in buffers kept per stack shape."""
 
     def __init__(self, params: DcParams, N: int, d: int):
         self.N = N
         self.d = d
         self.evals = 0
-        n = N + 1
         self._coef = bound_coefficients((params.f1, params.f2))
-        self._rows = np.arange(2)[:, None] + np.arange(n)   # g1, g2 in W
-        self._dist = np.empty((2, n, n))
-        self._tmp = np.empty((2, n, n))
-        self._diag = np.einsum("kii->ki", self._dist)
-        self._fw_cols = [self._dist[:, :, k:k + 1] for k in range(n)]
-        self._fw_rows = [self._dist[:, k:k + 1, :] for k in range(n)]
+        # g1 = W[:-1] and g2 = W[1:], as rows of z viewed as (2N + 3, d)
+        self._grad_rows = N + 1 + np.arange(2)[:, None] + np.arange(N + 1)
+        self._buffers = {}
 
-    def _longest_paths(self, x: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """Max-plus Floyd-Warshall on both classes' pair matrices, in the
-        reused buffer: valid until the next evaluation."""
-        dist = pair_matrix(x, G, self._coef, out=self._dist)
-        for col, row in zip(self._fw_cols, self._fw_rows):
-            np.maximum(dist, np.add(col, row, out=self._tmp), out=dist)
-        return dist
+    def _buffer(self, lead: tuple) -> tuple:
+        """For a stack of shape lead: dist, tmp, views of dist (the two
+        entries D adds, the diagonals) and the Floyd-Warshall (column, row)
+        views."""
+        buf = self._buffers.get(lead)
+        if buf is None:
+            n = self.N + 1
+            dist = np.empty(lead + (2, n, n))
+            steps = [(dist[..., :, k:k + 1], dist[..., k:k + 1, :])
+                     for k in range(n)]
+            buf = self._buffers[lead] = (
+                dist, np.empty_like(dist), dist[..., 0, 0, -1],
+                dist[..., 1, -1, 0], np.einsum("...ii->...i", dist), steps)
+        return buf
 
-    def parts(self, z: np.ndarray):
-        x, W = _unpack(z, self.N, self.d)
-        G = W[self._rows]                   # g1 = W[:-1], g2 = W[1:]
-        dist = self._longest_paths(x, G)
-        cyc1, cyc2 = np.maximum.reduce(self._diag, 1).tolist()
-        gap = G[0] - G[1]
-        num = 0.5 * float(np.minimum.reduce(np.add.reduce(gap * gap, 1)))
-        D = float(dist[0, 0, -1] + dist[1, -1, 0])
-        return num, D, max(cyc1, cyc2)
+    def _longest_paths(self, z: np.ndarray) -> tuple:
+        """G (..., 2, n, d) of z, and max-plus Floyd-Warshall on both
+        classes' pair matrices in the reused buffer: dist and its views (see
+        _buffer), valid until the next evaluation of that shape."""
+        rows = z.reshape(z.shape[:-1] + (-1, self.d))     # x, then W
+        G = rows[..., self._grad_rows, :]
+        buf = self._buffer(z.shape[:-1])
+        dist, tmp, *_, steps = buf
+        pair_matrix(rows[..., None, :self.N + 1, :], G, self._coef, out=dist)
+        for col, row in steps:
+            np.maximum(dist, np.add(col, row, out=tmp), out=dist)
+        return G, buf
+
+    def parts(self, z: np.ndarray) -> tuple:
+        """(num, D, cyc), each of shape z.shape[:-1]: half the least squared
+        gradient gap, the minimal feasible decrease and the largest cycle
+        (NaN if either class has a NaN one)."""
+        G, (_, _, f1_decrease, f2_increase, diag, _) = self._longest_paths(z)
+        gap = G[..., 0, :, :] - G[..., 1, :, :]
+        num = 0.5 * np.minimum.reduce(np.add.reduce(gap * gap, -1), -1)
+        return (num, f1_decrease + f2_increase,
+                np.maximum.reduce(diag, (-2, -1)))
 
     def ratio(self, z: np.ndarray) -> float:
         self.evals += 1
-        num, D, cyc = self.parts(z)
+        num, D, cyc = map(float, self.parts(z))
         if cyc > _CYCLE_TOL:
             return -1e3 * (1.0 + cyc)
         if D < _D_FLOOR:
             return -1.0
         return num / D
 
-    def neg_smooth(self, z: np.ndarray) -> float:
-        """Continuous merit for the local search: the hard feasibility wall
-        is replaced by a linear penalty so the simplex can slide along it."""
-        self.evals += 1
-        num, D, cyc = self.parts(z)
-        val = num / D if D >= _D_FLOOR else D - _D_FLOOR
-        return -(val - 1e3 * max(cyc, 0.0))
+    def merit(self, z: np.ndarray) -> list:
+        """Negated continuous merit of a vector or a stack (m, nz), as a
+        list, for the local search: the hard feasibility wall is replaced by
+        a linear penalty so the simplex can slide along it."""
+        self.evals += z.size // z.shape[-1]
+        cols = np.array(self.parts(z)).reshape(3, -1).tolist()
+        return [-((num / D if D >= _D_FLOOR else D - _D_FLOOR)
+                  - 1e3 * max(cyc, 0.0))
+                for num, D, cyc in zip(*cols)]
 
     def witness(self, z: np.ndarray) -> Optional[PepVariables]:
-        num, D, cyc = self.parts(z)
+        num, D, cyc = map(float, self.parts(z))
         if cyc > _CYCLE_TOL or D < _D_FLOOR:
             return None
-        s = 1.0 / math.sqrt(D)   # ratio is invariant; normalize D to 1
-        x, W = (s * v for v in _unpack(z, self.N, self.d))
-        dist = self._longest_paths(x, W[self._rows])
+        z = (1.0 / math.sqrt(D)) * z   # ratio is invariant; normalize D to 1
+        dist = self._longest_paths(z)[1][0]
         # potentials: f1^j = -dist1(0, j), f2^j = -dist2(N, j); new arrays
-        return PepVariables(x, W, -dist[0, 0, :], -dist[1, -1, :])
+        return PepVariables(*_unpack(z, self.N, self.d),
+                            -dist[0, 0, :], -dist[1, -1, :])
 
 
 def _chain_start(gamma: float, N: int, d: int) -> np.ndarray:
@@ -283,10 +396,7 @@ def probe(params: DcParams, N: int = 1, d: int = 1, budget: int = 200000,
     per_chunk = max(0, budget // (max(1, len(inits)) * restarts))
 
     def search(z):
-        return minimize(obj.neg_smooth, z, method="Nelder-Mead",
-                        options={"maxfev": min(per_chunk, budget - obj.evals),
-                                 "xatol": 1e-13, "fatol": 1e-15,
-                                 "adaptive": True}).x
+        return minimize(obj.merit, z, min(per_chunk, budget - obj.evals)).x
 
     best = (-math.inf, -1, None)     # (ratio, start index, z)
     for idx, (z, _) in enumerate(inits):

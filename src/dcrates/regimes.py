@@ -29,7 +29,8 @@ class NoRegime(RuntimeError):
 
 
 class InconsistentBoundary(RuntimeError):
-    """Two regimes matched but their coefficients disagree."""
+    """Two regimes matched but their coefficients disagree, or the matched
+    row's coefficients divide by a difference that rounds to 0 at a corner."""
 
 
 class PreconditionViolated(RuntimeError):
@@ -275,6 +276,25 @@ def _coeffs_agree(a, b) -> bool:
     return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
 
 
+def _row_coefficients(row: int, label: str, params: DcParams):
+    """_coefficients of one matched row.  Rows p1 and p2 divide by
+    1/mu1 - 1/L1 and 1/mu2 - 1/L2; where that rounds to 0, near the corner
+    mu1 = L1 = L2 or mu2 = L1 = L2 of their domains, the point is refused as
+    InconsistentBoundary, naming the row and the corner."""
+    try:
+        return _coefficients(row, params.L1, params.L2, params.mu1, params.mu2)
+    except ZeroDivisionError as exc:
+        if row not in (1, 2):
+            raise
+        mu, L = (params.mu1, params.L1) if row == 1 else (params.mu2, params.L2)
+        if recip(mu) - recip(L) != 0.0:
+            raise
+        raise InconsistentBoundary(
+            "regime %s matches at %s, but its coefficients divide by 1/mu%d - "
+            "1/L%d, which rounds to 0 this close to the corner mu%d = L1 = L2"
+            % (label, params.to_json_dict(), row, row, row)) from exc
+
+
 def _boundary_margin(L1, L2, m1, m2, sides) -> float:
     """Distance-like margin to the nearest regime boundary surface."""
     cands = [abs(m1), abs(m2)]
@@ -324,9 +344,9 @@ def classify(params: DcParams) -> RegimeCertificate:
     if (math.isinf(L1) or math.isinf(L2)) and first in (1, 2, 7, 8):
         index = 2 - first % 2           # rows 1, 7 -> 1; rows 2, 8 -> 2
         label, row = "p%d%d" % (index, index + 6), index + 6
-    s, sp, a = _coefficients(row, L1, L2, m1, m2)
+    s, sp, a = _row_coefficients(row, label, params)
     for other, _ in matched[1:]:
-        oc = _coefficients(other, L1, L2, m1, m2)
+        oc = _row_coefficients(other, _LABELS[other], params)
         if not _coeffs_agree((s, sp), oc):
             raise InconsistentBoundary(
                 "regimes %s and p%d both match at %s but disagree: %r vs %r"

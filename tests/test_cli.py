@@ -370,6 +370,19 @@ def test_curvatures_past_formula_range_name_the_cause(capsys):
         "1e154)\n")
 
 
+def test_corner_refusal_names_the_corner_and_the_row(capsys):
+    """An ulp from mu1 = L1 = L2, 1/mu1 rounds to 1/L1 and row p1 divides by
+    their difference: the refusal says so instead of blaming the range."""
+    argv = ["classify", "--mu1", "3.6169710755399267", "--L1",
+            "3.616971075539927", "--mu2", "0.25576811495125634", "--L2",
+            "3.616971075539927"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: regime p1 matches at "), err
+    assert err.endswith("this close to the corner mu1 = L1 = L2\n"), err
+    assert "past what" not in err
+
+
 @pytest.mark.parametrize("position", ["f1", "f2"])
 def test_concave_kink_term_exit_1(tmp_path, capsys, position):
     """abs_quadratic with a < 0 has no finite lower curvature, whatever it
@@ -646,13 +659,19 @@ def test_certify_refuses_g2_off_the_gradient_in_euclidean_distance(tmp_path,
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    """Neither the import nor a probe loads scipy: the probe's Nelder-Mead is
+    the package's own."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys; import dcrates.cli; "
-         "print('scipy' in sys.modules)"],
-        env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    probe = ("from dcrates.cli import main; main(['probe', '--mu1', '1', "
+             "'--L1', '10', '--mu2', '-0.8', '--L2', '2', '--N', '2', "
+             "'--d', '2', '--budget', '300', '--starts', '2'])")
+    for code in ("import dcrates.cli", probe):
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; %s; print('scipy' in sys.modules)" % code],
+            env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip().splitlines()[-1] == "False", code
 
 
 def _main_code(argv):

@@ -8,8 +8,8 @@ from dcrates.cli import main
 from dcrates.curvature import make_params
 from dcrates.interpolation import check_interpolation, make_triplet, pair_matrix
 from dcrates.probe import (CERT_ALLOWANCE, FEAS_TOL, InfeasibleConstruction,
-                           _Objective, _pack, extremal_instance, probe,
-                           ratio_trend)
+                           _Objective, _pack, extremal_instance, minimize,
+                           probe, ratio_trend)
 from dcrates.regimes import classify, equality_gammas
 
 INF = math.inf
@@ -212,6 +212,108 @@ def test_stacked_objective_matches_per_class_reference(params):
             for _ in range(12):
                 z = rng.normal(size=(2 * N + 3) * d) * 10.0 ** rng.uniform(-1, 1)
                 assert obj.parts(z)[:3] == _reference_parts(params, N, d, z)
+
+
+@pytest.mark.parametrize("params", list(ANCHORS.values())
+                         + [make_params(1.0, INF, -0.5, 2.0),
+                            make_params(1.0, 10.0, -0.5, INF)],
+                         ids=["r%d" % i for i in ANCHORS] + ["L1inf", "L2inf"])
+def test_stack_of_points_matches_one_at_a_time(params):
+    """An (m, nz) stack gives, bit for bit, the parts and merits of its m
+    rows evaluated one at a time, and counts m evaluations."""
+    rng = np.random.default_rng(11)
+    for N in (1, 2, 4, 6):
+        for d in (1, 2, 3):
+            nz = (2 * N + 3) * d
+            obj = _Objective(params, N, d)
+            for m in (1, 4, nz + 1):
+                Z = rng.normal(size=(m, nz)) * 10.0 ** rng.uniform(-1, 1, (m, 1))
+                rows = [obj.parts(z) for z in Z]
+                stacked = obj.parts(Z)
+                for k in range(3):
+                    assert np.array_equal(stacked[k], [r[k] for r in rows])
+                singles = [obj.merit(z) for z in Z]
+                before = obj.evals
+                assert obj.merit(Z) == [v for (v,) in singles]
+                assert obj.evals == before + m
+
+
+def _same_as_scipy(fun, stacked, x0, maxfev):
+    """minimize(stacked) and scipy on fun agree on the bytes of x and of the
+    final simplex and its values, and on the evaluation count."""
+    from scipy import optimize      # the test extra's reference
+    res = optimize.minimize(fun, x0, method="Nelder-Mead",
+                            options={"adaptive": True, "xatol": 1e-13,
+                                     "fatol": 1e-15, "maxfev": maxfev})
+    ours = minimize(stacked, x0, maxfev)
+    return ([a.tobytes() for a in (ours.x, ours.sim, ours.fsim)] + [ours.nfev]
+            == [a.tobytes() for a in (res.x, *res.final_simplex)] + [res.nfev])
+
+
+@pytest.mark.parametrize("N", (1, 2, 4, 6))
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_minimize_is_scipy_nelder_mead_on_the_merit(N, d):
+    """The in-house Nelder-Mead returns scipy's x, byte for byte, and its
+    evaluation count, on the probe's merit from seeded starts, with budgets
+    that cut the initial simplex, fall mid-search and run to the probe's
+    chunk size and past it."""
+    nz = (2 * N + 3) * d
+    params = ANCHORS[5]
+    rng = np.random.default_rng(100 * N + d)
+    for maxfev in (nz // 2 + 1, nz + 3, 75, 300):
+        z0 = rng.normal(size=nz) * 10.0 ** rng.uniform(-1, 1)
+        ours, theirs = _Objective(params, N, d), _Objective(params, N, d)
+        assert _same_as_scipy(lambda z: theirs.merit(z)[0], ours.merit, z0,
+                              maxfev)
+        assert ours.evals == theirs.evals <= maxfev
+
+
+def _staircase(z):
+    """Piecewise constant: contractions onto a plateau fail, so Nelder-Mead
+    shrinks often."""
+    return float(np.sum(np.floor(4.0 * z) ** 2))
+
+
+def _kinked_staircase(z):
+    return _staircase(z) + abs(float(z[0]))
+
+
+def _stacked(fun, sizes):
+    """fun over a point or a stack of points, recording the stack sizes."""
+    def stacked(Z):
+        Z = np.atleast_2d(Z)
+        sizes.append(len(Z))
+        return [fun(z) for z in Z]
+    return stacked
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_minimize_is_scipy_nelder_mead_at_every_budget(n):
+    """Runs to their own stop, and every maxfev over the first 150
+    evaluations: so the initial simplex is cut, and each expansion,
+    contraction and shrink there is refused or cut part-way (scipy shrinks
+    the first row it may not evaluate) at some budget."""
+    x0 = np.random.default_rng(0).normal(size=n)
+    for fun in (_staircase, _kinked_staircase):
+        sizes = []
+        assert _same_as_scipy(fun, _stacked(fun, sizes), x0, 10 ** 4)
+        assert sum(sizes) < 10 ** 4         # it stopped on its own
+    sizes = []
+    stacked = _stacked(_staircase, sizes)
+    assert _same_as_scipy(_staircase, stacked, x0, 150)
+    assert sizes[0] == n + 1 and sizes[1:].count(n) >= 5    # shrinks
+    assert all(_same_as_scipy(_staircase, stacked, x0, maxfev)
+               for maxfev in range(1, 150))
+
+
+def test_minimize_keeps_scipy_order_among_tied_values():
+    """Over 16 vertices numpy's default sort is not stable, and the
+    staircase ties many values, so the vertex order follows scipy's only
+    through the same sorts."""
+    x0 = np.random.default_rng(0).normal(size=20)
+    stacked = _stacked(_kinked_staircase, [])
+    assert all(_same_as_scipy(_kinked_staircase, stacked, x0, maxfev)
+               for maxfev in (10, 21, 22, 40, 200))
 
 
 def test_probe_one_nonsmooth_term():

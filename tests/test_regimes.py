@@ -435,3 +435,21 @@ def test_scalar_refusals_keep_their_type_and_message(p, error, message):
     assert type(exc.value) is error
     if message is not None:
         assert str(exc.value) == message
+
+
+def test_corner_division_by_zero_is_refused_as_inconsistent_boundary():
+    """An ulp from mu1 = L1 = L2, 1/mu1 rounds to 1/L1 and row p1 divides by
+    their difference: classify refuses the point as InconsistentBoundary,
+    naming the row and the corner.  A product that underflows (curvatures
+    below about 1e-154) still raises the bare ZeroDivisionError, which the
+    CLI reports as a range error."""
+    with pytest.raises(InconsistentBoundary,
+                       match=r"^regime p1 matches at .* corner mu1 = L1 = L2$"):
+        classify(make_params(3.6169710755399267, 3.616971075539927,
+                             0.25576811495125634, 3.616971075539927))
+    # the swapped point is refused by the mirrored row
+    with pytest.raises(InconsistentBoundary, match=r"^regime p2 .* mu2 = L1 = L2$"):
+        classify(make_params(0.25576811495125634, 3.616971075539927,
+                             3.6169710755399267, 3.616971075539927))
+    with pytest.raises(ZeroDivisionError):
+        classify(make_params(0.0, 1.0, 1e-313, 1.75e-313))
