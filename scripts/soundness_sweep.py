@@ -13,10 +13,9 @@ import sys
 
 import numpy as np
 
-from dcrates.certificates import check_one_step, check_rate
+from dcrates.certificates import SLACK_TOL, check_one_step, check_rate
 from dcrates.engine import run_dca
 from dcrates.oracles import analytic_infimum
-from dcrates.regimes import classify
 from dcrates.sampling import ANCHORS, jitter_params, quad_instance_in
 
 
@@ -36,19 +35,18 @@ def main(argv=None):
         for _ in range(args.per_regime):
             params = jitter_params(ANCHORS[regime], regime, rng)
             inst = quad_instance_in(params, rng)
-            cert = classify(params)
             traj = run_dca(inst, rng.normal(size=inst.f1.dimension),
                            args.steps)
             total += 1
             for k in range(traj.n_steps):
-                worst = min(worst, check_one_step(traj, k, regime=cert).slack)
+                worst = min(worst, check_one_step(traj, k).slack)
             _, _, holds = check_rate(traj, fstar=analytic_infimum(inst))
             rate_failures += 0 if holds else 1
         print("regime %d: done (%d instances)" % (regime, args.per_regime))
 
     print("instances: %d, worst one-step slack: %.3e, rate failures: %d"
           % (total, worst, rate_failures))
-    return 0 if (worst >= -1e-9 and rate_failures == 0) else 2
+    return 0 if (worst >= -SLACK_TOL and rate_failures == 0) else 2
 
 
 if __name__ == "__main__":

@@ -82,15 +82,10 @@ def _one_step(a, b, regime: RegimeCertificate, tol: float) -> OneStepCheck:
 
 
 def check_one_step(traj: Trajectory, k: int = 0,
-                   regime: Optional[RegimeCertificate] = None,
                    tol: float = SLACK_TOL) -> OneStepCheck:
-    """Check the decrease certificate on the step k -> k+1: the run's own
-    (gated by classifying it), or a supplied regime after the precondition
-    gate alone."""
-    if regime is None:
-        regime = _regime(traj)
-    else:
-        _require_precondition(traj.instance.params)
+    """Check the run's own decrease certificate (gated by classifying it) on
+    the step k -> k+1."""
+    regime = _regime(traj)
     return _one_step(*_step(traj, k), regime, tol)
 
 

@@ -23,8 +23,8 @@ from .regimes import (GridSpec, InconsistentBoundary, NoRegime,
 from .oracles import instance_from_json, kink_policy
 from .engine import (run_dca, trajectory_to_csv, trajectory_to_json,
                      trajectory_from_json)
-from .certificates import MissingFstar, certificate_report
-from .interpolation import check_interpolation, triplets_from_json
+from .certificates import SLACK_TOL, MissingFstar, certificate_report
+from .interpolation import DEFAULT_TOL, check_interpolation, triplets_from_json
 from .probe import probe as run_probe
 
 EXIT_OK = 0
@@ -108,22 +108,20 @@ def cmd_classify(args) -> int:
 
 def cmd_regime_map(args) -> int:
     grid = GridSpec.parse(args.grid)
-    rows = regime_map(args.L1, args.L2, grid)
-    # rows run over the axis values mu1-major; each value is formatted once
-    # and found by position (a float key would merge 0.0 and -0.0), and each
-    # mu1 block is written as one string
+    index, p = regime_map(args.L1, args.L2, grid)
+    # each axis value is formatted once, and each mu1 block is written as
+    # one string
     axis = [repr(v) for v in grid.points().tolist()]
     mids = ["," + b + "," for b in axis]
-    n = len(axis)
     target = args.out or "regime_map.csv"
     with open(target, "w", newline="") as fh:
         fh.write("mu1,mu2,regime,p\r\n")
-        for k, a in enumerate(axis):
-            fh.write("".join([f"{a}{m}{i},{p!r}\r\n" for m, (_, _, i, p)
-                              in zip(mids, rows[k * n:(k + 1) * n])]))
-    counts = Counter(row[2] for row in rows)
+        for a, i_row, p_row in zip(axis, index.tolist(), p.tolist()):
+            fh.write("".join([f"{a}{m}{i},{v!r}\r\n"
+                              for m, i, v in zip(mids, i_row, p_row)]))
+    counts = Counter(index.ravel().tolist())
     print("wrote %d rows to %s; regime counts: %s"
-          % (len(rows), target, dict(sorted(counts.items()))))
+          % (index.size, target, dict(sorted(counts.items()))))
     return EXIT_OK
 
 
@@ -260,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="kink subgradient: leftmost, rightmost, "
                        "least_norm or a weight in [0, 1]")
         p.add_argument("--fstar", type=finite_float)
-        p.add_argument("--check-tol", dest="check_tol", type=finite_float, default=1e-9)
+        p.add_argument("--check-tol", dest="check_tol", type=finite_float,
+                       default=SLACK_TOL)
 
     p = sub.add_parser("run", help="run DCA on an instance file")
     add_run(p)
@@ -275,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="verify certificates on a saved trajectory")
     p.add_argument("--traj", required=True)
     p.add_argument("--fstar", type=finite_float)
-    p.add_argument("--check-tol", dest="check_tol", type=finite_float, default=1e-9)
+    p.add_argument("--check-tol", dest="check_tol", type=finite_float,
+                   default=SLACK_TOL)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_certify)
 
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triplets", required=True, help="JSON list of {x,g,f}")
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--L", type=float, required=True)
-    p.add_argument("--tol", type=finite_float, default=1e-9)
+    p.add_argument("--tol", type=finite_float, default=DEFAULT_TOL)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_interp_check)
 

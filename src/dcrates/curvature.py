@@ -7,7 +7,6 @@ the regime formulas can be evaluated uniformly.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ INF = math.inf
 def recip(x):
     """Reciprocal with the conventions 1/0 = +inf and 1/inf = 0.
 
-    Elementwise on a numpy array.
+    Elementwise on a numpy array; a fractions.Fraction stays exact.
     """
     if isinstance(x, np.ndarray):
         with np.errstate(divide="ignore"):
@@ -28,7 +27,7 @@ def recip(x):
         return INF
     if x == INF:
         return 0.0
-    return 1.0 / x
+    return 1 / x
 
 
 def ext_to_json(v):
@@ -60,18 +59,6 @@ class Curvature:
             out.append("%s: mu < L must hold strictly (mu=%r, L=%r)" % (tag, self.mu, self.L))
         return out
 
-    @property
-    def smooth(self) -> bool:
-        return self.L < INF
-
-    @property
-    def kind(self) -> str:
-        if self.mu < 0.0:
-            return "hypoconvex"
-        if self.mu == 0.0:
-            return "convex"
-        return "strongly_convex"
-
 
 @dataclass(frozen=True)
 class DcParams:
@@ -96,14 +83,6 @@ class DcParams:
     def L2(self) -> float:
         return self.f2.L
 
-    def implied_objective_class(self):
-        """Curvature interval of F itself: (mu1 - L2, L1 - mu2).
-
-        The lower end is -inf when f2 is nonsmooth; returned as plain floats
-        since F's class is only reported, never used as a Curvature.
-        """
-        return (self.mu1 - self.L2, self.L1 - self.mu2)
-
     def swapped(self) -> "DcParams":
         return DcParams(self.f2, self.f1)
 
@@ -116,13 +95,6 @@ class DcParams:
         return make_params(float(d["mu1"]), float(d["L1"]),
                            float(d["mu2"]), float(d["L2"]))
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @staticmethod
-    def loads(s: str) -> "DcParams":
-        return DcParams.from_json_dict(json.loads(s))
-
 
 def make_params(mu1: float, L1: float, mu2: float, L2: float) -> DcParams:
     return DcParams(Curvature(mu1, L1), Curvature(mu2, L2))
@@ -132,8 +104,6 @@ def make_params(mu1: float, L1: float, mu2: float, L2: float) -> DcParams:
 class ValidationReport:
     violations: tuple
     decrease_precondition: bool
-    objective_nonconvex: bool
-    objective_nonconcave: bool
 
     @property
     def ok(self) -> bool:
@@ -141,7 +111,7 @@ class ValidationReport:
 
 
 def validate(params: DcParams) -> ValidationReport:
-    """Check Assumption-style constraints and report the derived flags.
+    """Check Assumption-style constraints and the decrease precondition.
 
     Report-valued: never raises.  The decrease precondition is
     mu1 + mu2 > 0 or mu1 = mu2 = 0, under which the one-step and N-step
@@ -149,15 +119,8 @@ def validate(params: DcParams) -> ValidationReport:
     """
     viol = params.f1.violations("f1") + params.f2.violations("f2")
     m1, m2 = params.mu1, params.mu2
-    if math.isnan(m1) or math.isnan(m2):
-        precond = False
-        nonconvex = False
-        nonconcave = False
-    else:
-        precond = (m1 + m2 > 0.0) or (m1 == 0.0 and m2 == 0.0)
-        nonconvex = params.L2 > m1
-        nonconcave = params.L1 > m2
-    return ValidationReport(tuple(viol), precond, nonconvex, nonconcave)
+    precond = m1 + m2 > 0.0 or (m1 == 0.0 and m2 == 0.0)    # False on NaN
+    return ValidationReport(tuple(viol), precond)
 
 
 def require_valid(params: DcParams) -> ValidationReport:
@@ -165,16 +128,3 @@ def require_valid(params: DcParams) -> ValidationReport:
     if not rep.ok:
         raise InvalidParams("; ".join(rep.violations))
     return rep
-
-
-def shift_curvature(params: DcParams, rho: float) -> DcParams:
-    """Move rho/2 ||x||^2 worth of curvature into both terms simultaneously.
-
-    Leaves the implied class of F unchanged; L = inf stays inf.
-    """
-    if not math.isfinite(rho):
-        raise InvalidParams("shift amount must be a finite real, got %r" % rho)
-    return DcParams(
-        Curvature(params.mu1 + rho, params.L1 + rho),
-        Curvature(params.mu2 + rho, params.L2 + rho),
-    )

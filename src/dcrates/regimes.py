@@ -141,7 +141,7 @@ def _coeffs_p1(L1, L2, m1, m2):
     sigma = rl2 * _lim_ratio(L2 - m1, L1 - m1)
     den = recip(m1) - rl1
     corr = _where(abs(den) == INF, 0.0, (rl2 - rl1) / den)
-    sigma_plus = rl2 * (1.0 + corr)
+    sigma_plus = rl2 * (1 + corr)
     alpha = m1 * rl2 * _lim_ratio(L1 - L2, L1 - m1)
     return sigma, sigma_plus, alpha
 
@@ -316,7 +316,8 @@ def classify(params: DcParams) -> RegimeCertificate:
     after asserting that all matched rows produce the same coefficients.
     With one infinite L, rows 1/7 and 2/8 merge into p17 (index 1) and p28
     (index 2), which take the L-independent p7/p8 coefficients: the exact
-    L -> inf limits of the p1/p2 rows.
+    L -> inf limits of the p1/p2 rows.  A p that is not a finite positive
+    float (a formula that overflowed or underflowed) raises OverflowError.
     """
     _require_decrease(params)
     L1, L2, m1, m2 = params.L1, params.L2, params.mu1, params.mu2
@@ -352,8 +353,12 @@ def classify(params: DcParams) -> RegimeCertificate:
                 "regimes %s and p%d both match at %s but disagree: %r vs %r"
                 % (label, other, params.to_json_dict(), (s, sp), oc[:2])
             )
+    p = s + sp
+    if not 0.0 < p < INF:
+        raise OverflowError("regime %s gives p = %r at %s, not a finite positive float"
+                            % (label, p, params.to_json_dict()))
     detail = list(zip(_DETAIL_NAMES[first], first_vals))
-    return RegimeCertificate(index, label, s, sp, s + sp, a,
+    return RegimeCertificate(index, label, s, sp, p, a,
                              tuple(trace + detail), _boundary_margin(L1, L2, m1, m2, sides))
 
 
@@ -446,10 +451,9 @@ class GridSpec:
 
 
 def regime_map(L1: float, L2: float, grid: GridSpec):
-    """Figure-1-style data: rows (mu1, mu2, regime index, p) over the grid."""
+    """Figure-1-style data: grid_classify's (regime index, p) arrays over the
+    grid, each (steps, steps) and indexed [mu1, mu2]; p is NaN exactly where
+    the index is 0."""
     pts = grid.points()
-    M1, M2 = np.meshgrid(pts, pts, indexing="ij")
-    index, p, _, _, _ = grid_classify(L1, L2, M1, M2)
-    # p is NaN exactly where index is 0
-    return list(zip(M1.ravel().tolist(), M2.ravel().tolist(),
-                    index.ravel().tolist(), p.ravel().tolist()))
+    index, p, _, _, _ = grid_classify(L1, L2, *np.meshgrid(pts, pts, indexing="ij"))
+    return index, p

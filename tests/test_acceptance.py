@@ -88,11 +88,10 @@ def test_criterion_3_soundness_sweep(report):
         for _ in range(per_regime):
             params = jitter_params(anchor, regime, rng)
             inst = quad_instance_in(params, rng)
-            cert = classify(params)
             x0 = rng.normal(size=inst.f1.dimension)
             traj = run_dca(inst, x0, 25)
             for k in range(traj.n_steps):
-                chk = check_one_step(traj, k, regime=cert)
+                chk = check_one_step(traj, k)
                 min_slack = min(min_slack, chk.slack)
                 if chk.slack < -1e-9:
                     failures += 1

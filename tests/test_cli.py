@@ -82,17 +82,24 @@ def test_classify_one_nonsmooth_term(tmp_path, capsys):
     (1.0, 0.5, "-2:3:11", True),
 ], ids=["basic", "one_step", "signed_zero", "equal_L", "invalid_nodes"])
 def test_regime_map_csv(tmp_path, capsys, L1, L2, grid, has_invalid):
-    # the file is what csv.writer makes of regime_map's rows, byte for byte
+    # the file is what csv.writer makes of the grid nodes, mu1-major, and
+    # regime_map's arrays, byte for byte
     out = tmp_path / "map.csv"
     assert main(["regime-map", "--L1", repr(L1), "--L2", repr(L2),
                  "--grid", grid, "--out", str(out)]) == 0
-    rows = regime_map(L1, L2, GridSpec.parse(grid))
+    spec = GridSpec.parse(grid)
+    pts = spec.points()
+    index, p = regime_map(L1, L2, spec)
+    assert index.shape == p.shape == (spec.steps, spec.steps)
+    M1, M2 = np.meshgrid(pts, pts, indexing="ij")
+    rows = list(zip(M1.ravel().tolist(), M2.ravel().tolist(),
+                    index.ravel().tolist(), p.ravel().tolist()))
     ref = io.StringIO(newline="")
     csv.writer(ref).writerows([("mu1", "mu2", "regime", "p")] + rows)
     data = out.read_bytes()
     assert data == ref.getvalue().encode()
-    assert len(data.splitlines()) == 1 + GridSpec.parse(grid).steps ** 2
-    counts = Counter(idx for _, _, idx, _ in rows)
+    assert len(data.splitlines()) == 1 + spec.steps ** 2
+    counts = Counter(index.ravel().tolist())
     assert capsys.readouterr().out == "wrote %d rows to %s; regime counts: %s\n" % (
         len(rows), out, dict(sorted(counts.items())))
     assert (counts[0] > 0) == (b",nan\r\n" in data) == has_invalid
@@ -381,6 +388,33 @@ def test_corner_refusal_names_the_corner_and_the_row(capsys):
     assert err.startswith("error: regime p1 matches at "), err
     assert err.endswith("this close to the corner mu1 = L1 = L2\n"), err
     assert "past what" not in err
+
+
+_P_OVERFLOW = ["--mu1", "1e200", "--L1", "inf", "--mu2", "0", "--L2", "1e-100"]
+
+
+@pytest.mark.parametrize("argv, label, p", [
+    (["classify", "--mu1", "0", "--L1", "inf", "--mu2", "0", "--L2", "1.4e154"],
+     "p17", "0.0"),
+    (["classify", "--mu1", "0", "--L1", "1.4e154", "--mu2", "0", "--L2", "inf"],
+     "p28", "0.0"),
+    (["classify"] + _P_OVERFLOW, "p17", "inf"),
+    (["classify", "--mu1", "0", "--L1", "1e-100", "--mu2", "1e200", "--L2", "inf"],
+     "p28", "inf"),
+    (["probe"] + _P_OVERFLOW + ["--budget", "40", "--starts", "2"], "p17", "inf"),
+], ids=["classify_p17_0", "classify_p28_0", "classify_p17_inf",
+        "classify_p28_inf", "probe_p17_inf"])
+def test_p_past_the_float_range_exit_1(capsys, argv, label, p):
+    """Row p7's (L2 + mu1) / (L2 * L2), and its mirror p8, overflow to 0 or
+    inf at these points: classify raises OverflowError, and the CLI refuses
+    the p with the range message instead of printing it (or a probe's
+    certified bound of 0)."""
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: regime %s gives p = %s at {'mu1': "
+                          % (label, p)), err
+    assert err.endswith("formulas can evaluate (about 1e-154 to 1e154)\n"), err
 
 
 @pytest.mark.parametrize("position", ["f1", "f2"])

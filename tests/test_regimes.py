@@ -308,21 +308,19 @@ def test_grid_matches_scalar():
 
 
 def test_regime_map_rows():
-    rows = regime_map(2.0, 1.0, GridSpec(-1.0, 2.0, 40))
-    assert len(rows) == 1600
-    for mu1, mu2, idx, p in rows:
-        if mu1 > 1.0 and mu2 >= 0.0 and mu1 < 2.0 and mu2 < 1.0:
-            assert idx == 7
-        if mu1 > 0 and mu1 + mu2 == 0.0:
-            assert idx == 0  # outside the decrease precondition
+    grid = GridSpec(-1.0, 2.0, 40)
+    index, p = regime_map(2.0, 1.0, grid)
+    assert index.shape == p.shape == (40, 40)
+    M1, M2 = np.meshgrid(grid.points(), grid.points(), indexing="ij")
+    assert (index[(M1 > 1.0) & (M2 >= 0.0) & (M1 < 2.0) & (M2 < 1.0)] == 7).all()
+    # outside the decrease precondition
+    assert (index[(M1 > 0) & (M1 + M2 == 0.0)] == 0).all()
+    assert (np.isnan(p) == (index == 0)).all()
 
 
 def test_convex_halfplane_splits_between_1_and_2():
-    rows = regime_map(2.0, 1.0, GridSpec(0.05, 0.9, 15))
-    for mu1, mu2, idx, p in rows:
-        if idx == 0:
-            continue
-        assert idx in (1, 2)
+    index, _ = regime_map(2.0, 1.0, GridSpec(0.05, 0.9, 15))
+    assert set(index[index != 0].tolist()) <= {1, 2}
 
 
 @settings(max_examples=60, deadline=None)
@@ -453,3 +451,14 @@ def test_corner_division_by_zero_is_refused_as_inconsistent_boundary():
                              3.6169710755399267, 3.616971075539927))
     with pytest.raises(ZeroDivisionError):
         classify(make_params(0.0, 1.0, 1e-313, 1.75e-313))
+
+
+def test_coefficients_stay_exact_on_fractions():
+    """At each anchor read as Fractions, every coefficient is a Fraction or an
+    exact 0.0, and it matches the float path."""
+    for index, anchor in ANCHORS.items():
+        floats = (anchor.L1, anchor.L2, anchor.mu1, anchor.mu2)
+        exact = _coefficients(index, *map(Fraction, floats))
+        for e, f in zip(exact, _coefficients(index, *floats)):
+            assert type(e) is Fraction or (type(e) is float and e == 0.0), (index, e)
+            assert math.isclose(e, f, rel_tol=1e-14), (index, e, f)
