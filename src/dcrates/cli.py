@@ -9,6 +9,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -40,7 +41,13 @@ def _formula_revision() -> str:
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1; argparse's own 2 would read as a failed check.
     Their standard error starts with `error: `, as every other error's does,
-    and the usage line follows."""
+    and the usage line follows.  An argument that starts with a minus sign
+    and a float ('-1e-5', '-.5', '-inf', '-3e0,2') is a value, never an
+    option; argparse alone takes only '-<digits>[.<digits>]' for one."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.I)
 
     def error(self, message):
         self.exit(EXIT_USAGE, "error: %s: %s\n%s"
@@ -305,43 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _value_options(parser: argparse.ArgumentParser) -> set:
-    """The option strings of parser and its subcommands that take a value;
-    flags such as --cold, --certify and --help take none."""
-    opts = set()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                opts |= _value_options(sub)
-        elif action.nargs != 0:
-            opts.update(action.option_strings)
-    return opts
-
-
-def _merge_value_flags(parser: argparse.ArgumentParser, argv):
-    """Join '--mu2 -1e-5' into '--mu2=-1e-5' for every option that takes a
-    value, so argparse does not mistake a leading-minus value for an option
-    (it reads only '-<digits>' and '-<digits>.<digits>' as numbers)."""
-    joined = _value_options(parser)
-    out = []
-    for a in argv:
-        if out and out[-1] in joined:
-            out[-1] += "=" + a
-        else:
-            out.append(a)
-    for a in out:
-        opt, eq, value = a.partition("=")
-        if eq and value == "--" and opt in joined:
-            # argparse would drop the '--' and store [] under the option
-            parser.error("argument %s: expected one argument" % opt)
-    return out
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_merge_value_flags(
-            parser, sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(argv)
         # numpy's overflow warnings would precede the error line; the library
         # checks finiteness itself and says so
         with np.errstate(all="ignore"):

@@ -29,8 +29,7 @@ class NoRegime(RuntimeError):
 
 
 class InconsistentBoundary(RuntimeError):
-    """Two regimes matched but their coefficients disagree, or the matched
-    row's coefficients divide by a difference that rounds to 0 at a corner."""
+    """Two regimes matched but their coefficients disagree."""
 
 
 class PreconditionViolated(RuntimeError):
@@ -137,13 +136,11 @@ def _mu2_s1_sign(L2: float, m1, m2):
 # smooth-regime coefficients, odd regimes (evens by the parameter swap)
 
 def _coeffs_p1(L1, L2, m1, m2):
-    rl1, rl2 = recip(L1), recip(L2)
-    sigma = rl2 * _lim_ratio(L2 - m1, L1 - m1)
-    den = recip(m1) - rl1
-    corr = _where(abs(den) == INF, 0.0, (rl2 - rl1) / den)
-    sigma_plus = rl2 * (1 + corr)
+    # sigma_plus = (1 + (1/L2 - 1/L1) / (1/mu1 - 1/L1)) / L2, whose correction
+    # term is alpha: written through alpha it does not cancel as mu1 -> L1
+    rl2 = recip(L2)
     alpha = m1 * rl2 * _lim_ratio(L1 - L2, L1 - m1)
-    return sigma, sigma_plus, alpha
+    return rl2 * _lim_ratio(L2 - m1, L1 - m1), rl2 * (1 + alpha), alpha
 
 
 def _coeffs_p3(L1, L2, m1, m2):
@@ -276,25 +273,6 @@ def _coeffs_agree(a, b) -> bool:
     return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
 
 
-def _row_coefficients(row: int, label: str, params: DcParams):
-    """_coefficients of one matched row.  Rows p1 and p2 divide by
-    1/mu1 - 1/L1 and 1/mu2 - 1/L2; where that rounds to 0, near the corner
-    mu1 = L1 = L2 or mu2 = L1 = L2 of their domains, the point is refused as
-    InconsistentBoundary, naming the row and the corner."""
-    try:
-        return _coefficients(row, params.L1, params.L2, params.mu1, params.mu2)
-    except ZeroDivisionError as exc:
-        if row not in (1, 2):
-            raise
-        mu, L = (params.mu1, params.L1) if row == 1 else (params.mu2, params.L2)
-        if recip(mu) - recip(L) != 0.0:
-            raise
-        raise InconsistentBoundary(
-            "regime %s matches at %s, but its coefficients divide by 1/mu%d - "
-            "1/L%d, which rounds to 0 this close to the corner mu%d = L1 = L2"
-            % (label, params.to_json_dict(), row, row, row)) from exc
-
-
 def _boundary_margin(L1, L2, m1, m2, sides) -> float:
     """Distance-like margin to the nearest regime boundary surface."""
     cands = [abs(m1), abs(m2)]
@@ -345,9 +323,9 @@ def classify(params: DcParams) -> RegimeCertificate:
     if (math.isinf(L1) or math.isinf(L2)) and first in (1, 2, 7, 8):
         index = 2 - first % 2           # rows 1, 7 -> 1; rows 2, 8 -> 2
         label, row = "p%d%d" % (index, index + 6), index + 6
-    s, sp, a = _row_coefficients(row, label, params)
+    s, sp, a = _coefficients(row, L1, L2, m1, m2)
     for other, _ in matched[1:]:
-        oc = _row_coefficients(other, _LABELS[other], params)
+        oc = _coefficients(other, L1, L2, m1, m2)
         if not _coeffs_agree((s, sp), oc):
             raise InconsistentBoundary(
                 "regimes %s and p%d both match at %s but disagree: %r vs %r"
@@ -401,7 +379,9 @@ def grid_classify(L1: float, L2: float, mu1, mu2):
     Returns (index, p, sigma, sigma_plus, n_matched); index 0 marks nodes
     outside the valid set (assumption or decrease precondition violated).
     Evaluates the same domain and coefficient functions as the scalar
-    classify, so it matches it on every valid node.
+    classify, so it matches it on every valid node; like classify, it raises
+    OverflowError at the first valid node whose p is not a finite positive
+    float.
     """
     if not (0.0 < L1 < INF and 0.0 < L2 < INF):
         raise InvalidParams("grid_classify requires finite positive L1, L2")
@@ -422,7 +402,15 @@ def grid_classify(L1: float, L2: float, mu1, mu2):
     sigma = np.select(masks, sigmas, default=np.nan)
     sigma_plus = np.select(masks, sigma_ps, default=np.nan)
     n_matched = np.sum(np.stack(masks), axis=0)
-    return index, sigma + sigma_plus, sigma, sigma_plus, n_matched
+    p = sigma + sigma_plus
+    bad = np.flatnonzero((index > 0) & ~((p > 0.0) & (p < INF)))
+    if bad.size:
+        k = bad[0]
+        node = {"mu1": float(np.broadcast_to(M1, p.shape).flat[k]), "L1": L1,
+                "mu2": float(np.broadcast_to(M2, p.shape).flat[k]), "L2": L2}
+        raise OverflowError("regime p%d gives p = %r at %s, not a finite positive float"
+                            % (index.flat[k], float(p.flat[k]), node))
+    return index, p, sigma, sigma_plus, n_matched
 
 
 @dataclass(frozen=True)

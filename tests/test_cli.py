@@ -377,17 +377,38 @@ def test_curvatures_past_formula_range_name_the_cause(capsys):
         "1e154)\n")
 
 
-def test_corner_refusal_names_the_corner_and_the_row(capsys):
-    """An ulp from mu1 = L1 = L2, 1/mu1 rounds to 1/L1 and row p1 divides by
-    their difference: the refusal says so instead of blaming the range."""
-    argv = ["classify", "--mu1", "3.6169710755399267", "--L1",
-            "3.616971075539927", "--mu2", "0.25576811495125634", "--L2",
-            "3.616971075539927"]
+_CORNER = ("3.6169710755399267", "3.616971075539927")   # mu an ulp below L1 = L2
+
+
+@pytest.mark.parametrize("point, rows", [
+    ((_CORNER[0], _CORNER[1], "0.25576811495125634", _CORNER[1]), "p1 and p7"),
+    (("0.25576811495125634", _CORNER[1], _CORNER[0], _CORNER[1]), "p1 and p8"),
+], ids=["mu1_at_the_corner", "mu2_at_the_corner"])
+def test_corner_refusal_names_the_disagreeing_rows(capsys, point, rows):
+    """An ulp from mu1 = L1 = L2 (or mu2 = L1 = L2) two matched rows give
+    different coefficients: the refusal names both rows instead of blaming
+    the range."""
+    argv = ["classify"] + [a for flag, value in zip(("--mu1", "--L1", "--mu2", "--L2"),
+                                                    point)
+                           for a in (flag, value)]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: regime p1 matches at "), err
-    assert err.endswith("this close to the corner mu1 = L1 = L2\n"), err
+    assert err.startswith("error: regimes %s both match at " % rows), err
     assert "past what" not in err
+
+
+def test_regime_map_p_past_the_float_range_exit_1(tmp_path, capsys):
+    """Row p7's L2 * L2 overflows at L2 = 1e160, so p underflows to 0 at the
+    node mu1 = 2e160: regime-map refuses the grid with the range message,
+    naming the node and p, as classify refuses the point, and writes no CSV."""
+    out = tmp_path / "map.csv"
+    assert main(["regime-map", "--L1", "1e300", "--L2", "1e160", "--grid",
+                 "0:2e160:3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: regime p7 gives p = 0.0 at {'mu1': 2e+160, "
+                          "'L1': 1e+300, 'mu2': 0.0, 'L2': 1e+160}"), err
+    assert err.endswith("formulas can evaluate (about 1e-154 to 1e154)\n"), err
+    assert not out.exists()
 
 
 _P_OVERFLOW = ["--mu1", "1e200", "--L1", "inf", "--mu2", "0", "--L2", "1e-100"]
@@ -764,6 +785,19 @@ def test_negative_exponent_value_reads_as_a_value(tmp_path, instance_file,
     code, _, err = results[0]
     assert "expected one argument" not in err
     assert code == (1 if command == "regime-map" else 0), err
+
+
+def test_non_numeric_value_with_a_leading_minus_needs_the_equals_form(
+        tmp_path, monkeypatch, capsys):
+    """Only a float form after the minus sign reads as a value: '--out -x.json'
+    is a usage error (exit 1), and '--out=-x.json' writes the file."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["classify", "--mu1", "0.5", "--L1", "2", "--mu2", "0", "--L2", "1"]
+    assert _main_code(argv + ["--out", "-x.json"]) == 1
+    assert "argument --out: expected one argument" in capsys.readouterr().err
+    assert not (tmp_path / "-x.json").exists()
+    assert main(argv + ["--out=-x.json"]) == 0
+    assert json.loads((tmp_path / "-x.json").read_text())["certificate"]["label"] == "p1"
 
 
 _FLOAT_FLAGS = {

@@ -435,22 +435,43 @@ def test_scalar_refusals_keep_their_type_and_message(p, error, message):
         assert str(exc.value) == message
 
 
-def test_corner_division_by_zero_is_refused_as_inconsistent_boundary():
-    """An ulp from mu1 = L1 = L2, 1/mu1 rounds to 1/L1 and row p1 divides by
-    their difference: classify refuses the point as InconsistentBoundary,
-    naming the row and the corner.  A product that underflows (curvatures
-    below about 1e-154) still raises the bare ZeroDivisionError, which the
-    CLI reports as a range error."""
-    with pytest.raises(InconsistentBoundary,
-                       match=r"^regime p1 matches at .* corner mu1 = L1 = L2$"):
-        classify(make_params(3.6169710755399267, 3.616971075539927,
-                             0.25576811495125634, 3.616971075539927))
-    # the swapped point is refused by the mirrored row
-    with pytest.raises(InconsistentBoundary, match=r"^regime p2 .* mu2 = L1 = L2$"):
-        classify(make_params(0.25576811495125634, 3.616971075539927,
-                             3.6169710755399267, 3.616971075539927))
+@pytest.mark.parametrize("p, rows", [
+    ((3.6169710755399267, 3.616971075539927, 0.25576811495125634, 3.616971075539927),
+     "p1 and p7"),
+    ((0.25576811495125634, 3.616971075539927, 3.6169710755399267, 3.616971075539927),
+     "p1 and p8"),
+], ids=["mu1_at_the_corner", "mu2_at_the_corner"])
+def test_corner_points_are_refused_by_the_agreement_check(p, rows):
+    """An ulp from mu1 = L1 = L2, and at the swap, the matched rows give
+    different (sigma, sigma_plus): classify refuses the point as
+    InconsistentBoundary, naming both rows."""
+    with pytest.raises(InconsistentBoundary, match=r"^regimes %s both match at " % rows):
+        classify(make_params(*p))
+
+
+def test_underflowing_curvatures_raise_zero_division():
+    """A product that underflows (curvatures below about 1e-154) raises the
+    bare ZeroDivisionError, which the CLI reports as a range error."""
     with pytest.raises(ZeroDivisionError):
         classify(make_params(0.0, 1.0, 1e-313, 1.75e-313))
+
+
+def test_p1_p2_coefficients_match_exact_values_near_mu_equal_L():
+    """Row p1 at mu1 = L1 (1 - u 10^-k), k = 3..15, L2 in [mu1, L1], and row
+    p2 at the swapped points: the float coefficients match the same formulas
+    evaluated on Fractions to a relative 1e-15, however close mu1 is to L1."""
+    rng = np.random.default_rng(15)
+    for k in range(3, 16):
+        for _ in range(200):
+            L1 = float(rng.uniform(0.5, 5.0))
+            mu1 = L1 * (1.0 - float(rng.uniform()) * 10.0 ** -k)
+            if not mu1 < L1:
+                continue
+            L2, mu2 = float(rng.uniform(mu1, L1)), float(rng.uniform())
+            for index, pt in ((1, (L1, L2, mu1, mu2)), (2, (L2, L1, mu2, mu1))):
+                exact = _coefficients(index, *map(Fraction, pt))
+                for e, f in zip(exact, _coefficients(index, *pt)):
+                    assert abs(f - e) <= 1e-15 * abs(e), (k, index, pt, e, f)
 
 
 def test_coefficients_stay_exact_on_fractions():
