@@ -6,6 +6,7 @@ fails (slack below tolerance) -- the CI-visible signal.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -312,10 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# parsing leaves the parser as it was, so main builds it once per process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         # numpy's overflow warnings would precede the error line; the library
         # checks finiteness itself and says so
         with np.errstate(all="ignore"):

@@ -19,6 +19,14 @@ The local search (minimize) is scipy's adaptive Nelder-Mead, step for step,
 so it gives scipy's points; it passes the initial simplex and each shrink to
 the objective as one stack, which is evaluated in one broadcast pass.  The
 package therefore needs no scipy at run time.
+
+The starts' searches are independent, and run in chunks of at most
+per_chunk evaluations.  The chunks certain to get the full per_chunk, however
+little the chunks before them spend, are a start-major prefix; probe runs it
+in lockstep, one minimize call per chunk round, so each step's single points
+of all the starts are evaluated as one stack.  The chunks after it run start
+by start.  Either way every start takes the same steps, so the result is the
+one running all of them start by start gives, bit for bit.
 """
 from __future__ import annotations
 
@@ -56,7 +64,7 @@ class NelderMeadResult(NamedTuple):
     fsim: np.ndarray
 
 
-def minimize(fun, x0: np.ndarray, maxfev: int) -> NelderMeadResult:
+def minimize(fun, x0: np.ndarray, maxfev) -> NelderMeadResult | list:
     """Adaptive Nelder-Mead from x0, with at most maxfev evaluations.
 
     This is scipy's ``minimize(fun, x0, method="Nelder-Mead",
@@ -67,8 +75,55 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> NelderMeadResult:
     count and final simplex come out.  fun maps one point, or an
     (m, len(x0)) stack of them, to the list of their values: the initial
     simplex and each shrink go to it as one stack.
+
+    An (m, n) x0, with a sequence of m maxfev, runs its rows' searches in
+    lockstep and returns a list of their m results, each the one its row
+    gets on its own.  Each round then passes the single points that every
+    live search asks for to fun as one stack; an initial simplex or a shrink
+    still goes in a call of its own.
     """
-    x0 = np.asarray(x0, dtype=float).ravel()
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim == 2:
+        return _lockstep(fun, [_nelder_mead(z, m) for z, m in zip(x0, maxfev)])
+    return _lockstep(fun, [_nelder_mead(x0.ravel(), maxfev)])[0]
+
+
+def _lockstep(fun, runs: list) -> list:
+    """Drive the searches (see _nelder_mead) to their ends in rounds, and
+    return their results.  A round answers every pending request: each stack
+    in its own call to fun, and the single points in one call, as a stack,
+    or as the point itself when only one search asks for one."""
+    results = [None] * len(runs)
+    pending = []    # (run index, requested point or stack)
+
+    def advance(i, value):
+        try:
+            pending.append((i, runs[i].send(value)))
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    for i in range(len(runs)):
+        advance(i, None)
+    while pending:
+        requests, pending = pending, []
+        singles = [(i, z) for i, z in requests if z.ndim == 1]
+        for i, Z in requests:
+            if Z.ndim == 2:
+                advance(i, fun(Z))
+        if len(singles) == 1:
+            advance(singles[0][0], fun(singles[0][1])[0])
+        elif singles:
+            values = fun(np.array([z for _, z in singles]))
+            for (i, _), v in zip(singles, values):
+                advance(i, v)
+    return results
+
+
+def _nelder_mead(x0: np.ndarray, maxfev: int):
+    """minimize's search from the vector x0, as a generator: it yields each
+    point to evaluate and is sent its value, or yields a stack of points
+    and is sent the list of their values, and it returns the
+    NelderMeadResult."""
     N = len(x0)
     dim = float(N)
     # scipy's reflection coefficient rho is 1 here, and multiplying by it is
@@ -83,16 +138,11 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> NelderMeadResult:
     fsim = np.full((N + 1,), np.inf, dtype=float)
     nfev = min(N + 1, maxfev)
     if nfev:
-        fsim[:nfev] = fun(sim[:nfev])
+        fsim[:nfev] = yield sim[:nfev]
     for _ in range(2):      # scipy sorts twice before the first step
         ind = fsim.argsort()
         sim = sim.take(ind, 0)
         fsim = fsim.take(ind, 0)
-
-    def value(x):
-        nonlocal nfev
-        nfev += 1
-        return fun(x)[0]
 
     while nfev < maxfev:
         # fsim is sorted, so fsim[-1] - fsim[0] is max |fsim[0] - fsim[1:]|
@@ -101,13 +151,15 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> NelderMeadResult:
             break
         xbar = np.add.reduce(sim[:-1], 0) / N
         xr = 2 * xbar - sim[-1]
-        fxr = value(xr)
+        nfev += 1
+        fxr = yield xr
         doshrink = False
         if nfev == maxfev and (fxr < fsim[0] or not fxr < fsim[-2]):
             pass    # the expansion or contraction this step needs is refused
         elif fxr < fsim[0]:
             xe = (1 + chi) * xbar - chi * sim[-1]
-            fxe = value(xe)
+            nfev += 1
+            fxe = yield xe
             if fxe < fxr:
                 sim[-1], fsim[-1] = xe, fxe
             else:
@@ -116,14 +168,16 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> NelderMeadResult:
             sim[-1], fsim[-1] = xr, fxr
         elif fxr < fsim[-1]:
             xc = (1 + psi) * xbar - psi * sim[-1]
-            fxc = value(xc)
+            nfev += 1
+            fxc = yield xc
             if fxc <= fxr:
                 sim[-1], fsim[-1] = xc, fxc
             else:
                 doshrink = True
         else:   # inside contraction
             xcc = (1 - psi) * xbar + psi * sim[-1]
-            fxcc = value(xcc)
+            nfev += 1
+            fxcc = yield xcc
             if fxcc < fsim[-1]:
                 sim[-1], fsim[-1] = xcc, fxcc
             else:
@@ -134,7 +188,7 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> NelderMeadResult:
             rows = slice(1, min(N, k + 1) + 1)
             sim[rows] = sim[0] + sigma * (sim[rows] - sim[0])
             if k:
-                fsim[1:k + 1] = fun(sim[1:k + 1])
+                fsim[1:k + 1] = yield sim[1:k + 1]
                 nfev += k
         ind = fsim.argsort()
         sim = sim.take(ind, 0)
@@ -366,6 +420,9 @@ def probe(params: DcParams, N: int = 1, d: int = 1, budget: int = 200000,
     require_valid(params)
     if N < 1 or N > 10 or d < 1 or d > 3:
         raise ValueError("desk scale only: 1 <= N <= 10, 1 <= d <= 3")
+    if budget < 0 or starts < 0:
+        raise ValueError("budget and starts must be >= 0, got budget=%r, "
+                         "starts=%r" % (budget, starts))
     cert = one_step_certificate(params)
     certified = 1.0 / (cert.p * N)
     obj = _Objective(params, N, d)
@@ -398,15 +455,41 @@ def probe(params: DcParams, N: int = 1, d: int = 1, budget: int = 200000,
     def search(z):
         return minimize(obj.merit, z, min(per_chunk, budget - obj.evals)).x
 
+    # Chunk j of start k runs with the full per_chunk cap whatever the chunks
+    # before it spend, when 2k + 1 + (restarts k + j + 1) per_chunk <= budget
+    # (every earlier chunk run full).  Those chunks form a start-major
+    # prefix, run here in lockstep: round j runs chunk j of every start that
+    # has it, in one minimize call.
+    n_lock = 0
+    while (per_chunk and n_lock < len(inits) * restarts and
+           2 * (n_lock // restarts) + 1 + (n_lock + 1) * per_chunk <= budget):
+        n_lock += 1
+    zs = [z for z, _ in inits[:math.ceil(n_lock / restarts)]]
+    first = [obj.ratio(z) for z in zs]
+    for j in range(min(n_lock, restarts)):
+        live = math.ceil((n_lock - j) / restarts)
+        zs[:live] = [r.x for r in minimize(obj.merit, np.array(zs[:live]),
+                                           [per_chunk] * live)]
+
+    # The rest, start by start.  Before the last lockstep start, obj.evals
+    # already holds later starts' lockstep evaluations, and the start-by-start
+    # run cannot break there (the next start's first chunk got its full cap);
+    # from that start on, obj.evals is that run's, so each cap and break is
+    # too.  best is folded in start-major order, so a tie keeps the earlier
+    # start.
     best = (-math.inf, -1, None)     # (ratio, start index, z)
     for idx, (z, _) in enumerate(inits):
-        best = max(best, (obj.ratio(z), idx, z), key=lambda b: b[0])
-        for _ in range(restarts):
+        r = first[idx] if idx < len(zs) else obj.ratio(z)
+        best = max(best, (r, idx, z), key=lambda b: b[0])
+        if idx < len(zs):
+            z = zs[idx]
+        for _ in range(min(restarts, max(0, n_lock - restarts * idx)),
+                       restarts):
             if per_chunk == 0 or obj.evals >= budget:
                 break
             z = search(z)
         best = max(best, (obj.ratio(z), idx, z), key=lambda b: b[0])
-        if obj.evals >= budget:
+        if idx + 1 >= len(zs) and obj.evals >= budget:
             break
     # polish the champion with whatever budget remains
     while best[2] is not None and obj.evals < budget and per_chunk > 0:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -8,8 +9,8 @@ from dcrates.cli import main
 from dcrates.curvature import make_params
 from dcrates.interpolation import check_interpolation, make_triplet, pair_matrix
 from dcrates.probe import (CERT_ALLOWANCE, FEAS_TOL, InfeasibleConstruction,
-                           _Objective, _pack, extremal_instance, minimize,
-                           probe, ratio_trend)
+                           _chain_start, _Objective, _pack, _stretch,
+                           extremal_instance, minimize, probe, ratio_trend)
 from dcrates.regimes import classify, equality_gammas
 
 INF = math.inf
@@ -314,6 +315,186 @@ def test_minimize_keeps_scipy_order_among_tied_values():
     stacked = _stacked(_kinked_staircase, [])
     assert all(_same_as_scipy(_kinked_staircase, stacked, x0, maxfev)
                for maxfev in (10, 21, 22, 40, 200))
+
+
+def _result_bytes(res):
+    return [a.tobytes() for a in (res.x, res.sim, res.fsim)] + [res.nfev]
+
+
+def _counted(fun, calls):
+    def counted(Z):
+        calls.append(len(np.atleast_2d(Z)))
+        return fun(Z)
+    return counted
+
+
+@pytest.mark.parametrize("fun", (_staircase, _kinked_staircase))
+def test_lockstep_minimize_gives_each_rows_own_run(fun):
+    """A (k, n) stack with one maxfev per row gives each row the x, simplex,
+    values and evaluation count of its own run, byte for byte, in fewer
+    calls: caps that cut the initial simplex, fall mid-search, and one so
+    large that its row stops on its own tolerance."""
+    n = 3
+    X0 = np.random.default_rng(0).normal(size=(6, n))
+    caps = [0, 2, n + 2, 40, 150, 10 ** 4]
+    single_calls, calls = [], []
+    singles = [minimize(_stacked(fun, single_calls), x0, m)
+               for x0, m in zip(X0, caps)]
+    assert singles[-1].nfev < caps[-1]     # it stopped on its own
+    together = minimize(_stacked(fun, calls), X0, caps)
+    assert [_result_bytes(r) for r in together] == [_result_bytes(r)
+                                                    for r in singles]
+    assert sum(calls) == sum(single_calls)
+    assert len(calls) < len(single_calls)
+
+
+@pytest.mark.parametrize("N,d", ((1, 1), (2, 2), (4, 3)))
+def test_lockstep_minimize_on_the_merit(N, d):
+    """The same on the probe's merit from seeded starts of the probe's
+    scales, which evaluates a stack as one broadcast pass."""
+    nz = (2 * N + 3) * d
+    rng = np.random.default_rng(100 * N + d)
+    Z0 = rng.normal(size=(4, nz)) * 10.0 ** rng.uniform(-1, 1, (4, 1))
+    caps = [nz // 2 + 1, nz + 3, 75, 300]
+    ours, theirs = _Objective(ANCHORS[5], N, d), _Objective(ANCHORS[5], N, d)
+    single_calls, calls = [], []
+    singles = [minimize(_counted(theirs.merit, single_calls), z, m)
+               for z, m in zip(Z0, caps)]
+    together = minimize(_counted(ours.merit, calls), Z0, caps)
+    assert [_result_bytes(r) for r in together] == [_result_bytes(r)
+                                                    for r in singles]
+    assert ours.evals == theirs.evals == sum(calls)
+    assert len(calls) < len(single_calls)
+
+
+def _start_major(params, N, d, budget, seed, starts, warm=True, init=None):
+    """The probe's search with every chunk of every start in its own
+    minimize call, start by start: the reference for probe's lockstep
+    schedule.  Returns (best_ratio, evals, best_start, witness) as probe
+    reports them, and what the run did: starts entered, the caps of the
+    start loop's chunks, chunks that stopped short of their cap, polish
+    rounds."""
+    cert = classify(params)
+    obj = _Objective(params, N, d)
+    rng = np.random.default_rng(seed)
+    nz = (2 * N + 3) * d
+    inits = [] if init is None else [(np.asarray(init, dtype=float), "init")]
+    if warm:
+        gamma = equality_gammas(cert.index, params)[0][0]
+        if math.isfinite(gamma):
+            inits.append((_chain_start(gamma, N, d), "chain"))
+        try:
+            inits.append((_stretch(extremal_instance(cert.index, params), N, d),
+                          "extremal"))
+        except InfeasibleConstruction:
+            pass
+    while len(inits) < starts:
+        z = rng.normal(size=nz)
+        inits.append((10.0 ** rng.uniform(-1, 1) * z, "random"))
+    restarts = 4
+    per_chunk = max(0, budget // (max(1, len(inits)) * restarts))
+    did = {"entered": 0, "caps": [], "short": 0, "polish": 0}
+
+    def search(z):
+        cap = min(per_chunk, budget - obj.evals)
+        res = minimize(obj.merit, z, cap)
+        did["short"] += res.nfev < cap
+        if not did["polish"]:
+            did["caps"].append(cap)
+        return res.x
+
+    best = (-math.inf, -1, None)
+    for idx, (z, _) in enumerate(inits):
+        did["entered"] += 1
+        best = max(best, (obj.ratio(z), idx, z), key=lambda b: b[0])
+        for _ in range(restarts):
+            if per_chunk == 0 or obj.evals >= budget:
+                break
+            z = search(z)
+        best = max(best, (obj.ratio(z), idx, z), key=lambda b: b[0])
+        if obj.evals >= budget:
+            break
+    while best[2] is not None and obj.evals < budget and per_chunk > 0:
+        did["polish"] += 1
+        z = search(best[2])
+        r = obj.ratio(z)
+        if r <= best[0]:
+            break
+        best = (r, best[1], z)
+    ratio = max(best[0], 0.0)
+    w = obj.witness(best[2]) if best[2] is not None else None
+    if w is not None and not all(
+            check_interpolation(w.triplets(k), cls, FEAS_TOL,
+                                scale_aware=True).feasible
+            for k, cls in ((1, params.f1), (2, params.f2))):
+        w, ratio = None, 0.0
+    start = None if best[2] is None else (best[1], inits[best[1]][1])
+    return (ratio.hex(), obj.evals, start, _witness_bytes(w)), did
+
+
+def _witness_bytes(w):
+    return None if w is None else [a.tobytes() for a in (w.x, w.W, w.f1, w.f2)]
+
+
+# (regime, N, d, budget, starts, options), and what the start-major run must
+# do there
+SCHEDULES = {
+    "bench": ((3, 2, 2, 1200, 4, {}), {"caps": [75] * 15 + [68]}),
+    # the last chunk ends exactly at the budget, with the last start's
+    # final ratio still to come
+    "exact_fill": ((3, 2, 2, 1207, 4, {}), {"entered": 4,
+                                            "caps": [75] * 16}),
+    "cut_mid_start": ((5, 1, 1, 34, 4, {}), {"caps": [2] * 13 + [1]}),
+    "start_skipped": ((1, 1, 1, 70, 8, {}), {"entered": 7}),
+    "no_chunk": ((1, 1, 1, 5, 2, {}), {"entered": 2, "caps": []}),
+    "polish": ((1, 2, 1, 2000, 3, {}), {"polish": 1}),
+    "init": ((1, 1, 1, 2000, 3, {"init": np.zeros(5)}), {"entered": 3}),
+    "cold": ((1, 1, 1, 2000, 3, {"warm": False}), {"entered": 3}),
+    "stops_short": ((1, 1, 1, 20000, 4, {}), {"short": 12}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEDULES))
+def test_probe_matches_the_start_major_reference(case):
+    """probe's lockstep rounds give the start-by-start run's best_ratio,
+    evals, best_start and witness bytes, also where the budget cuts a chunk
+    mid-start, skips a later start, leaves no chunk at all, leaves budget to
+    the polish loop, is met exactly by the last lockstep chunk, and where
+    chunks stop short of their cap."""
+    (regime, N, d, budget, starts, options), expect = SCHEDULES[case]
+    params = ANCHORS[regime]
+    want, did = _start_major(params, N, d, budget, 0, starts, **options)
+    assert {k: did[k] for k in expect} == expect
+    r = probe(params, N=N, d=d, budget=budget, seed=0, starts=starts,
+              **options)
+    assert (r.best_ratio.hex(), r.evals, r.best_start,
+            _witness_bytes(r.witness)) == want
+
+
+def test_probe_runs_the_benchmark_budget_in_five_minimize_calls(monkeypatch):
+    """Budget 1200 over 4 starts: four lockstep rounds of 75-evaluation
+    chunks, and the last start's last chunk on its own, capped at 68."""
+    caps = []
+
+    def recording(fun, x0, maxfev):
+        caps.append(maxfev)
+        return minimize(fun, x0, maxfev)
+
+    # the package's probe names the function, so the module comes by import
+    monkeypatch.setattr(importlib.import_module("dcrates.probe"), "minimize",
+                        recording)
+    probe(ANCHORS[3], N=2, d=2, budget=1200, seed=0, starts=4)
+    assert caps == [[75] * 4, [75] * 4, [75] * 4, [75] * 3, 68]
+
+
+@pytest.mark.parametrize("flag,value", (("budget", -5), ("starts", -3)))
+def test_negative_budget_or_starts_is_refused(flag, value, capsys):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        probe(REGIME_POINTS[1], **{flag: value})
+    assert main(["probe", "--mu1", "0.5", "--L1", "2", "--mu2", "0",
+                 "--L2", "1", "--" + flag, str(value)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_probe_one_nonsmooth_term():
