@@ -4,22 +4,23 @@ A set of triplets (x, g, f) extends to some member of the class with lower
 curvature mu and upper curvature L iff for every ordered pair (i, j)
 
     f_i - f_j - <g_j, x_i - x_j>
-        >= 1/(2L) ||g_i - g_j||^2
-         + mu/(2L(L-mu)) ||g_i - g_j - L (x_i - x_j)||^2,
+        >= mu/2 ||x_i - x_j||^2 + 1/(2(L-mu)) ||g_i - g_j - mu (x_i - x_j)||^2,
 
-with the L = inf limit   f_i - f_j - <g_j, x_i - x_j> >= mu/2 ||x_i - x_j||^2.
+with the L = inf limit   f_i - f_j - <g_j, x_i - x_j> >= mu/2 ||x_i - x_j||^2
+(Taylor, Hendrickx & Glineur 2017).  Neither term grows like 1/L, so the
+bound keeps its accuracy however far L is below |mu|.
 
 Both cases are one expression in four per-class coefficients (a, b, p, q):
-with s = p dg and r = s - q dx, the right-hand side is
+with s = p dg - q dx, the right-hand side is
 
-    ||s||^2 / a + b ||r||^2,
+    ||s||^2 / a + b ||dx||^2,
 
-(a, b, p, q) = (2L, mu/(2L(L-mu)), 1, L) for finite L and (inf, mu/2, 0, -1)
-for L = inf, where s = 0 and r = dx exactly (s, not dg, enters the first
-term, so an L = inf class never squares dg).  For a stack of k classes each
-coefficient is an array with one entry per class, so k gradient sets at the
-same points are bounded in one broadcast pass (pair_matrix), each with its
-own class, by the same arithmetic as one class on its own.
+(a, b, p, q) = (2(L-mu), mu/2, 1, mu) for finite L and (inf, mu/2, 0, 0)
+for L = inf, where s = 0 exactly (so an L = inf class never squares dg).
+For a stack of k classes each coefficient is an array with one entry per
+class, so k gradient sets at the same points are bounded in one broadcast
+pass (pair_matrix), each with its own class, by the same arithmetic as one
+class on its own.
 """
 from __future__ import annotations
 
@@ -59,7 +60,8 @@ class InterpReport:
 
 
 class BoundCoefficients(NamedTuple):
-    """The (a, b, p, q) of the module docstring.  Floats for one class; for
+    """The (a, b, p, q) of the module docstring: (2(L-mu), mu/2, 1, mu) for
+    finite L and (inf, mu/2, 0, 0) for L = inf.  Floats for one class; for
     a sequence of k classes, arrays shaped to broadcast over a stack of k
     pair grids: a and b over the (k, n, n) sums, p and q over the (k, n, n, d)
     differences."""
@@ -77,8 +79,8 @@ def bound_coefficients(cls) -> BoundCoefficients:
                                  p[:, None, None, None], q[:, None, None, None])
     mu, L = cls.mu, cls.L
     if math.isinf(L):
-        return BoundCoefficients(L, mu / 2.0, 0.0, -1.0)
-    return BoundCoefficients(2.0 * L, mu / (2.0 * L * (L - mu)), 1.0, L)
+        return BoundCoefficients(L, mu / 2.0, 0.0, 0.0)
+    return BoundCoefficients(2.0 * (L - mu), mu / 2.0, 1.0, mu)
 
 
 def _lower_bound(coef: BoundCoefficients, dx: np.ndarray, dg: np.ndarray):
@@ -86,9 +88,8 @@ def _lower_bound(coef: BoundCoefficients, dx: np.ndarray, dg: np.ndarray):
     dg = g_i - g_j, summed over the last axis: one pair, a grid of pairs,
     or a stack of grids with one class each (see bound_coefficients)."""
     a, b, p, q = coef
-    s = p * dg
-    r = s - q * dx
-    return np.add.reduce(s * s, -1) / a + b * np.add.reduce(r * r, -1)
+    s = p * dg - q * dx
+    return np.add.reduce(s * s, -1) / a + b * np.add.reduce(dx * dx, -1)
 
 
 def pair_lower_bound(cls: Curvature, dx: np.ndarray, dg: np.ndarray) -> float:

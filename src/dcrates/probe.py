@@ -21,12 +21,14 @@ the objective as one stack, which is evaluated in one broadcast pass.  The
 package therefore needs no scipy at run time.
 
 The starts' searches are independent, and run in chunks of at most
-per_chunk evaluations.  The chunks certain to get the full per_chunk, however
-little the chunks before them spend, are a start-major prefix; probe runs it
-in lockstep, one minimize call per chunk round, so each step's single points
-of all the starts are evaluated as one stack.  The chunks after it run start
-by start.  Either way every start takes the same steps, so the result is the
-one running all of them start by start gives, bit for bit.
+per_chunk evaluations.  Every chunk's cap is fixed before the search, as if
+each earlier chunk spent its cap in full, so probe runs round j (chunk j of
+every start) in lockstep, one minimize call per round, and each step's
+single points of all the starts are evaluated as one stack.  Every start
+takes the steps it takes on its own, so the result is the one running them
+start by start with those caps gives, bit for bit.  Evaluations a chunk
+leaves unspent, when Nelder-Mead converges early, go to the polish of the
+best point.
 """
 from __future__ import annotations
 
@@ -451,49 +453,36 @@ def probe(params: DcParams, N: int = 1, d: int = 1, budget: int = 200000,
 
     restarts = 4
     per_chunk = max(0, budget // (max(1, len(inits)) * restarts))
+    # Every cap is fixed here, as if each earlier chunk spent its cap in
+    # full: start k opens with a ratio evaluation, runs its chunks and closes
+    # with another, and a later start is entered only while that planned
+    # spend is below the budget.
+    caps, planned = [], 0
+    while len(caps) < len(inits) and (not caps or planned < budget):
+        caps.append([])
+        planned += 1
+        for _ in range(restarts):
+            caps[-1].append(min(per_chunk, max(0, budget - planned)))
+            planned += caps[-1][-1]
+        planned += 1
 
-    def search(z):
-        return minimize(obj.merit, z, min(per_chunk, budget - obj.evals)).x
-
-    # Chunk j of start k runs with the full per_chunk cap whatever the chunks
-    # before it spend, when 2k + 1 + (restarts k + j + 1) per_chunk <= budget
-    # (every earlier chunk run full).  Those chunks form a start-major
-    # prefix, run here in lockstep: round j runs chunk j of every start that
-    # has it, in one minimize call.
-    n_lock = 0
-    while (per_chunk and n_lock < len(inits) * restarts and
-           2 * (n_lock // restarts) + 1 + (n_lock + 1) * per_chunk <= budget):
-        n_lock += 1
-    zs = [z for z, _ in inits[:math.ceil(n_lock / restarts)]]
+    # Round j runs chunk j of every start with a nonzero cap (a start-major
+    # prefix) in one lockstep minimize call.
+    zs = [z for z, _ in inits[:len(caps)]]
     first = [obj.ratio(z) for z in zs]
-    for j in range(min(n_lock, restarts)):
-        live = math.ceil((n_lock - j) / restarts)
-        zs[:live] = [r.x for r in minimize(obj.merit, np.array(zs[:live]),
-                                           [per_chunk] * live)]
-
-    # The rest, start by start.  Before the last lockstep start, obj.evals
-    # already holds later starts' lockstep evaluations, and the start-by-start
-    # run cannot break there (the next start's first chunk got its full cap);
-    # from that start on, obj.evals is that run's, so each cap and break is
-    # too.  best is folded in start-major order, so a tie keeps the earlier
-    # start.
+    for j in range(restarts):
+        live = sum(1 for row in caps if row[j])
+        if live:
+            zs[:live] = [r.x for r in minimize(obj.merit, np.array(zs[:live]),
+                                               [row[j] for row in caps[:live]])]
+    # best is folded start-major, so a tie keeps the earlier start
     best = (-math.inf, -1, None)     # (ratio, start index, z)
-    for idx, (z, _) in enumerate(inits):
-        r = first[idx] if idx < len(zs) else obj.ratio(z)
-        best = max(best, (r, idx, z), key=lambda b: b[0])
-        if idx < len(zs):
-            z = zs[idx]
-        for _ in range(min(restarts, max(0, n_lock - restarts * idx)),
-                       restarts):
-            if per_chunk == 0 or obj.evals >= budget:
-                break
-            z = search(z)
+    for idx, ((z0, _), r0, z) in enumerate(zip(inits, first, zs)):
+        best = max(best, (r0, idx, z0), key=lambda b: b[0])
         best = max(best, (obj.ratio(z), idx, z), key=lambda b: b[0])
-        if idx + 1 >= len(zs) and obj.evals >= budget:
-            break
     # polish the champion with whatever budget remains
     while best[2] is not None and obj.evals < budget and per_chunk > 0:
-        z = search(best[2])
+        z = minimize(obj.merit, best[2], min(per_chunk, budget - obj.evals)).x
         r = obj.ratio(z)
         if r <= best[0]:
             break

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +34,24 @@ def test_pair_lower_bound_nonsmooth_limit():
     assert near == pytest.approx(1.0, abs=1e-6)
 
 
+def test_pair_lower_bound_is_accurate_where_L_is_far_below_mu():
+    """Against exact rationals, for L from 1e-15 |mu| to 1e6 |mu|: the
+    error stays within rounding of the sum of the two terms' sizes, which
+    are of the size of the data however small L is: nothing of size
+    ||dg||^2 / L cancels."""
+    rng = np.random.default_rng(3)
+    for e in range(-15, 7):
+        for mu in (-1.0, -0.5):
+            cls = Curvature(mu, -mu * 10.0 ** e)
+            dx, dg = rng.normal(size=(2, 3))
+            m, L = Fraction(mu), Fraction(cls.L)
+            terms = (m / 2 * sum(Fraction(x) ** 2 for x in dx),
+                     sum((Fraction(g) - m * Fraction(x)) ** 2
+                         for x, g in zip(dx, dg)) / (2 * (L - m)))
+            got = Fraction(pair_lower_bound(cls, dx, dg))
+            assert abs(got - sum(terms)) <= 1e-15 * sum(map(abs, terms)), e
+
+
 def test_slack_detects_underdeclared_curvature():
     # f = x^2 has curvature 2; declare L = 1 and the pair (0, 1) fails by 1.
     t0 = make_triplet([0.0], [0.0], 0.0)
@@ -53,9 +72,9 @@ def _written_out_pair_matrix(X, g, cls):
     if math.isinf(cls.L):
         bound = 0.5 * cls.mu * (dX * dX).sum(-1)
     else:
-        r = dG - cls.L * dX
-        bound = ((dG * dG).sum(-1) / (2.0 * cls.L)
-                 + cls.mu / (2.0 * cls.L * (cls.L - cls.mu)) * (r * r).sum(-1))
+        r = dG - cls.mu * dX
+        bound = ((r * r).sum(-1) / (2.0 * (cls.L - cls.mu))
+                 + 0.5 * cls.mu * (dX * dX).sum(-1))
     c = np.einsum("jd,ijd->ij", g, dX) + bound
     np.fill_diagonal(c, 0.0)
     return c

@@ -370,10 +370,12 @@ def test_lockstep_minimize_on_the_merit(N, d):
 def _start_major(params, N, d, budget, seed, starts, warm=True, init=None):
     """The probe's search with every chunk of every start in its own
     minimize call, start by start: the reference for probe's lockstep
-    schedule.  Returns (best_ratio, evals, best_start, witness) as probe
-    reports them, and what the run did: starts entered, the caps of the
-    start loop's chunks, chunks that stopped short of their cap, polish
-    rounds."""
+    schedule.  Each chunk's cap is what the budget leaves after every
+    earlier chunk's cap and ratio evaluation (its planned spend), so
+    evaluations a chunk leaves unspent go to the polish loop only.  Returns
+    (best_ratio, evals, best_start, witness) as probe reports them, and what
+    the run did: starts entered, the caps of the start loop's chunks, chunks
+    that stopped short of their cap, polish rounds."""
     cert = classify(params)
     obj = _Objective(params, N, d)
     rng = np.random.default_rng(seed)
@@ -394,29 +396,33 @@ def _start_major(params, N, d, budget, seed, starts, warm=True, init=None):
     restarts = 4
     per_chunk = max(0, budget // (max(1, len(inits)) * restarts))
     did = {"entered": 0, "caps": [], "short": 0, "polish": 0}
+    planned = 0
 
-    def search(z):
-        cap = min(per_chunk, budget - obj.evals)
+    def search(z, spent):
+        cap = min(per_chunk, budget - spent)
         res = minimize(obj.merit, z, cap)
         did["short"] += res.nfev < cap
         if not did["polish"]:
             did["caps"].append(cap)
-        return res.x
+        return res.x, cap
 
     best = (-math.inf, -1, None)
     for idx, (z, _) in enumerate(inits):
         did["entered"] += 1
+        planned += 1
         best = max(best, (obj.ratio(z), idx, z), key=lambda b: b[0])
         for _ in range(restarts):
-            if per_chunk == 0 or obj.evals >= budget:
+            if per_chunk == 0 or planned >= budget:
                 break
-            z = search(z)
+            z, cap = search(z, planned)
+            planned += cap
+        planned += 1
         best = max(best, (obj.ratio(z), idx, z), key=lambda b: b[0])
-        if obj.evals >= budget:
+        if planned >= budget:
             break
     while best[2] is not None and obj.evals < budget and per_chunk > 0:
         did["polish"] += 1
-        z = search(best[2])
+        z, _ = search(best[2], obj.evals)
         r = obj.ratio(z)
         if r <= best[0]:
             break
@@ -451,6 +457,9 @@ SCHEDULES = {
     "init": ((1, 1, 1, 2000, 3, {"init": np.zeros(5)}), {"entered": 3}),
     "cold": ((1, 1, 1, 2000, 3, {"warm": False}), {"entered": 3}),
     "stops_short": ((1, 1, 1, 20000, 4, {}), {"short": 12}),
+    # chunks stop short, and the last chunk is still cut to its planned cap
+    "short_then_cut": ((5, 1, 1, 12200, 0, {}), {"short": 4,
+                                                 "caps": [1525] * 7 + [1522]}),
 }
 
 
@@ -459,8 +468,8 @@ def test_probe_matches_the_start_major_reference(case):
     """probe's lockstep rounds give the start-by-start run's best_ratio,
     evals, best_start and witness bytes, also where the budget cuts a chunk
     mid-start, skips a later start, leaves no chunk at all, leaves budget to
-    the polish loop, is met exactly by the last lockstep chunk, and where
-    chunks stop short of their cap."""
+    the polish loop, is met exactly by the last chunk, and where chunks stop
+    short of their cap, also before a chunk the budget cuts."""
     (regime, N, d, budget, starts, options), expect = SCHEDULES[case]
     params = ANCHORS[regime]
     want, did = _start_major(params, N, d, budget, 0, starts, **options)
@@ -471,9 +480,9 @@ def test_probe_matches_the_start_major_reference(case):
             _witness_bytes(r.witness)) == want
 
 
-def test_probe_runs_the_benchmark_budget_in_five_minimize_calls(monkeypatch):
+def test_probe_runs_the_benchmark_budget_in_four_minimize_calls(monkeypatch):
     """Budget 1200 over 4 starts: four lockstep rounds of 75-evaluation
-    chunks, and the last start's last chunk on its own, capped at 68."""
+    chunks, the last start's last chunk capped at 68."""
     caps = []
 
     def recording(fun, x0, maxfev):
@@ -484,7 +493,18 @@ def test_probe_runs_the_benchmark_budget_in_five_minimize_calls(monkeypatch):
     monkeypatch.setattr(importlib.import_module("dcrates.probe"), "minimize",
                         recording)
     probe(ANCHORS[3], N=2, d=2, budget=1200, seed=0, starts=4)
-    assert caps == [[75] * 4, [75] * 4, [75] * 4, [75] * 3, 68]
+    assert caps == [[75] * 4] * 3 + [[75, 75, 75, 68]]
+
+
+def test_probe_spends_at_most_one_evaluation_past_the_budget():
+    """Only a start's closing ratio, or the polish loop's, may go past the
+    budget, by one; budget 0 still enters the first start, for its two
+    ratio evaluations."""
+    for starts in (0, 1, 3, 6):
+        assert probe(REGIME_POINTS[1], budget=0, starts=starts).evals == 2
+        for budget in (1, 2, 3, 5, 8, 13, 21, 40, 99, 250):
+            r = probe(REGIME_POINTS[1], budget=budget, seed=3, starts=starts)
+            assert r.evals <= budget + 1, (budget, starts, r.evals)
 
 
 @pytest.mark.parametrize("flag,value", (("budget", -5), ("starts", -3)))
@@ -553,7 +573,7 @@ def test_witness_does_not_alias_the_reused_buffer():
 # here first.
 SEARCH_PATH = {
     (3, 2, 2): ("0x1.951ed3a8ea0f7p-1", 1201, (0, "chain")),
-    (4, 1, 3): ("0x1.ff990077066bdp-1", 1201, (1, "extremal")),
+    (4, 1, 3): ("0x1.ff990077066bfp-1", 1201, (1, "extremal")),
     (4, 2, 1): ("0x1.f1911f4a56383p-2", 1201, (3, "random")),
     (5, 4, 3): ("0x1.a5c4f96d83836p-3", 1201, (0, "chain")),
     (6, 2, 1): ("0x1.057a585e2a250p-1", 1201, (3, "random")),
