@@ -89,8 +89,7 @@ def check_one_step(traj: Trajectory, k: int = 0,
     return _one_step(*_step(traj, k), regime, tol)
 
 
-def replay_proof_combination(traj: Trajectory, k: int = 0,
-                             alpha: Optional[float] = None) -> float:
+def replay_proof_combination(traj: Trajectory, k: int = 0) -> float:
     """Slack of the alpha-weighted intermediate inequality behind the regime.
 
     For odd regimes the combination reads, with B1/B2 the pairwise lower
@@ -103,8 +102,7 @@ def replay_proof_combination(traj: Trajectory, k: int = 0,
     """
     params = traj.instance.params
     regime = _regime(traj)
-    if alpha is None:
-        alpha = regime.alpha
+    alpha = regime.alpha
     a, b = _step(traj, k)
     dx = a.x - b.x
     G = a.g1 - a.g2

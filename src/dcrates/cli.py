@@ -10,6 +10,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 from collections import Counter
@@ -87,13 +88,25 @@ def _params_from_args(args) -> DcParams:
     return make_params(args.mu1, args.L1, args.mu2, args.L2)
 
 
+def _say(text: str) -> None:
+    """Print text to stdout at once.  A reader that has closed the pipe gets
+    nothing more, and the command keeps its own exit code: stdout goes to
+    the null device, so no later line, nor the flush at exit, fails again."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+
+
 def _emit(payload: dict, out: str | None):
     payload = dict(payload, formula_revision=_formula_revision())
     text = json.dumps(payload, indent=2, default=str)
     if out:
         Path(out).write_text(text + "\n")
     else:
-        print(text)
+        _say(text)
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +116,10 @@ def cmd_classify(args) -> int:
     params = _params_from_args(args)
     cert = one_step_certificate(params)
     thr = thresholds(params)
-    print("regime %d (%s): sigma=%.12g sigma_plus=%.12g p=%.12g alpha=%.12g"
-          % (cert.index, cert.label, cert.sigma, cert.sigma_plus,
-             cert.p, cert.alpha))
-    print("thresholds: S1=%g S2=%g" % (thr.S1, thr.S2))
+    _say("regime %d (%s): sigma=%.12g sigma_plus=%.12g p=%.12g alpha=%.12g"
+         % (cert.index, cert.label, cert.sigma, cert.sigma_plus,
+            cert.p, cert.alpha))
+    _say("thresholds: S1=%g S2=%g" % (thr.S1, thr.S2))
     if args.out:
         _emit({"params": params.to_json_dict(),
                "certificate": cert.to_json_dict(),
@@ -128,8 +141,8 @@ def cmd_regime_map(args) -> int:
             fh.write("".join([f"{a}{m}{i},{v!r}\r\n"
                               for m, i, v in zip(mids, i_row, p_row)]))
     counts = Counter(index.ravel().tolist())
-    print("wrote %d rows to %s; regime counts: %s"
-          % (index.size, target, dict(sorted(counts.items()))))
+    _say("wrote %d rows to %s; regime counts: %s"
+         % (index.size, target, dict(sorted(counts.items()))))
     return EXIT_OK
 
 
@@ -149,9 +162,9 @@ def cmd_run(args) -> int:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     if args.csv:
         Path(args.csv).write_text(trajectory_to_csv(traj))
-    print("ran %d step(s), stop_reason=%s, F: %.12g -> %.12g"
-          % (traj.n_steps, traj.stop_reason,
-             traj.points[0].F, traj.points[-1].F))
+    _say("ran %d step(s), stop_reason=%s, F: %.12g -> %.12g"
+         % (traj.n_steps, traj.stop_reason,
+            traj.points[0].F, traj.points[-1].F))
     if args.certify:
         report = certificate_report(traj, fstar=args.fstar, tol=args.check_tol)
         _emit(report, args.report_out)

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .curvature import InvalidParams
-from .oracles import (DcInstance, Policy, Unbounded, evaluate,
+from .oracles import (DcInstance, Policy, Unbounded, evaluate, kink_policy,
                       instance_from_json, instance_to_json,
                       solve_dca_subproblem, subgradient_interval)
 
@@ -130,6 +130,7 @@ def run_dca(instance: DcInstance, x0, N: int, tol: float = 0.0,
         raise InvalidParams("N must be >= 1")
     if stop_on not in ("grad_gap", "t_measure"):
         raise InvalidParams("stop_on must be 'grad_gap' or 't_measure'")
+    policy = kink_policy(policy)
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     if x.shape != (instance.dimension,):
         raise InvalidParams("x0 has dimension %d, instance needs %d"

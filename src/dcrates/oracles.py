@@ -175,9 +175,13 @@ def kink_policy(policy: Policy) -> Policy:
     weight in [0, 1] given as a number or its string form."""
     if policy in ("leftmost", "rightmost", "least_norm"):
         return policy
-    w = float(policy)
+    try:
+        w = float(policy)
+    except (TypeError, ValueError):
+        w = math.nan
     if not 0.0 <= w <= 1.0:
-        raise ValueError("subgradient weight must lie in [0, 1], got %r" % w)
+        raise ValueError("policy must be leftmost, rightmost, least_norm or a "
+                         "weight in [0, 1], got %r" % (policy,))
     return w
 
 

@@ -16,19 +16,20 @@ penalized objective.  Witness f-values are recovered from the longest-path
 potentials, making every reported witness exactly feasible.
 
 The local search (minimize) is scipy's adaptive Nelder-Mead, step for step,
-so it gives scipy's points; it passes the initial simplex and each shrink to
-the objective as one stack, which is evaluated in one broadcast pass.  The
-package therefore needs no scipy at run time.
+so it gives scipy's points; the package therefore needs no scipy at run
+time.  The search has one shape: minimize runs an (m, nz) stack of starts
+in lockstep, and the objective always takes a (k, nz) stack, evaluated in
+one broadcast pass.
 
 The starts' searches are independent, and run in chunks of at most
 per_chunk evaluations.  Every chunk's cap is fixed before the search, as if
-each earlier chunk spent its cap in full, so probe runs round j (chunk j of
-every start) in lockstep, one minimize call per round, and each step's
-single points of all the starts are evaluated as one stack.  Every start
-takes the steps it takes on its own, so the result is the one running them
-start by start with those caps gives, bit for bit.  Evaluations a chunk
-leaves unspent, when Nelder-Mead converges early, go to the polish of the
-best point.
+each earlier chunk spent its cap in full, so probe scores every start's
+opening point in one ratio call, runs round j (chunk j of every start) in
+one minimize call, and scores every closing point in one more ratio call.
+Every start takes the steps it takes on its own, so the result is the one
+running them start by start with those caps gives, bit for bit.
+Evaluations a chunk leaves unspent, when Nelder-Mead converges early, go to
+the polish of the best point, a search from a one-row stack.
 """
 from __future__ import annotations
 
@@ -66,66 +67,43 @@ class NelderMeadResult(NamedTuple):
     fsim: np.ndarray
 
 
-def minimize(fun, x0: np.ndarray, maxfev) -> NelderMeadResult | list:
-    """Adaptive Nelder-Mead from x0, with at most maxfev evaluations.
+def minimize(fun, x0: np.ndarray, maxfev) -> list:
+    """Adaptive Nelder-Mead from each row of the (m, n) stack x0, row i with
+    at most maxfev[i] evaluations; returns the m NelderMeadResults.
 
-    This is scipy's ``minimize(fun, x0, method="Nelder-Mead",
-    options={"adaptive": True, "maxfev": maxfev, "xatol": 1e-13,
+    Each row's search is scipy's ``minimize(fun, x0[i], method="Nelder-Mead",
+    options={"adaptive": True, "maxfev": maxfev[i], "xatol": 1e-13,
     "fatol": 1e-15})`` step for step: the same initial simplex, parameters
     (Gao & Han 2012), sorts, steps and stopping test, and evaluations
     refused where scipy's count refuses them, so the same x, evaluation
-    count and final simplex come out.  fun maps one point, or an
-    (m, len(x0)) stack of them, to the list of their values: the initial
-    simplex and each shrink go to it as one stack.
-
-    An (m, n) x0, with a sequence of m maxfev, runs its rows' searches in
-    lockstep and returns a list of their m results, each the one its row
-    gets on its own.  Each round then passes the single points that every
-    live search asks for to fun as one stack; an initial simplex or a shrink
-    still goes in a call of its own.
+    count and final simplex come out.  fun maps a (k, n) stack of points to
+    the list of their k values.  The searches run in lockstep rounds: a
+    round passes the one-row requests of the live searches (each step's
+    point, and an initial simplex or shrink the cap cuts to one row) to fun
+    as one stack, and every larger stack in a call of its own.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 2:
-        return _lockstep(fun, [_nelder_mead(z, m) for z, m in zip(x0, maxfev)])
-    return _lockstep(fun, [_nelder_mead(x0.ravel(), maxfev)])[0]
-
-
-def _lockstep(fun, runs: list) -> list:
-    """Drive the searches (see _nelder_mead) to their ends in rounds, and
-    return their results.  A round answers every pending request: each stack
-    in its own call to fun, and the single points in one call, as a stack,
-    or as the point itself when only one search asks for one."""
+    runs = list(map(_nelder_mead, np.asarray(x0, dtype=float), maxfev))
     results = [None] * len(runs)
-    pending = []    # (run index, requested point or stack)
-
-    def advance(i, value):
-        try:
-            pending.append((i, runs[i].send(value)))
-        except StopIteration as stop:
-            results[i] = stop.value
-
-    for i in range(len(runs)):
-        advance(i, None)
-    while pending:
-        requests, pending = pending, []
-        singles = [(i, z) for i, z in requests if z.ndim == 1]
-        for i, Z in requests:
-            if Z.ndim == 2:
-                advance(i, fun(Z))
-        if len(singles) == 1:
-            advance(singles[0][0], fun(singles[0][1])[0])
-        elif singles:
-            values = fun(np.array([z for _, z in singles]))
-            for (i, _), v in zip(singles, values):
-                advance(i, v)
+    answers = [(i, None) for i in range(len(runs))]     # (run index, values)
+    while answers:
+        requests = []   # (run index, stack to evaluate)
+        for i, values in answers:
+            try:
+                requests.append((i, runs[i].send(values)))
+            except StopIteration as stop:
+                results[i] = stop.value
+        rows = [(i, Z) for i, Z in requests if len(Z) == 1]
+        answers = [(i, fun(Z)) for i, Z in requests if len(Z) > 1]
+        if rows:
+            values = fun(np.concatenate([Z for _, Z in rows]))
+            answers += [(i, [v]) for (i, _), v in zip(rows, values)]
     return results
 
 
 def _nelder_mead(x0: np.ndarray, maxfev: int):
     """minimize's search from the vector x0, as a generator: it yields each
-    point to evaluate and is sent its value, or yields a stack of points
-    and is sent the list of their values, and it returns the
-    NelderMeadResult."""
+    stack of points to evaluate (a step's point as a one-row stack) and is
+    sent the list of their values, and it returns the NelderMeadResult."""
     N = len(x0)
     dim = float(N)
     # scipy's reflection coefficient rho is 1 here, and multiplying by it is
@@ -154,14 +132,14 @@ def _nelder_mead(x0: np.ndarray, maxfev: int):
         xbar = np.add.reduce(sim[:-1], 0) / N
         xr = 2 * xbar - sim[-1]
         nfev += 1
-        fxr = yield xr
+        fxr, = yield xr[None]
         doshrink = False
         if nfev == maxfev and (fxr < fsim[0] or not fxr < fsim[-2]):
             pass    # the expansion or contraction this step needs is refused
         elif fxr < fsim[0]:
             xe = (1 + chi) * xbar - chi * sim[-1]
             nfev += 1
-            fxe = yield xe
+            fxe, = yield xe[None]
             if fxe < fxr:
                 sim[-1], fsim[-1] = xe, fxe
             else:
@@ -171,7 +149,7 @@ def _nelder_mead(x0: np.ndarray, maxfev: int):
         elif fxr < fsim[-1]:
             xc = (1 + psi) * xbar - psi * sim[-1]
             nfev += 1
-            fxc = yield xc
+            fxc, = yield xc[None]
             if fxc <= fxr:
                 sim[-1], fsim[-1] = xc, fxc
             else:
@@ -179,7 +157,7 @@ def _nelder_mead(x0: np.ndarray, maxfev: int):
         else:   # inside contraction
             xcc = (1 - psi) * xbar + psi * sim[-1]
             nfev += 1
-            fxcc = yield xcc
+            fxcc, = yield xcc[None]
             if fxcc < fsim[-1]:
                 sim[-1], fsim[-1] = xcc, fxcc
             else:
@@ -306,9 +284,9 @@ def _unpack(z: np.ndarray, N: int, d: int) -> tuple:
 
 
 class _Objective:
-    """Ratio, merit and witness of search vectors (see _pack), given as one
-    vector (nz,) or a stack (m, nz).  The two classes' pair matrices and
-    longest paths of every vector are one (..., 2, n, n) broadcast pass,
+    """Ratio and merit of each row of a stack (m, nz) of search vectors (see
+    _pack), and the witness of one vector.  The two classes' pair matrices
+    and longest paths of every vector are one (..., 2, n, n) broadcast pass,
     from bound coefficients built once, in buffers kept per stack shape."""
 
     def __init__(self, params: DcParams, N: int, d: int):
@@ -339,7 +317,7 @@ class _Objective:
         """G (..., 2, n, d) of z, and max-plus Floyd-Warshall on both
         classes' pair matrices in the reused buffer: dist and its views (see
         _buffer), valid until the next evaluation of that shape."""
-        rows = z.reshape(z.shape[:-1] + (-1, self.d))     # x, then W
+        rows = z.reshape(z.shape[:-1] + (2 * self.N + 3, self.d))  # x, W
         G = rows[..., self._grad_rows, :]
         buf = self._buffer(z.shape[:-1])
         dist, tmp, *_, steps = buf
@@ -358,24 +336,25 @@ class _Objective:
         return (num, f1_decrease + f2_increase,
                 np.maximum.reduce(diag, (-2, -1)))
 
-    def ratio(self, z: np.ndarray) -> float:
-        self.evals += 1
-        num, D, cyc = map(float, self.parts(z))
-        if cyc > _CYCLE_TOL:
-            return -1e3 * (1.0 + cyc)
-        if D < _D_FLOOR:
-            return -1.0
-        return num / D
+    def _rows(self, Z: np.ndarray):
+        """(num, D, cyc) of each row of the stack Z, as len(Z) evaluations."""
+        self.evals += len(Z)
+        return zip(*np.array(self.parts(Z)).tolist())
 
-    def merit(self, z: np.ndarray) -> list:
-        """Negated continuous merit of a vector or a stack (m, nz), as a
+    def ratio(self, Z: np.ndarray) -> list:
+        """The ratio of each row of a stack (m, nz), as a list; infeasible
+        data (a positive cycle) or no decrease scores below 0."""
+        return [-1e3 * (1.0 + cyc) if cyc > _CYCLE_TOL else
+                -1.0 if D < _D_FLOOR else num / D
+                for num, D, cyc in self._rows(Z)]
+
+    def merit(self, Z: np.ndarray) -> list:
+        """Negated continuous merit of each row of a stack (m, nz), as a
         list, for the local search: the hard feasibility wall is replaced by
         a linear penalty so the simplex can slide along it."""
-        self.evals += z.size // z.shape[-1]
-        cols = np.array(self.parts(z)).reshape(3, -1).tolist()
         return [-((num / D if D >= _D_FLOOR else D - _D_FLOOR)
                   - 1e3 * max(cyc, 0.0))
-                for num, D, cyc in zip(*cols)]
+                for num, D, cyc in self._rows(Z)]
 
     def witness(self, z: np.ndarray) -> Optional[PepVariables]:
         num, D, cyc = map(float, self.parts(z))
@@ -468,22 +447,24 @@ def probe(params: DcParams, N: int = 1, d: int = 1, budget: int = 200000,
 
     # Round j runs chunk j of every start with a nonzero cap (a start-major
     # prefix) in one lockstep minimize call.
-    zs = [z for z, _ in inits[:len(caps)]]
-    first = [obj.ratio(z) for z in zs]
+    zs = np.reshape([z for z, _ in inits[:len(caps)]], (-1, nz))
+    first = obj.ratio(zs)
     for j in range(restarts):
         live = sum(1 for row in caps if row[j])
         if live:
-            zs[:live] = [r.x for r in minimize(obj.merit, np.array(zs[:live]),
+            zs[:live] = [r.x for r in minimize(obj.merit, zs[:live],
                                                [row[j] for row in caps[:live]])]
     # best is folded start-major, so a tie keeps the earlier start
     best = (-math.inf, -1, None)     # (ratio, start index, z)
-    for idx, ((z0, _), r0, z) in enumerate(zip(inits, first, zs)):
+    for idx, ((z0, _), r0, z, r) in enumerate(zip(inits, first, zs,
+                                                  obj.ratio(zs))):
         best = max(best, (r0, idx, z0), key=lambda b: b[0])
-        best = max(best, (obj.ratio(z), idx, z), key=lambda b: b[0])
+        best = max(best, (r, idx, z), key=lambda b: b[0])
     # polish the champion with whatever budget remains
     while best[2] is not None and obj.evals < budget and per_chunk > 0:
-        z = minimize(obj.merit, best[2], min(per_chunk, budget - obj.evals)).x
-        r = obj.ratio(z)
+        z = minimize(obj.merit, best[2][None],
+                     [min(per_chunk, budget - obj.evals)])[0].x
+        r, = obj.ratio(z[None])
         if r <= best[0]:
             break
         best = (r, best[1], z)

@@ -42,17 +42,6 @@ def test_one_step_fields_consistent():
     assert chk.holds
 
 
-def test_replay_alpha_zero_is_plain_sum():
-    traj = run_dca(halving_instance(), np.array([1.0]), 1)
-    from dcrates.interpolation import pair_lower_bound
-    params = traj.instance.params
-    a, b = traj.points[0], traj.points[1]
-    plain = ((a.F - b.F)
-             - pair_lower_bound(params.f1, a.x - b.x, a.g1 - a.g2)
-             - pair_lower_bound(params.f2, b.x - a.x, b.g2 - b.g1))
-    assert replay_proof_combination(traj, alpha=0.0) == pytest.approx(plain)
-
-
 def test_replay_slack_nonnegative_random():
     rng = np.random.default_rng(29)
     for _ in range(200):

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -348,6 +349,30 @@ def test_value_past_float_range_exit_1(tmp_path, capsys, f1, x0):
                  "--certify"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "inf" in err and "not finite" in err
+
+
+@pytest.mark.parametrize("buffered", (True, False), ids=("buffered",
+                                                         "unbuffered"))
+@pytest.mark.parametrize("argv", (
+    ["classify", "--mu1", "0.5", "--L1", "2", "--mu2", "0", "--L2", "1"],
+    ["probe", "--mu1", "2", "--L1", "4", "--mu2", "-1", "--L2", "3",
+     "--budget", "40", "--starts", "2"]), ids=("classify", "probe"))
+def test_closed_stdout_keeps_the_exit_code(argv, buffered):
+    """A reader that has gone away (stdout a pipe whose read end is already
+    closed) leaves the command's own exit code, 0 here, and nothing on
+    stderr, whether stdout is block-buffered or written at once."""
+    env = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run([sys.executable, "-m", "dcrates.cli", *argv],
+                             stdout=write, stderr=subprocess.PIPE, env=env,
+                             text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stderr) == (0, "")
 
 
 def test_overflow_warning_does_not_precede_error(tmp_path):

@@ -100,6 +100,19 @@ def test_nonsmooth_f1_runs():
     assert traj.stop_reason in (STOP_MAX_ITERS, STOP_CRITICALITY)
 
 
+@pytest.mark.parametrize("policy", ["bogus", "1.5", -0.1, None])
+def test_bad_policy_is_refused_before_the_first_step(policy):
+    """Checked at entry, as stop_on is: from a start off any kink (the
+    quadratic pair never meets one) and from one on the kink of |x| at 0."""
+    f1 = FunctionSpec(AbsPlusQuadratic(1.0, 1.0, 0.0), Curvature(1.0, INF))
+    f2 = FunctionSpec(Quadratic((0.5,), (0.8,)), Curvature(0.4, 0.6))
+    for inst, x0 in ((quad_instance(2.0, 0.0, 1.0, 0.0), 1.0),
+                     (make_instance(f1, f2), 0.0)):
+        with pytest.raises(ValueError, match="leftmost, rightmost, least_norm "
+                                             "or a weight in \\[0, 1\\]"):
+            run_dca(inst, np.array([x0]), 3, policy=policy)
+
+
 def test_unbounded_subproblem_partial_trajectory():
     inst = quad_instance(0.0, 0.0, 1.0, 1.0)  # linear f1, drifting g2
     traj = run_dca(inst, np.array([1.0]), 5)

@@ -233,7 +233,7 @@ def test_stack_of_points_matches_one_at_a_time(params):
                 stacked = obj.parts(Z)
                 for k in range(3):
                     assert np.array_equal(stacked[k], [r[k] for r in rows])
-                singles = [obj.merit(z) for z in Z]
+                singles = [obj.merit(z[None]) for z in Z]
                 before = obj.evals
                 assert obj.merit(Z) == [v for (v,) in singles]
                 assert obj.evals == before + m
@@ -246,7 +246,7 @@ def _same_as_scipy(fun, stacked, x0, maxfev):
     res = optimize.minimize(fun, x0, method="Nelder-Mead",
                             options={"adaptive": True, "xatol": 1e-13,
                                      "fatol": 1e-15, "maxfev": maxfev})
-    ours = minimize(stacked, x0, maxfev)
+    ours, = minimize(stacked, x0[None], [maxfev])
     return ([a.tobytes() for a in (ours.x, ours.sim, ours.fsim)] + [ours.nfev]
             == [a.tobytes() for a in (res.x, *res.final_simplex)] + [res.nfev])
 
@@ -264,8 +264,8 @@ def test_minimize_is_scipy_nelder_mead_on_the_merit(N, d):
     for maxfev in (nz // 2 + 1, nz + 3, 75, 300):
         z0 = rng.normal(size=nz) * 10.0 ** rng.uniform(-1, 1)
         ours, theirs = _Objective(params, N, d), _Objective(params, N, d)
-        assert _same_as_scipy(lambda z: theirs.merit(z)[0], ours.merit, z0,
-                              maxfev)
+        assert _same_as_scipy(lambda z: theirs.merit(z[None])[0], ours.merit,
+                              z0, maxfev)
         assert ours.evals == theirs.evals <= maxfev
 
 
@@ -280,9 +280,8 @@ def _kinked_staircase(z):
 
 
 def _stacked(fun, sizes):
-    """fun over a point or a stack of points, recording the stack sizes."""
+    """fun over a stack of points, recording the stack sizes."""
     def stacked(Z):
-        Z = np.atleast_2d(Z)
         sizes.append(len(Z))
         return [fun(z) for z in Z]
     return stacked
@@ -323,7 +322,7 @@ def _result_bytes(res):
 
 def _counted(fun, calls):
     def counted(Z):
-        calls.append(len(np.atleast_2d(Z)))
+        calls.append(len(Z))
         return fun(Z)
     return counted
 
@@ -338,7 +337,7 @@ def test_lockstep_minimize_gives_each_rows_own_run(fun):
     X0 = np.random.default_rng(0).normal(size=(6, n))
     caps = [0, 2, n + 2, 40, 150, 10 ** 4]
     single_calls, calls = [], []
-    singles = [minimize(_stacked(fun, single_calls), x0, m)
+    singles = [minimize(_stacked(fun, single_calls), x0[None], [m])[0]
                for x0, m in zip(X0, caps)]
     assert singles[-1].nfev < caps[-1]     # it stopped on its own
     together = minimize(_stacked(fun, calls), X0, caps)
@@ -358,7 +357,7 @@ def test_lockstep_minimize_on_the_merit(N, d):
     caps = [nz // 2 + 1, nz + 3, 75, 300]
     ours, theirs = _Objective(ANCHORS[5], N, d), _Objective(ANCHORS[5], N, d)
     single_calls, calls = [], []
-    singles = [minimize(_counted(theirs.merit, single_calls), z, m)
+    singles = [minimize(_counted(theirs.merit, single_calls), z[None], [m])[0]
                for z, m in zip(Z0, caps)]
     together = minimize(_counted(ours.merit, calls), Z0, caps)
     assert [_result_bytes(r) for r in together] == [_result_bytes(r)
@@ -400,7 +399,7 @@ def _start_major(params, N, d, budget, seed, starts, warm=True, init=None):
 
     def search(z, spent):
         cap = min(per_chunk, budget - spent)
-        res = minimize(obj.merit, z, cap)
+        res, = minimize(obj.merit, z[None], [cap])
         did["short"] += res.nfev < cap
         if not did["polish"]:
             did["caps"].append(cap)
@@ -410,20 +409,20 @@ def _start_major(params, N, d, budget, seed, starts, warm=True, init=None):
     for idx, (z, _) in enumerate(inits):
         did["entered"] += 1
         planned += 1
-        best = max(best, (obj.ratio(z), idx, z), key=lambda b: b[0])
+        best = max(best, (obj.ratio(z[None])[0], idx, z), key=lambda b: b[0])
         for _ in range(restarts):
             if per_chunk == 0 or planned >= budget:
                 break
             z, cap = search(z, planned)
             planned += cap
         planned += 1
-        best = max(best, (obj.ratio(z), idx, z), key=lambda b: b[0])
+        best = max(best, (obj.ratio(z[None])[0], idx, z), key=lambda b: b[0])
         if planned >= budget:
             break
     while best[2] is not None and obj.evals < budget and per_chunk > 0:
         did["polish"] += 1
         z, _ = search(best[2], obj.evals)
-        r = obj.ratio(z)
+        r, = obj.ratio(z[None])
         if r <= best[0]:
             break
         best = (r, best[1], z)
@@ -494,6 +493,29 @@ def test_probe_runs_the_benchmark_budget_in_four_minimize_calls(monkeypatch):
                         recording)
     probe(ANCHORS[3], N=2, d=2, budget=1200, seed=0, starts=4)
     assert caps == [[75] * 4] * 3 + [[75, 75, 75, 68]]
+
+
+def test_every_objective_call_takes_a_stack(monkeypatch):
+    """merit and ratio get (m, nz) stacks only, in the lockstep rounds and in
+    the polish, which runs here: the chunks stop short of their caps.  The
+    rounds score every start's opening in one ratio call and every closing
+    in another; the polish scores one-row stacks."""
+    calls = []
+    for name in ("merit", "ratio"):
+        def recording(self, Z, name=name, method=getattr(_Objective, name)):
+            calls.append((name, np.shape(Z)))
+            return method(self, Z)
+        monkeypatch.setattr(_Objective, name, recording)
+    probe(ANCHORS[1], N=1, d=1, budget=20000, seed=0, starts=4)
+    assert all(len(shape) == 2 for _, shape in calls)
+    ratios = [shape for name, shape in calls if name == "ratio"]
+    assert ratios[:2] == [(4, 5), (4, 5)]
+    assert len(ratios) > 2 and set(ratios[2:]) == {(1, 5)}  # polish steps
+
+
+def test_probe_without_starts_has_no_witness():
+    r = probe(ANCHORS[1], budget=100, starts=0, warm=False)
+    assert r.evals == 0 and r.witness is None and r.best_start is None
 
 
 def test_probe_spends_at_most_one_evaluation_past_the_budget():
