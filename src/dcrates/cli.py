@@ -19,16 +19,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .curvature import Curvature, DcParams, InvalidParams, make_params
+from .curvature import Curvature, DcParams, InvalidParams, ext_to_json, make_params
 from .regimes import (GridSpec, InconsistentBoundary, NoRegime,
                       PreconditionViolated, one_step_certificate, regime_map,
                       thresholds)
-from .oracles import instance_from_json, kink_policy
+from .oracles import analytic_infimum, instance_from_json, kink_policy
 from .engine import (run_dca, trajectory_to_csv, trajectory_to_json,
                      trajectory_from_json)
-from .certificates import SLACK_TOL, MissingFstar, certificate_report
+from .certificates import (SLACK_TOL, MissingFstar, certificate_report,
+                           check_one_step, check_rate)
 from .interpolation import DEFAULT_TOL, check_interpolation, triplets_from_json
-from .probe import probe as run_probe
+from .probe import probe as run_probe, ratio_trend
+from .sampling import ANCHORS, jitter_params, quad_instance_in
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,6 +64,15 @@ def finite_float(text: str) -> float:
     if not math.isfinite(v):
         raise argparse.ArgumentTypeError("expected a finite number, got %r" % text)
     return v
+
+
+def policy(text: str):
+    """A --policy value.  argparse would replace kink_policy's message, which
+    names the accepted values, by 'invalid kink_policy value'."""
+    try:
+        return kink_policy(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load(path: str, decode):
@@ -102,7 +113,7 @@ def _say(text: str) -> None:
 
 def _emit(payload: dict, out: str | None):
     payload = dict(payload, formula_revision=_formula_revision())
-    text = json.dumps(payload, indent=2, default=str)
+    text = json.dumps(payload, indent=2, default=str, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -123,7 +134,7 @@ def cmd_classify(args) -> int:
     if args.out:
         _emit({"params": params.to_json_dict(),
                "certificate": cert.to_json_dict(),
-               "S1": thr.S1, "S2": thr.S2}, args.out)
+               "S1": ext_to_json(thr.S1), "S2": ext_to_json(thr.S2)}, args.out)
     return EXIT_OK
 
 
@@ -159,7 +170,8 @@ def cmd_run(args) -> int:
     if args.out:
         payload = trajectory_to_json(traj)
         payload["tolerances"] = {"stop_tol": args.tol}
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(args.out).write_text(json.dumps(payload, indent=2,
+                                             allow_nan=False) + "\n")
     if args.csv:
         Path(args.csv).write_text(trajectory_to_csv(traj))
     _say("ran %d step(s), stop_reason=%s, F: %.12g -> %.12g"
@@ -223,6 +235,58 @@ def cmd_probe(args) -> int:
     return EXIT_CHECK_FAILED if result.certificate_violation else EXIT_OK
 
 
+def cmd_trend(args) -> int:
+    params = _params_from_args(args)
+    horizons = [int(v) for v in args.horizons.split(",")]
+    out = ratio_trend(params, horizons, d=args.d, budget=args.budget,
+                      seed=args.seed, starts=args.starts)
+    res = out["results"]
+    for N in horizons:
+        _say("N=%2d  best ratio %.6f  certified %.6f  evals %d"
+             % (N, res[N].best_ratio, res[N].certified_bound, res[N].evals))
+    _say("fit 1/ratio = a N + b:  a = %.6f  b = %.6f"
+         % (out["a_fit"], out["b_fit"]))
+    asym = out["asymptotic"]
+    if asym is not None:
+        _say("conjectured asymptotic constants: p5_inf = %.6f, p6_inf = %.6f"
+             % (asym.p5_inf, asym.p6_inf))
+    if args.out:
+        # a fit over fewer than two witnessed horizons is NaN, written null
+        _emit({"params": params.to_json_dict(), "horizons": horizons,
+               "d": args.d, "budget": args.budget, "seed": args.seed,
+               "starts": args.starts,
+               "ratios": {str(N): res[N].best_ratio for N in horizons},
+               "evals": {str(N): res[N].evals for N in horizons},
+               **{k: out[k] if math.isfinite(out[k]) else None
+                  for k in ("a_fit", "b_fit")}}, args.out)
+        _say("wrote %s" % args.out)
+    violated = any(r.certificate_violation for r in res.values())
+    return EXIT_CHECK_FAILED if violated else EXIT_OK
+
+
+def cmd_sweep(args) -> int:
+    if args.per_regime < 1:
+        raise ValueError("--per-regime must be at least 1, got %d"
+                         % args.per_regime)
+    rng = np.random.default_rng(args.seed)
+    worst, rate_failures = math.inf, 0
+    for regime in sorted(ANCHORS):
+        for _ in range(args.per_regime):
+            params = jitter_params(ANCHORS[regime], regime, rng)
+            inst = quad_instance_in(params, rng)
+            traj = run_dca(inst, rng.normal(size=inst.f1.dimension),
+                           args.steps)
+            for k in range(traj.n_steps):
+                worst = min(worst, check_one_step(traj, k).slack)
+            _, _, holds = check_rate(traj, fstar=analytic_infimum(inst))
+            rate_failures += 0 if holds else 1
+        _say("regime %d: done (%d instances)" % (regime, args.per_regime))
+    _say("instances: %d, worst one-step slack: %.3e, rate failures: %d"
+         % (len(ANCHORS) * args.per_regime, worst, rate_failures))
+    sound = worst >= -SLACK_TOL and rate_failures == 0
+    return EXIT_OK if sound else EXIT_CHECK_FAILED
+
+
 def cmd_report(args) -> int:
     traj = _run(args)
     report = certificate_report(traj, fstar=args.fstar, tol=args.check_tol)
@@ -275,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--x0", required=True, help="comma-separated start point")
         p.add_argument("--N", type=int, required=True)
         p.add_argument("--tol", type=finite_float, default=0.0)
-        p.add_argument("--policy", type=kink_policy, default="least_norm",
+        p.add_argument("--policy", type=policy, default="least_norm",
                        help="kink subgradient: leftmost, rightmost, "
                        "least_norm or a weight in [0, 1]")
         p.add_argument("--fstar", type=finite_float)
@@ -308,16 +372,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_interp_check)
 
+    def add_search(p, budget, starts):
+        add_params(p)
+        p.add_argument("--d", type=int, default=1)
+        p.add_argument("--budget", type=int, default=budget)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--starts", type=int, default=starts)
+        p.add_argument("--out")
+
     p = sub.add_parser("probe", help="worst-case ratio search")
-    add_params(p)
+    add_search(p, budget=200000, starts=32)
     p.add_argument("--N", type=int, default=1)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--budget", type=int, default=200000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--starts", type=int, default=32)
     p.add_argument("--cold", action="store_true", help="random starts only")
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_probe)
+
+    p = sub.add_parser("trend", help="worst-case ratios over horizons and their fit")
+    add_search(p, budget=150000, starts=16)
+    p.add_argument("--horizons", default="2,4,6,8,10")
+    p.set_defaults(fn=cmd_trend)
+
+    p = sub.add_parser("sweep", help="check certificates on random instances")
+    p.add_argument("--per-regime", dest="per_regime", type=int, default=200)
+    p.add_argument("--steps", type=int, default=25)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("report", help="run + classify + certify in one pass")
     add_run(p)

@@ -282,8 +282,8 @@ def _boundary_margin(L1, L2, m1, m2, sides) -> float:
         cands.append(abs(m1 - L2))
     if not math.isinf(L1):
         cands.append(abs(m2 - L1))
-    if m1 != 0.0 and m2 != 0.0:
-        cands += [abs(s) for s, _ in sides if math.isfinite(s)]
+    if m1 != 0.0 and m2 != 0.0:    # S = 0 and S = thr are boundaries too
+        cands += [abs(v) for s, thr in sides for v in (s, s - thr) if math.isfinite(v)]
     return min(cands)
 
 

@@ -1,7 +1,7 @@
 """Seeded random DC instances inside a chosen regime, for soundness sweeps.
 
-The draw order of both samplers is part of their contract: a sweep with a
-fixed seed sees the same instances from one release to the next.
+The draw order of both samplers is part of their contract: `dcrates sweep`
+with a fixed seed sees the same instances from one release to the next.
 """
 from __future__ import annotations
 

@@ -25,6 +25,11 @@ from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, Quadratic,
 INF = math.inf
 
 
+def _refuse(name):
+    """parse_constant for json.loads: NaN and the infinities are not JSON."""
+    raise AssertionError("%s in the JSON" % name)
+
+
 @pytest.fixture
 def instance_file(tmp_path):
     f1 = FunctionSpec(Quadratic((2.0,), (0.0,)), Curvature(1.5, 2.5))
@@ -49,7 +54,8 @@ def test_classify_output(tmp_path, capsys):
                  "--L2", "1", "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "regime 1" in text
-    d = json.loads(out.read_text())
+    d = json.loads(out.read_text(), parse_constant=_refuse)
+    assert (d["S1"], d["S2"]) == ("inf", "inf")     # mu2 = 0
     assert d["certificate"]["index"] == 1
     assert d["certificate"]["p"] == pytest.approx(5.0 / 3.0)
     assert "formula_revision" in d
@@ -235,10 +241,7 @@ def test_interp_check_fuzzed_triplets_keep_exit_contract(tmp_path, capsys,
     if code == 1:
         assert captured.err.startswith("error: ")
         return
-
-    def refuse(name):
-        raise AssertionError("%s in the report" % name)
-    report = json.loads(captured.out, parse_constant=refuse)
+    report = json.loads(captured.out, parse_constant=_refuse)
     assert report["feasible"] == (code == 0)
 
 
@@ -253,6 +256,52 @@ def test_probe_deterministic_json(tmp_path, capsys):
     assert a["best_ratio"] == b["best_ratio"]
     assert a["certified_bound"] == pytest.approx(0.6)
     assert not a["certificate_violation"]
+
+
+_TREND = ["trend", "--mu1", "1", "--L1", "10", "--mu2=-0.8", "--L2", "2",
+          "--budget", "300", "--starts", "2"]
+_N1 = "N= 1  best ratio 3.200000  certified 3.200000  evals 300\n"
+_ASYMPTOTIC = ("conjectured asymptotic constants: p5_inf = 0.500000, "
+               "p6_inf = 0.261364\n")
+
+
+@pytest.mark.parametrize("argv, code, stdout, fit", [
+    (["sweep", "--per-regime", "2", "--steps", "3"], 0,
+     "".join("regime %d: done (2 instances)\n" % i for i in range(1, 9))
+     + "instances: 16, worst one-step slack: 3.817e-06, rate failures: 0\n",
+     None),
+    (_TREND + ["--horizons", "1,2"], 0,
+     _N1 + "N= 2  best ratio 0.474555  certified 1.600000  evals 301\n"
+     "fit 1/ratio = a N + b:  a = 1.794739  b = -1.482239\n" + _ASYMPTOTIC,
+     [pytest.approx(1.794739, abs=1e-6), pytest.approx(-1.482239, abs=1e-6)]),
+    # one horizon: the fit is NaN, written null
+    (_TREND + ["--horizons", "1"], 0,
+     _N1 + "fit 1/ratio = a N + b:  a = nan  b = nan\n" + _ASYMPTOTIC,
+     [None, None]),
+    (["trend", "--mu1", "1", "--L1", "0.5", "--mu2", "0", "--L2", "1"], 1, "",
+     None),
+    (_TREND + ["--horizons", "0"], 1, "", None),
+    (["sweep", "--per-regime", "0"], 1, "", None),
+    (["sweep", "--steps", "0"], 1, "", None),
+], ids=["sweep", "trend", "trend_one_horizon", "trend_invalid_params",
+        "trend_horizon_0", "sweep_per_regime_0", "sweep_steps_0"])
+def test_trend_and_sweep_output(tmp_path, capsys, argv, code, stdout, fit):
+    """The lines trend and sweep print, byte for byte, and trend's strict
+    JSON.  A bad input is an input error: it was a traceback or, for sweep
+    --per-regime 0, a pass over no instances."""
+    out = tmp_path / "trend.json"
+    assert main(argv + (["--out", str(out)] if fit else [])) == code
+    captured = capsys.readouterr()
+    assert captured.out == stdout + ("wrote %s\n" % out if fit else "")
+    assert captured.err.startswith("error: ") == (code == 1), captured.err
+    if fit:
+        d = json.loads(out.read_text(), parse_constant=_refuse)
+        horizons = [int(N) for N in argv[argv.index("--horizons") + 1].split(",")]
+        assert [d["a_fit"], d["b_fit"]] == fit
+        assert (d["horizons"], d["d"], d["budget"], d["seed"], d["starts"]) == (
+            horizons, 1, 300, 0, 2)
+        assert list(d["ratios"]) == list(d["evals"]) == [str(N) for N in horizons]
+        assert d["evals"]["1"] == 300 and "formula_revision" in d
 
 
 def test_report_command(tmp_path, instance_file):
@@ -356,7 +405,11 @@ def test_value_past_float_range_exit_1(tmp_path, capsys, f1, x0):
 @pytest.mark.parametrize("argv", (
     ["classify", "--mu1", "0.5", "--L1", "2", "--mu2", "0", "--L2", "1"],
     ["probe", "--mu1", "2", "--L1", "4", "--mu2", "-1", "--L2", "3",
-     "--budget", "40", "--starts", "2"]), ids=("classify", "probe"))
+     "--budget", "40", "--starts", "2"],
+    ["trend", "--mu1", "1", "--L1", "10", "--mu2=-0.8", "--L2", "2",
+     "--horizons", "1,2", "--budget", "60", "--starts", "2"],
+    ["sweep", "--per-regime", "1", "--steps", "2"]),
+    ids=("classify", "probe", "trend", "sweep"))
 def test_closed_stdout_keeps_the_exit_code(argv, buffered):
     """A reader that has gone away (stdout a pipe whose read end is already
     closed) leaves the command's own exit code, 0 here, and nothing on
@@ -622,7 +675,9 @@ def test_bad_policy_is_usage_error(instance_file, capsys, policy):
         main(["run", "--instance", instance_file, "--x0", "1", "--N", "4",
               "--policy", policy])
     assert e.value.code == 1
-    assert "--policy" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # kink_policy's own message, which names the accepted values
+    assert "--policy" in err and "least_norm" in err
 
 
 @pytest.mark.parametrize("policy", ["leftmost", "rightmost", "least_norm",
@@ -779,6 +834,8 @@ def _command_argv(command, tmp_path, instance_file):
                 "--certify"],
         "probe": ["--mu1", "1", "--L1", "10", "--L2", "2", "--budget", "60",
                   "--starts", "2"],
+        "trend": ["--mu1", "1", "--L1", "10", "--L2", "2", "--horizons", "1,2",
+                  "--budget", "60", "--starts", "2"],
         "report": ["--instance", instance_file, "--x0", "1", "--N", "2"],
     }[command]
 
@@ -790,6 +847,7 @@ def _command_argv(command, tmp_path, instance_file):
     ("certify", "--fstar", "-1e0"),
     ("interp-check", "--mu", "-1e-1"),
     ("probe", "--mu2", "-8e-1"),
+    ("trend", "--mu2", "-8e-1"),
     ("report", "--fstar", "-1e0")])
 def test_negative_exponent_value_reads_as_a_value(tmp_path, instance_file,
                                                   capsys, command, flag, value):
@@ -831,6 +889,7 @@ _FLOAT_FLAGS = {
     "certify": ("--fstar", "--check-tol"),
     "interp-check": ("--mu", "--L", "--tol"),
     "probe": ("--mu1", "--L1", "--mu2", "--L2"),
+    "trend": ("--mu1", "--L1", "--mu2", "--L2"),
     "report": ("--tol", "--fstar", "--check-tol"),
 }
 _FLOAT_TEXT = st.one_of(
@@ -971,7 +1030,7 @@ _PARAMS_VALUE = st.one_of(
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.sampled_from(["classify", "probe"]),
+@given(st.sampled_from(["classify", "probe", "trend"]),
        st.sampled_from(sorted(ANCHORS)), st.data())
 def test_params_file_fuzzed_keeps_exit_contract(tmp_path, capsys, command,
                                                 anchor, data):
@@ -993,8 +1052,10 @@ def test_params_file_fuzzed_keeps_exit_contract(tmp_path, capsys, command,
     path = tmp_path / "params.json"
     path.write_text(json.dumps(body))
     argv = [command, "--params", str(path)]
-    if command == "probe":
+    if command != "classify":
         argv += ["--budget", "40", "--starts", "2"]
+    if command == "trend":
+        argv += ["--horizons", "1,2"]
     capsys.readouterr()
     code = main(argv)
     err = capsys.readouterr().err

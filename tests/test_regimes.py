@@ -255,6 +255,12 @@ def test_boundary_continuity_p1_p3():
     assert on.index in (1, 3)
 
 
+def test_boundary_margin_sees_s1_at_its_threshold():
+    """At (2, 4, -0.75, 3) S1 = thr1 = -0.5, where rows p1 and p3 meet; the
+    margin read 0.5, the distance to the surfaces other than S1 = thr1."""
+    assert classify(make_params(2.0, 4.0, -0.75, 3.0)).boundary_margin < 1e-15
+
+
 def _random_valid(rng):
     while True:
         mu1 = rng.uniform(-3, 4)
