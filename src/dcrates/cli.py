@@ -75,6 +75,15 @@ def policy(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def horizon_list(text: str) -> list:
+    """A --horizons value: comma-separated integers."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected comma-separated integers, got %r" % text) from None
+
+
 def _load(path: str, decode):
     """Read the JSON file at path through decode.  Malformed content (bad
     JSON, a missing key, a wrong-typed value, an infinite integer) is a
@@ -111,9 +120,41 @@ def _say(text: str) -> None:
         os.close(null)
 
 
+def _nonfinite_field(obj, path=""):
+    """(path, value) of the first float in obj, in the order json writes
+    them, that is not finite; None when there is none."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (path, obj)
+    if isinstance(obj, dict):
+        items = (("%s.%s" % (path, k) if path else str(k), v)
+                 for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = (("%s[%d]" % (path, i), v) for i, v in enumerate(obj))
+    else:
+        return None
+    for where, v in items:
+        found = _nonfinite_field(v, where)
+        if found is not None:
+            return found
+    return None
+
+
+def _strict_json(payload: dict, **kw) -> str:
+    """payload as JSON without NaN or infinities.  A number past the float
+    range is an OverflowError naming its field, which main reports with the
+    range the formulas can evaluate."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False, **kw)
+    except ValueError:
+        found = _nonfinite_field(payload)
+        if found is None:
+            raise
+        raise OverflowError("%s = %r is past the float range" % found) from None
+
+
 def _emit(payload: dict, out: str | None):
     payload = dict(payload, formula_revision=_formula_revision())
-    text = json.dumps(payload, indent=2, default=str, allow_nan=False)
+    text = _strict_json(payload, default=str)
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -170,8 +211,7 @@ def cmd_run(args) -> int:
     if args.out:
         payload = trajectory_to_json(traj)
         payload["tolerances"] = {"stop_tol": args.tol}
-        Path(args.out).write_text(json.dumps(payload, indent=2,
-                                             allow_nan=False) + "\n")
+        Path(args.out).write_text(_strict_json(payload) + "\n")
     if args.csv:
         Path(args.csv).write_text(trajectory_to_csv(traj))
     _say("ran %d step(s), stop_reason=%s, F: %.12g -> %.12g"
@@ -237,7 +277,7 @@ def cmd_probe(args) -> int:
 
 def cmd_trend(args) -> int:
     params = _params_from_args(args)
-    horizons = [int(v) for v in args.horizons.split(",")]
+    horizons = args.horizons
     out = ratio_trend(params, horizons, d=args.d, budget=args.budget,
                       seed=args.seed, starts=args.starts)
     res = out["results"]
@@ -388,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trend", help="worst-case ratios over horizons and their fit")
     add_search(p, budget=150000, starts=16)
-    p.add_argument("--horizons", default="2,4,6,8,10")
+    p.add_argument("--horizons", type=horizon_list, default="2,4,6,8,10")
     p.set_defaults(fn=cmd_trend)
 
     p = sub.add_parser("sweep", help="check certificates on random instances")

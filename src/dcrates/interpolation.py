@@ -16,11 +16,11 @@ with s = p dg - q dx, the right-hand side is
     ||s||^2 / a + b ||dx||^2,
 
 (a, b, p, q) = (2(L-mu), mu/2, 1, mu) for finite L and (inf, mu/2, 0, 0)
-for L = inf, where s = 0 exactly (so an L = inf class never squares dg).
-For a stack of k classes each coefficient is an array with one entry per
-class, so k gradient sets at the same points are bounded in one broadcast
-pass (pair_matrix), each with its own class, by the same arithmetic as one
-class on its own.
+for L = inf, where s = 0 exactly.  One L = inf class on its own skips s
+and is b ||dx||^2, so it never reads dg.  For a stack of k classes each
+coefficient is an array with one entry per class, so k gradient sets at the
+same points are bounded in one broadcast pass (pair_matrix), each with its
+own class, by the same arithmetic as one finite-L class on its own.
 """
 from __future__ import annotations
 
@@ -88,6 +88,8 @@ def _lower_bound(coef: BoundCoefficients, dx: np.ndarray, dg: np.ndarray):
     dg = g_i - g_j, summed over the last axis: one pair, a grid of pairs,
     or a stack of grids with one class each (see bound_coefficients)."""
     a, b, p, q = coef
+    if isinstance(a, float) and math.isinf(a):
+        return b * np.add.reduce(dx * dx, -1)
     s = p * dg - q * dx
     return np.add.reduce(s * s, -1) / a + b * np.add.reduce(dx * dx, -1)
 

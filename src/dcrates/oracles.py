@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from functools import cached_property
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -30,6 +31,16 @@ class Unbounded(RuntimeError):
 Policy = Union[str, float]
 
 
+class QuadraticArrays(NamedTuple):
+    """A quadratic's coefficients as read-only float arrays, with the curvature
+    signs its subproblem branches on."""
+    c: np.ndarray
+    b: np.ndarray
+    half_c: np.ndarray    # 0.5 * c, the first product of 0.5 * c * v * v
+    any_negative: bool    # some c < 0: the subproblem is unbounded
+    all_positive: bool    # every c > 0: no flat coordinate to mask
+
+
 @dataclass(frozen=True)
 class Quadratic:
     c: tuple
@@ -43,6 +54,18 @@ class Quadratic:
 
     def curvature_range(self):
         return min(self.c), max(self.c)
+
+    @cached_property
+    def arrays(self) -> QuadraticArrays:
+        """Built on first use and kept in the instance's __dict__, outside
+        the fields that equality, hashing, repr and JSON read."""
+        c = np.array(self.c, dtype=float)
+        b = np.array(self.b, dtype=float)
+        half_c = 0.5 * c
+        for a in (c, b, half_c):
+            a.flags.writeable = False
+        return QuadraticArrays(c, b, half_c, bool((c < 0.0).any()),
+                               bool((c > 0.0).all()))
 
 
 @dataclass(frozen=True)
@@ -205,9 +228,9 @@ def evaluate(spec: FunctionSpec, x, policy: Policy = "least_norm") -> OracleAnsw
         raise InvalidParams("oracle point must be finite")
     fam = spec.family
     if isinstance(fam, Quadratic):
-        c = np.asarray(fam.c)
-        b = np.asarray(fam.b)
-        val, g = float(np.add.reduce(0.5 * c * v * v + b * v)), c * v + b
+        q = fam.arrays
+        val = float(np.add.reduce(q.half_c * v * v + q.b * v))
+        g = q.c * v + q.b
     else:
         val, lo, hi = _value_interval(fam, float(v[0]))
         g = np.array([_pick(lo, hi, policy)])
@@ -231,10 +254,12 @@ def solve_dca_subproblem(spec: FunctionSpec, g) -> np.ndarray:
 
 
 def _solve_quadratic(fam: Quadratic, g: np.ndarray) -> np.ndarray:
-    c = np.asarray(fam.c)
-    b = np.asarray(fam.b)
-    if (c < 0.0).any():
+    c, b, _, any_negative, all_positive = fam.arrays
+    if any_negative:
         raise Unbounded("quadratic subproblem with negative curvature")
+    if all_positive:
+        return (g - b) / c
+    # a flat coordinate (c = 0) takes 0, one of its minimizers if it has no drift
     out = np.zeros_like(g)
     pos = c > 0.0
     out[pos] = (g[pos] - b[pos]) / c[pos]
@@ -305,8 +330,8 @@ def analytic_infimum(instance: DcInstance) -> Optional[float]:
     """Closed-form inf F for quadratic-quadratic and abs-abs pairs, else None."""
     a1, a2 = instance.f1.family, instance.f2.family
     if isinstance(a1, Quadratic) and isinstance(a2, Quadratic):
-        dc = np.asarray(a1.c) - np.asarray(a2.c)
-        db = np.asarray(a1.b) - np.asarray(a2.b)
+        dc = a1.arrays.c - a2.arrays.c
+        db = a1.arrays.b - a2.arrays.b
         if (dc < 0.0).any():
             return None
         if ((dc == 0.0) & (db != 0.0)).any():

@@ -490,8 +490,10 @@ def ratio_trend(params: DcParams, Ns, d: int = 1, budget: int = 200000,
                 seed: int = 0, starts: int = 16) -> dict:
     """Probe a sequence of horizons, warm-starting each from the last.
 
-    Fits 1/ratio = a N + b by least squares and reports (a, b) together with
-    the asymptotic constants, as trend evidence only.
+    Fits 1/ratio = a N + b by least squares, one point per distinct horizon
+    that found a witness (a and b are NaN when fewer than two did), and
+    reports (a, b) together with the asymptotic constants, as trend evidence
+    only.
     """
     results = {}
     prev = None
@@ -501,7 +503,7 @@ def ratio_trend(params: DcParams, Ns, d: int = 1, budget: int = 200000,
         results[N] = r
         if r.witness is not None:
             prev = r.witness
-    xs = np.array([N for N in Ns if results[N].best_ratio > 0.0], dtype=float)
+    xs = np.array([N for N in results if results[N].best_ratio > 0.0], dtype=float)
     ys = np.array([1.0 / results[N].best_ratio for N in xs.astype(int)])
     a, b = (np.polyfit(xs, ys, 1) if xs.size >= 2 else (math.nan, math.nan))
     out = {"results": results, "a_fit": float(a), "b_fit": float(b)}

@@ -265,35 +265,46 @@ _ASYMPTOTIC = ("conjectured asymptotic constants: p5_inf = 0.500000, "
                "p6_inf = 0.261364\n")
 
 
-@pytest.mark.parametrize("argv, code, stdout, fit", [
+_HORIZONS_ERROR = "error: dcrates trend: argument --horizons: "
+
+
+@pytest.mark.parametrize("argv, code, stdout, fit, err", [
     (["sweep", "--per-regime", "2", "--steps", "3"], 0,
      "".join("regime %d: done (2 instances)\n" % i for i in range(1, 9))
      + "instances: 16, worst one-step slack: 3.817e-06, rate failures: 0\n",
-     None),
+     None, ""),
     (_TREND + ["--horizons", "1,2"], 0,
      _N1 + "N= 2  best ratio 0.474555  certified 1.600000  evals 301\n"
      "fit 1/ratio = a N + b:  a = 1.794739  b = -1.482239\n" + _ASYMPTOTIC,
-     [pytest.approx(1.794739, abs=1e-6), pytest.approx(-1.482239, abs=1e-6)]),
+     [pytest.approx(1.794739, abs=1e-6), pytest.approx(-1.482239, abs=1e-6)],
+     ""),
     # one horizon: the fit is NaN, written null
     (_TREND + ["--horizons", "1"], 0,
      _N1 + "fit 1/ratio = a N + b:  a = nan  b = nan\n" + _ASYMPTOTIC,
-     [None, None]),
+     [None, None], ""),
     (["trend", "--mu1", "1", "--L1", "0.5", "--mu2", "0", "--L2", "1"], 1, "",
-     None),
-    (_TREND + ["--horizons", "0"], 1, "", None),
-    (["sweep", "--per-regime", "0"], 1, "", None),
-    (["sweep", "--steps", "0"], 1, "", None),
+     None, "error: "),
+    (_TREND + ["--horizons", "0"], 1, "", None, "error: "),
+    (_TREND + ["--horizons", "x"], 1, "", None, _HORIZONS_ERROR),
+    (_TREND + ["--horizons", "1,,2"], 1, "", None, _HORIZONS_ERROR),
+    (_TREND + ["--horizons="], 1, "", None, _HORIZONS_ERROR),
+    (["sweep", "--per-regime", "0"], 1, "", None, "error: "),
+    (["sweep", "--steps", "0"], 1, "", None, "error: "),
 ], ids=["sweep", "trend", "trend_one_horizon", "trend_invalid_params",
-        "trend_horizon_0", "sweep_per_regime_0", "sweep_steps_0"])
-def test_trend_and_sweep_output(tmp_path, capsys, argv, code, stdout, fit):
+        "trend_horizon_0", "trend_horizons_not_integer",
+        "trend_horizons_empty_entry", "trend_horizons_empty",
+        "sweep_per_regime_0", "sweep_steps_0"])
+def test_trend_and_sweep_output(tmp_path, capsys, argv, code, stdout, fit, err):
     """The lines trend and sweep print, byte for byte, and trend's strict
     JSON.  A bad input is an input error: it was a traceback or, for sweep
-    --per-regime 0, a pass over no instances."""
+    --per-regime 0, a pass over no instances.  A --horizons value that is
+    not a list of integers is refused by name, before any search."""
     out = tmp_path / "trend.json"
-    assert main(argv + (["--out", str(out)] if fit else [])) == code
+    assert _main_code(argv + (["--out", str(out)] if fit else [])) == code
     captured = capsys.readouterr()
     assert captured.out == stdout + ("wrote %s\n" % out if fit else "")
-    assert captured.err.startswith("error: ") == (code == 1), captured.err
+    assert captured.err.startswith(err) and bool(captured.err) == (code == 1), \
+        captured.err
     if fit:
         d = json.loads(out.read_text(), parse_constant=_refuse)
         horizons = [int(N) for N in argv[argv.index("--horizons") + 1].split(",")]
@@ -302,6 +313,16 @@ def test_trend_and_sweep_output(tmp_path, capsys, argv, code, stdout, fit):
             horizons, 1, 300, 0, 2)
         assert list(d["ratios"]) == list(d["evals"]) == [str(N) for N in horizons]
         assert d["evals"]["1"] == 300 and "formula_revision" in d
+
+
+def test_trend_fits_no_line_through_one_repeated_horizon(tmp_path, capsys):
+    """Two entries at one N are one point: the fit is NaN, written null, as
+    for a single horizon (it was a line through both, printed as a result)."""
+    out = tmp_path / "trend.json"
+    assert main(_TREND + ["--horizons", "2,2", "--out", str(out)]) == 0
+    assert "a = nan  b = nan\n" in capsys.readouterr().out
+    d = json.loads(out.read_text(), parse_constant=_refuse)
+    assert (d["a_fit"], d["b_fit"], d["horizons"]) == (None, None, [2, 2])
 
 
 def test_report_command(tmp_path, instance_file):
@@ -398,6 +419,29 @@ def test_value_past_float_range_exit_1(tmp_path, capsys, f1, x0):
                  "--certify"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "inf" in err and "not finite" in err
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--certify"], "per_step_slacks[0] = -inf"),
+    (["--out", "traj.json"], "points[0].G_norm_sq = inf")],
+    ids=["certify", "out"])
+def test_report_field_past_float_range_is_named(tmp_path, capsys, flags, field):
+    """f1 has a flat coordinate and curvature 1.34e154 on the other, which
+    takes a finite run to an infinite slack or G_norm_sq: the refusal names
+    the field and the range, not only json's "Out of range float values"."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "f1": {"family": "quadratic", "c": [0.0, 1.3407807929942597e154],
+               "b": [-1.0, -1.0], "mu": 0.0, "L": 1.34078079299426e154},
+        "f2": {"family": "quadratic", "c": [0.0, 0.0], "b": [-1.0, -1.0],
+               "mu": 0.0, "L": 1.0}}))
+    flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+    assert main(["run", "--instance", str(path), "--x0=-1,-1", "--N", "1"]
+                + flags) == 1
+    assert capsys.readouterr().err == (
+        "error: %s is past the float range: the declared curvatures are past "
+        "what the regime and interpolation formulas can evaluate (about "
+        "1e-154 to 1e154)\n" % field)
 
 
 @pytest.mark.parametrize("buffered", (True, False), ids=("buffered",

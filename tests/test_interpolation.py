@@ -64,6 +64,18 @@ def test_slack_detects_underdeclared_curvature():
     assert rep_ok.feasible
 
 
+def test_nonsmooth_class_never_reads_the_gradient_difference():
+    """1e308 |x| at x = -1e-300 and 1e-300: the gradients' difference
+    overflows to inf.  An L = inf class bounds the pair by mu/2 ||dx||^2
+    alone, so both slacks are the finite 2e8 (0 * inf made them NaN, and the
+    set infeasible)."""
+    t = [make_triplet([x], [1e308 * x / abs(x)], 1e308 * abs(x))
+         for x in (-1e-300, 1e-300)]
+    with np.errstate(over="ignore"):     # dg itself is still formed
+        rep = check_interpolation(t, Curvature(0.0, INF))
+    assert rep.feasible and rep.min_slack == 2e8
+
+
 def _written_out_pair_matrix(X, g, cls):
     """The inequality as the module docstring states it, with the L = inf
     limit as its own case."""

@@ -7,6 +7,7 @@ import pytest
 from dcrates.curvature import Curvature, InvalidParams
 from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, MaxOfQuadratics,
                              Quadratic, Unbounded, analytic_infimum, evaluate,
+                             family_from_json, family_to_json,
                              instance_from_json, instance_to_json,
                              make_instance, solve_dca_subproblem,
                              subgradient_interval)
@@ -59,6 +60,82 @@ def test_subproblem_examples():
 def test_subproblem_unbounded():
     with pytest.raises(Unbounded):
         solve_dca_subproblem(quad_spec(0.0, 1.0, mu=0.0, L=1.0), 0.0)
+
+
+@pytest.mark.parametrize("c, b, g, expected", [
+    ((0.0, 2.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.5)),   # flat, zero drift
+    ((0.0, 2.0), (1.0, 0.0), (1.5, 1.0), Unbounded),    # flat, drift 0.5
+    ((-1.0, 2.0), (0.0, 0.0), (0.0, 1.0), Unbounded),   # negative c
+], ids=["flat_zero_drift", "flat_with_drift", "negative_c"])
+def test_quadratic_subproblem_cases(c, b, g, expected):
+    spec = quad_spec(c, b)
+    if expected is Unbounded:
+        with pytest.raises(Unbounded):
+            solve_dca_subproblem(spec, np.array(g))
+    else:
+        assert solve_dca_subproblem(spec, np.array(g)).tolist() == list(expected)
+
+
+def _masked_solution(c, b, g):
+    """The subproblem's solution written out with a mask over c > 0."""
+    c, b = np.array(c), np.array(b)
+    out = np.zeros_like(g)
+    pos = c > 0.0
+    out[pos] = (g[pos] - b[pos]) / c[pos]
+    return out
+
+
+@pytest.mark.parametrize("flat", [False, True], ids=["all_positive", "mixed"])
+def test_quadratic_subproblem_bytes_match_the_masked_formula(flat):
+    """Every c > 0 takes (g - b) / c, a flat coordinate the masked path: both
+    give the bytes of the masked formula."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        d = int(rng.integers(1, 5))
+        c = rng.uniform(1e-3, 5.0, d) * 10.0 ** rng.integers(-3, 4, d)
+        b = rng.normal(size=d)
+        g = rng.normal(size=d) * 10.0 ** rng.integers(-3, 4, d)
+        if flat:
+            zero = np.arange(d) == rng.integers(d)
+            c[zero], g[zero] = 0.0, b[zero]
+        fam = Quadratic(tuple(c), tuple(b))
+        got = solve_dca_subproblem(FunctionSpec(fam, Curvature(0.0, INF)), g)
+        assert got.dtype == np.float64
+        assert got.tobytes() == _masked_solution(fam.c, fam.b, g).tobytes()
+
+
+def test_quadratic_evaluate_bytes_match_the_formula():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        d = int(rng.integers(1, 5))
+        c = rng.uniform(-2.0, 5.0, d)
+        c[rng.integers(d)] = 0.0
+        fam = Quadratic(tuple(c), tuple(rng.normal(size=d)))
+        v = rng.normal(size=d) * 10.0 ** rng.integers(-3, 4, d)
+        a = evaluate(FunctionSpec(fam, Curvature(-2.0, 5.0)), v)
+        cv, bv = np.array(fam.c), np.array(fam.b)
+        assert a.value.hex() == float(np.sum(0.5 * cv * v * v + bv * v)).hex()
+        assert a.subgradient.tobytes() == (cv * v + bv).tobytes()
+
+
+def test_quadratic_arrays_stay_out_of_equality_hash_repr_and_json():
+    """The arrays built on first use are no field: a family from tuples and
+    the same family read from JSON look alike before and after either
+    builds them, and the arrays cannot be written through."""
+    c, b = (2.0, 0.0, 1.5), (-1.0, 0.25, 3.0)
+    built = Quadratic(c, b)
+    read = family_from_json(json.loads(json.dumps(family_to_json(built))))
+
+    def views(fam):
+        return fam, hash(fam), repr(fam), json.dumps(family_to_json(fam))
+
+    assert views(built) == views(read)
+    assert built.arrays.c.tolist() == list(c)
+    assert views(built) == views(read)
+    assert read.arrays.half_c.tolist() == [1.0, 0.0, 0.75]
+    assert views(built) == views(read)
+    with pytest.raises(ValueError):
+        built.arrays.b[0] = 0.0
 
 
 def _random_specs(rng):
