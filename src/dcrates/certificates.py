@@ -174,16 +174,13 @@ def check_nonsmooth_rate(traj: Trajectory, fstar: Optional[float] = None,
     m1, m2 = params.mu1, params.mu2
     _step(traj, 0)     # at least one completed step
     N = traj.n_steps
-    slacks = []
-    for a, b in zip(traj.points, traj.points[1:]):
-        dF = a.F - b.F
-        if m2 >= 0.0:
-            lhs = m2 * 0.5 * a.dx_norm_sq + a.T
-        else:
-            lhs = (m1 + m2) / m1 * a.T
-        slacks.append(dF - lhs)
+    lhs = [m2 * 0.5 * a.dx_norm_sq + a.T if m2 >= 0.0 else (m1 + m2) / m1 * a.T
+           for a in traj.points[:-1]]
+    slacks = [(a.F - b.F) - v
+              for a, b, v in zip(traj.points, traj.points[1:], lhs)]
     if m2 >= 0.0:
-        observed = traj.min_t() + 0.5 * m2 * traj.min_dx_sq()
+        # the per-step bounds sum to one on min_k (T_k + mu2/2 ||dx_k||^2)
+        observed = min(lhs)
         bound = (traj.points[0].F - fstar) / N
         branch = "mu2_nonneg"
     else:

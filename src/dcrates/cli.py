@@ -152,9 +152,14 @@ def _strict_json(payload: dict, **kw) -> str:
         raise OverflowError("%s = %r is past the float range" % found) from None
 
 
-def _emit(payload: dict, out: str | None):
+def _emit(payload: dict, out: str | None, summary: str | None = None):
+    """Write payload, tagged with the formula revision, to out, or print it.
+    The summary line is printed first, and only once payload has proved to be
+    strict JSON, so a refused payload prints nothing."""
     payload = dict(payload, formula_revision=_formula_revision())
     text = _strict_json(payload, default=str)
+    if summary is not None:
+        _say(summary)
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -198,38 +203,37 @@ def cmd_regime_map(args) -> int:
     return EXIT_OK
 
 
-def _run(args):
-    """The one path `run` and `report` share: load, parse x0, iterate."""
-    inst = _load(args.instance, instance_from_json)
-    x0 = np.array([float(v) for v in args.x0.split(",")])
-    return run_dca(inst, x0, args.N, tol=args.tol, policy=args.policy,
-                   stop_on=args.stop_on)
+def _certify(traj, args, out: str | None, summary: str | None = None) -> int:
+    """The certificate report of traj, written to out or printed after the
+    summary line; exit 2 when a check fails.  A report that is refused (no
+    step to check, a field past the float range) prints nothing."""
+    report = certificate_report(traj, fstar=args.fstar, tol=args.check_tol)
+    _emit(report, out, summary)
+    return EXIT_OK if report["holds"] else EXIT_CHECK_FAILED
 
 
 def cmd_run(args) -> int:
-    traj = _run(args)
+    inst = _load(args.instance, instance_from_json)
+    x0 = np.array([float(v) for v in args.x0.split(",")])
+    traj = run_dca(inst, x0, args.N, tol=args.tol, policy=args.policy,
+                   stop_on=args.stop_on)
     if args.out:
         payload = trajectory_to_json(traj)
         payload["tolerances"] = {"stop_tol": args.tol}
         Path(args.out).write_text(_strict_json(payload) + "\n")
     if args.csv:
         Path(args.csv).write_text(trajectory_to_csv(traj))
-    _say("ran %d step(s), stop_reason=%s, F: %.12g -> %.12g"
-         % (traj.n_steps, traj.stop_reason,
-            traj.points[0].F, traj.points[-1].F))
+    summary = ("ran %d step(s), stop_reason=%s, F: %.12g -> %.12g"
+               % (traj.n_steps, traj.stop_reason,
+                  traj.points[0].F, traj.points[-1].F))
     if args.certify:
-        report = certificate_report(traj, fstar=args.fstar, tol=args.check_tol)
-        _emit(report, args.report_out)
-        if not report["holds"]:
-            return EXIT_CHECK_FAILED
+        return _certify(traj, args, args.report_out, summary)
+    _say(summary)
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
-    traj = _load(args.traj, trajectory_from_json)
-    report = certificate_report(traj, fstar=args.fstar, tol=args.check_tol)
-    _emit(report, args.out)
-    return EXIT_OK if report["holds"] else EXIT_CHECK_FAILED
+    return _certify(_load(args.traj, trajectory_from_json), args, args.out)
 
 
 def cmd_interp_check(args) -> int:
@@ -327,23 +331,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if sound else EXIT_CHECK_FAILED
 
 
-def cmd_report(args) -> int:
-    traj = _run(args)
-    report = certificate_report(traj, fstar=args.fstar, tol=args.check_tol)
-    payload = {
-        "instance_params": traj.instance.params.to_json_dict(),
-        "regime": report.get("regime"),   # None when both terms are nonsmooth
-        "trajectory": {"n_steps": traj.n_steps,
-                       "stop_reason": traj.stop_reason,
-                       "F_first": traj.points[0].F,
-                       "F_last": traj.points[-1].F,
-                       "min_grad_gap_sq": traj.min_grad_gap_sq()},
-        "certificates": report,
-    }
-    _emit(payload, args.out)
-    return EXIT_OK if report["holds"] else EXIT_CHECK_FAILED
-
-
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,20 +361,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_regime_map)
 
-    def add_run(p):
-        p.add_argument("--instance", required=True)
-        p.add_argument("--x0", required=True, help="comma-separated start point")
-        p.add_argument("--N", type=int, required=True)
-        p.add_argument("--tol", type=finite_float, default=0.0)
-        p.add_argument("--policy", type=policy, default="least_norm",
-                       help="kink subgradient: leftmost, rightmost, "
-                       "least_norm or a weight in [0, 1]")
+    def add_check(p):
         p.add_argument("--fstar", type=finite_float)
         p.add_argument("--check-tol", dest="check_tol", type=finite_float,
                        default=SLACK_TOL)
 
     p = sub.add_parser("run", help="run DCA on an instance file")
-    add_run(p)
+    p.add_argument("--instance", required=True)
+    p.add_argument("--x0", required=True, help="comma-separated start point")
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--tol", type=finite_float, default=0.0)
+    p.add_argument("--policy", type=policy, default="least_norm",
+                   help="kink subgradient: leftmost, rightmost, "
+                   "least_norm or a weight in [0, 1]")
+    add_check(p)
     p.add_argument("--stop-on", dest="stop_on", default="grad_gap",
                    choices=["grad_gap", "t_measure"])
     p.add_argument("--out", help="trajectory JSON")
@@ -398,9 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="verify certificates on a saved trajectory")
     p.add_argument("--traj", required=True)
-    p.add_argument("--fstar", type=finite_float)
-    p.add_argument("--check-tol", dest="check_tol", type=finite_float,
-                   default=SLACK_TOL)
+    add_check(p)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_certify)
 
@@ -436,11 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("report", help="run + classify + certify in one pass")
-    add_run(p)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_report, stop_on="grad_gap")
     return top
 
 

@@ -59,9 +59,6 @@ class Trajectory:
         """min T(x^k) over k = 0..N-1 (the points that took a step)."""
         return min(p.T for p in self.points[:-1])
 
-    def min_dx_sq(self) -> float:
-        return min(p.dx_norm_sq for p in self.points[:-1])
-
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> float:
     d = a - b

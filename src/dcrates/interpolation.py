@@ -17,10 +17,11 @@ with s = p dg - q dx, the right-hand side is
 
 (a, b, p, q) = (2(L-mu), mu/2, 1, mu) for finite L and (inf, mu/2, 0, 0)
 for L = inf, where s = 0 exactly.  One L = inf class on its own skips s
-and is b ||dx||^2, so it never reads dg.  For a stack of k classes each
-coefficient is an array with one entry per class, so k gradient sets at the
-same points are bounded in one broadcast pass (pair_matrix), each with its
-own class, by the same arithmetic as one finite-L class on its own.
+and is b ||dx||^2, so it never reads dg, and pair_matrix never forms it.
+For a stack of k classes each coefficient is an array with one entry per
+class, so k gradient sets at the same points are bounded in one broadcast
+pass (pair_matrix), each with its own class, by the same arithmetic as one
+finite-L class on its own.
 """
 from __future__ import annotations
 
@@ -83,12 +84,18 @@ def bound_coefficients(cls) -> BoundCoefficients:
     return BoundCoefficients(2.0 * (L - mu), mu / 2.0, 1.0, mu)
 
 
-def _lower_bound(coef: BoundCoefficients, dx: np.ndarray, dg: np.ndarray):
+def _reads_no_dg(coef: BoundCoefficients) -> bool:
+    """One L = inf class: its bound is b ||dx||^2 alone."""
+    return isinstance(coef.a, float) and math.isinf(coef.a)
+
+
+def _lower_bound(coef: BoundCoefficients, dx: np.ndarray, dg):
     """Right-hand side of the inequality for differences dx = x_i - x_j,
     dg = g_i - g_j, summed over the last axis: one pair, a grid of pairs,
-    or a stack of grids with one class each (see bound_coefficients)."""
+    or a stack of grids with one class each (see bound_coefficients).  dg
+    may be None where _reads_no_dg(coef)."""
     a, b, p, q = coef
-    if isinstance(a, float) and math.isinf(a):
+    if _reads_no_dg(coef):
         return b * np.add.reduce(dx * dx, -1)
     s = p * dg - q * dx
     return np.add.reduce(s * s, -1) / a + b * np.add.reduce(dx * dx, -1)
@@ -116,7 +123,8 @@ def pair_matrix(X: np.ndarray, G: np.ndarray, cls, out=None) -> np.ndarray:
     """
     coef = cls if isinstance(cls, BoundCoefficients) else bound_coefficients(cls)
     dX = X[..., None, :] - X[..., None, :, :]
-    dG = G[..., :, None, :] - G[..., None, :, :]
+    dG = (None if _reads_no_dg(coef) else
+          G[..., :, None, :] - G[..., None, :, :])
     c = np.add(np.einsum("...jd,...ijd->...ij", G, dX), _lower_bound(coef, dX, dG),
                out=out)
     np.einsum("...ii->...i", c)[...] = 0.0     # a view of the diagonal(s)

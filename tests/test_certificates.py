@@ -163,6 +163,20 @@ def test_nonsmooth_equality_example():
     assert chk.holds
 
 
+def test_nonsmooth_observed_is_the_least_per_step_sum():
+    """With mu2 >= 0 the per-step bounds sum to a bound on
+    min_k (T_k + mu2/2 ||dx_k||^2), and that is the value reported.  The
+    two minima taken apart, min T + mu2/2 min ||dx||^2, give 1.056640625."""
+    f1 = FunctionSpec(AbsPlusQuadratic(0.5, 1.0, -1.0), Curvature(1.0, INF))
+    f2 = FunctionSpec(AbsPlusQuadratic(0.5, 0.25, 0.5), Curvature(0.25, INF))
+    traj = run_dca(make_instance(f1, f2), np.array([-1.0]), 2)
+    chk = check_nonsmooth_rate(traj, fstar=-1.5)
+    assert chk.branch == "mu2_nonneg" and chk.holds
+    assert (chk.n_step_observed, chk.n_step_bound) == (1.07666015625, 1.6875)
+    assert chk.n_step_observed == min(p.T + 0.125 * p.dx_norm_sq
+                                      for p in traj.points[:-1])
+
+
 def test_nonsmooth_hypoconvex_branch():
     inst = nonsmooth_instance(-1)
     traj = run_dca(inst, np.array([1.0]), 5)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dcrates.cli import main
+from dcrates.cli import build_parser, main
 from dcrates.curvature import Curvature
 from dcrates.interpolation import sample_triplets, triplets_to_json
 from dcrates.engine import LINK_TOL, t_measure
@@ -46,6 +47,21 @@ def test_version(capsys):
     assert e.value.code == 0
     out = capsys.readouterr().out
     assert "dcrates 0.1.0" in out and "formula revision" in out
+
+
+def test_readme_cli_block_parses():
+    """Every command of README's CLI block is one the parser accepts; the
+    commands are parsed, not run."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert lines and all(line.startswith("dcrates ") for line in lines)
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail("README documents %r, which does not parse" % line)
 
 
 def test_classify_output(tmp_path, capsys):
@@ -325,15 +341,6 @@ def test_trend_fits_no_line_through_one_repeated_horizon(tmp_path, capsys):
     assert (d["a_fit"], d["b_fit"], d["horizons"]) == (None, None, [2, 2])
 
 
-def test_report_command(tmp_path, instance_file):
-    out = tmp_path / "report.json"
-    assert main(["report", "--instance", instance_file, "--x0", "1.0",
-                 "--N", "3", "--out", str(out)]) == 0
-    d = json.loads(out.read_text())
-    assert d["certificates"]["holds"]
-    assert d["regime"]["index"] >= 1
-
-
 def test_missing_file_exit_1():
     assert main(["certify", "--traj", "/nonexistent/t.json"]) == 1
 
@@ -343,10 +350,6 @@ def test_directory_as_file_exit_1(tmp_path, capsys):
     assert main(["classify", "--mu1", "0.5", "--L1", "2", "--mu2", "0",
                  "--L2", "1", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.count("error: ") == 2
-
-
-def _strip(d: dict) -> dict:
-    return {k: v for k, v in d.items() if k != "formula_revision"}
 
 
 def _malformed(tmp_path, instance_file, kind):
@@ -421,27 +424,39 @@ def test_value_past_float_range_exit_1(tmp_path, capsys, f1, x0):
     assert err.startswith("error: ") and "inf" in err and "not finite" in err
 
 
+def _big_instance(tmp_path, f2_b):
+    """f1 has a flat coordinate and curvature 1.34e154 on the other."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "f1": {"family": "quadratic", "c": [0.0, 1.3407807929942597e154],
+               "b": [-1.0, -1.0], "mu": 0.0, "L": 1.34078079299426e154},
+        "f2": {"family": "quadratic", "c": [0.0, 0.0], "b": [f2_b, f2_b],
+               "mu": 0.0, "L": 1.0}}))
+    return ["run", "--instance", str(path), "--x0=-1,-1", "--N", "1"]
+
+
 @pytest.mark.parametrize("flags, field", [
     (["--certify"], "per_step_slacks[0] = -inf"),
     (["--out", "traj.json"], "points[0].G_norm_sq = inf")],
     ids=["certify", "out"])
 def test_report_field_past_float_range_is_named(tmp_path, capsys, flags, field):
-    """f1 has a flat coordinate and curvature 1.34e154 on the other, which
-    takes a finite run to an infinite slack or G_norm_sq: the refusal names
-    the field and the range, not only json's "Out of range float values"."""
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps({
-        "f1": {"family": "quadratic", "c": [0.0, 1.3407807929942597e154],
-               "b": [-1.0, -1.0], "mu": 0.0, "L": 1.34078079299426e154},
-        "f2": {"family": "quadratic", "c": [0.0, 0.0], "b": [-1.0, -1.0],
-               "mu": 0.0, "L": 1.0}}))
+    """The big instance takes a finite run to an infinite slack or G_norm_sq:
+    the refusal names the field and the range, not only json's "Out of
+    range float values", and the run's summary line is not printed."""
     flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
-    assert main(["run", "--instance", str(path), "--x0=-1,-1", "--N", "1"]
-                + flags) == 1
-    assert capsys.readouterr().err == (
+    assert main(_big_instance(tmp_path, -1.0) + flags) == 1
+    assert capsys.readouterr() == ("", (
         "error: %s is past the float range: the declared curvatures are past "
         "what the regime and interpolation formulas can evaluate (about "
-        "1e-154 to 1e154)\n" % field)
+        "1e-154 to 1e154)\n" % field))
+
+
+def test_refused_certificate_prints_no_summary(tmp_path, capsys):
+    """With f2 flat as well, the first subproblem is unbounded and the run
+    takes no step, so there is nothing to certify.  The summary line
+    ('ran 0 step(s)') was printed before the refusal."""
+    assert main(_big_instance(tmp_path, 0.0) + ["--certify"]) == 1
+    assert capsys.readouterr() == ("", "error: trajectory has no step 0\n")
 
 
 @pytest.mark.parametrize("buffered", (True, False), ids=("buffered",
@@ -643,14 +658,15 @@ def _with_declared(instance_file, tmp_path, mu1):
 
 def test_disagreeing_declared_block_exit_1(tmp_path, instance_file, capsys):
     old = _with_declared(instance_file, tmp_path, mu1=-0.4)   # f1.mu is 1.5
-    assert main(["report", "--instance", old, "--x0", "1.0", "--N", "3"]) == 1
+    assert main(["run", "--instance", old, "--x0", "1.0", "--N", "3",
+                 "--certify"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "disagrees" in err
 
 
 def test_agreeing_declared_block_still_loads(tmp_path, instance_file, capsys):
     old = _with_declared(instance_file, tmp_path, mu1=1.5)
-    argv = ["report", "--x0", "1.0", "--N", "3", "--instance"]
+    argv = ["run", "--certify", "--x0", "1.0", "--N", "3", "--instance"]
     assert main(argv + [old]) == 0
     a = capsys.readouterr().out
     assert main(argv + [instance_file]) == 0
@@ -667,22 +683,17 @@ def test_usage_error_exit_1(argv, capsys):
     assert "error: " in capsys.readouterr().err
 
 
-def test_report_both_nonsmooth_matches_run_certify(tmp_path, capsys):
-    f1 = FunctionSpec(AbsPlusQuadratic(1.0, 1.0, 0.0), Curvature(1.0, INF))
-    f2 = FunctionSpec(AbsPlusQuadratic(0.5, 0.5, 0.2), Curvature(0.5, INF))
-    path = tmp_path / "inst.json"
-    path.write_text(json.dumps(instance_to_json(make_instance(f1, f2))))
-    common = ["--instance", str(path), "--x0", "1.0", "--N", "3",
-              "--fstar", "-1"]
-    code = main(["report", "--out", str(tmp_path / "rep.json")] + common)
-    assert code in (0, 2)
-    rep = json.loads((tmp_path / "rep.json").read_text())
-    assert main(["run", "--certify", "--report-out", str(tmp_path / "cert.json")]
-                + common) == code
-    cert = json.loads((tmp_path / "cert.json").read_text())
-    assert rep["certificates"] == _strip(cert)
-    assert rep["certificates"]["mode"] == "nonsmooth"
-    assert rep["regime"] is None
+def test_run_certify_nonsmooth_matches_certify_traj(tmp_path, capsys):
+    traj, run_rep, cert_rep = (tmp_path / n for n in ("traj.json", "run.json",
+                                                      "cert.json"))
+    assert main(["run", "--instance", _abs_instance(tmp_path), "--x0", "1.0",
+                 "--N", "3", "--fstar", "-1", "--out", str(traj), "--certify",
+                 "--report-out", str(run_rep)]) == 0
+    assert main(["certify", "--traj", str(traj), "--fstar", "-1",
+                 "--out", str(cert_rep)]) == 0
+    assert cert_rep.read_bytes() == run_rep.read_bytes()
+    rep = json.loads(run_rep.read_text())
+    assert rep["mode"] == "nonsmooth" and "regime" not in rep
 
 
 @pytest.mark.parametrize("spelling", ["inf", "INF", "Infinity"])
@@ -705,10 +716,10 @@ def test_infinity_spellings(tmp_path, capsys, spelling):
                    "mu": 0.5, "L": 0.75}}
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(inst))
-    assert main(["report", "--instance", str(path), "--x0", "1.0", "--N", "2",
-                 "--out", str(tmp_path / "rep.json")]) == 0
-    rep = json.loads((tmp_path / "rep.json").read_text())
-    assert rep["instance_params"]["L1"] == "inf"
+    assert main(["run", "--instance", str(path), "--x0", "1.0", "--N", "2",
+                 "--certify", "--out", str(tmp_path / "traj.json")]) == 0
+    traj = json.loads((tmp_path / "traj.json").read_text())
+    assert traj["instance"]["f1"]["L"] == "inf"
 
 
 @pytest.mark.parametrize("policy", ["bogus", "1.5", "-0.1", "nan", ""])
@@ -880,7 +891,6 @@ def _command_argv(command, tmp_path, instance_file):
                   "--starts", "2"],
         "trend": ["--mu1", "1", "--L1", "10", "--L2", "2", "--horizons", "1,2",
                   "--budget", "60", "--starts", "2"],
-        "report": ["--instance", instance_file, "--x0", "1", "--N", "2"],
     }[command]
 
 
@@ -891,8 +901,7 @@ def _command_argv(command, tmp_path, instance_file):
     ("certify", "--fstar", "-1e0"),
     ("interp-check", "--mu", "-1e-1"),
     ("probe", "--mu2", "-8e-1"),
-    ("trend", "--mu2", "-8e-1"),
-    ("report", "--fstar", "-1e0")])
+    ("trend", "--mu2", "-8e-1")])
 def test_negative_exponent_value_reads_as_a_value(tmp_path, instance_file,
                                                   capsys, command, flag, value):
     """'--flag -1e-5' reads as '--flag=-1e-5'.  argparse takes only
@@ -934,7 +943,6 @@ _FLOAT_FLAGS = {
     "interp-check": ("--mu", "--L", "--tol"),
     "probe": ("--mu1", "--L1", "--mu2", "--L2"),
     "trend": ("--mu1", "--L1", "--mu2", "--L2"),
-    "report": ("--tol", "--fstar", "--check-tol"),
 }
 _FLOAT_TEXT = st.one_of(
     st.floats().map(repr), st.floats().map("{:e}".format),
@@ -1036,7 +1044,7 @@ def test_certify_names_the_file_of_an_infinite_step_index(tmp_path,
     ("run", "--check-tol", "nan"),
     ("run", "--tol", "nan"),
     ("certify", "--fstar", "-inf"),
-    ("report", "--check-tol", "inf"),
+    ("run", "--check-tol", "inf"),
     ("interp-check", "--tol", "nan")])
 def test_non_finite_fstar_or_tolerance_is_usage_error(tmp_path, instance_file,
                                                       capsys, command, flag, value):
