@@ -309,9 +309,10 @@ def cmd_trend(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.per_regime < 1:
-        raise ValueError("--per-regime must be at least 1, got %d"
-                         % args.per_regime)
+    for flag, value in (("--per-regime", args.per_regime),
+                        ("--steps", args.steps)):
+        if value < 1:
+            raise ValueError("%s must be at least 1, got %d" % (flag, value))
     rng = np.random.default_rng(args.seed)
     worst, rate_failures = math.inf, 0
     for regime in sorted(ANCHORS):
@@ -436,7 +437,7 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             return args.fn(args)
     except (NoRegime, InconsistentBoundary, PreconditionViolated, MissingFstar,
-            OSError, ValueError) as exc:
+            MemoryError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
     except ArithmeticError as exc:
         print("error: %s: the declared curvatures are past what the regime "

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -16,11 +15,10 @@ from typing import Optional
 import numpy as np
 
 from .curvature import InvalidParams
-from .oracles import (DcInstance, Policy, Unbounded, evaluate, kink_policy,
-                      instance_from_json, instance_to_json,
-                      solve_dca_subproblem, subgradient_interval)
+from .oracles import (LINK_TOL, DcInstance, Policy, Unbounded, _norm,
+                      evaluate, instance_from_json, instance_to_json,
+                      is_subgradient, kink_policy, solve_dca_subproblem)
 
-LINK_TOL = 1e-12
 RECORD_TOL = 1e-12   # relative; stored numbers against their recomputation
 
 STOP_MAX_ITERS = "max_iters"
@@ -65,11 +63,6 @@ def _sq_dist(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.add.reduce(d * d))
 
 
-def _norm(v: np.ndarray) -> float:
-    """np.linalg.norm(v) of a vector, bit for bit, without its dispatch."""
-    return math.sqrt(v.dot(v))
-
-
 def t_measure(instance: DcInstance, x, x_plus, g1_plus) -> float:
     """Linearization gap f1(x) - f1(x+) - <g1+, x - x+> of a genuine step."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
@@ -78,18 +71,6 @@ def t_measure(instance: DcInstance, x, x_plus, g1_plus) -> float:
     f1x = evaluate(instance.f1, xv).value
     f1p = evaluate(instance.f1, xp).value
     return f1x - f1p - float(gp @ (xv - xp))
-
-
-def _is_subgradient(spec, x: np.ndarray, g: np.ndarray, pick: np.ndarray) -> bool:
-    """Whether g lies within LINK_TOL * max(1, ||g||), in Euclidean distance,
-    of the subdifferential of spec at x; pick is the oracle's subgradient."""
-    pad = LINK_TOL * max(1.0, _norm(g))
-    if _norm(pick - g) <= pad:
-        return True
-    if spec.dimension > 1:   # only quadratics: the gradient is all there is
-        return False
-    lo, hi = subgradient_interval(spec, x)
-    return lo - pad <= float(g[0]) <= hi + pad
 
 
 def _record(points: list, instance: DcInstance, x: np.ndarray,
@@ -101,7 +82,7 @@ def _record(points: list, instance: DcInstance, x: np.ndarray,
     a1, a2 = evaluate(instance.f1, x, policy), evaluate(instance.f2, x, policy)
     for name, spec, g, a in (("g1", instance.f1, g1, a1),
                              ("g2", instance.f2, g2, a2)):
-        if g is not None and not _is_subgradient(spec, x, g, a.subgradient):
+        if g is not None and not is_subgradient(spec, x, g, a.subgradient):
             raise InvalidParams("step %d: %s = %r is not a subgradient of f%s "
                                 "at x" % (len(points), name, g.tolist(), name[1]))
     g1 = a1.subgradient if g1 is None else g1
@@ -227,10 +208,3 @@ def _check_recorded(inst: DcInstance, pts: list) -> None:
                 raise InvalidParams("step %d: stored %s = %r, recomputed %r"
                                     % (p.k, name, stored, want))
 
-
-def dumps(traj: Trajectory) -> str:
-    return json.dumps(trajectory_to_json(traj))
-
-
-def loads(s: str) -> Trajectory:
-    return trajectory_from_json(json.loads(s))

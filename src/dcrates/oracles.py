@@ -7,9 +7,15 @@ solutions:
 * quadratic        sum_i c_i/2 x_i^2 + b_i x_i     (separable, any dimension)
 * max_quadratics   max_j c_j/2 x^2 + b_j x + a_j   (1D, possibly nonsmooth)
 * abs_quadratic    a|x| + m/2 x^2 + b x            (1D, nonsmooth at 0)
+
+`is_subgradient` is the one test of subgradient membership: run_dca asserts
+it on each DCA link, and the max-of-quadratics subproblem returns the
+least-objective stationary point or meeting point of its pieces at which g
+passes it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -20,6 +26,7 @@ import numpy as np
 from .curvature import Curvature, DcParams, InvalidParams, ext_to_json
 
 KINK_TOL = 1e-12
+LINK_TOL = 1e-12   # relative; a subgradient's distance to the subdifferential
 
 
 class Unbounded(RuntimeError):
@@ -166,11 +173,14 @@ def _as_vec(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a vector, bit for bit, without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def _value_interval(fam: Family, t: float) -> tuple:
-    """(value, lo, hi): value and one-sided derivative range at a 1D point."""
-    if isinstance(fam, Quadratic):
-        g = fam.c[0] * t + fam.b[0]
-        return 0.5 * fam.c[0] * t * t + fam.b[0] * t, g, g
+    """(value, lo, hi): value and one-sided derivative range at a 1D point
+    of a max-of-quadratics or abs-plus-quadratic family."""
     if isinstance(fam, AbsPlusQuadratic):
         val = fam.a * abs(t) + 0.5 * fam.m * t * t + fam.b * t
         base = fam.m * t + fam.b
@@ -190,7 +200,22 @@ def _value_interval(fam: Family, t: float) -> tuple:
 
 def subgradient_interval(spec: FunctionSpec, x) -> tuple:
     """One-sided derivative range [lo, hi] at a 1D point."""
+    if isinstance(spec.family, Quadratic):
+        g = float(evaluate(spec, x).subgradient[0])
+        return g, g
     return _value_interval(spec.family, float(_as_vec(x)[0]))[1:]
+
+
+def is_subgradient(spec: FunctionSpec, x, g: np.ndarray, pick=None) -> bool:
+    """Whether g lies within LINK_TOL * max(1, ||g||), in Euclidean distance,
+    of the subdifferential of spec at x.  pick, a quadratic's gradient at x
+    when the caller has it, spares evaluating it again."""
+    pad = LINK_TOL * max(1.0, _norm(g))
+    if isinstance(spec.family, Quadratic):   # the gradient is all there is
+        pick = evaluate(spec, x).subgradient if pick is None else pick
+        return _norm(pick - g) <= pad
+    lo, hi = subgradient_interval(spec, x)
+    return lo - pad <= float(g[0]) <= hi + pad
 
 
 def kink_policy(policy: Policy) -> Policy:
@@ -218,7 +243,7 @@ def _pick(lo: float, hi: float, policy: Policy) -> float:
         return hi
     if policy == "least_norm":
         return min(max(0.0, lo), hi)
-    return lo + policy * (hi - lo)
+    return min(lo + policy * (hi - lo), hi)   # the sum may round past hi
 
 
 def evaluate(spec: FunctionSpec, x, policy: Policy = "least_norm") -> OracleAnswer:
@@ -280,46 +305,24 @@ def _solve_abs_quadratic(fam: AbsPlusQuadratic, g: float) -> np.ndarray:
 
 
 def _solve_max_quadratics(spec, fam: MaxOfQuadratics, g: float) -> np.ndarray:
-    cs = [p[0] for p in fam.pieces]
-    if max(cs) <= 0.0:
+    if max(p[0] for p in fam.pieces) <= 0.0:
         raise Unbounded("max-of-quadratics subproblem needs a coercive piece")
-
-    def h(w):
-        return max(0.5 * c * w * w + b * w + a for c, b, a in fam.pieces) - g * w
-
-    cands = []
-    for c, b, a in fam.pieces:
-        if c > 0.0:
-            w = (g - b) / c
-            vals = [0.5 * cc * w * w + bb * w + aa for cc, bb, aa in fam.pieces]
-            mine = 0.5 * c * w * w + b * w + a
-            if max(vals) - mine <= 1e-9 * max(1.0, abs(max(vals))):
-                cands.append(w)
-    pieces = fam.pieces
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            dc = pieces[i][0] - pieces[j][0]
-            db = pieces[i][1] - pieces[j][1]
-            da = pieces[i][2] - pieces[j][2]
-            if dc == 0.0:
-                roots = [-da / db] if db != 0.0 else []
-            else:
-                disc = db * db - 2.0 * dc * da
-                if disc < 0.0:
-                    continue
-                r = math.sqrt(disc)
-                roots = [(-db - r) / dc, (-db + r) / dc]
-            for w in roots:
-                lo, hi = subgradient_interval(spec, w)
-                if lo - 1e-9 <= g <= hi + 1e-9:
-                    cands.append(w)
+    # stationary points of the convex pieces, then the points where two meet
+    cands = [(g - b) / c for c, b, _ in fam.pieces if c > 0.0]
+    for (c1, b1, a1), (c2, b2, a2) in itertools.combinations(fam.pieces, 2):
+        dc, db, da = c1 - c2, b1 - b2, a1 - a2
+        if dc == 0.0:
+            cands += [-da / db] if db != 0.0 else []
+            continue
+        disc = db * db - 2.0 * dc * da
+        if disc >= 0.0:
+            r = math.sqrt(disc)
+            cands += [(-db - r) / dc, (-db + r) / dc]
+    gv = np.array([g])
+    cands = [w for w in cands if is_subgradient(spec, w, gv)]
     if not cands:
         raise Unbounded("no stationary candidate found")
-    best = min(cands, key=h)
-    lo, hi = subgradient_interval(spec, best)
-    scale = max(1.0, abs(g))
-    if not (lo - 1e-9 * scale <= g <= hi + 1e-9 * scale):
-        raise Unbounded("candidate fails the optimality inclusion")
+    best = min(cands, key=lambda w: _value_interval(fam, w)[0] - g * w)
     return np.array([best])
 
 

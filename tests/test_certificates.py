@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,9 +8,10 @@ from dcrates.certificates import (certificate_report, check_nonsmooth_rate,
                                   check_one_step, check_rate,
                                   replay_proof_combination)
 from dcrates.curvature import Curvature, InvalidParams
-from dcrates.engine import dumps, run_dca
+from dcrates.engine import run_dca, trajectory_to_json
 from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, MaxOfQuadratics,
-                             Quadratic, make_instance)
+                             Quadratic, Unbounded, is_subgradient,
+                             make_instance, solve_dca_subproblem)
 from dcrates.regimes import BothNonsmooth, PreconditionViolated, classify
 
 INF = math.inf
@@ -251,6 +253,53 @@ def test_one_nonsmooth_soundness_sweep():
     assert rows == {"p17", "p28", "p3", "p4", "p5", "p6"}
 
 
+def _max_subproblem(rng, k):
+    """A max-of-quadratics f1 and a g, cycling through integer coefficients
+    (ties), curvatures equal to within 1e-9, coefficients scaled 1e-6 to
+    1e6, and g at one end of the subdifferential where two pieces meet."""
+    kind = k % 4
+    n = int(rng.integers(1 if kind < 3 else 2, 6))
+    if kind == 0:
+        pieces = [tuple(map(float, rng.integers(-3, 4, 3))) for _ in range(n)]
+        g = float(rng.integers(-8, 9)) / 2
+    else:
+        scale = 10.0 ** rng.uniform(-6, 6) if kind == 2 else 1.0
+        c = (rng.uniform(0.2, 3.0) + rng.uniform(-1e-9, 1e-9, n) if kind == 1
+             else rng.uniform(-1.0, 3.0, n))
+        pieces = [(scale * p, scale * q, scale * r) for p, q, r in
+                  zip(c, rng.normal(size=n), rng.normal(size=n))]
+        g = scale * rng.normal()
+    if kind == 3:
+        (c0, b0, a0), (c1, b1, a1) = pieces[:2]
+        disc = (b0 - b1) ** 2 - 2.0 * (c0 - c1) * (a0 - a1)
+        if disc >= 0.0:
+            w = (b1 - b0 + math.sqrt(disc)) / (c0 - c1)
+            g = c0 * w + b0    # piece 0's slope where pieces 0 and 1 meet
+    spec = FunctionSpec(MaxOfQuadratics(tuple(pieces)),
+                        Curvature(min(p[0] for p in pieces), INF))
+    return spec, np.array([g])
+
+
+def test_dca_step_passes_the_link_test():
+    """The max-of-quadratics subproblem returns only points at which g passes
+    is_subgradient, the test run_dca asserts on the link g1^{k+1} = g2^k, so
+    no hypoconvex max-of-quadratics run is refused at that link."""
+    rng = np.random.default_rng(22)
+    solved = 0
+    for k in range(4000):
+        spec, g = _max_subproblem(rng, k)
+        try:
+            w = solve_dca_subproblem(spec, g)
+        except Unbounded:
+            continue
+        assert is_subgradient(spec, w, g), (spec, g, w)
+        solved += 1
+    assert solved > 3000
+    for _ in range(200):
+        traj = run_dca(_hypoconvex_max_pair(rng), rng.normal(size=1) * 3.0, 8)
+        assert traj.n_steps == 8
+
+
 @pytest.fixture
 def classify_calls(monkeypatch):
     """Calls to the classifier, counted at the name certificates calls."""
@@ -270,7 +319,7 @@ def test_run_is_classified_once(classify_calls):
                          Curvature(0.25, 1.5), b1=[0.0, 1.0], b2=[1.0, -1.0])
     traj = run_dca(inst, np.array([1.0, -2.0]), 25)
     assert traj.n_steps == 25
-    before = (repr(traj), dumps(traj))
+    before = (repr(traj), json.dumps(trajectory_to_json(traj)))
     rep = certificate_report(traj)
     assert rep["mode"] == "smooth" and rep["holds"]
     assert rep["regime"] == classify(inst.params).to_json_dict()
@@ -281,7 +330,7 @@ def test_run_is_classified_once(classify_calls):
     assert check_rate(traj)[2]
     assert len(classify_calls) == 1
     # the stored certificate is no field: repr and JSON are as before
-    assert (repr(traj), dumps(traj)) == before
+    assert (repr(traj), json.dumps(trajectory_to_json(traj))) == before
 
 
 def test_replaced_instance_is_classified_anew(classify_calls):

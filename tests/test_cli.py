@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dcrates.cli import build_parser, main
-from dcrates.curvature import Curvature
+from dcrates.curvature import Curvature, DcParams
 from dcrates.interpolation import sample_triplets, triplets_to_json
 from dcrates.engine import LINK_TOL, t_measure
 from dcrates.regimes import GridSpec, regime_map
@@ -62,6 +62,21 @@ def test_readme_cli_block_parses():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail("README documents %r, which does not parse" % line)
+
+
+def test_readme_input_files_decode_and_run(tmp_path, capsys):
+    """README's instance example and inline Params example decode, and the
+    instance runs and certifies as its CLI block shows."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    instance_from_json(json.loads(block))
+    params = readme.split("- **Params** (`--params`): `", 1)[1].split("`", 1)[0]
+    DcParams.from_json_dict(json.loads(params))
+    path = tmp_path / "inst.json"
+    path.write_text(block)
+    assert main(["run", "--instance", str(path), "--x0", "1.0", "--N", "25",
+                 "--certify"]) == 0
+    assert json.loads(capsys.readouterr().out.split("\n", 1)[1])["holds"]
 
 
 def test_classify_output(tmp_path, capsys):
@@ -134,6 +149,22 @@ def test_regime_map_rejects_bad_grid(tmp_path, capsys, grid):
     assert main(["regime-map", "--L1", "2", "--L2", "1", "--grid", grid,
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_regime_map_out_of_memory_exit_1(tmp_path, capsys, monkeypatch):
+    """A grid too large for memory is an input error, not a traceback."""
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 11.9 GiB for an array with "
+                          "shape (40000, 40000) and data type float64")
+    monkeypatch.setattr("dcrates.cli.regime_map", out_of_memory)
+    out = tmp_path / "map.csv"
+    assert main(["regime-map", "--L1", "2", "--L2", "1", "--grid",
+                 "0:1:40000", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Unable to allocate 11.9 GiB for an array " \
+        "with shape (40000, 40000) and data type float64\n"
     assert not out.exists()
 
 
@@ -305,7 +336,8 @@ _HORIZONS_ERROR = "error: dcrates trend: argument --horizons: "
     (_TREND + ["--horizons", "1,,2"], 1, "", None, _HORIZONS_ERROR),
     (_TREND + ["--horizons="], 1, "", None, _HORIZONS_ERROR),
     (["sweep", "--per-regime", "0"], 1, "", None, "error: "),
-    (["sweep", "--steps", "0"], 1, "", None, "error: "),
+    (["sweep", "--steps", "0"], 1, "", None,
+     "error: --steps must be at least 1, got 0\n"),
 ], ids=["sweep", "trend", "trend_one_horizon", "trend_invalid_params",
         "trend_horizon_0", "trend_horizons_not_integer",
         "trend_horizons_empty_entry", "trend_horizons_empty",

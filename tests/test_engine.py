@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,9 +6,8 @@ import pytest
 
 from dcrates.curvature import Curvature
 from dcrates.engine import (STOP_CRITICALITY, STOP_MAX_ITERS, STOP_UNBOUNDED,
-                            dumps, loads, run_dca, t_measure,
-                            trajectory_from_json, trajectory_to_csv,
-                            trajectory_to_json)
+                            run_dca, t_measure, trajectory_from_json,
+                            trajectory_to_csv, trajectory_to_json)
 from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, Quadratic,
                              make_instance)
 
@@ -143,5 +143,6 @@ def test_csv_and_json_round_trip():
     for a, b in zip(traj.points, back.points):
         assert np.allclose(a.x, b.x)
         assert a.F == pytest.approx(b.F, rel=1e-15)
-    again = loads(dumps(traj))
+    again = trajectory_from_json(json.loads(json.dumps(
+        trajectory_to_json(traj))))
     assert again.n_steps == traj.n_steps

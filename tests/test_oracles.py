@@ -9,8 +9,8 @@ from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, MaxOfQuadratics,
                              Quadratic, Unbounded, analytic_infimum, evaluate,
                              family_from_json, family_to_json,
                              instance_from_json, instance_to_json,
-                             make_instance, solve_dca_subproblem,
-                             subgradient_interval)
+                             is_subgradient, make_instance,
+                             solve_dca_subproblem, subgradient_interval)
 
 INF = math.inf
 
@@ -48,6 +48,20 @@ def test_max_quadratics_crossing_policies():
     assert (lo, hi) == (-1.5, 0.5)
     assert evaluate(spec, 0.5, "leftmost").subgradient[0] == -1.5
     assert evaluate(spec, 0.5, "rightmost").subgradient[0] == 0.5
+
+
+def test_weighted_pick_is_a_subgradient():
+    """Flat pieces meeting at 0 with slopes -341848.77 and 0.0057: the
+    weight-1 pick lo + 1 * (hi - lo) rounds 2.5e-11 past hi, far outside
+    is_subgradient's pad, so _pick clamps it to hi."""
+    lo, hi = -341848.7655719613, 0.005731164336756564
+    spec = FunctionSpec(MaxOfQuadratics(((0.0, lo, 0.0), (0.0, hi, 0.0))),
+                        Curvature(0.0, INF))
+    assert lo + 1.0 * (hi - lo) > hi
+    assert evaluate(spec, 0.0, 1.0).subgradient[0] == hi
+    for policy in (0.0, 0.5, 1.0, "leftmost", "rightmost", "least_norm"):
+        assert is_subgradient(spec, 0.0, evaluate(spec, 0.0, policy).subgradient)
+    assert not is_subgradient(spec, 0.0, np.array([hi + 1e-9]))
 
 
 def test_subproblem_examples():
