@@ -29,6 +29,12 @@ KINK_TOL = 1e-12
 LINK_TOL = 1e-12   # relative; a subgradient's distance to the subdifferential
 
 
+def _exceeds(a: float, b: float) -> bool:
+    """a > b by more than 1e-12 * max(|a|, |b|), a pad that scales with a and
+    b; an infinite a or b makes it infinite, so infinities compare exactly."""
+    return a > b and not a - b <= 1e-12 * max(abs(a), abs(b)) < math.inf
+
+
 class Unbounded(RuntimeError):
     """The DCA subproblem has no minimizer."""
 
@@ -121,10 +127,10 @@ class FunctionSpec:
         """Constraint violations of the declared (mu, L) membership claim."""
         lo, hi = self.family.curvature_range()
         out = []
-        if self.declared.mu > lo + 1e-12:
+        if _exceeds(self.declared.mu, lo):
             out.append("declared mu=%r exceeds actual lower curvature %r"
                        % (self.declared.mu, lo))
-        if hi > self.declared.L + 1e-12:
+        if _exceeds(hi, self.declared.L):
             out.append("actual upper curvature %r exceeds declared L=%r"
                        % (hi, self.declared.L))
         return out
@@ -316,8 +322,9 @@ def _solve_max_quadratics(spec, fam: MaxOfQuadratics, g: float) -> np.ndarray:
             continue
         disc = db * db - 2.0 * dc * da
         if disc >= 0.0:
-            r = math.sqrt(disc)
-            cands += [(-db - r) / dc, (-db + r) / dc]
+            # roots of dc/2 w^2 + db w + da; q adds two terms of one sign
+            q = -(db + math.copysign(math.sqrt(disc), db))
+            cands += [q / dc, 2.0 * da / q] if q != 0.0 else [0.0]
     gv = np.array([g])
     cands = [w for w in cands if is_subgradient(spec, w, gv)]
     if not cands:

@@ -20,8 +20,8 @@ import numpy as np
 
 from .curvature import INF, DcParams, InvalidParams, recip, require_valid
 
-DOMAIN_TOL = 1e-12      # closure slack for strict domain inequalities
-BOUNDARY_AGREE_TOL = 1e-9
+DOMAIN_TOL = 1e-12      # relative closure slack of the domain inequalities
+BOUNDARY_AGREE_TOL = 1e-9   # relative agreement of rows matched at one point
 
 
 class NoRegime(RuntimeError):
@@ -88,18 +88,15 @@ class AsymptoticConstants:
 # helpers: mu1, mu2 may be floats or numpy arrays, L1, L2 are always floats
 
 def _le(a, b):
-    """a <= b up to relative closure slack; exact for infinite operands."""
+    """a <= b up to the slack DOMAIN_TOL * max(|a|, |b|), which scales with
+    a and b; the slack is finite only when both are, so infinities compare
+    exactly."""
     # two floats skip the ndarray checks, which cost more than the comparison
     if (isinstance(a, float) and isinstance(b, float)
             or not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray))):
-        if a <= b:
-            return True
-        if math.isinf(a) or math.isinf(b):
-            return False
-        return a - b <= DOMAIN_TOL * max(1.0, abs(a), abs(b))
-    near = (np.isfinite(a) & np.isfinite(b)
-            & (a - b <= DOMAIN_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))))
-    return (a <= b) | near
+        return a <= b or a - b <= DOMAIN_TOL * max(abs(a), abs(b)) < INF
+    tol = DOMAIN_TOL * np.maximum(np.abs(a), np.abs(b))
+    return (a <= b) | ((a - b <= tol) & (tol < INF))
 
 
 def _ge(a, b):
@@ -125,11 +122,6 @@ def _threshold(r_other: float, L_here: float, mu, r_mu):
         return 0.0
     t = L_here * r_mu if not math.isinf(L_here) else math.copysign(INF, mu)
     return r_other * (2.0 + t)
-
-
-def _mu2_s1_sign(L2: float, m1, m2):
-    """mu2 * S1, expanded so mu2 -> 0 stays finite."""
-    return _where(m2 == 0.0, 1.0, 1.0 + m2 * recip(m1) + m2 * recip(L2))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +223,7 @@ def _domain_p7(L1, L2, m1, m2, s1, thr):
     yield _ge(m1, L2)
     yield not math.isinf(L2)
     yield _ge(m1, 0.0)
-    yield _ge(_mu2_s1_sign(L2, m1, m2), 0.0)
+    yield (m2 >= 0.0) | _le(s1, 0.0)     # mu2 * S1 >= 0, on the S1 that p5 tests
 
 
 # the one domain table of both paths: grid_classify consumes every condition
@@ -269,7 +261,7 @@ def _require_decrease(params: DcParams) -> None:
 
 
 def _coeffs_agree(a, b) -> bool:
-    tol = BOUNDARY_AGREE_TOL * max(1.0, abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]))
+    tol = BOUNDARY_AGREE_TOL * max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]))
     return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
 
 
@@ -348,8 +340,8 @@ one_step_certificate = classify
 # thresholds and conjectured asymptotic constants
 
 def thresholds(params: DcParams) -> ThresholdValues:
-    r = recip(params.mu1) + recip(params.mu2)    # S1 and S2 differ in the L only
-    return ThresholdValues(S1=r + recip(params.L2), S2=r + recip(params.L1))
+    (s1, _), (s2, _) = _sides(params.L1, params.L2, params.mu1, params.mu2)
+    return ThresholdValues(S1=s1, S2=s2)
 
 
 def _p5_inf(L2: float, m1: float, m2: float) -> float:

@@ -540,9 +540,10 @@ def test_curvatures_past_formula_range_name_the_cause(capsys):
     assert main(["classify", "--mu1", "0", "--L1", "1", "--mu2", "1e-313",
                  "--L2", "1.75e-313"]) == 1
     assert capsys.readouterr().err == (
-        "error: float division by zero: the declared curvatures are past what "
-        "the regime and interpolation formulas can evaluate (about 1e-154 to "
-        "1e154)\n")
+        "error: regime p1 gives p = nan at {'mu1': 0.0, 'L1': 1.0, 'mu2': 1e-313, "
+        "'L2': 1.75e-313}, not a finite positive float: the declared curvatures "
+        "are past what the regime and interpolation formulas can evaluate (about "
+        "1e-154 to 1e154)\n")
 
 
 _CORNER = ("3.6169710755399267", "3.616971075539927")   # mu an ulp below L1 = L2
@@ -551,7 +552,9 @@ _CORNER = ("3.6169710755399267", "3.616971075539927")   # mu an ulp below L1 = L
 @pytest.mark.parametrize("point, rows", [
     ((_CORNER[0], _CORNER[1], "0.25576811495125634", _CORNER[1]), "p1 and p7"),
     (("0.25576811495125634", _CORNER[1], _CORNER[0], _CORNER[1]), "p1 and p8"),
-], ids=["mu1_at_the_corner", "mu2_at_the_corner"])
+    (("-5042929069731.866", "5046133051817.695", "5046133051817.692",
+      "5046133051817.694"), "p2 and p6"),
+], ids=["mu1_at_the_corner", "mu2_at_the_corner", "mu2_at_the_corner_near_1e12"])
 def test_corner_refusal_names_the_disagreeing_rows(capsys, point, rows):
     """An ulp from mu1 = L1 = L2 (or mu2 = L1 = L2) two matched rows give
     different coefficients: the refusal names both rows instead of blaming

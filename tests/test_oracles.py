@@ -220,6 +220,49 @@ def test_certify_declared():
     assert bad.certify_declared()
 
 
+@pytest.mark.parametrize("k", [0, 50, -50])
+def test_certify_declared_verdict_is_scale_free(k):
+    """The declared-class check pads by 1e-12 relative to the compared
+    curvatures, so scaling every curvature by 2^k keeps each verdict: an
+    L 1 ulp under the true curvature passes, a mu twice the true one fails
+    (an absolute 1e-12 pad accepted it at 2^-50), and infinite bounds
+    compare exactly."""
+    s = 2.0 ** k
+    c = (1.0 * s, 3.0 * s)
+
+    def verdict(family, mu, L):
+        spec = FunctionSpec(family, Curvature(mu, L))
+        return [v.split("=")[0] for v in spec.certify_declared()]
+
+    quad = Quadratic(c, (0.0, 0.0))
+    assert verdict(quad, c[0], c[1]) == []
+    assert verdict(quad, c[0], math.nextafter(c[1], 0.0)) == []
+    assert verdict(quad, 2.0 * c[0], c[1]) == ["declared mu"]
+    assert verdict(quad, c[0], 0.5 * c[1]) == [
+        "actual upper curvature %r exceeds declared L" % c[1]]
+    kinked = MaxOfQuadratics(((c[0], 0.0, 0.0), (c[1], 1.0, 0.0)))
+    assert verdict(kinked, c[0], INF) == []
+    assert verdict(kinked, c[0], 1e300) == ["actual upper curvature inf exceeds declared L"]
+    concave_kink = AbsPlusQuadratic(-1.0, c[0], 0.0)
+    assert verdict(concave_kink, -1e300, INF) == ["declared mu"]
+
+
+def test_max_quadratics_meeting_point_of_nearly_equal_curvatures():
+    """Two pieces whose curvatures agree to 1e-10 meet at 2.0017782016527743
+    (50-digit arithmetic); the root (-db + r)/dc lost it to cancellation
+    (2.0017787049947118, where one piece alone is active) and the subproblem
+    raised Unbounded.  2 da / q keeps it to rounding."""
+    pieces = ((0.7544590287669647, 0.8203782095377569, -0.9613155451503265),
+              (0.7544590288738234, -0.35479665314109476, 1.3911238778763935))
+    spec = FunctionSpec(MaxOfQuadratics(pieces), Curvature(pieces[0][0], INF))
+    lo, hi = subgradient_interval(spec, 2.0017782016527743)
+    assert lo < hi
+    for g in (lo, 0.5 * (lo + hi), hi):
+        w = solve_dca_subproblem(spec, g)
+        assert w[0] == pytest.approx(2.0017782016527743, rel=1e-15)
+        assert is_subgradient(spec, w, np.array([g]))
+
+
 def test_instance_rejects_false_declared_class():
     f1 = FunctionSpec(Quadratic((1.0,), (0.0,)), Curvature(1.0, 1.2))
     f2 = FunctionSpec(Quadratic((0.95,), (0.0,)), Curvature(0.0, 0.1))

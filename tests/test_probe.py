@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -511,6 +512,33 @@ def test_every_objective_call_takes_a_stack(monkeypatch):
     ratios = [shape for name, shape in calls if name == "ratio"]
     assert ratios[:2] == [(4, 5), (4, 5)]
     assert len(ratios) > 2 and set(ratios[2:]) == {(1, 5)}  # polish steps
+
+
+@pytest.mark.parametrize("refused", [0, 1], ids=["f1", "f2"])
+def test_probe_drops_a_witness_the_checker_refuses(monkeypatch, refused):
+    """When check_interpolation refuses the witness of either class, the
+    probe reports no witness, no feasibility and ratio 0, so the refused
+    ratio cannot pass for a lower bound or a violation."""
+    params = REGIME_POINTS[3]
+    kept = probe(params, N=1, d=1, budget=300, seed=0, starts=2)
+    assert kept.witness is not None and kept.best_ratio > 0.0
+    calls = []
+
+    def refuse_one(triplets, curv, tol, scale_aware=False):
+        rep = check_interpolation(triplets, curv, tol, scale_aware=scale_aware)
+        if not scale_aware:      # the warm starts' equality constructions
+            return rep
+        calls.append(curv)
+        return dataclasses.replace(rep, feasible=False) if len(calls) - 1 == refused else rep
+
+    # the package's probe names the function, so the module comes by import
+    monkeypatch.setattr(importlib.import_module("dcrates.probe"), "check_interpolation",
+                        refuse_one)
+    r = probe(params, N=1, d=1, budget=300, seed=0, starts=2)
+    assert calls == [params.f1, params.f2]
+    assert (r.best_ratio, r.witness, r.feasibility) == (0.0, None, None)
+    assert r.gap == r.certified_bound and not r.certificate_violation
+    assert (r.evals, r.best_start) == (kept.evals, kept.best_start)
 
 
 def test_probe_without_starts_has_no_witness():

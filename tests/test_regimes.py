@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from dcrates.curvature import InvalidParams, make_params
 from dcrates.regimes import (BOUNDARY_AGREE_TOL, BothNonsmooth, DenominatorZero,
                              GridSpec, InconsistentBoundary, NoRegime,
-                             PreconditionViolated, asymptotic_constants,
+                             PreconditionViolated, RegimeCertificate,
+                             asymptotic_constants,
                              classify, grid_classify, one_step_certificate,
                              regime_map, thresholds)
 from dcrates.regimes import (_DETAIL_NAMES, _coefficients, _coeffs_p1,
@@ -243,16 +244,18 @@ def test_row_limits_match_one_nonsmooth_classify():
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (row, var, p)
 
 
-def test_boundary_continuity_p1_p3():
-    # pick mu2 < 0 with S1 = 0: 1/mu1 + 1/mu2 + 1/L2 = 0
+def test_boundary_continuity_p3_p5():
+    # pick mu2 < 0 with S1 = 0: 1/mu1 + 1/mu2 + 1/L2 = 0, where thr1 = -0.1 < S1,
+    # so the point lies on the p3/p5 boundary S1 = 0
     mu1, L2 = 2.0, 3.0
     mu2 = -1.0 / (1.0 / mu1 + 1.0 / L2)
-    for eps in (1e-10, -1e-10):
-        lo = classify(make_params(mu1, 5.0, mu2 - 1e-6, L2))
-        hi = classify(make_params(mu1, 5.0, mu2 + 1e-6, L2))
-        assert abs(lo.sigma - hi.sigma) < 1e-4
+    lo = classify(make_params(mu1, 5.0, mu2 - 1e-6, L2))
+    hi = classify(make_params(mu1, 5.0, mu2 + 1e-6, L2))
+    assert (lo.index, hi.index) == (5, 3)
+    assert abs(lo.sigma - hi.sigma) < 1e-4
     on = classify(make_params(mu1, 5.0, mu2, L2))
-    assert on.index in (1, 3)
+    assert on.index in (3, 5)
+    assert on.sigma_plus == pytest.approx(1.0 / (L2 + mu2), rel=1e-12)
 
 
 def test_boundary_margin_sees_s1_at_its_threshold():
@@ -430,6 +433,8 @@ def test_short_circuit_flags_match_the_full_array_rows():
      "decrease precondition needs mu1+mu2 > 0 or mu1 = mu2 = 0 (got mu1=1.0, mu2=-1.0)"),
     ((1.0, INF, 0.0, INF), BothNonsmooth, "both terms nonsmooth: use the T-measure analysis"),
     ((2.9999999999999996, 3.0, -1.0, 3.0), InconsistentBoundary, None),
+    ((2.9999999999999996 * 2.0 ** 40, 3.0 * 2.0 ** 40, -(2.0 ** 40), 3.0 * 2.0 ** 40),
+     InconsistentBoundary, None),
 ])
 def test_scalar_refusals_keep_their_type_and_message(p, error, message):
     """The row short-circuit changes no refusal: which error wins and what it
@@ -446,20 +451,38 @@ def test_scalar_refusals_keep_their_type_and_message(p, error, message):
      "p1 and p7"),
     ((0.25576811495125634, 3.616971075539927, 3.6169710755399267, 3.616971075539927),
      "p1 and p8"),
-], ids=["mu1_at_the_corner", "mu2_at_the_corner"])
+    (tuple(v * 2.0 ** 40 for v in (3.6169710755399267, 3.616971075539927,
+                                   0.25576811495125634, 3.616971075539927)),
+     "p1 and p7"),
+    ((-5042929069731.866, 5046133051817.695, 5046133051817.692, 5046133051817.694),
+     "p2 and p6"),
+], ids=["mu1_at_the_corner", "mu2_at_the_corner", "mu1_at_the_corner_times_2_40",
+        "mu2_at_the_corner_near_1e12"])
 def test_corner_points_are_refused_by_the_agreement_check(p, rows):
     """An ulp from mu1 = L1 = L2, and at the swap, the matched rows give
     different (sigma, sigma_plus): classify refuses the point as
-    InconsistentBoundary, naming both rows."""
+    InconsistentBoundary, naming both rows, at every scale.  The agreement
+    check is relative, so near 1e12, where every coefficient is below 1e-12,
+    it still tells p2 (p = 3.96e-13) from p6 (p = 1.26e-16)."""
     with pytest.raises(InconsistentBoundary, match=r"^regimes %s both match at " % rows):
         classify(make_params(*p))
 
 
-def test_underflowing_curvatures_raise_zero_division():
-    """A product that underflows (curvatures below about 1e-154) raises the
-    bare ZeroDivisionError, which the CLI reports as a range error."""
-    with pytest.raises(ZeroDivisionError):
+def test_underflowing_curvatures_raise_overflow_naming_the_row():
+    """Curvatures below about 1e-154 put the formulas past the float range:
+    here 1/L2 overflows in row p1, whose p is then NaN, and classify refuses
+    it as an OverflowError naming the row, which the CLI reports as a range
+    error."""
+    with pytest.raises(OverflowError, match=r"^regime p1 gives p = nan at "):
         classify(make_params(0.0, 1.0, 1e-313, 1.75e-313))
+
+
+def test_small_curvatures_keep_their_row():
+    """mu1 >= L2 puts (1e-20, 1, 0, 1e-30) in p7 at any scale; an absolute
+    domain slack once put it in p1 with sigma = -1e10.  The p is the same."""
+    c = classify(make_params(1e-20, 1.0, 0.0, 1e-30))
+    assert (c.index, c.label, c.sigma) == (7, "p7", 0.0)
+    assert c.sigma_plus == c.p == (1e-30 + 1e-20) / (1e-30 * 1e-30)
 
 
 def test_p1_p2_coefficients_match_exact_values_near_mu_equal_L():
@@ -489,3 +512,90 @@ def test_coefficients_stay_exact_on_fractions():
         for e, f in zip(exact, _coefficients(index, *floats)):
             assert type(e) is Fraction or (type(e) is float and e == 0.0), (index, e)
             assert math.isclose(e, f, rel_tol=1e-14), (index, e, f)
+
+
+_SCALES = (-60, -30, 30, 60)      # the k of the 2^k scalings
+_LATTICE_MU = sorted({Fraction(a, b) for a in range(-8, 9) for b in range(1, 5)})
+_LATTICE_L = sorted({Fraction(a, b) for a in range(1, 9) for b in range(1, 4)})
+
+
+def _jittered(rng, n):
+    """n points per anchor, jittered by up to 50 % without rejection."""
+    out = []
+    for anchor in ANCHORS.values():
+        vals = np.array([anchor.mu1, anchor.L1, anchor.mu2, anchor.L2])
+        base = np.where(vals != 0.0, np.abs(vals), 0.5)
+        out += [tuple(map(float, v)) for v in vals + rng.uniform(-0.5, 0.5, (n, 4)) * base]
+    return out
+
+
+def _corner(rng, n):
+    """n points 1-3 ulps from the corner mu = L1 = L2, half of them swapped."""
+    out = []
+    for k in range(n):
+        L = float(rng.uniform(0.5, 5.0))
+        L1, L2 = (float(np.nextafter(L, INF)) if rng.random() < 0.5 else L for _ in "12")
+        mu = L
+        for _ in range(1 + k % 3):
+            mu = float(np.nextafter(mu, -INF))
+        other = float(rng.uniform(-0.9, 0.9)) * L
+        out.append((mu, L1, other, L2) if k % 2 else (other, L2, mu, L1))
+    return out
+
+
+def _scaled(p, k):
+    return tuple(v * 2.0 ** k for v in p)
+
+
+def _outcome(p):
+    try:
+        return classify(make_params(*p))
+    except Exception as exc:     # the type is what must not change
+        return type(exc)
+
+
+def test_classify_is_invariant_under_scaling_by_powers_of_two():
+    """Scaling (mu1, L1, mu2, L2) by 2^k keeps the regime and scales sigma and
+    sigma_plus by exactly 2^-k: classify answers or refuses the same way, bit
+    for bit, on jittered anchors, corner points and a slice of the rational
+    lattice with infinite L.  No answer has a negative sigma or sigma_plus."""
+    rng = np.random.default_rng(29)
+    Ls = [float(v) for v in _LATTICE_L] + [INF]
+    lattice = [(float(_LATTICE_MU[a]), Ls[b], float(_LATTICE_MU[c]), Ls[d])
+               for a, b, c, d in zip(*(rng.integers(n, size=1500) for n in
+                                       (len(_LATTICE_MU), len(Ls)) * 2))]
+    points = _jittered(rng, 150) + _corner(rng, 600) + lattice
+    answered = 0
+    for p in points:
+        ref = _outcome(p)
+        if not isinstance(ref, RegimeCertificate):
+            assert all(_outcome(_scaled(p, k)) is ref for k in _SCALES), p
+            continue
+        answered += 1
+        assert ref.sigma >= 0.0 and ref.sigma_plus >= 0.0, p
+        for k in _SCALES:
+            got = _outcome(_scaled(p, k))
+            assert isinstance(got, RegimeCertificate), (p, k, got)
+            assert (got.index, got.label, got.alpha) == (ref.index, ref.label, ref.alpha), (p, k)
+            assert (got.sigma * 2.0 ** k, got.sigma_plus * 2.0 ** k) == (ref.sigma,
+                                                                         ref.sigma_plus), (p, k)
+    assert answered > 1200, answered      # most lattice points are invalid
+
+
+def test_grid_classify_is_invariant_under_scaling_by_powers_of_two():
+    """grid_classify gives the same index and p * 2^k at the scaled nodes:
+    whole lattice pages at seeded lattice (L1, L2), and single jittered and
+    corner nodes."""
+    rng = np.random.default_rng(31)
+    pages = [(float(_LATTICE_L[i]), float(_LATTICE_L[j]),
+              *np.meshgrid(*[np.array(_LATTICE_MU, dtype=float)] * 2, indexing="ij"))
+             for i, j in rng.integers(len(_LATTICE_L), size=(6, 2))]
+    pages += [(L1, L2, np.array([m1]), np.array([m2]))
+              for m1, L1, m2, L2 in _jittered(rng, 12) + _corner(rng, 100)]
+    for L1, L2, M1, M2 in pages:
+        index, p = grid_classify(L1, L2, M1, M2)[:2]
+        for k in _SCALES:
+            s = 2.0 ** k
+            got_index, got_p = grid_classify(L1 * s, L2 * s, M1 * s, M2 * s)[:2]
+            assert np.array_equal(got_index, index), (L1, L2, k)
+            assert np.array_equal(got_p * s, p, equal_nan=True), (L1, L2, k)
