@@ -8,7 +8,10 @@ Nonsmooth (both L infinite): per-step and N-step bounds on the linearization
 gap T(x) with branches by the sign of mu2.
 
 All slacks are computed as lhs - rhs in a single arithmetic order so equality
-detection is reproducible.
+detection is reproducible.  A slack holds when it is at least -tol times
+max(1, |f1|, |f2|) over the points it is computed from: F values carry
+rounding of about eps |f|, so tol is absolute up to |f| = 1 and relative
+above.
 """
 from __future__ import annotations
 
@@ -38,6 +41,11 @@ def _require_precondition(params):
         raise PreconditionViolated(
             "bounds need mu1 + mu2 > 0 or mu1 = mu2 = 0 "
             "(got mu1=%r, mu2=%r)" % (params.mu1, params.mu2))
+
+
+def _f_scale(points) -> float:
+    """max(1, |f1|, |f2|) over the points, the unit of a slack's tolerance."""
+    return max(1.0, *(abs(v) for p in points for v in (p.f1, p.f2)))
 
 
 def _step(traj: Trajectory, k: int) -> tuple:
@@ -77,8 +85,8 @@ def _one_step(a, b, regime: RegimeCertificate, tol: float) -> OneStepCheck:
     rhs = regime.decrease_bound(a.G_norm_sq, b.G_norm_sq)
     slack = lhs - rhs
     scale = max(1.0, abs(lhs), abs(rhs))
-    return OneStepCheck(regime, lhs, rhs, slack,
-                        abs(slack) <= EQ_TOL * scale, slack >= -tol)
+    return OneStepCheck(regime, lhs, rhs, slack, abs(slack) <= EQ_TOL * scale,
+                        slack >= -tol * _f_scale((a, b)))
 
 
 def check_one_step(traj: Trajectory, k: int = 0,
@@ -187,6 +195,7 @@ def check_nonsmooth_rate(traj: Trajectory, fstar: Optional[float] = None,
         observed = traj.min_t()
         bound = m1 / (m1 + m2) * (traj.points[0].F - fstar) / N
         branch = "mu2_neg"
+    tol = tol * _f_scale(traj.points)
     holds = all(s >= -tol for s in slacks) and observed <= bound + tol
     return NonsmoothCheck(tuple(slacks), bound, observed, holds, branch)
 

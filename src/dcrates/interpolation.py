@@ -131,13 +131,9 @@ def pair_matrix(X: np.ndarray, G: np.ndarray, cls, out=None) -> np.ndarray:
     return c
 
 
-def check_interpolation(triplets, cls: Curvature, tol: float = DEFAULT_TOL,
-                        scale_aware: bool = False) -> InterpReport:
-    """Evaluate all n(n-1) ordered-pair inequalities.
-
-    scale_aware divides each slack by max(1, magnitudes of the pair's data)
-    before comparing against tol, for use on probe witnesses of wild scale.
-    """
+def check_interpolation(triplets, cls: Curvature,
+                        tol: float = DEFAULT_TOL) -> InterpReport:
+    """Evaluate all n(n-1) ordered-pair inequalities."""
     n = len(triplets)
     if n < 2:
         return InterpReport(np.zeros((n, n)), 0.0, True, tol)
@@ -145,18 +141,8 @@ def check_interpolation(triplets, cls: Curvature, tol: float = DEFAULT_TOL,
     G = np.array([t.g for t in triplets])
     F = np.array([t.f for t in triplets])
     S = F[:, None] - F[None, :] - pair_matrix(X, G, cls)
-    eff = S
-    if scale_aware:
-        dX = X[:, None, :] - X[None, :, :]
-        dG = G[:, None, :] - G[None, :, :]
-        absF = np.abs(F)
-        scale = np.maximum(np.maximum(1.0, np.sum(dG * dG, axis=-1)),
-                           np.maximum(np.sum(dX * dX, axis=-1),
-                                      np.maximum(absF[:, None], absF[None, :])))
-        eff = S / scale
-    off = ~np.eye(n, dtype=bool)
-    return InterpReport(S, float(np.min(S[off])),
-                        bool(np.min(eff[off]) >= -tol), tol)
+    min_slack = float(np.min(S[~np.eye(n, dtype=bool)]))
+    return InterpReport(S, min_slack, min_slack >= -tol, tol)
 
 
 def sample_triplets(spec, xs) -> list:

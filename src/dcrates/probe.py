@@ -473,10 +473,8 @@ def probe(params: DcParams, N: int = 1, d: int = 1, budget: int = 200000,
     witness = obj.witness(best[2]) if best[2] is not None else None
     feas = None
     if witness is not None:
-        feas = (check_interpolation(witness.triplets(1), params.f1,
-                                    FEAS_TOL, scale_aware=True),
-                check_interpolation(witness.triplets(2), params.f2,
-                                    FEAS_TOL, scale_aware=True))
+        feas = (check_interpolation(witness.triplets(1), params.f1, FEAS_TOL),
+                check_interpolation(witness.triplets(2), params.f2, FEAS_TOL))
         if not (feas[0].feasible and feas[1].feasible):
             witness, feas, ratio = None, None, 0.0
     violation = ratio > certified + CERT_ALLOWANCE

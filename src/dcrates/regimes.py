@@ -53,7 +53,6 @@ class RegimeCertificate:
     p: float
     alpha: float
     domain_trace: tuple
-    boundary_margin: float
 
     def decrease_bound(self, G_sq: float, G_plus_sq: float) -> float:
         """sigma/2 ||G||^2 + sigma_plus/2 ||G+||^2, from the squared gaps."""
@@ -68,7 +67,6 @@ class RegimeCertificate:
             "p": self.p,
             "alpha": self.alpha,
             "domain_trace": [[n, bool(v)] for n, v in self.domain_trace],
-            "boundary_margin": self.boundary_margin,
         }
 
 
@@ -265,20 +263,6 @@ def _coeffs_agree(a, b) -> bool:
     return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
 
 
-def _boundary_margin(L1, L2, m1, m2, sides) -> float:
-    """Distance-like margin to the nearest regime boundary surface."""
-    cands = [abs(m1), abs(m2)]
-    if not math.isinf(L1) and not math.isinf(L2):
-        cands.append(abs(L1 - L2))
-    if not math.isinf(L2):
-        cands.append(abs(m1 - L2))
-    if not math.isinf(L1):
-        cands.append(abs(m2 - L1))
-    if m1 != 0.0 and m2 != 0.0:    # S = 0 and S = thr are boundaries too
-        cands += [abs(v) for s, thr in sides for v in (s, s - thr) if math.isfinite(v)]
-    return min(cands)
-
-
 def classify(params: DcParams) -> RegimeCertificate:
     """Find the regime containing the parameters, with at most one L infinite.
 
@@ -294,9 +278,8 @@ def classify(params: DcParams) -> RegimeCertificate:
     if math.isinf(L1) and math.isinf(L2):
         raise BothNonsmooth("both terms nonsmooth: use the T-measure analysis")
 
-    sides = _sides(L1, L2, m1, m2)
     matched, trace = [], []
-    for i, conds in enumerate(_domains(L1, L2, m1, m2, sides), 1):
+    for i, conds in enumerate(_domains(L1, L2, m1, m2, _sides(L1, L2, m1, m2)), 1):
         vals = []
         for v in conds:             # a row stops at its first failed condition
             if not v:
@@ -328,8 +311,7 @@ def classify(params: DcParams) -> RegimeCertificate:
         raise OverflowError("regime %s gives p = %r at %s, not a finite positive float"
                             % (label, p, params.to_json_dict()))
     detail = list(zip(_DETAIL_NAMES[first], first_vals))
-    return RegimeCertificate(index, label, s, sp, p, a,
-                             tuple(trace + detail), _boundary_margin(L1, L2, m1, m2, sides))
+    return RegimeCertificate(index, label, s, sp, p, a, tuple(trace + detail))
 
 
 # the name the certificates, the probe and the CLI import classify under

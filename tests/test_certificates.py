@@ -10,9 +10,11 @@ from dcrates.certificates import (certificate_report, check_nonsmooth_rate,
 from dcrates.curvature import Curvature, InvalidParams
 from dcrates.engine import run_dca, trajectory_to_json
 from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, MaxOfQuadratics,
-                             Quadratic, Unbounded, is_subgradient,
-                             make_instance, solve_dca_subproblem)
+                             Quadratic, Unbounded, analytic_infimum,
+                             is_subgradient, make_instance,
+                             solve_dca_subproblem)
 from dcrates.regimes import BothNonsmooth, PreconditionViolated, classify
+from dcrates.sampling import ANCHORS, jitter_params, quad_instance_in
 
 INF = math.inf
 
@@ -251,6 +253,41 @@ def test_one_nonsmooth_soundness_sweep():
         assert rep["holds"], inst
         assert min(rep["per_step_slacks"]) >= -1e-9, inst
     assert rows == {"p17", "p28", "p3", "p4", "p5", "p6"}
+
+
+def _scaled(inst, s):
+    """inst with f1, f2 and their classes scaled by s."""
+    def spec(f):
+        fam = f.family
+        if isinstance(fam, Quadratic):
+            fam = Quadratic(tuple(s * c for c in fam.c), tuple(s * b for b in fam.b))
+        else:
+            fam = AbsPlusQuadratic(s * fam.a, s * fam.m, s * fam.b)
+        return FunctionSpec(fam, Curvature(s * f.declared.mu, s * f.declared.L))
+    return make_instance(spec(inst.f1), spec(inst.f2))
+
+
+def test_certificates_hold_on_runs_scaled_by_2_30():
+    """Scaling f1 and f2 by 2^30 scales every slack by 2^30, and F values of
+    about 2^30 carry rounding of about eps |F|, above an absolute 1e-9: the
+    tolerance is relative to max(1, |f1|, |f2|) over the points a slack is
+    computed from.  An absolute one failed 57 of the 160 smooth runs and 30
+    of the 40 abs-plus-quadratic runs here."""
+    rng = np.random.default_rng(30)
+    for k in range(200):
+        if k < 160:
+            row = k % 8 + 1
+            inst = quad_instance_in(jitter_params(ANCHORS[row], row, rng), rng)
+        else:
+            m1 = rng.uniform(0.5, 3.0)
+            inst = make_instance(*(
+                FunctionSpec(AbsPlusQuadratic(rng.uniform(0.0, 2.0), m, rng.normal()),
+                             Curvature(m, INF))
+                for m in (m1, rng.uniform(-0.8, 0.8) * m1)))
+        x0 = rng.normal(size=inst.dimension) * 3.0
+        inst = _scaled(inst, 2.0 ** 30)
+        rep = certificate_report(run_dca(inst, x0, 25), analytic_infimum(inst))
+        assert rep["holds"], (k, rep["mode"])
 
 
 def _max_subproblem(rng, k):

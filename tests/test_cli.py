@@ -208,6 +208,24 @@ def test_run_certify_round_trip(tmp_path, instance_file, capsys):
     assert a["per_step_slacks"] == b["per_step_slacks"]
 
 
+def test_run_certify_holds_at_scale_1e8(tmp_path, capsys):
+    """ANCHORS[1] scaled by 1e8: F near 1e8 carries rounding of about
+    1e-8, and a one-step slack of -1.5e-8 failed the absolute 1e-9 and
+    exited 2.  --check-tol is relative above |f| = 1."""
+    p = ANCHORS[1]
+    s = 1e8
+    f1 = FunctionSpec(Quadratic((1.5 * s,), (1.0 * s,)),
+                      Curvature(p.mu1 * s, p.L1 * s))
+    f2 = FunctionSpec(Quadratic((0.5 * s,), (-0.3 * s,)),
+                      Curvature(p.mu2 * s, p.L2 * s))
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance_to_json(make_instance(f1, f2))))
+    assert main(["run", "--instance", str(path), "--x0", "0.3", "--N", "25",
+                 "--certify"]) == 0
+    report = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    assert report["holds"] and min(report["per_step_slacks"]) < -1e-9
+
+
 def test_run_csv_output(tmp_path, instance_file):
     csv_path = tmp_path / "traj.csv"
     assert main(["run", "--instance", instance_file, "--x0", "1.0",

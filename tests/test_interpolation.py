@@ -170,8 +170,7 @@ def test_soundness_all_families():
         spec = _spec_samples(rng)
         xs = [rng.normal(size=spec.dimension) * 2 for _ in range(50)]
         trips = sample_triplets(spec, xs)
-        rep = check_interpolation(trips, spec.declared, tol=1e-9,
-                                  scale_aware=True)
+        rep = check_interpolation(trips, spec.declared, tol=1e-9)
         assert rep.feasible, rep.min_slack
 
 

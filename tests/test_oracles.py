@@ -263,6 +263,59 @@ def test_max_quadratics_meeting_point_of_nearly_equal_curvatures():
         assert is_subgradient(spec, w, np.array([g]))
 
 
+def test_max_quadratics_kink_test_is_sized_by_the_pieces_terms():
+    """The two pieces meet at 0.21761354, where the first piece's terms are
+    about 2.6e5 and the max is under 1.  A kink pad of 1e-12 * max(1, |max|)
+    left the second piece out of the active set, so g passed at no candidate
+    and the subproblem raised Unbounded; the pad is KINK_TOL times the
+    largest sum of a piece's term magnitudes."""
+    pieces = ((1698641.3863664225, 1031323.6983320253, -264649.7978333482),
+              (0.8396130733770817, -1.372202371220427, 0.6135268416549016))
+    spec = FunctionSpec(MaxOfQuadratics(pieces), Curvature(pieces[1][0], INF))
+    w = solve_dca_subproblem(spec, np.array([-1.1894912005522467]))
+    assert w[0] == pytest.approx(0.21761354, abs=1e-8)
+
+
+def _kinks(rng, n):
+    """Seeded 1D families with a kink: two max-of-quadratics pieces, each
+    scaled by 10^U(-6, 6), at their meeting point, and abs-plus-quadratics
+    with each coefficient so scaled, at 0."""
+    out = []
+    while len(out) < n:
+        sizes = 10.0 ** rng.uniform(-6, 6, 3)
+        if len(out) % 4 == 3:
+            a, m, b = sizes * rng.normal(size=3)
+            out.append((lambda s: AbsPlusQuadratic(s * abs(a), s * m, s * b), 0.0))
+            continue
+        (c0, b0, a0), (c1, b1, a1) = pieces = [
+            tuple(sizes[i] * rng.normal(size=3)) for i in range(2)]
+        disc = (b0 - b1) ** 2 - 2.0 * (c0 - c1) * (a0 - a1)
+        if disc >= 0.0:
+            out.append((lambda s, pieces=pieces: MaxOfQuadratics(
+                tuple((s * c, s * b, s * a) for c, b, a in pieces)),
+                (b1 - b0 + math.sqrt(disc)) / (c0 - c1)))
+    return out
+
+
+def test_is_subgradient_verdict_is_scale_free_at_kinks():
+    """Scaling a 1D family and g by 2^k scales the interval ends and every
+    term they sum exactly, so the verdict at the ends, their midpoint and
+    1e-9 relative outside each end stays the same.  With a pad of
+    1e-12 * max(1, |g|), and a kink test 1e-12 * max(1, |max|), both
+    absolute below 1, it changed in most of these cases."""
+    for family, t in _kinks(np.random.default_rng(5), 400):
+        spec = FunctionSpec(family(1.0), Curvature(-INF, INF))
+        lo, hi = subgradient_interval(spec, t)
+        gs = (lo, 0.5 * (lo + hi), hi, lo - 1e-9 * abs(lo), hi + 1e-9 * abs(hi))
+        want = [is_subgradient(spec, t, np.array([g])) for g in gs]
+        assert want[:3] == [True, True, True], (family(1.0), t)
+        for k in (20, -20, 40, -40):
+            s = 2.0 ** k
+            scaled = FunctionSpec(family(s), Curvature(-INF, INF))
+            assert [is_subgradient(scaled, t, np.array([s * g]))
+                    for g in gs] == want, (family(1.0), t, k)
+
+
 def test_instance_rejects_false_declared_class():
     f1 = FunctionSpec(Quadratic((1.0,), (0.0,)), Curvature(1.0, 1.2))
     f2 = FunctionSpec(Quadratic((0.95,), (0.0,)), Curvature(0.0, 0.1))

@@ -430,8 +430,7 @@ def _start_major(params, N, d, budget, seed, starts, warm=True, init=None):
     ratio = max(best[0], 0.0)
     w = obj.witness(best[2]) if best[2] is not None else None
     if w is not None and not all(
-            check_interpolation(w.triplets(k), cls, FEAS_TOL,
-                                scale_aware=True).feasible
+            check_interpolation(w.triplets(k), cls, FEAS_TOL).feasible
             for k, cls in ((1, params.f1), (2, params.f2))):
         w, ratio = None, 0.0
     start = None if best[2] is None else (best[1], inits[best[1]][1])
@@ -524,10 +523,10 @@ def test_probe_drops_a_witness_the_checker_refuses(monkeypatch, refused):
     assert kept.witness is not None and kept.best_ratio > 0.0
     calls = []
 
-    def refuse_one(triplets, curv, tol, scale_aware=False):
-        rep = check_interpolation(triplets, curv, tol, scale_aware=scale_aware)
-        if not scale_aware:      # the warm starts' equality constructions
-            return rep
+    def refuse_one(triplets, curv, tol):
+        rep = check_interpolation(triplets, curv, tol)
+        if not np.array_equal([t.x for t in triplets], kept.witness.x):
+            return rep           # the warm starts' equality constructions
         calls.append(curv)
         return dataclasses.replace(rep, feasible=False) if len(calls) - 1 == refused else rep
 
@@ -594,8 +593,7 @@ def test_probe_cli_one_nonsmooth_term(tmp_path, capsys):
     for cls, g, f in ((params.f1, w["g1"], w["f1"]),
                       (params.f2, w["g2"], w["f2"])):
         trips = [make_triplet(*t) for t in zip(w["x"], g, f)]
-        assert check_interpolation(trips, cls, FEAS_TOL,
-                                   scale_aware=True).feasible
+        assert check_interpolation(trips, cls, FEAS_TOL).feasible
     assert payload["starts"] == 4
     assert payload["best_start"]["kind"] == "random"
     assert payload["elapsed_s"] > 0.0
