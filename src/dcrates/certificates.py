@@ -9,9 +9,10 @@ gap T(x) with branches by the sign of mu2.
 
 All slacks are computed as lhs - rhs in a single arithmetic order so equality
 detection is reproducible.  A slack holds when it is at least -tol times
-max(1, |f1|, |f2|) over the points it is computed from: F values carry
-rounding of about eps |f|, so tol is absolute up to |f| = 1 and relative
-above.
+max(1, |f1|, |f2|) over the points it is computed from (x^k and x^{k+1} for
+a per-step slack, the whole run for the nonsmooth N-step bound): F values
+carry rounding of about eps |f|, so tol is absolute up to |f| = 1 and
+relative above.
 """
 from __future__ import annotations
 
@@ -195,8 +196,9 @@ def check_nonsmooth_rate(traj: Trajectory, fstar: Optional[float] = None,
         observed = traj.min_t()
         bound = m1 / (m1 + m2) * (traj.points[0].F - fstar) / N
         branch = "mu2_neg"
-    tol = tol * _f_scale(traj.points)
-    holds = all(s >= -tol for s in slacks) and observed <= bound + tol
+    holds = (all(s >= -tol * _f_scale((a, b))
+                 for s, a, b in zip(slacks, traj.points, traj.points[1:]))
+             and observed <= bound + tol * _f_scale(traj.points))
     return NonsmoothCheck(tuple(slacks), bound, observed, holds, branch)
 
 

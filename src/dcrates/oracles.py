@@ -189,7 +189,7 @@ def _value_interval(fam: Family, t: float) -> tuple:
     range at a 1D point of a max-of-quadratics or abs-plus-quadratic family,
     and the size of the terms each end sums, which its rounding scales with.
     A piece is active when it is within KINK_TOL of the max, relative to the
-    largest sum of the magnitudes of a piece's terms."""
+    larger sum of term magnitudes of that piece and of the top piece."""
     if isinstance(fam, AbsPlusQuadratic):
         val = fam.a * abs(t) + 0.5 * fam.m * t * t + fam.b * t
         base = fam.m * t + fam.b
@@ -204,20 +204,14 @@ def _value_interval(fam: Family, t: float) -> tuple:
         raise InvalidParams("max_quadratics values %r at x = %r are not finite "
                             "(past the float range)" % (vals, t))
     top = max(vals)
-    pad = KINK_TOL * max(abs(sq) + abs(lin) + abs(a) for sq, lin, a in terms)
+    sizes = [abs(sq) + abs(lin) + abs(a) for sq, lin, a in terms]
+    top_size = max(s for v, s in zip(vals, sizes) if v == top)
     # each active piece's (derivative, size of its terms)
     ends = [(c * t + b, abs(c * t) + abs(b))
-            for (c, b, a), v in zip(fam.pieces, vals) if top - v <= pad]
+            for (c, b, a), v, s in zip(fam.pieces, vals, sizes)
+            if top - v <= KINK_TOL * max(top_size, s)]
     (lo, lo_size), (hi, hi_size) = min(ends), max(ends)
     return top, lo, hi, lo_size, hi_size
-
-
-def subgradient_interval(spec: FunctionSpec, x) -> tuple:
-    """One-sided derivative range [lo, hi] at a 1D point."""
-    if isinstance(spec.family, Quadratic):
-        g = float(evaluate(spec, x).subgradient[0])
-        return g, g
-    return _value_interval(spec.family, float(_as_vec(x)[0]))[1:3]
 
 
 def is_subgradient(spec: FunctionSpec, x, g: np.ndarray, pick=None) -> bool:
@@ -225,16 +219,15 @@ def is_subgradient(spec: FunctionSpec, x, g: np.ndarray, pick=None) -> bool:
     the subdifferential of spec at x.  For a quadratic the size is
     max(1, ||g||), and pick, its gradient at x when the caller has it, spares
     evaluating it again.  For a 1D family each end of [lo, hi] is padded by
-    max(|g|, the size of the terms that end sums), so the verdict does not
-    change when the family and g are scaled together."""
+    LINK_TOL times the size of the terms that end sums, so the verdict does
+    not change when the family and g are scaled together."""
     if isinstance(spec.family, Quadratic):   # the gradient is all there is
         pick = evaluate(spec, x).subgradient if pick is None else pick
         return _norm(pick - g) <= LINK_TOL * max(1.0, _norm(g))
     _, lo, hi, lo_size, hi_size = _value_interval(spec.family,
                                                   float(_as_vec(x)[0]))
     g0 = float(g[0])
-    return (lo - LINK_TOL * max(abs(g0), lo_size) <= g0
-            <= hi + LINK_TOL * max(abs(g0), hi_size))
+    return lo - LINK_TOL * lo_size <= g0 <= hi + LINK_TOL * hi_size
 
 
 def kink_policy(policy: Policy) -> Policy:
@@ -276,7 +269,7 @@ def evaluate(spec: FunctionSpec, x, policy: Policy = "least_norm") -> OracleAnsw
         val = float(np.add.reduce(q.half_c * v * v + q.b * v))
         g = q.c * v + q.b
     else:
-        val, lo, hi = _value_interval(fam, float(v[0]))[:3]
+        val, lo, hi, _, _ = _value_interval(fam, float(v[0]))
         g = np.array([_pick(lo, hi, policy)])
     if not all(map(math.isfinite, [val] + g.tolist())):
         raise InvalidParams("value %r or subgradient %r at x = %r is not finite "

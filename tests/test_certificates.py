@@ -290,6 +290,16 @@ def test_certificates_hold_on_runs_scaled_by_2_30():
         assert rep["holds"], (k, rep["mode"])
 
 
+def test_nonsmooth_per_step_slack_is_sized_by_its_own_step():
+    """From x = 1e4, |f(x^0)| is about 1e8 and the last step's F is -0.05.
+    A 1e-6 shortfall in that step's decrease is a real violation there; a
+    tolerance sized by the whole run (1e-9 * 1e8) would let it through."""
+    traj = run_dca(nonsmooth_instance(-1), np.array([1e4]), 10)
+    assert check_nonsmooth_rate(traj).holds
+    traj.points[-1].F += 1e-6
+    assert not check_nonsmooth_rate(traj).holds
+
+
 def _max_subproblem(rng, k):
     """A max-of-quadratics f1 and a g, cycling through integer coefficients
     (ties), curvatures equal to within 1e-9, coefficients scaled 1e-6 to

@@ -10,7 +10,7 @@ from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, MaxOfQuadratics,
                              family_from_json, family_to_json,
                              instance_from_json, instance_to_json,
                              is_subgradient, make_instance,
-                             solve_dca_subproblem, subgradient_interval)
+                             _value_interval, solve_dca_subproblem)
 
 INF = math.inf
 
@@ -44,7 +44,7 @@ def test_max_quadratics_crossing_policies():
     # pieces x^2/2 and x^2/2 - 2x + 1 cross at x = 0.5 with slopes 0.5, -1.5
     spec = FunctionSpec(MaxOfQuadratics(((1.0, 0.0, 0.0), (1.0, -2.0, 1.0))),
                         Curvature(1.0, INF))
-    lo, hi = subgradient_interval(spec, 0.5)
+    lo, hi = _value_interval(spec.family, 0.5)[1:3]
     assert (lo, hi) == (-1.5, 0.5)
     assert evaluate(spec, 0.5, "leftmost").subgradient[0] == -1.5
     assert evaluate(spec, 0.5, "rightmost").subgradient[0] == 0.5
@@ -255,7 +255,7 @@ def test_max_quadratics_meeting_point_of_nearly_equal_curvatures():
     pieces = ((0.7544590287669647, 0.8203782095377569, -0.9613155451503265),
               (0.7544590288738234, -0.35479665314109476, 1.3911238778763935))
     spec = FunctionSpec(MaxOfQuadratics(pieces), Curvature(pieces[0][0], INF))
-    lo, hi = subgradient_interval(spec, 2.0017782016527743)
+    lo, hi = _value_interval(spec.family, 2.0017782016527743)[1:3]
     assert lo < hi
     for g in (lo, 0.5 * (lo + hi), hi):
         w = solve_dca_subproblem(spec, g)
@@ -268,12 +268,24 @@ def test_max_quadratics_kink_test_is_sized_by_the_pieces_terms():
     about 2.6e5 and the max is under 1.  A kink pad of 1e-12 * max(1, |max|)
     left the second piece out of the active set, so g passed at no candidate
     and the subproblem raised Unbounded; the pad is KINK_TOL times the
-    largest sum of a piece's term magnitudes."""
+    larger sum of term magnitudes of the two pieces compared."""
     pieces = ((1698641.3863664225, 1031323.6983320253, -264649.7978333482),
               (0.8396130733770817, -1.372202371220427, 0.6135268416549016))
     spec = FunctionSpec(MaxOfQuadratics(pieces), Curvature(pieces[1][0], INF))
     w = solve_dca_subproblem(spec, np.array([-1.1894912005522467]))
     assert w[0] == pytest.approx(0.21761354, abs=1e-8)
+
+
+def test_max_quadratics_kink_test_ignores_a_large_dominated_piece():
+    """At t = 1 only the third piece is active, with derivative 1 + 1e-7.
+    The first piece's terms are 1e6, so a kink pad sized by the largest
+    piece (1e-6) also counted the second piece active, and least_norm
+    picked 1.0; each comparison is sized by the two pieces it compares."""
+    spec = FunctionSpec(MaxOfQuadratics(((0.0, 0.0, -1e6), (1.0, 0.0, 0.0),
+                                         (1.0, 1e-7, 0.0))), Curvature(0.0, INF))
+    assert evaluate(spec, 1.0).subgradient[0] == 1.0 + 1e-7
+    assert is_subgradient(spec, 1.0, np.array([1.0 + 1e-7]))
+    assert not is_subgradient(spec, 1.0, np.array([1.0]))
 
 
 def _kinks(rng, n):
@@ -305,7 +317,7 @@ def test_is_subgradient_verdict_is_scale_free_at_kinks():
     absolute below 1, it changed in most of these cases."""
     for family, t in _kinks(np.random.default_rng(5), 400):
         spec = FunctionSpec(family(1.0), Curvature(-INF, INF))
-        lo, hi = subgradient_interval(spec, t)
+        lo, hi = _value_interval(spec.family, t)[1:3]
         gs = (lo, 0.5 * (lo + hi), hi, lo - 1e-9 * abs(lo), hi + 1e-9 * abs(hi))
         want = [is_subgradient(spec, t, np.array([g])) for g in gs]
         assert want[:3] == [True, True, True], (family(1.0), t)
