@@ -2,7 +2,10 @@
 
 Each iteration linearizes f2 at the current point and minimizes
 f1(w) - <g2, w> exactly; the optimality condition of that subproblem gives the
-link identity g1^{k+1} = g2^k, recorded and asserted at every step.
+link identity g1^{k+1} = g2^k.  That step is the only sequential work, so the
+loop keeps f2's value and subgradient at each point, and one stacked pass
+over the finished run evaluates f1, asserts the link at every step and forms
+F, G_norm_sq, T and dx_norm_sq.
 """
 from __future__ import annotations
 
@@ -15,9 +18,10 @@ from typing import Optional
 import numpy as np
 
 from .curvature import InvalidParams
-from .oracles import (LINK_TOL, DcInstance, Policy, Unbounded, _norm,
-                      evaluate, instance_from_json, instance_to_json,
-                      is_subgradient, kink_policy, solve_dca_subproblem)
+from .oracles import (LINK_TOL, DcInstance, OracleAnswer, Policy, Unbounded,
+                      _dot, _norm, evaluate, instance_from_json,
+                      instance_to_json, is_subgradient, kink_policy,
+                      solve_dca_subproblem)
 
 RECORD_TOL = 1e-12   # relative; stored numbers against their recomputation
 
@@ -58,43 +62,68 @@ class Trajectory:
         return min(p.T for p in self.points[:-1])
 
 
-def _sq_dist(a: np.ndarray, b: np.ndarray) -> float:
+def _sq_dist(a: np.ndarray, b: np.ndarray):
+    """||a - b||^2 of two vectors, or of each pair of rows of two stacks."""
     d = a - b
-    return float(np.add.reduce(d * d))
+    return np.add.reduce(d * d, axis=-1)
 
 
 def t_measure(instance: DcInstance, x, x_plus, g1_plus) -> float:
-    """Linearization gap f1(x) - f1(x+) - <g1+, x - x+> of a genuine step."""
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    xp = np.atleast_1d(np.asarray(x_plus, dtype=float))
-    gp = np.atleast_1d(np.asarray(g1_plus, dtype=float))
-    f1x = evaluate(instance.f1, xv).value
-    f1p = evaluate(instance.f1, xp).value
-    return f1x - f1p - float(gp @ (xv - xp))
+    """Linearization gap f1(x) - f1(x+) - <g1+, x - x+> of a genuine step:
+    T of the two-point record (x, x+), where g1+ must be a subgradient of f1
+    at x+."""
+    X = np.array([np.atleast_1d(x), np.atleast_1d(x_plus)], dtype=float)
+    g1 = np.atleast_1d(np.asarray(g1_plus, dtype=float))[None]
+    return _record(instance, X, g1=g1)[0].T
 
 
-def _record(points: list, instance: DcInstance, x: np.ndarray,
-            policy: Policy = "least_norm", g1=None, g2=None) -> TrajectoryPoint:
-    """Append the point at x: values from the oracles, and g1, g2 the
-    oracles' picks unless given, in which case each must be a subgradient.
-    F and G_norm_sq, and T and dx_norm_sq of the point before it, are
-    computed here and nowhere else."""
-    a1, a2 = evaluate(instance.f1, x, policy), evaluate(instance.f2, x, policy)
-    for name, spec, g, a in (("g1", instance.f1, g1, a1),
-                             ("g2", instance.f2, g2, a2)):
-        if g is not None and not is_subgradient(spec, x, g, a.subgradient):
-            raise InvalidParams("step %d: %s = %r is not a subgradient of f%s "
-                                "at x" % (len(points), name, g.tolist(), name[1]))
-    g1 = a1.subgradient if g1 is None else g1
-    g2 = a2.subgradient if g2 is None else g2
-    if points:
-        prev = points[-1]
-        prev.T = prev.f1 - a1.value - float(g1 @ (prev.x - x))
-        prev.dx_norm_sq = _sq_dist(prev.x, x)
-    pt = TrajectoryPoint(len(points), x, a1.value, a2.value,
-                         a1.value - a2.value, g1, g2, _sq_dist(g1, g2))
-    points.append(pt)
-    return pt
+def _record(instance: DcInstance, X: np.ndarray, policy: Policy = "least_norm",
+            g1=None, g2=None, f2: Optional[OracleAnswer] = None,
+            k0: int = 0) -> list:
+    """The points at the rows of the (n, d) stack X, numbered from k0.
+
+    g1 holds the g1 of the last len(g1) points and g2 the g2 of every point;
+    each given one must be a subgradient, and the rest are the oracles'
+    picks.  f2, the answer of f2's oracle at X when the caller has it, spares
+    evaluating it again.  F and G_norm_sq, and T and dx_norm_sq of every
+    point but the last, are computed here and nowhere else.  A point is
+    checked in the order f1's evaluation, f2's, then g1's and g2's tests; a
+    stack whose evaluation fails is recorded again one point at a time, so
+    InvalidParams is always that of the first failing point.
+    """
+    n = len(X)
+    m = 0 if g1 is None else len(g1)
+    try:
+        a1 = evaluate(instance.f1, X, policy)
+        a2 = evaluate(instance.f2, X, policy) if f2 is None else f2
+    except InvalidParams:
+        for k in range(n if n > 1 else 0):
+            j = k - (n - m)       # the row of g1 that point k has, if j >= 0
+            _record(instance, X[k:k + 1], policy,
+                    g1[j:j + 1] if j >= 0 else None,
+                    None if g2 is None else g2[k:k + 1], k0=k0 + k)
+        raise
+    fails = []
+    for name, spec, start, g, a in (("g1", instance.f1, n - m, g1, a1),
+                                    ("g2", instance.f2, 0, g2, a2)):
+        if g is not None and len(g):
+            ok = is_subgradient(spec, X[start:], g, a.subgradient[start:])
+            if not ok.all():
+                i = int(np.argmin(ok))
+                fails.append((start + i, name, g[i]))
+    if fails:   # the first failing point; at a tie, g1 (listed first)
+        k, name, g = min(fails, key=lambda f: f[0])
+        raise InvalidParams("step %d: %s = %r is not a subgradient of f%s "
+                            "at x" % (k0 + k, name, g.tolist(), name[1]))
+    G1 = a1.subgradient if not m else np.concatenate(
+        [a1.subgradient[:n - m], g1])
+    G2 = a2.subgradient if g2 is None else g2
+    f1, dX = a1.value, X[:-1] - X[1:]
+    T = f1[:-1] - f1[1:] - _dot(G1[1:], dX)
+    return [TrajectoryPoint(k0 + k, *row) for k, row in enumerate(zip(
+        X, f1.tolist(), a2.value.tolist(), (f1 - a2.value).tolist(), G1, G2,
+        _sq_dist(G1, G2).tolist(), T.tolist() + [None],
+        _sq_dist(X[:-1], X[1:]).tolist() + [None]))]
 
 
 def run_dca(instance: DcInstance, x0, N: int, tol: float = 0.0,
@@ -102,7 +131,11 @@ def run_dca(instance: DcInstance, x0, N: int, tol: float = 0.0,
     """Run at most N DCA iterations from x0.
 
     tol > 0 stops early on criticality: ||g1 - g2|| <= tol when
-    stop_on="grad_gap", or T(x^k) <= tol when stop_on="t_measure".
+    stop_on="grad_gap", or T(x^k) <= tol when stop_on="t_measure".  The loop
+    evaluates f2 at each point and solves the subproblem for the next, plus
+    f1 when the stopping rule reads T; the finished run is then recorded in
+    one stacked pass.  Its errors are those of the first failing step, even
+    when the loop has run past it.
     """
     if N < 1:
         raise InvalidParams("N must be >= 1")
@@ -114,26 +147,44 @@ def run_dca(instance: DcInstance, x0, N: int, tol: float = 0.0,
         raise InvalidParams("x0 has dimension %d, instance needs %d"
                             % (x.size, instance.dimension))
 
-    points = []
-    _record(points, instance, x, policy)
+    X, F1, F2, G2 = [x], [], [], []
     stop = STOP_MAX_ITERS
-
-    for _ in range(N):
-        cur = points[-1]
-        try:
-            x_new = solve_dca_subproblem(instance.f1, cur.g2)
-        except Unbounded:
-            stop = STOP_UNBOUNDED
-            break
-        # the subproblem optimality condition supplies g1 at the new point,
-        # the link g1^{k+1} = g2^k; past the precision of the instance's
-        # numbers (|b| near 2^53) it is no subgradient, and the run is refused
-        nxt = _record(points, instance, x_new, policy, g1=cur.g2.copy())
-        if tol > 0.0:
-            crit = math.sqrt(nxt.G_norm_sq) if stop_on == "grad_gap" else cur.T
-            if crit <= tol:
-                stop = STOP_CRITICALITY
+    try:
+        for k in range(N + 1):
+            if tol > 0.0 and stop_on == "t_measure":
+                F1.append(evaluate(instance.f1, X[k], policy).value)
+            a2 = evaluate(instance.f2, X[k], policy)
+            F2.append(a2.value)
+            G2.append(a2.subgradient)
+            if k and tol > 0.0:
+                # with the link g1^k = g2^{k-1}: ||G^k||, or T(x^{k-1})
+                crit = (math.sqrt(_sq_dist(G2[k - 1], G2[k]))
+                        if stop_on == "grad_gap" else
+                        F1[k - 1] - F1[k] - _dot(G2[k - 1], X[k - 1] - X[k]))
+                if crit <= tol:
+                    stop = STOP_CRITICALITY
+                    break
+            if k == N:
                 break
+            try:
+                X.append(solve_dca_subproblem(instance.f1, G2[k]))
+            except Unbounded:
+                stop = STOP_UNBOUNDED
+                break
+    except InvalidParams:
+        # the loop runs past a step whose f1 or link fails: the points it
+        # finished come first, then f1 where f2 (or f1 itself) failed
+        done = len(G2)
+        if done:
+            _record(instance, np.array(X[:done]), policy,
+                    np.array(G2[:done - 1]))
+        if len(X) > done:
+            evaluate(instance.f1, X[done], policy)
+        raise
+    # the record asserts each DCA link: g2^k is a subgradient of f1 at x^{k+1}
+    G2 = np.array(G2)
+    points = _record(instance, np.array(X), policy, g1=G2[:-1],
+                     f2=OracleAnswer(np.array(F2), G2))
     return Trajectory(points, instance, stop)
 
 
@@ -187,17 +238,17 @@ def trajectory_from_json(d: dict) -> Trajectory:
 
 
 def _check_recorded(inst: DcInstance, pts: list) -> None:
-    """Rebuild each point from the instance at its stored x, with its stored
-    subgradients, as run_dca records it; check the link g1^{k+1} = g2^k and
+    """Record the points again from the instance at their stored x, with
+    their stored subgradients, as run_dca records them; check the link
+    g1^{k+1} = g2^k (run_dca writes g1^{k+1} as a copy of g2^k) and
     compare.  InvalidParams names the first mismatch."""
-    fresh = []
-    for p in pts:
-        _record(fresh, inst, p.x, g1=p.g1, g2=p.g2)
+    stack = lambda key: np.array([getattr(p, key) for p in pts])
+    fresh = _record(inst, stack("x"), g1=stack("g1"), g2=stack("g2"))
     for p, exact, q in zip(pts, fresh, pts[1:] + [None]):
         if q is not None:
             # the DCA link: g1 at the next point is the current g2
             gap = _norm(q.g1 - p.g2)
-            if gap > LINK_TOL * max(1.0, _norm(p.g2)):
+            if gap > LINK_TOL * _norm(p.g2):
                 raise InvalidParams("step %d: stored g1 of the next point "
                                     "differs from g2 by %g (link "
                                     "g1^{k+1} = g2^k)" % (p.k, gap))
@@ -207,4 +258,3 @@ def _check_recorded(inst: DcInstance, pts: list) -> None:
                     abs(stored - want) <= RECORD_TOL * max(1.0, abs(want))):
                 raise InvalidParams("step %d: stored %s = %r, recomputed %r"
                                     % (p.k, name, stored, want))
-

@@ -11,7 +11,10 @@ solutions:
 `is_subgradient` is the one test of subgradient membership: run_dca asserts
 it on each DCA link, and the max-of-quadratics subproblem returns the
 least-objective stationary point or meeting point of its pieces at which g
-passes it.
+passes it.  `evaluate` and `is_subgradient` also take an (n, d) stack of
+points, which is how run_dca records a finished run in one pass: the
+quadratic formulas broadcast over the last axis, and the 1D families go
+row by row.
 """
 from __future__ import annotations
 
@@ -179,9 +182,18 @@ def _as_vec(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
-def _norm(v: np.ndarray) -> float:
-    """np.linalg.norm(v) of a vector, bit for bit, without its dispatch."""
-    return math.sqrt(v.dot(v))
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a @ b of two vectors, or of each pair of rows of two (n, d) stacks as
+    an (n,) array, bit for bit the same as a @ b row by row."""
+    if a.ndim == 1:
+        return float(a @ b)
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _norm(v: np.ndarray):
+    """np.linalg.norm(v) of a vector, or of each row of a stack, bit for bit,
+    without its dispatch."""
+    return math.sqrt(v.dot(v)) if v.ndim == 1 else np.sqrt(_dot(v, v))
 
 
 def _value_interval(fam: Family, t: float) -> tuple:
@@ -214,18 +226,25 @@ def _value_interval(fam: Family, t: float) -> tuple:
     return top, lo, hi, lo_size, hi_size
 
 
-def is_subgradient(spec: FunctionSpec, x, g: np.ndarray, pick=None) -> bool:
+def is_subgradient(spec: FunctionSpec, x, g: np.ndarray, pick=None):
     """Whether g lies within LINK_TOL times a size, in Euclidean distance, of
-    the subdifferential of spec at x.  For a quadratic the size is
-    max(1, ||g||), and pick, its gradient at x when the caller has it, spares
-    evaluating it again.  For a 1D family each end of [lo, hi] is padded by
-    LINK_TOL times the size of the terms that end sums, so the verdict does
-    not change when the family and g are scaled together."""
-    if isinstance(spec.family, Quadratic):   # the gradient is all there is
-        pick = evaluate(spec, x).subgradient if pick is None else pick
-        return _norm(pick - g) <= LINK_TOL * max(1.0, _norm(g))
-    _, lo, hi, lo_size, hi_size = _value_interval(spec.family,
-                                                  float(_as_vec(x)[0]))
+    the subdifferential of spec at x; for an (n, d) stack of points x and of
+    vectors g, an (n,) array of verdicts.  The size is that of the terms the
+    subgradient sums, so the verdict does not change when the family and g
+    are scaled together.  For a quadratic it is the norm of |c*x| + |b|, and
+    pick, its gradient at x when the caller has it, spares evaluating it
+    again.  For a 1D family each end of [lo, hi] is padded by LINK_TOL times
+    the size of the terms that end sums."""
+    v = _as_vec(x)
+    fam = spec.family
+    if isinstance(fam, Quadratic):   # the gradient is all there is
+        pick = evaluate(spec, v).subgradient if pick is None else pick
+        size = np.abs(fam.arrays.c * v) + np.abs(fam.arrays.b)
+        return _norm(pick - g) <= LINK_TOL * _norm(size)
+    if v.ndim == 2:
+        return np.array([is_subgradient(spec, row, gr)
+                         for row, gr in zip(v, g)], dtype=bool)
+    _, lo, hi, lo_size, hi_size = _value_interval(fam, float(v[0]))
     g0 = float(g[0])
     return lo - LINK_TOL * lo_size <= g0 <= hi + LINK_TOL * hi_size
 
@@ -259,15 +278,26 @@ def _pick(lo: float, hi: float, policy: Policy) -> float:
 
 
 def evaluate(spec: FunctionSpec, x, policy: Policy = "least_norm") -> OracleAnswer:
-    """Exact value and one subgradient, chosen by the kink policy."""
+    """Exact value and one subgradient, chosen by the kink policy.  At an
+    (n, d) stack of points the answer holds an (n,) array of values and an
+    (n, d) array of subgradients, and a stack with a failing row raises the
+    error of its first failing row."""
     v = _as_vec(x)
+    fam = spec.family
+    if v.ndim == 2:
+        if isinstance(fam, Quadratic) and np.isfinite(v).all():
+            val, g = _evaluate_quadratic(fam, v)
+            if np.isfinite(val).all() and np.isfinite(g).all():
+                return OracleAnswer(val, g)
+        rows = [evaluate(spec, row, policy) for row in v]
+        return OracleAnswer(np.array([a.value for a in rows], dtype=float),
+                            np.array([a.subgradient for a in rows],
+                                     dtype=float).reshape(v.shape))
     if not all(map(math.isfinite, v.tolist())):
         raise InvalidParams("oracle point must be finite")
-    fam = spec.family
     if isinstance(fam, Quadratic):
-        q = fam.arrays
-        val = float(np.add.reduce(q.half_c * v * v + q.b * v))
-        g = q.c * v + q.b
+        val, g = _evaluate_quadratic(fam, v)
+        val = float(val)
     else:
         val, lo, hi, _, _ = _value_interval(fam, float(v[0]))
         g = np.array([_pick(lo, hi, policy)])
@@ -275,6 +305,12 @@ def evaluate(spec: FunctionSpec, x, policy: Policy = "least_norm") -> OracleAnsw
         raise InvalidParams("value %r or subgradient %r at x = %r is not finite "
                             "(past the float range)" % (val, g.tolist(), v.tolist()))
     return OracleAnswer(val, g)
+
+
+def _evaluate_quadratic(fam: Quadratic, v: np.ndarray) -> tuple:
+    """(value, gradient) at a point, or at each row of a stack."""
+    q = fam.arrays
+    return np.add.reduce(q.half_c * v * v + q.b * v, axis=-1), q.c * v + q.b
 
 
 # ---------------------------------------------------------------------------

@@ -884,12 +884,16 @@ def test_certify_refuses_g2_off_the_gradient_in_euclidean_distance(tmp_path,
                                                                    capsys):
     """Both coordinates of the last point's g2 move by 0.8 pad: inside a
     per-coordinate box of half-width pad around the gradient, but 0.8 sqrt(2)
-    pad from it.  The stored G_norm_sq is rewritten to match."""
+    pad from it.  The pad is LINK_TOL times the norm of |c*x| + |b|, the
+    sizes of the terms the gradient sums.  The stored G_norm_sq is rewritten
+    to match."""
     traj = _run_to_file(tmp_path, _quad2_instance(tmp_path), "1.0,-2.0")
     body = json.loads(traj.read_text())
     p = body["points"][-1]
+    f2 = instance_from_json(body["instance"]).f2.family
+    size = np.abs(np.array(f2.c) * np.array(p["x"])) + np.abs(np.array(f2.b))
     g1, g2 = np.array(p["g1"]), np.array(p["g2"])
-    g2 = g2 + 0.8 * LINK_TOL * max(1.0, float(np.linalg.norm(g2)))
+    g2 = g2 + 0.8 * LINK_TOL * float(np.linalg.norm(size))
     p["g2"] = g2.tolist()
     p["G_norm_sq"] = float(np.sum((g1 - g2) ** 2))
     bad = tmp_path / "bad.json"

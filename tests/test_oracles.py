@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from dcrates.curvature import Curvature, InvalidParams
-from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, MaxOfQuadratics,
-                             Quadratic, Unbounded, analytic_infimum, evaluate,
-                             family_from_json, family_to_json,
-                             instance_from_json, instance_to_json,
-                             is_subgradient, make_instance,
+from dcrates.oracles import (LINK_TOL, AbsPlusQuadratic, FunctionSpec,
+                             MaxOfQuadratics, Quadratic, Unbounded,
+                             analytic_infimum, evaluate, family_from_json,
+                             family_to_json, instance_from_json,
+                             instance_to_json, is_subgradient, make_instance,
                              _value_interval, solve_dca_subproblem)
 
 INF = math.inf
@@ -326,6 +326,59 @@ def test_is_subgradient_verdict_is_scale_free_at_kinks():
             scaled = FunctionSpec(family(s), Curvature(-INF, INF))
             assert [is_subgradient(scaled, t, np.array([s * g]))
                     for g in gs] == want, (family(1.0), t, k)
+
+
+def test_quadratic_subgradient_test_is_sized_by_its_terms():
+    """f = 1e-20 (x^2/2 + x) has gradient 2e-20 at x = 1, and g = 0 is no
+    subgradient; a pad of LINK_TOL * max(1, ||g||), absolute below scale 1,
+    took it.  Scaling c, b and g by 2^k scales the gradient and the term
+    sizes |c*x| + |b| exactly, so no verdict changes: at the gradient, and
+    0.5 and 2 pads off it."""
+    tiny = FunctionSpec(Quadratic((1e-20,), (1e-20,)), Curvature(-INF, INF))
+    assert is_subgradient(tiny, 1.0, np.array([2e-20]))
+    assert not is_subgradient(tiny, 1.0, np.array([0.0]))
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        d = int(rng.integers(1, 4))
+        c, b, x = rng.normal(size=d), rng.normal(size=d), 3.0 * rng.normal(size=d)
+        u = rng.normal(size=d)
+        pad = LINK_TOL * np.linalg.norm(np.abs(c * x) + np.abs(b))
+        gs = [c * x + b + r * pad * u / np.linalg.norm(u) for r in (0.0, 0.5, 2.0)]
+        for k in (0, 20, -20, 40, -40):
+            s = 2.0 ** k
+            spec = FunctionSpec(Quadratic(tuple(s * c), tuple(s * b)),
+                                Curvature(-INF, INF))
+            assert [is_subgradient(spec, x, s * g) for g in gs] == \
+                [True, True, False], (c, b, x, k)
+
+
+@pytest.mark.parametrize("fam", [
+    Quadratic((2.0, -1.0, 0.0), (0.5, 1.0, -3.0)),
+    AbsPlusQuadratic(1.0, 0.5, 0.2),
+    MaxOfQuadratics(((1.0, 0.0, 0.0), (2.0, -1.0, 0.1), (-0.5, 0.3, 0.0)))])
+def test_oracles_on_a_stack_match_them_row_by_row(fam):
+    """evaluate and is_subgradient at an (n, d) stack give, bit for bit, the
+    answers at its rows; a stack with failing rows raises its first one's
+    error."""
+    spec = FunctionSpec(fam, Curvature(-INF, INF))
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(40, fam.dimension)) * 2.0
+    X[:5] = 0.0        # the kinks of abs-plus-quadratic
+    for policy in ("leftmost", "least_norm", 0.3):
+        stack = evaluate(spec, X, policy)
+        rows = [evaluate(spec, x, policy) for x in X]
+        assert stack.value.tolist() == [a.value for a in rows]
+        assert stack.subgradient.tolist() == [a.subgradient.tolist() for a in rows]
+    G = stack.subgradient + rng.choice([0.0, 1e-13, 1e-3], size=X.shape)
+    assert is_subgradient(spec, X, G).tolist() == [
+        is_subgradient(spec, x, g) for x, g in zip(X, G)]
+    X[3], X[7] = 1e300, np.nan     # row 3 fails on its value, not its point
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidParams) as exc:
+            evaluate(spec, X)
+        with pytest.raises(InvalidParams) as first:
+            evaluate(spec, X[3])
+    assert str(exc.value) == str(first.value)
 
 
 def test_instance_rejects_false_declared_class():
