@@ -13,16 +13,21 @@ max(1, |f1|, |f2|) over the points it is computed from (x^k and x^{k+1} for
 a per-step slack, the whole run for the nonsmooth N-step bound): F values
 carry rounding of about eps |f|, so tol is absolute up to |f| = 1 and
 relative above.
+Every check reads the trajectory's columns and covers all of a run's steps
+in one stacked pass, computed once per run.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from .curvature import InvalidParams, validate
 from .engine import Trajectory
 from .interpolation import pair_lower_bound
+from .oracles import _dot
 from .regimes import (PreconditionViolated, RegimeCertificate,
                       one_step_certificate)
 
@@ -44,16 +49,18 @@ def _require_precondition(params):
             "(got mu1=%r, mu2=%r)" % (params.mu1, params.mu2))
 
 
-def _f_scale(points) -> float:
-    """max(1, |f1|, |f2|) over the points, the unit of a slack's tolerance."""
-    return max(1.0, *(abs(v) for p in points for v in (p.f1, p.f2)))
+def _f_scale(traj: Trajectory):
+    """max(1, |f1|, |f2|), the unit of a slack's tolerance: over x^k and
+    x^{k+1} for each step, as an (N,) array, and over the whole run."""
+    f = np.fmax(np.abs(traj.f1), np.abs(traj.f2))
+    return (np.fmax(np.fmax(f[:-1], f[1:]), 1.0),
+            float(np.fmax.reduce(f, initial=1.0)))
 
 
-def _step(traj: Trajectory, k: int) -> tuple:
-    """The points x^k and x^{k+1} of step k, for 0 <= k < N."""
+def _check_step(traj: Trajectory, k: int) -> None:
+    """Refuse a k outside 0 <= k < N."""
     if not 0 <= k < traj.n_steps:
         raise InvalidParams("trajectory has no step %d" % k)
-    return traj.points[k], traj.points[k + 1]
 
 
 @dataclass(frozen=True)
@@ -66,63 +73,75 @@ class OneStepCheck:
     holds: bool
 
 
-def _regime(traj: Trajectory) -> RegimeCertificate:
-    """The certificate of traj.instance.params, classified once per params
-    object.  It is stored on the trajectory, as an attribute that is no
-    dataclass field (so in neither eq, repr nor JSON), with the params it was
-    computed for, and reused while that object is traj.instance.params; a
-    replaced instance is classified anew.  Classifying is the gate:
-    InvalidParams, PreconditionViolated, BothNonsmooth."""
+class _Steps(NamedTuple):
+    """A smooth run's regime and its certificates at each of its N steps,
+    as (N,) arrays."""
+    regime: RegimeCertificate
+    lhs: np.ndarray           # F(x^k) - F(x^{k+1})
+    rhs: np.ndarray           # the decrease bound
+    slack: np.ndarray
+    equality_hit: np.ndarray
+    scale: np.ndarray         # _f_scale of the step
+    replay: np.ndarray        # replay_proof_combination
+
+
+def _steps(traj: Trajectory) -> _Steps:
+    """Classify the run (the gate: InvalidParams, PreconditionViolated,
+    BothNonsmooth) and certify every step in one stacked pass, kept on the
+    trajectory (an attribute that is no dataclass field, so in neither eq,
+    repr nor JSON) with the params object and the columns it read, and
+    reused while each is the same object.  For odd regimes the replayed
+    combination reads, with B1/B2 the pairwise lower bounds of f1 on
+    (x, x+) and f2 on (x+, x),
+
+        dF >= B1(G) + (1 + 2 alpha) B2(G+) - alpha <G+, dx>,
+
+    and the even regimes mirror it with the roles of the terms exchanged.
+    """
     params = traj.instance.params
-    memo = getattr(traj, "_regime_memo", None)
-    if memo is None or memo[0] is not params:
-        memo = traj._regime_memo = (params, one_step_certificate(params))
-    return memo[1]
-
-
-def _one_step(a, b, regime: RegimeCertificate, tol: float) -> OneStepCheck:
-    """The decrease certificate on the step from point a to point b."""
-    lhs = a.F - b.F
-    rhs = regime.decrease_bound(a.G_norm_sq, b.G_norm_sq)
+    key = (params, traj.X, traj.G1, traj.G2, traj.f1, traj.f2, traj.F,
+           traj.G_norm_sq)
+    memo = getattr(traj, "_steps_memo", None)
+    if memo is not None and all(a is b for a, b in zip(memo[0], key)):
+        return memo[1]
+    regime = one_step_certificate(params)
+    alpha = regime.alpha
+    lhs = traj.F[:-1] - traj.F[1:]
+    rhs = regime.decrease_bound(traj.G_norm_sq[:-1], traj.G_norm_sq[1:])
     slack = lhs - rhs
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return OneStepCheck(regime, lhs, rhs, slack, abs(slack) <= EQ_TOL * scale,
-                        slack >= -tol * _f_scale((a, b)))
+    eq_scale = np.fmax(np.fmax(np.abs(lhs), np.abs(rhs)), 1.0)
+    dx = traj.X[:-1] - traj.X[1:]
+    G = traj.G1 - traj.G2
+    B1 = pair_lower_bound(params.f1, dx, G[:-1])
+    B2 = pair_lower_bound(params.f2, -dx, -G[1:])
+    if regime.index % 2 == 1:
+        combined = B1 + (1.0 + 2.0 * alpha) * B2 - alpha * _dot(G[1:], dx)
+    else:
+        combined = B2 + (1.0 + 2.0 * alpha) * B1 - alpha * _dot(G[:-1], dx)
+    traj._steps_memo = (key, _Steps(
+        regime, lhs, rhs, slack, np.abs(slack) <= EQ_TOL * eq_scale,
+        _f_scale(traj)[0], lhs - combined))
+    return traj._steps_memo[1]
 
 
 def check_one_step(traj: Trajectory, k: int = 0,
                    tol: float = SLACK_TOL) -> OneStepCheck:
     """Check the run's own decrease certificate (gated by classifying it) on
     the step k -> k+1."""
-    regime = _regime(traj)
-    return _one_step(*_step(traj, k), regime, tol)
+    s = _steps(traj)
+    _check_step(traj, k)
+    return OneStepCheck(s.regime, float(s.lhs[k]), float(s.rhs[k]),
+                        float(s.slack[k]), bool(s.equality_hit[k]),
+                        bool(s.slack[k] >= -tol * s.scale[k]))
 
 
 def replay_proof_combination(traj: Trajectory, k: int = 0) -> float:
-    """Slack of the alpha-weighted intermediate inequality behind the regime.
-
-    For odd regimes the combination reads, with B1/B2 the pairwise lower
-    bounds of f1 on (x, x+) and f2 on (x+, x),
-
-        dF >= B1(G) + (1 + 2 alpha) B2(G+) - alpha <G+, dx>,
-
-    and the even regimes mirror it with the roles of the terms exchanged.
-    Returns lhs - rhs; a valid certificate gives a nonnegative value.
-    """
-    params = traj.instance.params
-    regime = _regime(traj)
-    alpha = regime.alpha
-    a, b = _step(traj, k)
-    dx = a.x - b.x
-    G = a.g1 - a.g2
-    Gp = b.g1 - b.g2
-    B1 = pair_lower_bound(params.f1, dx, G)
-    B2 = pair_lower_bound(params.f2, -dx, -Gp)
-    if regime.index % 2 == 1:
-        rhs = B1 + (1.0 + 2.0 * alpha) * B2 - alpha * float(Gp @ dx)
-    else:
-        rhs = B2 + (1.0 + 2.0 * alpha) * B1 - alpha * float(G @ dx)
-    return (a.F - b.F) - rhs
+    """Slack lhs - rhs of the alpha-weighted intermediate inequality behind
+    the regime on step k (see _steps); a valid certificate gives a
+    nonnegative value."""
+    s = _steps(traj)
+    _check_step(traj, k)
+    return float(s.replay[k])
 
 
 @dataclass(frozen=True)
@@ -139,11 +158,10 @@ def check_rate(traj: Trajectory, fstar: Optional[float] = None,
                tol: float = SLACK_TOL) -> Tuple[RatePrediction, float, bool]:
     """N-step certificate: (prediction, observed half min grad gap, holds)."""
     params = traj.instance.params
-    regime = _regime(traj)
-    _step(traj, 0)     # at least one completed step
+    regime = _steps(traj).regime
+    _check_step(traj, 0)     # at least one completed step
     N = traj.n_steps
-    F0 = traj.points[0].F
-    FN = traj.points[-1].F
+    F0, FN = float(traj.F[0]), float(traj.F[-1])
     p = regime.p
     bound = (F0 - FN) / (p * N)
     if fstar is None:
@@ -153,10 +171,10 @@ def check_rate(traj: Trajectory, fstar: Optional[float] = None,
         extra = 0.0 if math.isinf(params.L1) else 1.0 / (params.L1 - params.mu2)
         bound_star = (F0 - fstar) / (p * N + extra)
     pred = RatePrediction(bound, bound_star, p, N, regime.index in (7, 8))
-    observed = 0.5 * traj.min_grad_gap_sq()
-    holds = observed <= bound + tol
+    observed = 0.5 * float(traj.G_norm_sq.min())
+    holds = bool(observed <= bound + tol)
     if bound_star is not None:
-        holds = holds and observed <= bound_star + tol
+        holds = holds and bool(observed <= bound_star + tol)
     return pred, observed, holds
 
 
@@ -181,25 +199,25 @@ def check_nonsmooth_rate(traj: Trajectory, fstar: Optional[float] = None,
     if fstar is None:
         raise MissingFstar("the N-step bound is stated against F*")
     m1, m2 = params.mu1, params.mu2
-    _step(traj, 0)     # at least one completed step
-    N = traj.n_steps
-    lhs = [m2 * 0.5 * a.dx_norm_sq + a.T if m2 >= 0.0 else (m1 + m2) / m1 * a.T
-           for a in traj.points[:-1]]
-    slacks = [(a.F - b.F) - v
-              for a, b, v in zip(traj.points, traj.points[1:], lhs)]
+    _check_step(traj, 0)     # at least one completed step
+    N, F0 = traj.n_steps, float(traj.F[0])
+    lhs = (m2 * 0.5 * traj.dx_norm_sq + traj.T if m2 >= 0.0
+           else (m1 + m2) / m1 * traj.T)
+    slacks = (traj.F[:-1] - traj.F[1:]) - lhs
     if m2 >= 0.0:
         # the per-step bounds sum to one on min_k (T_k + mu2/2 ||dx_k||^2)
-        observed = min(lhs)
-        bound = (traj.points[0].F - fstar) / N
+        observed = float(lhs.min())
+        bound = (F0 - fstar) / N
         branch = "mu2_nonneg"
     else:
-        observed = traj.min_t()
-        bound = m1 / (m1 + m2) * (traj.points[0].F - fstar) / N
+        observed = float(traj.T.min())
+        bound = m1 / (m1 + m2) * (F0 - fstar) / N
         branch = "mu2_neg"
-    holds = (all(s >= -tol * _f_scale((a, b))
-                 for s, a, b in zip(slacks, traj.points, traj.points[1:]))
-             and observed <= bound + tol * _f_scale(traj.points))
-    return NonsmoothCheck(tuple(slacks), bound, observed, holds, branch)
+    step_scale, run_scale = _f_scale(traj)
+    holds = (bool((slacks >= -tol * step_scale).all())
+             and bool(observed <= bound + tol * run_scale))
+    return NonsmoothCheck(tuple(slacks.tolist()), bound, observed, holds,
+                          branch)
 
 
 def certificate_report(traj: Trajectory, fstar: Optional[float] = None,
@@ -215,18 +233,16 @@ def certificate_report(traj: Trajectory, fstar: Optional[float] = None,
                    n_step_bound=c.n_step_bound,
                    n_step_observed=c.n_step_observed, holds=c.holds)
         return out
-    regime = _regime(traj)
-    checks = [_one_step(a, b, regime, tol)
-              for a, b in zip(traj.points, traj.points[1:])]
+    steps = _steps(traj)
     pred, observed, rate_ok = check_rate(traj, fstar, tol=tol)
     out.update(
-        mode="smooth", regime=regime.to_json_dict(),
-        per_step_slacks=[c.slack for c in checks],
-        equality_hits=[c.equality_hit for c in checks],
+        mode="smooth", regime=steps.regime.to_json_dict(),
+        per_step_slacks=steps.slack.tolist(),
+        equality_hits=steps.equality_hit.tolist(),
         rate={"bound_no_fstar": pred.bound_no_fstar,
               "bound_with_fstar": pred.bound_with_fstar,
               "p": pred.p_used, "N": pred.N,
               "linear_regime_warning": pred.linear_regime_warning,
               "observed": observed},
-        holds=all(c.holds for c in checks) and rate_ok)
+        holds=bool((steps.slack >= -tol * steps.scale).all()) and rate_ok)
     return out

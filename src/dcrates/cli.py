@@ -225,7 +225,7 @@ def cmd_run(args) -> int:
         Path(args.csv).write_text(trajectory_to_csv(traj))
     summary = ("ran %d step(s), stop_reason=%s, F: %.12g -> %.12g"
                % (traj.n_steps, traj.stop_reason,
-                  traj.points[0].F, traj.points[-1].F))
+                  traj.F[0], traj.F[-1]))
     if args.certify:
         return _certify(traj, args, args.report_out, summary)
     _say(summary)

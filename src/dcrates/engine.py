@@ -13,7 +13,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,8 +31,8 @@ STOP_CRITICALITY = "criticality_tol"
 STOP_UNBOUNDED = "subproblem_unbounded"
 
 
-@dataclass
-class TrajectoryPoint:
+class TrajectoryPoint(NamedTuple):
+    """Point k of a run, as Trajectory.points reads it from the columns."""
     k: int
     x: np.ndarray
     f1: float
@@ -41,25 +42,62 @@ class TrajectoryPoint:
     g2: np.ndarray
     G_norm_sq: float
     T: Optional[float] = None
-    dx_norm_sq: Optional[float] = None  # ||x^k - x^{k+1}||^2, set once known
+    dx_norm_sq: Optional[float] = None  # ||x^k - x^{k+1}||^2; None on the last
 
 
-@dataclass
+COLUMNS = ("X", "G1", "G2", "f1", "f2", "F", "G_norm_sq", "T", "dx_norm_sq")
+
+
+@dataclass(eq=False)
 class Trajectory:
-    points: list
+    """A run as columns: row k of X, G1, G2 (n, d) and of f1, f2, F,
+    G_norm_sq (n,) is point k, and T, dx_norm_sq (n - 1,) hold one entry per
+    step.  k numbers the points (0..n-1 unless given).  A column is stored
+    as a read-only copy, also when assigned later."""
+    X: np.ndarray
+    G1: np.ndarray
+    G2: np.ndarray
+    f1: np.ndarray
+    f2: np.ndarray
+    F: np.ndarray
+    G_norm_sq: np.ndarray
+    T: np.ndarray
+    dx_norm_sq: np.ndarray
     instance: DcInstance
     stop_reason: str = STOP_MAX_ITERS
+    k: Optional[Sequence[int]] = None
+
+    def __setattr__(self, name, value):
+        if name in COLUMNS:
+            value = np.array(value, dtype=float)
+            value.setflags(write=False)
+        elif name == "k":
+            value = range(len(self.X)) if value is None else tuple(value)
+        object.__setattr__(self, name, value)
+        if name in COLUMNS or name == "k":
+            self.__dict__.pop("points", None)     # a view of the old columns
+
+    @classmethod
+    def from_points(cls, points, instance: DcInstance,
+                    stop_reason: str = STOP_MAX_ITERS) -> "Trajectory":
+        """The run whose points are the given TrajectoryPoints."""
+        col = lambda key, pts=points: [getattr(p, key) for p in pts]
+        return cls(*map(col, ("x", "g1", "g2", "f1", "f2", "F", "G_norm_sq")),
+                   col("T", points[:-1]), col("dx_norm_sq", points[:-1]),
+                   instance, stop_reason, col("k"))
+
+    @cached_property
+    def points(self) -> tuple:
+        """One read-only TrajectoryPoint per point, for JSON, CSV and the
+        CLI, built on first read."""
+        return tuple(map(TrajectoryPoint._make, zip(
+            self.k, self.X, self.f1.tolist(), self.f2.tolist(),
+            self.F.tolist(), self.G1, self.G2, self.G_norm_sq.tolist(),
+            self.T.tolist() + [None], self.dx_norm_sq.tolist() + [None])))
 
     @property
     def n_steps(self) -> int:
-        return len(self.points) - 1
-
-    def min_grad_gap_sq(self) -> float:
-        return min(p.G_norm_sq for p in self.points)
-
-    def min_t(self) -> float:
-        """min T(x^k) over k = 0..N-1 (the points that took a step)."""
-        return min(p.T for p in self.points[:-1])
+        return len(self.X) - 1
 
 
 def _sq_dist(a: np.ndarray, b: np.ndarray):
@@ -74,13 +112,14 @@ def t_measure(instance: DcInstance, x, x_plus, g1_plus) -> float:
     at x+."""
     X = np.array([np.atleast_1d(x), np.atleast_1d(x_plus)], dtype=float)
     g1 = np.atleast_1d(np.asarray(g1_plus, dtype=float))[None]
-    return _record(instance, X, g1=g1)[0].T
+    return float(_record(instance, X, g1=g1).T[0])
 
 
 def _record(instance: DcInstance, X: np.ndarray, policy: Policy = "least_norm",
             g1=None, g2=None, f2: Optional[OracleAnswer] = None,
-            k0: int = 0) -> list:
-    """The points at the rows of the (n, d) stack X, numbered from k0.
+            k0: int = 0) -> Trajectory:
+    """The run through the rows of the (n, d) stack X, whose errors number
+    its points from k0.
 
     g1 holds the g1 of the last len(g1) points and g2 the g2 of every point;
     each given one must be a subgradient, and the rest are the oracles'
@@ -118,12 +157,10 @@ def _record(instance: DcInstance, X: np.ndarray, policy: Policy = "least_norm",
     G1 = a1.subgradient if not m else np.concatenate(
         [a1.subgradient[:n - m], g1])
     G2 = a2.subgradient if g2 is None else g2
-    f1, dX = a1.value, X[:-1] - X[1:]
-    T = f1[:-1] - f1[1:] - _dot(G1[1:], dX)
-    return [TrajectoryPoint(k0 + k, *row) for k, row in enumerate(zip(
-        X, f1.tolist(), a2.value.tolist(), (f1 - a2.value).tolist(), G1, G2,
-        _sq_dist(G1, G2).tolist(), T.tolist() + [None],
-        _sq_dist(X[:-1], X[1:]).tolist() + [None]))]
+    f1, f2, dX = a1.value, a2.value, X[:-1] - X[1:]
+    return Trajectory(X, G1, G2, f1, f2, f1 - f2, _sq_dist(G1, G2),
+                      f1[:-1] - f1[1:] - _dot(G1[1:], dX),
+                      np.add.reduce(dX * dX, axis=-1), instance)
 
 
 def run_dca(instance: DcInstance, x0, N: int, tol: float = 0.0,
@@ -183,9 +220,10 @@ def run_dca(instance: DcInstance, x0, N: int, tol: float = 0.0,
         raise
     # the record asserts each DCA link: g2^k is a subgradient of f1 at x^{k+1}
     G2 = np.array(G2)
-    points = _record(instance, np.array(X), policy, g1=G2[:-1],
-                     f2=OracleAnswer(np.array(F2), G2))
-    return Trajectory(points, instance, stop)
+    traj = _record(instance, np.array(X), policy, g1=G2[:-1],
+                   f2=OracleAnswer(np.array(F2), G2))
+    traj.stop_reason = stop
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +247,8 @@ def trajectory_to_json(traj: Trajectory) -> dict:
     return {
         "instance": instance_to_json(traj.instance),
         "stop_reason": traj.stop_reason,
-        "points": [{
-            "k": p.k, "x": p.x.tolist(), "f1": p.f1, "f2": p.f2, "F": p.F,
-            "g1": p.g1.tolist(), "g2": p.g2.tolist(),
-            "G_norm_sq": p.G_norm_sq, "T": p.T, "dx_norm_sq": p.dx_norm_sq,
-        } for p in traj.points],
+        "points": [dict(p._asdict(), x=p.x.tolist(), g1=p.g1.tolist(),
+                        g2=p.g2.tolist()) for p in traj.points],
     }
 
 
@@ -233,28 +268,41 @@ def trajectory_from_json(d: dict) -> Trajectory:
     if not pts or any(p.T is None or p.dx_norm_sq is None for p in pts[:-1]):
         raise InvalidParams("trajectory needs points, each but the last "
                             "with T and dx_norm_sq")
-    _check_recorded(inst, pts)
-    return Trajectory(pts, inst, str(d["stop_reason"]))
+    traj = Trajectory.from_points(pts, inst)
+    _check_recorded(traj)
+    traj.stop_reason = str(d["stop_reason"])
+    return traj
 
 
-def _check_recorded(inst: DcInstance, pts: list) -> None:
-    """Record the points again from the instance at their stored x, with
-    their stored subgradients, as run_dca records them; check the link
-    g1^{k+1} = g2^k (run_dca writes g1^{k+1} as a copy of g2^k) and
-    compare.  InvalidParams names the first mismatch."""
-    stack = lambda key: np.array([getattr(p, key) for p in pts])
-    fresh = _record(inst, stack("x"), g1=stack("g1"), g2=stack("g2"))
-    for p, exact, q in zip(pts, fresh, pts[1:] + [None]):
-        if q is not None:
-            # the DCA link: g1 at the next point is the current g2
-            gap = _norm(q.g1 - p.g2)
-            if gap > LINK_TOL * _norm(p.g2):
-                raise InvalidParams("step %d: stored g1 of the next point "
-                                    "differs from g2 by %g (link "
-                                    "g1^{k+1} = g2^k)" % (p.k, gap))
-        for name in ("f1", "f2", "F", "G_norm_sq", "T", "dx_norm_sq"):
-            stored, want = getattr(p, name), getattr(exact, name)
-            if want is not None and not (
-                    abs(stored - want) <= RECORD_TOL * max(1.0, abs(want))):
-                raise InvalidParams("step %d: stored %s = %r, recomputed %r"
-                                    % (p.k, name, stored, want))
+def _check_recorded(traj: Trajectory) -> None:
+    """Record the run again from the instance at its stored x, with its
+    stored subgradients, as run_dca records it; check the link
+    g1^{k+1} = g2^k (run_dca writes g1^{k+1} as a copy of g2^k) and compare
+    every stored number with its recomputation, relative to the terms it is
+    computed from: f1, f2, G_norm_sq and dx_norm_sq their own, F
+    |f1| + |f2| and T |f1^k| + |f1^{k+1}| + |<g1^{k+1}, x^k - x^{k+1}>|.
+    One pass over the columns; InvalidParams names the first mismatch,
+    point by point, each point's link first."""
+    fresh = _record(traj.instance, traj.X, g1=traj.G1, g2=traj.G2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        gap = _norm(traj.G1[1:] - traj.G2[:-1])
+        a1, a2 = np.abs(fresh.f1), np.abs(fresh.f2)
+        inner = np.abs(_dot(traj.G1[1:], traj.X[:-1] - traj.X[1:]))
+        size = {"f1": a1, "f2": a2, "F": a1 + a2,
+                "G_norm_sq": fresh.G_norm_sq, "T": a1[:-1] + a1[1:] + inner,
+                "dx_norm_sq": fresh.dx_norm_sq}
+        bad = np.zeros((len(traj.X), 1 + len(size)), dtype=bool)
+        bad[:-1, 0] = gap > LINK_TOL * _norm(traj.G2[:-1])
+        for j, (name, s) in enumerate(size.items(), 1):
+            diff = np.abs(getattr(traj, name) - getattr(fresh, name))
+            bad[:len(s), j] = ~(diff <= RECORD_TOL * s)
+    i, j = divmod(int(np.argmax(bad)), bad.shape[1])
+    if j:
+        name = list(size)[j - 1]
+        raise InvalidParams("step %d: stored %s = %r, recomputed %r"
+                            % (traj.k[i], name, float(getattr(traj, name)[i]),
+                               float(getattr(fresh, name)[i])))
+    if bad[i, 0]:
+        raise InvalidParams("step %d: stored g1 of the next point differs "
+                            "from g2 by %g (link g1^{k+1} = g2^k)"
+                            % (traj.k[i], gap[i]))

@@ -101,15 +101,11 @@ def _lower_bound(coef: BoundCoefficients, dx: np.ndarray, dg):
     return np.add.reduce(s * s, -1) / a + b * np.add.reduce(dx * dx, -1)
 
 
-def pair_lower_bound(cls: Curvature, dx: np.ndarray, dg: np.ndarray) -> float:
-    """Right-hand side of the inequality for one pair."""
-    return float(_lower_bound(bound_coefficients(cls), dx, dg))
-
-
-def pair_slack(cls: Curvature, ti: Triplet, tj: Triplet) -> float:
-    dx = ti.x - tj.x
-    lhs = ti.f - tj.f - float(tj.g @ dx)
-    return lhs - pair_lower_bound(cls, dx, ti.g - tj.g)
+def pair_lower_bound(cls: Curvature, dx: np.ndarray, dg: np.ndarray):
+    """Right-hand side of the inequality for one pair, as a float, or for
+    each row of (n, d) stacks dx and dg, as an (n,) array."""
+    rhs = _lower_bound(bound_coefficients(cls), dx, dg)
+    return float(rhs) if dx.ndim == 1 else rhs
 
 
 def pair_matrix(X: np.ndarray, G: np.ndarray, cls, out=None) -> np.ndarray:
@@ -153,10 +149,6 @@ def sample_triplets(spec, xs) -> list:
         a = evaluate(spec, x)
         out.append(make_triplet(x, a.subgradient, a.value))
     return out
-
-
-def triplets_to_json(triplets) -> list:
-    return [{"x": t.x.tolist(), "g": t.g.tolist(), "f": t.f} for t in triplets]
 
 
 def triplets_from_json(rows) -> list:

@@ -191,9 +191,6 @@ class PepVariables:
     def g2(self) -> np.ndarray:
         return self.W[1:]
 
-    def gaps_sq(self) -> np.ndarray:
-        return np.sum((self.g1 - self.g2) ** 2, axis=1)
-
     def decrease(self) -> float:
         F = self.f1 - self.f2
         return float(F[0] - F[-1])

@@ -99,8 +99,8 @@ def test_criterion_3_soundness_sweep(report):
             for N in (1, 5, 25):
                 if N > traj.n_steps:
                     continue
-                prefix = Trajectory(traj.points[:N + 1], inst,
-                                    traj.stop_reason)
+                prefix = Trajectory.from_points(traj.points[:N + 1], inst,
+                                                traj.stop_reason)
                 _, _, holds = check_rate(prefix, fstar=fs, tol=1e-9)
                 if not holds:
                     failures += 1
@@ -119,7 +119,7 @@ def test_criterion_4_equality_witnesses(report):
             params = jitter_params(anchor, regime, rng, scale=0.25)
             cert = classify(params)
             w = extremal_instance(regime, params)
-            gaps = w.gaps_sq()
+            gaps = np.sum((w.g1 - w.g2) ** 2, axis=1)
             bound = (cert.sigma * 0.5 * gaps[0]
                      + cert.sigma_plus * 0.5 * gaps[1])
             slack = abs(w.decrease() - bound)

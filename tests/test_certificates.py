@@ -1,14 +1,17 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from dcrates.certificates import (certificate_report, check_nonsmooth_rate,
+from dcrates.certificates import (EQ_TOL, SLACK_TOL, OneStepCheck,
+                                  certificate_report, check_nonsmooth_rate,
                                   check_one_step, check_rate,
                                   replay_proof_combination)
 from dcrates.curvature import Curvature, InvalidParams
 from dcrates.engine import run_dca, trajectory_to_json
+from dcrates.interpolation import pair_lower_bound
 from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, MaxOfQuadratics,
                              Quadratic, Unbounded, analytic_infimum,
                              is_subgradient, make_instance,
@@ -76,7 +79,7 @@ def test_rate_single_step():
     F0, F1 = traj.points[0].F, traj.points[1].F
     assert pred.N == 1
     assert pred.bound_no_fstar == pytest.approx((F0 - F1) / pred.p_used)
-    assert observed == pytest.approx(0.5 * traj.min_grad_gap_sq())
+    assert observed == pytest.approx(0.5 * traj.G_norm_sq.min())
     assert holds
 
 
@@ -296,8 +299,9 @@ def test_nonsmooth_per_step_slack_is_sized_by_its_own_step():
     tolerance sized by the whole run (1e-9 * 1e8) would let it through."""
     traj = run_dca(nonsmooth_instance(-1), np.array([1e4]), 10)
     assert check_nonsmooth_rate(traj).holds
-    traj.points[-1].F += 1e-6
-    assert not check_nonsmooth_rate(traj).holds
+    F = traj.F.copy()
+    F[-1] += 1e-6
+    assert not check_nonsmooth_rate(dataclasses.replace(traj, F=F)).holds
 
 
 def _max_subproblem(rng, k):
@@ -407,3 +411,156 @@ def test_check_one_step_gates_on_the_runs_own_regime():
     traj = run_dca(nonsmooth_instance(+1), np.array([0.0]), 1)
     with pytest.raises(BothNonsmooth):
         check_one_step(traj, 0)
+
+
+# ---------------------------------------------------------------------------
+# the stacked pass against a per-step reference
+
+def _ref_f_scale(points):
+    return max(1.0, *(abs(v) for p in points for v in (p.f1, p.f2)))
+
+
+def _ref_one_step(traj, k, tol=SLACK_TOL):
+    """The one-step certificate of step k, from its two points."""
+    regime = classify(traj.instance.params)
+    a, b = traj.points[k], traj.points[k + 1]
+    lhs = a.F - b.F
+    rhs = regime.decrease_bound(a.G_norm_sq, b.G_norm_sq)
+    slack = lhs - rhs
+    scale = max(1.0, abs(lhs), abs(rhs))
+    return OneStepCheck(regime, lhs, rhs, slack,
+                        bool(abs(slack) <= EQ_TOL * scale),
+                        bool(slack >= -tol * _ref_f_scale((a, b))))
+
+
+def _ref_replay(traj, k):
+    """The replayed combination of step k, one pair at a time."""
+    params = traj.instance.params
+    regime = classify(params)
+    alpha = regime.alpha
+    a, b = traj.points[k], traj.points[k + 1]
+    dx = a.x - b.x
+    G, Gp = a.g1 - a.g2, b.g1 - b.g2
+    B1 = pair_lower_bound(params.f1, dx, G)
+    B2 = pair_lower_bound(params.f2, -dx, -Gp)
+    if regime.index % 2 == 1:
+        rhs = B1 + (1.0 + 2.0 * alpha) * B2 - alpha * float(Gp @ dx)
+    else:
+        rhs = B2 + (1.0 + 2.0 * alpha) * B1 - alpha * float(G @ dx)
+    return (a.F - b.F) - rhs
+
+
+def _ref_report(traj, fstar, tol):
+    """certificate_report with every per-step number taken step by step."""
+    params = traj.instance.params
+    pts = traj.points
+    out = {"tol": tol, "n_steps": traj.n_steps, "stop_reason": traj.stop_reason}
+    if math.isinf(params.L1) and math.isinf(params.L2):
+        m1, m2 = params.mu1, params.mu2
+        fstar = traj.instance.fstar if fstar is None else fstar
+        lhs = [m2 * 0.5 * a.dx_norm_sq + a.T if m2 >= 0.0
+               else (m1 + m2) / m1 * a.T for a in pts[:-1]]
+        slacks = [(a.F - b.F) - v for a, b, v in zip(pts, pts[1:], lhs)]
+        N = traj.n_steps
+        if m2 >= 0.0:
+            observed, bound = min(lhs), (pts[0].F - fstar) / N
+        else:
+            observed = min(a.T for a in pts[:-1])
+            bound = m1 / (m1 + m2) * (pts[0].F - fstar) / N
+        holds = (all(s >= -tol * _ref_f_scale((a, b))
+                     for s, a, b in zip(slacks, pts, pts[1:]))
+                 and bool(observed <= bound + tol * _ref_f_scale(pts)))
+        out.update(mode="nonsmooth",
+                   branch="mu2_nonneg" if m2 >= 0.0 else "mu2_neg",
+                   per_step_slacks=slacks, n_step_bound=bound,
+                   n_step_observed=observed, holds=holds)
+        return out
+    checks = [_ref_one_step(traj, k, tol) for k in range(traj.n_steps)]
+    regime, N = checks[0].regime, traj.n_steps
+    bound = (pts[0].F - pts[-1].F) / (regime.p * N)
+    fstar = traj.instance.fstar if fstar is None else fstar
+    bound_star = None
+    if fstar is not None and params.L1 > params.mu2:
+        extra = 0.0 if math.isinf(params.L1) else 1.0 / (params.L1 - params.mu2)
+        bound_star = (pts[0].F - fstar) / (regime.p * N + extra)
+    observed = 0.5 * min(p.G_norm_sq for p in pts)
+    rate_ok = bool(observed <= bound + tol) and (
+        bound_star is None or bool(observed <= bound_star + tol))
+    out.update(
+        mode="smooth", regime=regime.to_json_dict(),
+        per_step_slacks=[c.slack for c in checks],
+        equality_hits=[c.equality_hit for c in checks],
+        rate={"bound_no_fstar": bound, "bound_with_fstar": bound_star,
+              "p": regime.p, "N": N,
+              "linear_regime_warning": regime.index in (7, 8),
+              "observed": observed},
+        holds=all(c.holds for c in checks) and rate_ok)
+    return out
+
+
+def _pin_runs(rng):
+    """Quadratic runs of each regime, runs with one nonsmooth term, and
+    runs of both nonsmooth branches."""
+    insts = [quad_instance_in(jitter_params(ANCHORS[row], row, rng), rng)
+             for row in range(1, 9) for _ in range(10)]
+    insts += [_one_nonsmooth_pair(rng, i % 2 == 0) for i in range(8)]
+    insts += [make_instance(*(
+        FunctionSpec(AbsPlusQuadratic(rng.uniform(0.0, 2.0), m, rng.normal()),
+                     Curvature(m, INF))
+        for m in (m1, rng.uniform(-0.8, 0.8) * m1)))
+        for m1 in rng.uniform(0.5, 3.0, 8)]
+    insts += [nonsmooth_instance(+1), nonsmooth_instance(-1)]
+    return [run_dca(inst, rng.normal(size=inst.dimension) * 3.0, 12)
+            for inst in insts]
+
+
+def _bits(chk):
+    return (chk.regime, *(float(v).hex() for v in (chk.lhs, chk.rhs, chk.slack)),
+            chk.equality_hit, chk.holds)
+
+
+def test_stacked_certificates_are_bit_identical_to_a_per_step_reference():
+    """certificate_report's JSON, every replay_proof_combination(traj, k) and
+    every check_one_step(traj, k) equal the per-step reference bit for bit
+    (JSON writes each float's repr, which tells every float and -0.0
+    apart)."""
+    runs = _pin_runs(np.random.default_rng(26))
+    seen = set()
+    for traj in runs:
+        params = traj.instance.params
+        nonsmooth = math.isinf(params.L1) and math.isinf(params.L2)
+        fstar = analytic_infimum(traj.instance)
+        for tol in (SLACK_TOL, 0.0):
+            got = certificate_report(traj, fstar, tol)
+            assert json.dumps(got) == json.dumps(_ref_report(traj, fstar, tol))
+        if nonsmooth:
+            seen.add(got["branch"])
+            continue
+        seen.add((got["regime"]["index"], traj.X.shape[1]))
+        for k in range(traj.n_steps):
+            assert (replay_proof_combination(traj, k).hex()
+                    == _ref_replay(traj, k).hex())
+            for tol in (SLACK_TOL, 0.0):
+                assert (_bits(check_one_step(traj, k, tol))
+                        == _bits(_ref_one_step(traj, k, tol)))
+    assert {"mu2_nonneg", "mu2_neg"} <= seen
+    assert {(r, d) for r in range(1, 9) for d in (1, 2, 3)} <= seen
+
+
+def test_stacked_pass_is_computed_anew_and_never_stale():
+    """A replaced instance or column is certified anew; a column, or a
+    point read from it, cannot be edited in place."""
+    traj = run_dca(halving_instance(), np.array([1.0]), 3)
+    first = [replay_proof_combination(traj, k) for k in range(3)]
+    traj.instance = quad_instance(2.0, Curvature(0.5, 2.5), 1.0,
+                                  Curvature(0.5, 1.5))
+    again = [replay_proof_combination(traj, k) for k in range(3)]
+    assert again == [_ref_replay(traj, k) for k in range(3)] != first
+    traj.F = 2.0 * traj.F
+    assert [check_one_step(traj, k) for k in range(3)] == [
+        _ref_one_step(traj, k) for k in range(3)]
+    for column in (traj.F, traj.X, traj.points[0].x, traj.points[0].g1):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0.0
+    with pytest.raises(AttributeError):
+        traj.points[-1].F += 1e-6

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dcrates.cli import build_parser, main
 from dcrates.curvature import Curvature, DcParams
-from dcrates.interpolation import sample_triplets, triplets_to_json
+from dcrates.interpolation import sample_triplets
 from dcrates.engine import LINK_TOL, t_measure
 from dcrates.regimes import GridSpec, regime_map
 from dcrates.sampling import ANCHORS
@@ -235,11 +235,15 @@ def test_run_csv_output(tmp_path, instance_file):
     assert len(lines) == 4
 
 
+def _triplets_json(triplets):
+    return [{"x": t.x.tolist(), "g": t.g.tolist(), "f": t.f} for t in triplets]
+
+
 def test_interp_check_exit_codes(tmp_path, capsys):
     spec = FunctionSpec(Quadratic((2.0,), (0.0,)), Curvature(1.5, 2.5))
     trips = sample_triplets(spec, [np.array([t]) for t in (-1.0, 0.0, 1.0, 2.0)])
     path = tmp_path / "trips.json"
-    path.write_text(json.dumps(triplets_to_json(trips)))
+    path.write_text(json.dumps(_triplets_json(trips)))
     assert main(["interp-check", "--triplets", str(path),
                  "--mu", "1.5", "--L", "2.5"]) == 0
     # under-declared smoothness must be flagged as infeasible
@@ -935,7 +939,7 @@ def _command_argv(command, tmp_path, instance_file):
     if command == "interp-check":
         path = tmp_path / "trips.json"
         spec = FunctionSpec(Quadratic((2.0,), (0.0,)), Curvature(1.5, 2.5))
-        path.write_text(json.dumps(triplets_to_json(sample_triplets(
+        path.write_text(json.dumps(_triplets_json(sample_triplets(
             spec, [np.array([t]) for t in (-1.0, 0.0, 2.0)]))))
         return ["--triplets", str(path), "--L", "2.5"]
     return {

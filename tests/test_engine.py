@@ -123,15 +123,6 @@ def test_unbounded_subproblem_partial_trajectory():
     assert len(traj.points) >= 1
 
 
-def test_summary_minima():
-    inst = quad_instance(2.0, 0.0, 1.0, 0.0)
-    traj = run_dca(inst, np.array([1.0]), 4)
-    gaps = [p.G_norm_sq for p in traj.points]
-    assert traj.min_grad_gap_sq() == pytest.approx(min(gaps))
-    ts = [p.T for p in traj.points[:-1]]
-    assert traj.min_t() == pytest.approx(min(ts))
-
-
 def test_csv_and_json_round_trip():
     inst = quad_instance(2.0, 0.0, 1.0, 1.0, fstar=-0.5)
     traj = run_dca(inst, np.array([0.0]), 3)
@@ -170,8 +161,9 @@ def _ref_record(points, inst, x, policy="least_norm", g1=None, g2=None):
     g2 = a2.subgradient if g2 is None else g2
     if points:
         prev = points[-1]
-        prev.T = prev.f1 - a1.value - float(g1 @ (prev.x - x))
-        prev.dx_norm_sq = float(np.add.reduce((prev.x - x) * (prev.x - x)))
+        points[-1] = prev._replace(
+            T=prev.f1 - a1.value - float(g1 @ (prev.x - x)),
+            dx_norm_sq=float(np.add.reduce((prev.x - x) * (prev.x - x))))
     points.append(TrajectoryPoint(len(points), x, a1.value, a2.value,
                                   a1.value - a2.value, g1, g2,
                                   float(np.add.reduce((g1 - g2) * (g1 - g2)))))
@@ -194,7 +186,8 @@ def _ref_run(inst, x0, N, tol=0.0, policy="least_norm", stop_on="grad_gap",
             return points, STOP_UNBOUNDED
         nxt = _ref_record(points, inst, x_new, policy, g1=cur.g2.copy())
         if tol > 0.0:
-            crit = math.sqrt(nxt.G_norm_sq) if stop_on == "grad_gap" else cur.T
+            crit = (math.sqrt(nxt.G_norm_sq) if stop_on == "grad_gap"
+                    else points[-2].T)
             if crit <= tol:
                 return points, STOP_CRITICALITY
     return points, STOP_MAX_ITERS
@@ -203,11 +196,18 @@ def _ref_run(inst, x0, N, tol=0.0, policy="least_norm", stop_on="grad_gap",
 def _ref_check(inst, pts):
     """trajectory_from_json's checks in their order: every point recorded
     again with its stored subgradients, then per point the link and the
-    stored numbers."""
+    stored numbers, each relative to the size of its own terms."""
     fresh = []
     for p in pts:
         _ref_record(fresh, inst, p.x, g1=p.g1, g2=p.g2)
-    for p, exact, q in zip(pts, fresh, pts[1:] + [None]):
+    for p, exact, q, nxt in zip(pts, fresh, pts[1:] + [None],
+                                fresh[1:] + [None]):
+        size = {"f1": abs(exact.f1), "f2": abs(exact.f2),
+                "F": abs(exact.f1) + abs(exact.f2),
+                "G_norm_sq": exact.G_norm_sq, "dx_norm_sq": exact.dx_norm_sq}
+        if nxt is not None:
+            size["T"] = (abs(exact.f1) + abs(nxt.f1)
+                         + abs(float(nxt.g1 @ (exact.x - nxt.x))))
         if q is not None:
             gap = float(np.linalg.norm(q.g1 - p.g2))
             if gap > LINK_TOL * float(np.linalg.norm(p.g2)):
@@ -217,7 +217,7 @@ def _ref_check(inst, pts):
         for name in FIELDS[1:]:
             stored, want = getattr(p, name), getattr(exact, name)
             if want is not None and not (
-                    abs(stored - want) <= RECORD_TOL * max(1.0, abs(want))):
+                    abs(stored - want) <= RECORD_TOL * size[name]):
                 raise InvalidParams("step %d: stored %s = %r, recomputed %r"
                                     % (p.k, name, stored, want))
 
@@ -425,4 +425,18 @@ def test_stored_link_is_checked_relative_to_g2():
     body["points"][2]["g1"][0] += 1e-13
     with pytest.raises(InvalidParams, match="^step 1: stored g1 of the next "
                                             "point differs from g2 by "):
+        trajectory_from_json(body)
+
+
+def test_stored_numbers_are_sized_by_their_own_terms():
+    """f1 = 1e-20 (x^2/2 + x) and f2 = 0.5e-20 x^2/2 from x = 1: every value
+    is about 1e-20.  Point 1's stored f1 doubled, with F made to agree, is
+    off by 4e-21, which a RECORD_TOL * max(1, |f1|) bound let through."""
+    inst = quad_instance(1e-20, 1e-20, 0.5e-20, 0.0)
+    body = trajectory_to_json(run_dca(inst, np.array([1.0]), 3))
+    trajectory_from_json(body)
+    q = body["points"][1]
+    q["f1"] *= 2.0
+    q["F"] = q["f1"] - q["f2"]
+    with pytest.raises(InvalidParams, match="^step 1: stored f1 = "):
         trajectory_from_json(body)

@@ -7,13 +7,19 @@ import pytest
 
 from dcrates.curvature import Curvature
 from dcrates.interpolation import (check_interpolation, make_triplet,
-                                   pair_lower_bound, pair_matrix, pair_slack,
-                                   sample_triplets, triplets_from_json,
-                                   triplets_to_json)
+                                   pair_lower_bound, pair_matrix,
+                                   sample_triplets, triplets_from_json)
 from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, MaxOfQuadratics,
                              Quadratic)
 
 INF = math.inf
+
+
+def pair_slack(cls, ti, tj):
+    """Slack of the (i, j) inequality, written out for one pair."""
+    dx = ti.x - tj.x
+    lhs = ti.f - tj.f - float(tj.g @ dx)
+    return lhs - pair_lower_bound(cls, dx, ti.g - tj.g)
 
 
 def test_pair_lower_bound_smooth_example():
@@ -186,7 +192,8 @@ def test_monotone_under_class_enlargement():
 def test_json_round_trip():
     t = [make_triplet([1.0, 2.0], [0.5, -0.5], 3.0),
          make_triplet([0.0, 0.0], [0.0, 0.0], 0.0)]
-    blob = json.dumps(triplets_to_json(t))
+    blob = json.dumps([{"x": a.x.tolist(), "g": a.g.tolist(), "f": a.f}
+                       for a in t])
     back = triplets_from_json(json.loads(blob))
     assert len(back) == 2
     assert np.allclose(back[0].x, t[0].x)

@@ -30,7 +30,7 @@ def test_extremal_hits_bound_and_interpolates(idx):
     cert = classify(params)
     assert cert.index == idx
     w = extremal_instance(idx, params)
-    gaps = w.gaps_sq()
+    gaps = np.sum((w.g1 - w.g2) ** 2, axis=1)
     bound = cert.sigma * 0.5 * gaps[0] + cert.sigma_plus * 0.5 * gaps[1]
     assert w.decrease() == pytest.approx(bound, abs=1e-7)
     assert check_interpolation(w.triplets(1), params.f1, 1e-7).feasible
