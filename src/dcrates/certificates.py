@@ -87,23 +87,19 @@ class _Steps(NamedTuple):
 
 def _steps(traj: Trajectory) -> _Steps:
     """Classify the run (the gate: InvalidParams, PreconditionViolated,
-    BothNonsmooth) and certify every step in one stacked pass, kept on the
-    trajectory (an attribute that is no dataclass field, so in neither eq,
-    repr nor JSON) with the params object and the columns it read, and
-    reused while each is the same object.  For odd regimes the replayed
-    combination reads, with B1/B2 the pairwise lower bounds of f1 on
-    (x, x+) and f2 on (x+, x),
+    BothNonsmooth) and certify every step in one stacked pass, stored once
+    per trajectory object like Trajectory.points (no dataclass field, so in
+    neither eq, repr nor JSON).  For odd regimes the replayed combination
+    reads, with B1/B2 the pairwise lower bounds of f1 on (x, x+) and f2 on
+    (x+, x),
 
         dF >= B1(G) + (1 + 2 alpha) B2(G+) - alpha <G+, dx>,
 
     and the even regimes mirror it with the roles of the terms exchanged.
     """
+    if "_steps" in traj.__dict__:
+        return traj.__dict__["_steps"]
     params = traj.instance.params
-    key = (params, traj.X, traj.G1, traj.G2, traj.f1, traj.f2, traj.F,
-           traj.G_norm_sq)
-    memo = getattr(traj, "_steps_memo", None)
-    if memo is not None and all(a is b for a, b in zip(memo[0], key)):
-        return memo[1]
     regime = one_step_certificate(params)
     alpha = regime.alpha
     lhs = traj.F[:-1] - traj.F[1:]
@@ -118,10 +114,9 @@ def _steps(traj: Trajectory) -> _Steps:
         combined = B1 + (1.0 + 2.0 * alpha) * B2 - alpha * _dot(G[1:], dx)
     else:
         combined = B2 + (1.0 + 2.0 * alpha) * B1 - alpha * _dot(G[:-1], dx)
-    traj._steps_memo = (key, _Steps(
+    return traj.__dict__.setdefault("_steps", _Steps(
         regime, lhs, rhs, slack, np.abs(slack) <= EQ_TOL * eq_scale,
         _f_scale(traj)[0], lhs - combined))
-    return traj._steps_memo[1]
 
 
 def check_one_step(traj: Trajectory, k: int = 0,

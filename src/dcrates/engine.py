@@ -12,9 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -29,6 +29,7 @@ RECORD_TOL = 1e-12   # relative; stored numbers against their recomputation
 STOP_MAX_ITERS = "max_iters"
 STOP_CRITICALITY = "criticality_tol"
 STOP_UNBOUNDED = "subproblem_unbounded"
+STOP_REASONS = (STOP_MAX_ITERS, STOP_CRITICALITY, STOP_UNBOUNDED)
 
 
 class TrajectoryPoint(NamedTuple):
@@ -45,15 +46,13 @@ class TrajectoryPoint(NamedTuple):
     dx_norm_sq: Optional[float] = None  # ||x^k - x^{k+1}||^2; None on the last
 
 
-COLUMNS = ("X", "G1", "G2", "f1", "f2", "F", "G_norm_sq", "T", "dx_norm_sq")
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A run as columns: row k of X, G1, G2 (n, d) and of f1, f2, F,
-    G_norm_sq (n,) is point k, and T, dx_norm_sq (n - 1,) hold one entry per
-    step.  k numbers the points (0..n-1 unless given).  A column is stored
-    as a read-only copy, also when assigned later."""
+    """A finished run as columns: row k of X, G1, G2 (n, d) and of f1, f2,
+    F, G_norm_sq (n,) is point k, and T, dx_norm_sq (n - 1,) hold one entry
+    per step.  Each column is stored as a read-only copy, and no field can
+    be assigned, so what is derived from a run is never stale;
+    dataclasses.replace makes a changed run."""
     X: np.ndarray
     G1: np.ndarray
     G2: np.ndarray
@@ -64,34 +63,20 @@ class Trajectory:
     T: np.ndarray
     dx_norm_sq: np.ndarray
     instance: DcInstance
-    stop_reason: str = STOP_MAX_ITERS
-    k: Optional[Sequence[int]] = None
+    stop_reason: str
 
-    def __setattr__(self, name, value):
-        if name in COLUMNS:
-            value = np.array(value, dtype=float)
-            value.setflags(write=False)
-        elif name == "k":
-            value = range(len(self.X)) if value is None else tuple(value)
-        object.__setattr__(self, name, value)
-        if name in COLUMNS or name == "k":
-            self.__dict__.pop("points", None)     # a view of the old columns
-
-    @classmethod
-    def from_points(cls, points, instance: DcInstance,
-                    stop_reason: str = STOP_MAX_ITERS) -> "Trajectory":
-        """The run whose points are the given TrajectoryPoints."""
-        col = lambda key, pts=points: [getattr(p, key) for p in pts]
-        return cls(*map(col, ("x", "g1", "g2", "f1", "f2", "F", "G_norm_sq")),
-                   col("T", points[:-1]), col("dx_norm_sq", points[:-1]),
-                   instance, stop_reason, col("k"))
+    def __post_init__(self):
+        for f in fields(self)[:9]:      # the columns
+            column = np.array(getattr(self, f.name), dtype=float)
+            column.setflags(write=False)
+            object.__setattr__(self, f.name, column)
 
     @cached_property
     def points(self) -> tuple:
         """One read-only TrajectoryPoint per point, for JSON, CSV and the
         CLI, built on first read."""
         return tuple(map(TrajectoryPoint._make, zip(
-            self.k, self.X, self.f1.tolist(), self.f2.tolist(),
+            range(len(self.X)), self.X, self.f1.tolist(), self.f2.tolist(),
             self.F.tolist(), self.G1, self.G2, self.G_norm_sq.tolist(),
             self.T.tolist() + [None], self.dx_norm_sq.tolist() + [None])))
 
@@ -117,7 +102,7 @@ def t_measure(instance: DcInstance, x, x_plus, g1_plus) -> float:
 
 def _record(instance: DcInstance, X: np.ndarray, policy: Policy = "least_norm",
             g1=None, g2=None, f2: Optional[OracleAnswer] = None,
-            k0: int = 0) -> Trajectory:
+            k0: int = 0, stop_reason: str = STOP_MAX_ITERS) -> Trajectory:
     """The run through the rows of the (n, d) stack X, whose errors number
     its points from k0.
 
@@ -160,7 +145,7 @@ def _record(instance: DcInstance, X: np.ndarray, policy: Policy = "least_norm",
     f1, f2, dX = a1.value, a2.value, X[:-1] - X[1:]
     return Trajectory(X, G1, G2, f1, f2, f1 - f2, _sq_dist(G1, G2),
                       f1[:-1] - f1[1:] - _dot(G1[1:], dX),
-                      np.add.reduce(dX * dX, axis=-1), instance)
+                      np.add.reduce(dX * dX, axis=-1), instance, stop_reason)
 
 
 def run_dca(instance: DcInstance, x0, N: int, tol: float = 0.0,
@@ -209,21 +194,14 @@ def run_dca(instance: DcInstance, x0, N: int, tol: float = 0.0,
                 stop = STOP_UNBOUNDED
                 break
     except InvalidParams:
-        # the loop runs past a step whose f1 or link fails: the points it
-        # finished come first, then f1 where f2 (or f1 itself) failed
-        done = len(G2)
-        if done:
-            _record(instance, np.array(X[:done]), policy,
-                    np.array(G2[:done - 1]))
-        if len(X) > done:
-            evaluate(instance.f1, X[done], policy)
+        # the loop runs past a step whose f1 or link fails: recording the
+        # points it reached raises the first failing step's error
+        _record(instance, np.array(X), policy, np.array(G2[:len(X) - 1]))
         raise
     # the record asserts each DCA link: g2^k is a subgradient of f1 at x^{k+1}
     G2 = np.array(G2)
-    traj = _record(instance, np.array(X), policy, g1=G2[:-1],
-                   f2=OracleAnswer(np.array(F2), G2))
-    traj.stop_reason = stop
-    return traj
+    return _record(instance, np.array(X), policy, g1=G2[:-1],
+                   f2=OracleAnswer(np.array(F2), G2), stop_reason=stop)
 
 
 # ---------------------------------------------------------------------------
@@ -253,24 +231,31 @@ def trajectory_to_json(traj: Trajectory) -> dict:
 
 
 def trajectory_from_json(d: dict) -> Trajectory:
+    """The run stored in d, checked; point k must be its k-th entry."""
     inst = instance_from_json(d["instance"])
-    pts = []
-    for q in d["points"]:
-        vecs = [np.array(q[key], dtype=float) for key in ("x", "g1", "g2")]
-        if any(v.shape != (inst.dimension,) for v in vecs):
-            raise InvalidParams("point %r: x, g1 and g2 need dimension %d"
-                                % (q["k"], inst.dimension))
-        t_dx = [None if q.get(key) is None else float(q[key])
-                for key in ("T", "dx_norm_sq")]
-        pts.append(TrajectoryPoint(
-            int(q["k"]), vecs[0], float(q["f1"]), float(q["f2"]),
-            float(q["F"]), vecs[1], vecs[2], float(q["G_norm_sq"]), *t_dx))
-    if not pts or any(p.T is None or p.dx_norm_sq is None for p in pts[:-1]):
+    pts = d["points"]
+    for i, q in enumerate(pts):
+        if int(q["k"]) != i:
+            raise InvalidParams("point %d: k = %r, not its position"
+                                % (i, q["k"]))
+        if any(np.shape(q[key]) != (inst.dimension,)
+               for key in ("x", "g1", "g2")):
+            raise InvalidParams("point %d: x, g1 and g2 need dimension %d"
+                                % (i, inst.dimension))
+    if not pts or any(q.get(key) is None for q in pts[:-1]
+                      for key in ("T", "dx_norm_sq")):
         raise InvalidParams("trajectory needs points, each but the last "
                             "with T and dx_norm_sq")
-    traj = Trajectory.from_points(pts, inst)
+    if d["stop_reason"] not in STOP_REASONS:
+        raise InvalidParams("stop_reason = %r, not one of %s"
+                            % (d["stop_reason"], ", ".join(STOP_REASONS)))
+    vec = lambda key: np.array([q[key] for q in pts], dtype=float)
+    num = lambda key, rows=pts: [float(q[key]) for q in rows]
+    traj = Trajectory(vec("x"), vec("g1"), vec("g2"),
+                      *map(num, ("f1", "f2", "F", "G_norm_sq")),
+                      num("T", pts[:-1]), num("dx_norm_sq", pts[:-1]),
+                      inst, d["stop_reason"])
     _check_recorded(traj)
-    traj.stop_reason = str(d["stop_reason"])
     return traj
 
 
@@ -300,9 +285,9 @@ def _check_recorded(traj: Trajectory) -> None:
     if j:
         name = list(size)[j - 1]
         raise InvalidParams("step %d: stored %s = %r, recomputed %r"
-                            % (traj.k[i], name, float(getattr(traj, name)[i]),
+                            % (i, name, float(getattr(traj, name)[i]),
                                float(getattr(fresh, name)[i])))
     if bad[i, 0]:
         raise InvalidParams("step %d: stored g1 of the next point differs "
                             "from g2 by %g (link g1^{k+1} = g2^k)"
-                            % (traj.k[i], gap[i]))
+                            % (i, gap[i]))

@@ -99,8 +99,11 @@ def test_criterion_3_soundness_sweep(report):
             for N in (1, 5, 25):
                 if N > traj.n_steps:
                     continue
-                prefix = Trajectory.from_points(traj.points[:N + 1], inst,
-                                                traj.stop_reason)
+                prefix = Trajectory(
+                    traj.X[:N + 1], traj.G1[:N + 1], traj.G2[:N + 1],
+                    traj.f1[:N + 1], traj.f2[:N + 1], traj.F[:N + 1],
+                    traj.G_norm_sq[:N + 1], traj.T[:N], traj.dx_norm_sq[:N],
+                    inst, traj.stop_reason)
                 _, _, holds = check_rate(prefix, fstar=fs, tol=1e-9)
                 if not holds:
                     failures += 1

@@ -389,16 +389,16 @@ def test_replaced_instance_is_classified_anew(classify_calls):
     first = certificate_report(traj)["regime"]
     other = quad_instance(2.0, Curvature(0.5, 2.5), 1.0, Curvature(0.5, 1.5))
     assert other.params != traj.instance.params
-    traj.instance = other
-    second = certificate_report(traj)["regime"]
+    moved = dataclasses.replace(traj, instance=other)
+    second = certificate_report(moved)["regime"]
     assert len(classify_calls) == 2 and classify_calls[1] is other.params
     assert second == classify(other.params).to_json_dict() != first
-    # equal params in a new object are classified again too: a hit needs the
-    # object the certificate was computed for
-    traj.instance = quad_instance(2.0, Curvature(0.5, 2.5), 1.0,
-                                  Curvature(0.5, 1.5))
-    check_rate(traj)
-    assert len(classify_calls) == 3
+    # the first run keeps its own certificate, and its instance cannot be
+    # reassigned
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        traj.instance = other
+    assert certificate_report(traj)["regime"] == first
+    assert len(classify_calls) == 2
 
 
 def test_check_one_step_gates_on_the_runs_own_regime():
@@ -548,17 +548,21 @@ def test_stacked_certificates_are_bit_identical_to_a_per_step_reference():
 
 
 def test_stacked_pass_is_computed_anew_and_never_stale():
-    """A replaced instance or column is certified anew; a column, or a
-    point read from it, cannot be edited in place."""
+    """A replaced trajectory is certified anew; no field can be assigned,
+    and a column, or a point read from it, cannot be edited in place."""
     traj = run_dca(halving_instance(), np.array([1.0]), 3)
     first = [replay_proof_combination(traj, k) for k in range(3)]
-    traj.instance = quad_instance(2.0, Curvature(0.5, 2.5), 1.0,
-                                  Curvature(0.5, 1.5))
-    again = [replay_proof_combination(traj, k) for k in range(3)]
-    assert again == [_ref_replay(traj, k) for k in range(3)] != first
-    traj.F = 2.0 * traj.F
-    assert [check_one_step(traj, k) for k in range(3)] == [
-        _ref_one_step(traj, k) for k in range(3)]
+    moved = dataclasses.replace(traj, instance=quad_instance(
+        2.0, Curvature(0.5, 2.5), 1.0, Curvature(0.5, 1.5)))
+    again = [replay_proof_combination(moved, k) for k in range(3)]
+    assert again == [_ref_replay(moved, k) for k in range(3)] != first
+    scaled = dataclasses.replace(moved, F=2.0 * moved.F)
+    assert [check_one_step(scaled, k) for k in range(3)] == [
+        _ref_one_step(scaled, k) for k in range(3)]
+    assert [replay_proof_combination(traj, k) for k in range(3)] == first
+    for field in dataclasses.fields(traj):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(traj, field.name, getattr(moved, field.name))
     for column in (traj.F, traj.X, traj.points[0].x, traj.points[0].g1):
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 0.0

@@ -1099,6 +1099,43 @@ def test_certify_names_the_file_of_an_infinite_step_index(tmp_path,
         "error: %s: cannot convert float infinity to integer\n" % bad)
 
 
+@pytest.mark.parametrize("ks", [[10, 11, 12, 13, 14], [10, 99, 12, 13, 14],
+                                [0, 2, 1, 3, 4]])
+def test_certify_refuses_a_step_index_that_is_not_its_position(
+        tmp_path, instance_file, capsys, ks):
+    """Point k is the k-th entry of the file.  A file's own numbering was
+    taken as given, so one file named a tampered f1 at its third point
+    step 12 and a bad g2 there step 2."""
+    body = json.loads(_run_to_file(tmp_path, instance_file, "3.0").read_text())
+    for p, k in zip(body["points"], ks):
+        p["k"] = k
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(body))
+    capsys.readouterr()
+    assert main(["certify", "--traj", str(bad)]) == 1
+    i = next(i for i, k in enumerate(ks) if k != i)
+    assert capsys.readouterr().err == (
+        "error: %s: point %d: k = %d, not its position\n" % (bad, i, ks[i]))
+
+
+@pytest.mark.parametrize("reason", [{"not": "a reason"}, "converged", None])
+def test_certify_refuses_an_unknown_stop_reason(tmp_path, instance_file,
+                                                capsys, reason):
+    """Any stop_reason was stringified, so a file certified with exit 0 and
+    echoed it in the report."""
+    body = json.loads(_run_to_file(tmp_path, instance_file, "3.0").read_text())
+    body["stop_reason"] = reason
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(body))
+    capsys.readouterr()
+    assert main(["certify", "--traj", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: %s: stop_reason = %r, not one of max_iters, criticality_tol, "
+        "subproblem_unbounded\n" % (bad, reason))
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("run", "--fstar", "nan"),
     ("run", "--fstar", "inf"),
