@@ -3,9 +3,9 @@
 Each iteration linearizes f2 at the current point and minimizes
 f1(w) - <g2, w> exactly; the optimality condition of that subproblem gives the
 link identity g1^{k+1} = g2^k.  That step is the only sequential work, so the
-loop keeps f2's value and subgradient at each point, and one stacked pass
-over the finished run evaluates f1, asserts the link at every step and forms
-F, G_norm_sq, T and dx_norm_sq.
+loop asks f2 only for its subgradient at each point, and one stacked pass
+over the finished run evaluates f1 and f2, asserts the link at every step
+and forms F, G_norm_sq, T and dx_norm_sq.
 """
 from __future__ import annotations
 
@@ -19,10 +19,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .curvature import InvalidParams
-from .oracles import (LINK_TOL, DcInstance, OracleAnswer, Policy, Unbounded,
-                      _dot, _norm, evaluate, instance_from_json,
-                      instance_to_json, is_subgradient, kink_policy,
-                      solve_dca_subproblem)
+from .oracles import (LINK_TOL, DcInstance, Policy, Unbounded, _dot, _norm,
+                      evaluate, instance_from_json, instance_to_json,
+                      is_subgradient, kink_policy, solve_dca_subproblem,
+                      subgradient)
 
 RECORD_TOL = 1e-12   # relative; stored numbers against their recomputation
 
@@ -101,15 +101,14 @@ def t_measure(instance: DcInstance, x, x_plus, g1_plus) -> float:
 
 
 def _record(instance: DcInstance, X: np.ndarray, policy: Policy = "least_norm",
-            g1=None, g2=None, f2: Optional[OracleAnswer] = None,
-            k0: int = 0, stop_reason: str = STOP_MAX_ITERS) -> Trajectory:
+            g1=None, g2=None, k0: int = 0,
+            stop_reason: str = STOP_MAX_ITERS) -> Trajectory:
     """The run through the rows of the (n, d) stack X, whose errors number
     its points from k0.
 
     g1 holds the g1 of the last len(g1) points and g2 the g2 of every point;
     each given one must be a subgradient, and the rest are the oracles'
-    picks.  f2, the answer of f2's oracle at X when the caller has it, spares
-    evaluating it again.  F and G_norm_sq, and T and dx_norm_sq of every
+    picks.  F and G_norm_sq, and T and dx_norm_sq of every
     point but the last, are computed here and nowhere else.  A point is
     checked in the order f1's evaluation, f2's, then g1's and g2's tests; a
     stack whose evaluation fails is recorded again one point at a time, so
@@ -119,7 +118,7 @@ def _record(instance: DcInstance, X: np.ndarray, policy: Policy = "least_norm",
     m = 0 if g1 is None else len(g1)
     try:
         a1 = evaluate(instance.f1, X, policy)
-        a2 = evaluate(instance.f2, X, policy) if f2 is None else f2
+        a2 = evaluate(instance.f2, X, policy)
     except InvalidParams:
         for k in range(n if n > 1 else 0):
             j = k - (n - m)       # the row of g1 that point k has, if j >= 0
@@ -154,10 +153,11 @@ def run_dca(instance: DcInstance, x0, N: int, tol: float = 0.0,
 
     tol > 0 stops early on criticality: ||g1 - g2|| <= tol when
     stop_on="grad_gap", or T(x^k) <= tol when stop_on="t_measure".  The loop
-    evaluates f2 at each point and solves the subproblem for the next, plus
-    f1 when the stopping rule reads T; the finished run is then recorded in
-    one stacked pass.  Its errors are those of the first failing step, even
-    when the loop has run past it.
+    takes f2's subgradient at each point and solves the subproblem for the
+    next, plus f1's value when the stopping rule reads T; the finished run,
+    f2's values with it, is then recorded in one stacked pass.  Its errors
+    are those of the first failing step, even when the loop has run past
+    it.
     """
     if N < 1:
         raise InvalidParams("N must be >= 1")
@@ -169,15 +169,13 @@ def run_dca(instance: DcInstance, x0, N: int, tol: float = 0.0,
         raise InvalidParams("x0 has dimension %d, instance needs %d"
                             % (x.size, instance.dimension))
 
-    X, F1, F2, G2 = [x], [], [], []
+    X, F1, G2 = [x], [], []
     stop = STOP_MAX_ITERS
     try:
         for k in range(N + 1):
             if tol > 0.0 and stop_on == "t_measure":
                 F1.append(evaluate(instance.f1, X[k], policy).value)
-            a2 = evaluate(instance.f2, X[k], policy)
-            F2.append(a2.value)
-            G2.append(a2.subgradient)
+            G2.append(subgradient(instance.f2, X[k], policy))
             if k and tol > 0.0:
                 # with the link g1^k = g2^{k-1}: ||G^k||, or T(x^{k-1})
                 crit = (math.sqrt(_sq_dist(G2[k - 1], G2[k]))
@@ -194,14 +192,14 @@ def run_dca(instance: DcInstance, x0, N: int, tol: float = 0.0,
                 stop = STOP_UNBOUNDED
                 break
     except InvalidParams:
-        # the loop runs past a step whose f1 or link fails: recording the
-        # points it reached raises the first failing step's error
+        # the loop runs past a step whose f1, f2's value or link fails:
+        # recording the points it reached raises the first failing step's
+        # error
         _record(instance, np.array(X), policy, np.array(G2[:len(X) - 1]))
         raise
     # the record asserts each DCA link: g2^k is a subgradient of f1 at x^{k+1}
-    G2 = np.array(G2)
-    return _record(instance, np.array(X), policy, g1=G2[:-1],
-                   f2=OracleAnswer(np.array(F2), G2), stop_reason=stop)
+    return _record(instance, np.array(X), policy, g1=np.array(G2[:-1]),
+                   stop_reason=stop)
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +229,16 @@ def trajectory_to_json(traj: Trajectory) -> dict:
 
 
 def trajectory_from_json(d: dict) -> Trajectory:
-    """The run stored in d, checked; point k must be its k-th entry."""
+    """The run stored in d, checked; point k must be its k-th entry, k an
+    integer (a JSON number without a fraction), and the last point, which
+    starts no step, has neither T nor dx_norm_sq."""
     inst = instance_from_json(d["instance"])
     pts = d["points"]
     for i, q in enumerate(pts):
-        if int(q["k"]) != i:
-            raise InvalidParams("point %d: k = %r, not its position"
-                                % (i, q["k"]))
+        k = q["k"]
+        # int(k) before k != i, so an infinite k raises OverflowError
+        if type(k) not in (int, float) or int(k) != i or k != i:
+            raise InvalidParams("point %d: k = %r, not its position" % (i, k))
         if any(np.shape(q[key]) != (inst.dimension,)
                for key in ("x", "g1", "g2")):
             raise InvalidParams("point %d: x, g1 and g2 need dimension %d"
@@ -246,6 +247,9 @@ def trajectory_from_json(d: dict) -> Trajectory:
                       for key in ("T", "dx_norm_sq")):
         raise InvalidParams("trajectory needs points, each but the last "
                             "with T and dx_norm_sq")
+    if any(pts[-1].get(key) is not None for key in ("T", "dx_norm_sq")):
+        raise InvalidParams("point %d: the last point starts no step, so its "
+                            "T and dx_norm_sq must be null" % (len(pts) - 1))
     if d["stop_reason"] not in STOP_REASONS:
         raise InvalidParams("stop_reason = %r, not one of %s"
                             % (d["stop_reason"], ", ".join(STOP_REASONS)))

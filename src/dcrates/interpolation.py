@@ -36,20 +36,23 @@ from .curvature import Curvature, InvalidParams
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Triplet:
+class Triplet(NamedTuple):
     x: np.ndarray
     g: np.ndarray
     f: float
 
 
 def make_triplet(x, g, f) -> Triplet:
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    gv = np.atleast_1d(np.asarray(g, dtype=float))
+    """x and g as float arrays of at least one axis, each in one
+    conversion (an ndarray of floats is taken as it is), and f as a float;
+    every entry must be finite."""
+    xv = np.array(x, dtype=float, ndmin=1, copy=None)
+    gv = np.array(g, dtype=float, ndmin=1, copy=None)
+    f = float(f)
     entries = xv.ravel().tolist() + gv.ravel().tolist()
-    if not (all(map(math.isfinite, entries)) and math.isfinite(float(f))):
+    if not (all(map(math.isfinite, entries)) and math.isfinite(f)):
         raise InvalidParams("triplet entries must be finite")
-    return Triplet(xv, gv, float(f))
+    return Triplet(xv, gv, f)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ least-objective stationary point or meeting point of its pieces at which g
 passes it.  `evaluate` and `is_subgradient` also take an (n, d) stack of
 points, which is how run_dca records a finished run in one pass: the
 quadratic formulas broadcast over the last axis, and the 1D families go
-row by row.
+row by row.  `subgradient` is evaluate's pick at one point without the
+value, all that run_dca's loop reads of f2.
 """
 from __future__ import annotations
 
@@ -179,7 +180,8 @@ make_instance = DcInstance
 # evaluation
 
 def _as_vec(x) -> np.ndarray:
-    return np.atleast_1d(np.asarray(x, dtype=float))
+    """x as a float array of at least one axis, in one conversion."""
+    return np.array(x, dtype=float, ndmin=1, copy=None)
 
 
 def _dot(a: np.ndarray, b: np.ndarray):
@@ -277,6 +279,45 @@ def _pick(lo: float, hi: float, policy: Policy) -> float:
     return min(lo + policy * (hi - lo), hi)   # the sum may round past hi
 
 
+def _finite_point(x) -> np.ndarray:
+    """x as a float vector, refused when an entry is not finite."""
+    v = _as_vec(x)
+    if not all(map(math.isfinite, v.tolist())):
+        raise InvalidParams("oracle point must be finite")
+    return v
+
+
+def _evaluate_1d(fam: Family, ts: list, policy: Policy) -> tuple:
+    """(values, subgradients) of a 1D family at the points ts, a list of
+    floats, as (n,) and (n, 1) arrays: each value and [lo, hi] from
+    _value_interval, and each subgradient the policy's pick from [lo, hi]."""
+    ends = [_value_interval(fam, t) for t in ts]
+    return (np.array([e[0] for e in ends], dtype=float),
+            np.array([[_pick(e[1], e[2], policy)] for e in ends], dtype=float))
+
+
+def _subgradient(fam: Family, v: np.ndarray, policy: Policy) -> np.ndarray:
+    """The subgradient evaluate picks at the point v: c*x + b for a
+    quadratic (at each row of a stack v too), the policy's pick for a 1D
+    family."""
+    if isinstance(fam, Quadratic):
+        return fam.arrays.c * v + fam.arrays.b
+    return _evaluate_1d(fam, [float(v[0])], policy)[1][0]
+
+
+def subgradient(spec: FunctionSpec, x, policy: Policy = "least_norm") -> np.ndarray:
+    """evaluate(spec, x, policy).subgradient at one point, without the
+    value, which may be past the float range; a non-finite x or subgradient
+    raises InvalidParams (so does a max-of-quadratics piece value past the
+    range, since the values pick the active pieces)."""
+    v = _finite_point(x)
+    g = _subgradient(spec.family, v, policy)
+    if not all(map(math.isfinite, g.tolist())):
+        raise InvalidParams("subgradient %r at x = %r is not finite (past the "
+                            "float range)" % (g.tolist(), v.tolist()))
+    return g
+
+
 def evaluate(spec: FunctionSpec, x, policy: Policy = "least_norm") -> OracleAnswer:
     """Exact value and one subgradient, chosen by the kink policy.  At an
     (n, d) stack of points the answer holds an (n,) array of values and an
@@ -285,22 +326,25 @@ def evaluate(spec: FunctionSpec, x, policy: Policy = "least_norm") -> OracleAnsw
     v = _as_vec(x)
     fam = spec.family
     if v.ndim == 2:
-        if isinstance(fam, Quadratic) and np.isfinite(v).all():
-            val, g = _evaluate_quadratic(fam, v)
-            if np.isfinite(val).all() and np.isfinite(g).all():
-                return OracleAnswer(val, g)
+        if np.isfinite(v).all():
+            try:
+                val, g = (_evaluate_quadratic(fam, v) if isinstance(fam, Quadratic)
+                          else _evaluate_1d(fam, v[:, 0].tolist(), policy))
+            except InvalidParams:   # max-of-quadratics values past the range
+                pass
+            else:
+                if np.isfinite(val).all() and np.isfinite(g).all():
+                    return OracleAnswer(val, g)
         rows = [evaluate(spec, row, policy) for row in v]
         return OracleAnswer(np.array([a.value for a in rows], dtype=float),
                             np.array([a.subgradient for a in rows],
                                      dtype=float).reshape(v.shape))
-    if not all(map(math.isfinite, v.tolist())):
-        raise InvalidParams("oracle point must be finite")
+    v = _finite_point(v)
     if isinstance(fam, Quadratic):
         val, g = _evaluate_quadratic(fam, v)
-        val = float(val)
     else:
-        val, lo, hi, _, _ = _value_interval(fam, float(v[0]))
-        g = np.array([_pick(lo, hi, policy)])
+        (val,), (g,) = _evaluate_1d(fam, [float(v[0])], policy)
+    val = float(val)
     if not all(map(math.isfinite, [val] + g.tolist())):
         raise InvalidParams("value %r or subgradient %r at x = %r is not finite "
                             "(past the float range)" % (val, g.tolist(), v.tolist()))
@@ -310,7 +354,8 @@ def evaluate(spec: FunctionSpec, x, policy: Policy = "least_norm") -> OracleAnsw
 def _evaluate_quadratic(fam: Quadratic, v: np.ndarray) -> tuple:
     """(value, gradient) at a point, or at each row of a stack."""
     q = fam.arrays
-    return np.add.reduce(q.half_c * v * v + q.b * v, axis=-1), q.c * v + q.b
+    return (np.add.reduce(q.half_c * v * v + q.b * v, axis=-1),
+            _subgradient(fam, v, None))
 
 
 # ---------------------------------------------------------------------------

@@ -1118,6 +1118,53 @@ def test_certify_refuses_a_step_index_that_is_not_its_position(
         "error: %s: point %d: k = %d, not its position\n" % (bad, i, ks[i]))
 
 
+@pytest.mark.parametrize("i, k", [(2, 2.9), (2, "2"), (1, True), (2, -0.5)])
+def test_certify_refuses_a_step_index_that_is_not_an_integer(
+        tmp_path, instance_file, capsys, i, k):
+    """k was read with int(), so 2.9 or "2" at the third point and true at
+    the second passed as their position."""
+    body = json.loads(_run_to_file(tmp_path, instance_file, "3.0").read_text())
+    body["points"][i]["k"] = k
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(body))
+    capsys.readouterr()
+    assert main(["certify", "--traj", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        "error: %s: point %d: k = %r, not its position\n" % (bad, i, k))
+
+
+def test_certify_takes_a_step_index_written_as_a_whole_float(
+        tmp_path, instance_file, capsys):
+    path = _run_to_file(tmp_path, instance_file, "3.0")
+    capsys.readouterr()
+    assert main(["certify", "--traj", str(path)]) == 0
+    want = capsys.readouterr()
+    body = json.loads(path.read_text())
+    for q in body["points"]:
+        q["k"] = float(q["k"])
+    path.write_text(json.dumps(body))
+    assert main(["certify", "--traj", str(path)]) == 0
+    assert capsys.readouterr() == want
+
+
+@pytest.mark.parametrize("key", ["T", "dx_norm_sq"])
+def test_certify_refuses_a_step_measure_on_the_last_point(
+        tmp_path, instance_file, capsys, key):
+    """The last point starts no step; a number stored there was dropped
+    without a check."""
+    body = json.loads(_run_to_file(tmp_path, instance_file, "3.0").read_text())
+    body["points"][-1][key] = 123.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(body))
+    capsys.readouterr()
+    assert main(["certify", "--traj", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: %s: point 4: the last point starts no step, so its T and "
+        "dx_norm_sq must be null\n" % bad)
+
+
 @pytest.mark.parametrize("reason", [{"not": "a reason"}, "converged", None])
 def test_certify_refuses_an_unknown_stop_reason(tmp_path, instance_file,
                                                 capsys, reason):

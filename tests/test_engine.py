@@ -12,7 +12,8 @@ from dcrates.engine import (LINK_TOL, RECORD_TOL, STOP_CRITICALITY,
                             trajectory_to_csv, trajectory_to_json)
 from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, MaxOfQuadratics,
                              Quadratic, Unbounded, evaluate, is_subgradient,
-                             kink_policy, make_instance, solve_dca_subproblem)
+                             kink_policy, make_instance, solve_dca_subproblem,
+                             subgradient)
 
 INF = math.inf
 
@@ -351,6 +352,27 @@ def test_f1_error_comes_before_f2_error_at_one_point(monkeypatch, tol,
         assert got == _raised(evaluate, inst.f1, np.full(2, 1e200))
         assert got == _raised(_ref_run, inst, np.array([1.0, -1.0]), 5, tol,
                               stop_on=stop_on, solve=solve)
+
+
+@pytest.mark.parametrize("tol, stop_on", [(0.0, "grad_gap"),
+                                          (1e-300, "grad_gap"),
+                                          (1e-300, "t_measure")])
+def test_f2_value_overflow_is_raised_at_its_step(tol, stop_on):
+    """f1 = x^2/2 and f2 = 2x^2 from x0 = 6.25e152: x^k = 4^k x0, so at step
+    2 f2's value overflows while its gradient and f1 stay finite, and at
+    step 3 f1 overflows too.  The loop, which asks f2 only for its gradient,
+    runs past step 2; the error is still f2's at step 2, as a point-at-a-time
+    record raises it."""
+    inst = quad_instance(1.0, 0.0, 4.0, 0.0)
+    x0 = np.array([6.25e152])
+    with np.errstate(over="ignore"):
+        x2 = np.array([16.0 * 6.25e152])
+        assert math.isfinite(evaluate(inst.f1, x2).value)
+        assert np.isfinite(subgradient(inst.f2, x2, "least_norm")).all()
+        got = _raised(run_dca, inst, x0, 6, tol, stop_on=stop_on)
+        assert got.startswith("value inf or subgradient ")
+        assert got == _raised(evaluate, inst.f2, x2)
+        assert got == _raised(_ref_run, inst, x0, 6, tol, stop_on=stop_on)
 
 
 def test_unbounded_stop_keeps_the_prefix(monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dcrates.curvature import Curvature
+from dcrates.curvature import Curvature, InvalidParams
 from dcrates.interpolation import (check_interpolation, make_triplet,
                                    pair_lower_bound, pair_matrix,
                                    sample_triplets, triplets_from_json)
@@ -216,3 +216,42 @@ def test_triplets_from_json_refuses_malformed(rows):
 def test_rejects_nonfinite():
     with pytest.raises(Exception):
         make_triplet([float("nan")], [0.0], 0.0)
+
+
+VECTOR_FORMS = {"list": lambda v: [1.0, v], "ndarray": lambda v: np.array([1.0, v]),
+                "scalar": lambda v: v}
+SCALAR_FORMS = {"float": float, "float64": np.float64, "0-d": np.array}
+
+
+@pytest.mark.parametrize("bad", [math.nan, INF, -INF])
+@pytest.mark.parametrize("where, form", [
+    (w, f) for w in ("x", "g") for f in VECTOR_FORMS] + [
+    ("f", f) for f in SCALAR_FORMS])
+def test_make_triplet_refuses_a_non_finite_entry(where, form, bad):
+    make = VECTOR_FORMS.get(form) or SCALAR_FORMS[form]
+    args = {"x": [2.0, 2.0], "g": [3.0, 3.0], "f": 4.0}
+    make_triplet(**dict(args, **{where: make(5.0)}))
+    with pytest.raises(InvalidParams, match="^triplet entries must be finite$"):
+        make_triplet(**dict(args, **{where: make(bad)}))
+
+
+def test_make_triplet_shapes():
+    """A scalar or 0-d x or g becomes a vector of one entry, a vector or a
+    2-D array keeps its shape; every array is float, and an ndarray of
+    floats is taken as it is."""
+    t = make_triplet(2.0, np.array(3), np.float64(4.0))
+    assert t.x.shape == t.g.shape == (1,) and type(t.f) is float
+    assert t.x.dtype == t.g.dtype == np.float64
+    assert (t.x.tolist(), t.g.tolist(), t.f) == ([2.0], [3.0], 4.0)
+    x, g = np.arange(6.0).reshape(2, 3), [[1, 2, 3], [4, 5, 6]]
+    t = make_triplet(x, g, 1)
+    assert t.x is x and t.g.shape == (2, 3) and t.g.dtype == np.float64
+    assert make_triplet([1, 2], [3, 4], 0).x.tolist() == [1.0, 2.0]
+
+
+def test_triplet_fields_cannot_be_assigned():
+    t = make_triplet([1.0], [2.0], 3.0)
+    for name in ("x", "g", "f"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, 0.0)
+    assert (t.x.tolist(), t.g.tolist(), t.f) == ([1.0], [2.0], 3.0)

@@ -10,7 +10,8 @@ from dcrates.oracles import (LINK_TOL, AbsPlusQuadratic, FunctionSpec,
                              analytic_infimum, evaluate, family_from_json,
                              family_to_json, instance_from_json,
                              instance_to_json, is_subgradient, make_instance,
-                             _value_interval, solve_dca_subproblem)
+                             _value_interval, solve_dca_subproblem,
+                             subgradient)
 
 INF = math.inf
 
@@ -379,6 +380,55 @@ def test_oracles_on_a_stack_match_them_row_by_row(fam):
         with pytest.raises(InvalidParams) as first:
             evaluate(spec, X[3])
     assert str(exc.value) == str(first.value)
+
+
+POLICIES = ("leftmost", "rightmost", "least_norm", 0.25, "0.75")
+
+
+def test_subgradient_equals_evaluates_pick_bit_for_bit():
+    """Quadratics of d = 1, 2, 3, and the 1D families at and off their
+    kinks, under all five policies: the same array, byte for byte."""
+    rng = np.random.default_rng(28)
+    cases = []
+    for d in (1, 2, 3):
+        fam = Quadratic(tuple(rng.normal(size=d)), tuple(rng.normal(size=d)))
+        cases += [(fam, rng.normal(size=d) * 3.0) for _ in range(5)]
+    fam = AbsPlusQuadratic(1.3, -0.4, 0.2)
+    cases += [(fam, x) for x in ([0.0], [-0.0], [1e-300], [-2.5], [0.7])]
+    # pieces x^2/2, x^2/2 - 2x + 1 and 0 meet at 0.5 and at 0 and 2
+    fam = MaxOfQuadratics(((1.0, 0.0, 0.0), (1.0, -2.0, 1.0), (0.0, 0.0, 0.0)))
+    cases += [(fam, x) for x in ([0.5], [0.0], [2.0], [0.3], [-1.7], [3.1])]
+    for fam, x in cases:
+        spec = FunctionSpec(fam, Curvature(-INF, INF))
+        for policy in POLICIES:
+            want = evaluate(spec, x, policy).subgradient
+            for point in (np.array(x, dtype=float), list(x)):
+                got = subgradient(spec, point, policy)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (fam, x, policy)
+
+
+def test_subgradient_refuses_a_non_finite_point_or_gradient():
+    """Only the point and the subgradient are checked: f2 = 2x^2 at 1e154
+    has a value past the float range and the gradient 4e154."""
+    spec = quad_spec([4.0], [0.0])
+    with np.errstate(over="ignore"):
+        with pytest.raises(InvalidParams, match="is not finite"):
+            evaluate(spec, [1e154])
+        assert subgradient(spec, [1e154]).tolist() == [4e154]
+        with pytest.raises(InvalidParams, match="^subgradient \\[inf\\] at "
+                                                "x = \\[1e\\+308\\] is not "
+                                                "finite"):
+            subgradient(spec, [1e308])
+        steep = FunctionSpec(AbsPlusQuadratic(1.0, 1e308, 0.0),
+                             Curvature(1e308, INF))
+        with pytest.raises(InvalidParams, match="^subgradient \\[inf\\] "):
+            subgradient(steep, [10.0])
+    abs_spec = FunctionSpec(AbsPlusQuadratic(1.0, 1.0, 0.0), Curvature(1.0, INF))
+    for spec, x in ((quad_spec([1.0, 2.0], [0.0, 0.0]), [0.0, np.nan]),
+                    (quad_spec([1.0], [0.0]), [INF]), (abs_spec, [-INF])):
+        with pytest.raises(InvalidParams, match="^oracle point must be finite$"):
+            subgradient(spec, x)
 
 
 def test_instance_rejects_false_declared_class():
