@@ -50,9 +50,10 @@ class TrajectoryPoint(NamedTuple):
 class Trajectory:
     """A finished run as columns: row k of X, G1, G2 (n, d) and of f1, f2,
     F, G_norm_sq (n,) is point k, and T, dx_norm_sq (n - 1,) hold one entry
-    per step.  Each column is stored as a read-only copy, and no field can
-    be assigned, so what is derived from a run is never stale;
-    dataclasses.replace makes a changed run."""
+    per step.  Each column is stored read-only, as given when it is a
+    read-only float array owning its memory, which nothing else can write,
+    else as a copy.  No field can be assigned, so what is derived from a run
+    is never stale; dataclasses.replace makes a changed run."""
     X: np.ndarray
     G1: np.ndarray
     G2: np.ndarray
@@ -67,9 +68,12 @@ class Trajectory:
 
     def __post_init__(self):
         for f in fields(self)[:9]:      # the columns
-            column = np.array(getattr(self, f.name), dtype=float)
-            column.setflags(write=False)
-            object.__setattr__(self, f.name, column)
+            column = getattr(self, f.name)
+            if (type(column) is not np.ndarray or column.dtype != np.float64
+                    or column.flags.writeable or column.base is not None):
+                column = np.array(column, dtype=float)
+                column.setflags(write=False)
+                object.__setattr__(self, f.name, column)
 
     @cached_property
     def points(self) -> tuple:
@@ -142,9 +146,13 @@ def _record(instance: DcInstance, X: np.ndarray, policy: Policy = "least_norm",
         [a1.subgradient[:n - m], g1])
     G2 = a2.subgradient if g2 is None else g2
     f1, f2, dX = a1.value, a2.value, X[:-1] - X[1:]
-    return Trajectory(X, G1, G2, f1, f2, f1 - f2, _sq_dist(G1, G2),
-                      f1[:-1] - f1[1:] - _dot(G1[1:], dX),
-                      np.add.reduce(dX * dX, axis=-1), instance, stop_reason)
+    columns = (X, G1, G2, f1, f2, f1 - f2, _sq_dist(G1, G2),
+               f1[:-1] - f1[1:] - _dot(G1[1:], dX),
+               np.add.reduce(dX * dX, axis=-1))
+    for a in columns[1:]:   # made here, but for X and a given g2
+        if a is not g2:
+            a.setflags(write=False)
+    return Trajectory(*columns, instance, stop_reason)
 
 
 def run_dca(instance: DcInstance, x0, N: int, tol: float = 0.0,

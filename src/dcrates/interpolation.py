@@ -22,6 +22,11 @@ For a stack of k classes each coefficient is an array with one entry per
 class, so k gradient sets at the same points are bounded in one broadcast
 pass (pair_matrix), each with its own class, by the same arithmetic as one
 finite-L class on its own.
+
+The pair kernel (pair_matrix_cm) is coordinate-major: (..., d, n) points and
+gradients, (..., d, n, n) differences.  Its sums over coordinates run in one
+order whatever the memory layout: that of numpy's einsum on d-last C-ordered
+data up to d = 7, even coordinates then odd ones ((0 + 2) + 1 at d = 3).
 """
 from __future__ import annotations
 
@@ -67,7 +72,7 @@ class BoundCoefficients(NamedTuple):
     """The (a, b, p, q) of the module docstring: (2(L-mu), mu/2, 1, mu) for
     finite L and (inf, mu/2, 0, 0) for L = inf.  Floats for one class; for
     a sequence of k classes, arrays shaped to broadcast over a stack of k
-    pair grids: a and b over the (k, n, n) sums, p and q over the (k, n, n, d)
+    pair grids: a and b over the (k, n, n) sums, p and q over the (k, d, n, n)
     differences."""
     a: Any
     b: Any
@@ -92,16 +97,16 @@ def _reads_no_dg(coef: BoundCoefficients) -> bool:
     return isinstance(coef.a, float) and math.isinf(coef.a)
 
 
-def _lower_bound(coef: BoundCoefficients, dx: np.ndarray, dg):
+def _lower_bound(coef: BoundCoefficients, dx: np.ndarray, dg, axis: int = -1):
     """Right-hand side of the inequality for differences dx = x_i - x_j,
-    dg = g_i - g_j, summed over the last axis: one pair, a grid of pairs,
-    or a stack of grids with one class each (see bound_coefficients).  dg
-    may be None where _reads_no_dg(coef)."""
+    dg = g_i - g_j, summed over the coordinate axis: one pair, a grid of
+    pairs, or a stack of grids with one class each (see bound_coefficients).
+    dg may be None where _reads_no_dg(coef)."""
     a, b, p, q = coef
     if _reads_no_dg(coef):
-        return b * np.add.reduce(dx * dx, -1)
+        return b * np.add.reduce(dx * dx, axis)
     s = p * dg - q * dx
-    return np.add.reduce(s * s, -1) / a + b * np.add.reduce(dx * dx, -1)
+    return np.add.reduce(s * s, axis) / a + b * np.add.reduce(dx * dx, axis)
 
 
 def pair_lower_bound(cls: Curvature, dx: np.ndarray, dg: np.ndarray):
@@ -109,6 +114,22 @@ def pair_lower_bound(cls: Curvature, dx: np.ndarray, dg: np.ndarray):
     each row of (n, d) stacks dx and dg, as an (n,) array."""
     rhs = _lower_bound(bound_coefficients(cls), dx, dg)
     return float(rhs) if dx.ndim == 1 else rhs
+
+
+def pair_matrix_cm(X: np.ndarray, G: np.ndarray, cls, out=None):
+    """pair_matrix on coordinate-major X (..., d, n) and G (..., d, n):
+    c (..., n, n), each difference coordinate-major when X and G are."""
+    coef = cls if isinstance(cls, BoundCoefficients) else bound_coefficients(cls)
+    dX = X[..., :, None] - X[..., None, :]
+    dG = None if _reads_no_dg(coef) else G[..., :, None] - G[..., None, :]
+    # <g_j, x_i - x_j> as einsum sums it, from +0.0 (reduce's start value)
+    gdx = G[..., None, :] * dX
+    inner = np.add.reduce(gdx[..., ::2, :, :], -3)
+    if gdx.shape[-3] > 1:
+        inner += np.add.reduce(gdx[..., 1::2, :, :], -3)
+    c = np.add(inner, _lower_bound(coef, dX, dG, -3), out=out)
+    np.einsum("...ii->...i", c)[...] = 0.0     # a view of the diagonal(s)
+    return c
 
 
 def pair_matrix(X: np.ndarray, G: np.ndarray, cls, out=None) -> np.ndarray:
@@ -120,14 +141,8 @@ def pair_matrix(X: np.ndarray, G: np.ndarray, cls, out=None) -> np.ndarray:
     (m, k, n, d) for m point sets with k classes each, c (m, k, n, n).  cls
     may be given as its bound_coefficients, and c written into out.
     """
-    coef = cls if isinstance(cls, BoundCoefficients) else bound_coefficients(cls)
-    dX = X[..., None, :] - X[..., None, :, :]
-    dG = (None if _reads_no_dg(coef) else
-          G[..., :, None, :] - G[..., None, :, :])
-    c = np.add(np.einsum("...jd,...ijd->...ij", G, dX), _lower_bound(coef, dX, dG),
-               out=out)
-    np.einsum("...ii->...i", c)[...] = 0.0     # a view of the diagonal(s)
-    return c
+    return pair_matrix_cm(*(np.ascontiguousarray(np.swapaxes(A, -1, -2))
+                            for A in (X, G)), cls, out)
 
 
 def check_interpolation(triplets, cls: Curvature,
@@ -136,11 +151,13 @@ def check_interpolation(triplets, cls: Curvature,
     n = len(triplets)
     if n < 2:
         return InterpReport(np.zeros((n, n)), 0.0, True, tol)
-    X = np.array([t.x for t in triplets])
-    G = np.array([t.g for t in triplets])
-    F = np.array([t.f for t in triplets])
-    S = F[:, None] - F[None, :] - pair_matrix(X, G, cls)
-    min_slack = float(np.min(S[~np.eye(n, dtype=bool)]))
+    xs, gs, fs = zip(*triplets)
+    X, G = (np.array(vs, order="F").T for vs in (xs, gs))   # C-ordered (d, n)
+    F = np.array(fs)
+    S = np.subtract.outer(F, F)
+    S -= pair_matrix_cm(X, G, cls)
+    # after S[0, 0], rows of n + 1 entries that each end at a diagonal one
+    min_slack = float(S.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].min())
     return InterpReport(S, min_slack, min_slack >= -tol, tol)
 
 

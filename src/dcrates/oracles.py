@@ -243,12 +243,11 @@ def is_subgradient(spec: FunctionSpec, x, g: np.ndarray, pick=None):
         pick = evaluate(spec, v).subgradient if pick is None else pick
         size = np.abs(fam.arrays.c * v) + np.abs(fam.arrays.b)
         return _norm(pick - g) <= LINK_TOL * _norm(size)
-    if v.ndim == 2:
-        return np.array([is_subgradient(spec, row, gr)
-                         for row, gr in zip(v, g)], dtype=bool)
-    _, lo, hi, lo_size, hi_size = _value_interval(fam, float(v[0]))
-    g0 = float(g[0])
-    return lo - LINK_TOL * lo_size <= g0 <= hi + LINK_TOL * hi_size
+    ts, gs = (a[..., 0].reshape(-1).tolist() for a in (v, _as_vec(g)))
+    ends = [_value_interval(fam, t) for t in ts]
+    ok = [lo - LINK_TOL * lo_size <= g0 <= hi + LINK_TOL * hi_size
+          for (_, lo, hi, lo_size, hi_size), g0 in zip(ends, gs)]
+    return np.array(ok, dtype=bool) if v.ndim == 2 else ok[0]
 
 
 def kink_policy(policy: Policy) -> Policy:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .curvature import DcParams, require_valid
 from .interpolation import (bound_coefficients, check_interpolation,
-                            make_triplet, pair_lower_bound, pair_matrix)
+                            make_triplet, pair_lower_bound, pair_matrix_cm)
 from .regimes import (DenominatorZero, asymptotic_constants, equality_gammas,
                       one_step_certificate)
 
@@ -291,8 +291,10 @@ class _Objective:
         self.d = d
         self.evals = 0
         self._coef = bound_coefficients((params.f1, params.f2))
-        # g1 = W[:-1] and g2 = W[1:], as rows of z viewed as (2N + 3, d)
-        self._grad_rows = N + 1 + np.arange(2)[:, None] + np.arange(N + 1)
+        # z[(r + k) d + c] is entry c of x^k for r = 0, of g1^k = W[k] for
+        # r = N + 1 and of g2^k = W[k + 1] for r = N + 2: x, g1, g2 (3, d, n)
+        self._index = ((np.array([0, N + 1, N + 2])[:, None, None]
+                        + np.arange(N + 1)) * d + np.arange(d)[:, None])
         self._buffers = {}
 
     def _buffer(self, lead: tuple) -> tuple:
@@ -311,14 +313,14 @@ class _Objective:
         return buf
 
     def _longest_paths(self, z: np.ndarray) -> tuple:
-        """G (..., 2, n, d) of z, and max-plus Floyd-Warshall on both
+        """G (..., 2, d, n) of z, and max-plus Floyd-Warshall on both
         classes' pair matrices in the reused buffer: dist and its views (see
         _buffer), valid until the next evaluation of that shape."""
-        rows = z.reshape(z.shape[:-1] + (2 * self.N + 3, self.d))  # x, W
-        G = rows[..., self._grad_rows, :]
+        P = z.take(self._index, -1)    # C-ordered, unlike z[..., index]
+        G = P[..., 1:, :, :]
         buf = self._buffer(z.shape[:-1])
         dist, tmp, *_, steps = buf
-        pair_matrix(rows[..., None, :self.N + 1, :], G, self._coef, out=dist)
+        pair_matrix_cm(P[..., :1, :, :], G, self._coef, out=dist)
         for col, row in steps:
             np.maximum(dist, np.add(col, row, out=tmp), out=dist)
         return G, buf
@@ -329,7 +331,7 @@ class _Objective:
         (NaN if either class has a NaN one)."""
         G, (_, _, f1_decrease, f2_increase, diag, _) = self._longest_paths(z)
         gap = G[..., 0, :, :] - G[..., 1, :, :]
-        num = 0.5 * np.minimum.reduce(np.add.reduce(gap * gap, -1), -1)
+        num = 0.5 * np.minimum.reduce(np.add.reduce(gap * gap, -2), -1)
         return (num, f1_decrease + f2_increase,
                 np.maximum.reduce(diag, (-2, -1)))
 

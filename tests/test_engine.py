@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,9 +8,10 @@ import pytest
 import dcrates.engine as engine
 from dcrates.curvature import Curvature, InvalidParams
 from dcrates.engine import (LINK_TOL, RECORD_TOL, STOP_CRITICALITY,
-                            STOP_MAX_ITERS, STOP_UNBOUNDED, TrajectoryPoint,
-                            run_dca, t_measure, trajectory_from_json,
-                            trajectory_to_csv, trajectory_to_json)
+                            STOP_MAX_ITERS, STOP_UNBOUNDED, Trajectory,
+                            TrajectoryPoint, run_dca, t_measure,
+                            trajectory_from_json, trajectory_to_csv,
+                            trajectory_to_json)
 from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, MaxOfQuadratics,
                              Quadratic, Unbounded, evaluate, is_subgradient,
                              kink_policy, make_instance, solve_dca_subproblem,
@@ -141,6 +143,44 @@ def test_csv_and_json_round_trip():
     again = trajectory_from_json(json.loads(json.dumps(
         trajectory_to_json(traj))))
     assert again.n_steps == traj.n_steps
+
+
+COLUMNS = ("X", "G1", "G2", "f1", "f2", "F", "G_norm_sq", "T", "dx_norm_sq")
+
+
+def test_a_column_others_can_write_is_stored_as_a_read_only_copy():
+    """The record's columns are frozen, so a changed run shares them; a
+    column something else can still write to (a writable array, a read-only
+    view of a writable base, an integer array, a list) is stored as a
+    read-only float copy, which editing the original leaves unchanged."""
+    traj = run_dca(quad_instance([2.0, 3.0], [0.5, -1.0], [1.0, 0.5],
+                                 [0.0, 0.2]), np.array([1.0, -2.0]), 4)
+    moved = dataclasses.replace(traj, stop_reason=STOP_CRITICALITY)
+    assert all(getattr(moved, name) is getattr(traj, name) for name in COLUMNS)
+    given = {name: getattr(traj, name).copy() for name in COLUMNS}
+    built = Trajectory(**given, instance=traj.instance,
+                       stop_reason=traj.stop_reason)
+    for name in COLUMNS:
+        kept = getattr(traj, name)
+        base = kept.copy()
+        view = base[...]
+        view.setflags(write=False)
+        copies = [(built, given[name]),
+                  (dataclasses.replace(traj, **{name: view}), base)]
+        for run, original in copies:
+            original[...] = 7.0
+            column = getattr(run, name)
+            assert np.array_equal(column, kept) and not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[...] = 0.0
+    ints = np.array([[1, 2]] * len(traj.X))
+    for X in (ints, ints.tolist()):
+        stored = dataclasses.replace(traj, X=X).X
+        assert stored.dtype == float and not stored.flags.writeable
+        assert np.array_equal(stored, ints)
+        ints[0, 0] = 5
+        assert stored[0, 0] == 1.0
+        ints[0, 0] = 1
 
 
 # ---------------------------------------------------------------------------

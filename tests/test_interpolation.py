@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from dcrates.curvature import Curvature, InvalidParams
-from dcrates.interpolation import (check_interpolation, make_triplet,
-                                   pair_lower_bound, pair_matrix,
+from dcrates.engine import run_dca
+from dcrates.interpolation import (bound_coefficients, check_interpolation,
+                                   make_triplet, pair_lower_bound, pair_matrix,
                                    sample_triplets, triplets_from_json)
 from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, MaxOfQuadratics,
-                             Quadratic)
+                             Quadratic, make_instance)
 
 INF = math.inf
 
@@ -117,6 +118,92 @@ def test_stacked_pair_matrix_matches_per_class(classes):
             for c, g, cls in zip(stacked, G, classes):
                 assert np.array_equal(c, pair_matrix(X, g, cls))
                 assert np.array_equal(c, _written_out_pair_matrix(X, g, cls))
+    # the probe's broadcast shapes: X (m, 1, n, d) against G (m, k, n, d)
+    for d in (1, 2, 3):
+        for n in (2, 7, 26):
+            m = 5
+            X = rng.normal(size=(m, 1, n, d)) * 10.0 ** rng.uniform(-1, 1)
+            G = rng.normal(size=(m, len(classes), n, d)) * 10.0 ** rng.uniform(-1, 1)
+            stacked = pair_matrix(X, G, bound_coefficients(classes))
+            assert stacked.shape == (m, len(classes), n, n)
+            for cs, x, gs in zip(stacked, X[:, 0], G):
+                for c, g, cls in zip(cs, gs, classes):
+                    assert np.array_equal(c, pair_matrix(x, g, cls))
+                    assert np.array_equal(c, _written_out_pair_matrix(x, g, cls))
+
+
+@pytest.mark.parametrize("L", [4.0, INF], ids=["finite", "inf"])
+@pytest.mark.parametrize("n", [2, 7, 26])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pair_matrix_bits_do_not_depend_on_memory_layout(d, n, L):
+    """C-ordered, Fortran-ordered and transposed-copy inputs give the same
+    matrix, and so does a stack of two classes; the d-last einsum kernel
+    summed d = 3 coordinates in an order that followed the layout."""
+    rng = np.random.default_rng(100 * d + n)
+    X, G = rng.normal(size=(2, n, d)) * 10.0 ** rng.uniform(-2, 2, (2, 1, 1))
+    cls = Curvature(-0.7, L)
+    layouts = [lambda a: a, np.asfortranarray,
+               lambda a: np.ascontiguousarray(np.swapaxes(a, -1, -2)).swapaxes(-1, -2)]
+    want = pair_matrix(X, G, cls)
+    for lay in layouts:
+        assert np.array_equal(pair_matrix(lay(X), lay(G), cls), want)
+        two = pair_matrix(lay(X), lay(np.stack([G, G])), (cls, cls))
+        assert np.array_equal(two[0], want) and np.array_equal(two[1], want)
+
+
+def _d_last_check(triplets, cls, tol):
+    """check_interpolation as the d-last kernel computed it: (n, n, d)
+    differences, <g_j, x_i - x_j> by einsum, min_slack over an eye mask."""
+    n = len(triplets)
+    X = np.array([t.x for t in triplets])
+    G = np.array([t.g for t in triplets])
+    F = np.array([t.f for t in triplets])
+    a, b, p, q = bound_coefficients(cls)
+    dX = X[:, None, :] - X[None, :, :]
+    bound = b * np.add.reduce(dX * dX, -1)
+    if not math.isinf(cls.L):
+        s = p * (G[:, None, :] - G[None, :, :]) - q * dX
+        bound = np.add.reduce(s * s, -1) / a + bound
+    c = np.add(np.einsum("...jd,...ijd->...ij", G, dX), bound)
+    np.einsum("...ii->...i", c)[...] = 0.0
+    S = F[:, None] - F[None, :] - c
+    min_slack = float(np.min(S[~np.eye(n, dtype=bool)]))
+    return S.tobytes(), min_slack.hex(), min_slack >= -tol
+
+
+def _dca_runs(rng, d):
+    """Seeded 26-point DCA runs in dimension d: quadratics, and at d = 1
+    abs-plus-quadratic pairs."""
+    for _ in range(6):
+        c1, c2 = rng.uniform(1.0, 3.0, d), rng.uniform(-0.5, 0.9, d)
+        f1 = FunctionSpec(Quadratic(tuple(c1), tuple(rng.normal(size=d))),
+                          Curvature(c1.min(), c1.max() + 0.5))
+        f2 = FunctionSpec(Quadratic(tuple(c2), tuple(rng.normal(size=d))),
+                          Curvature(c2.min(), c2.max() + 0.5))
+        yield run_dca(make_instance(f1, f2), rng.normal(size=d) * 3.0, 25)
+        if d == 1:
+            m1, m2 = rng.uniform(1.0, 2.0), rng.uniform(-0.5, 0.5)
+            f1 = FunctionSpec(AbsPlusQuadratic(rng.uniform(0, 1), m1, rng.normal()),
+                              Curvature(m1, INF))
+            f2 = FunctionSpec(AbsPlusQuadratic(rng.uniform(0, 1), m2, rng.normal()),
+                              Curvature(m2, INF))
+            yield run_dca(make_instance(f1, f2), rng.normal(size=1) * 3.0, 25)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_check_interpolation_is_bit_identical_to_the_d_last_kernel(d):
+    """Slack bytes, min_slack and the verdict, with no tolerance, on seeded
+    26-point DCA runs, against each declared class and its L = inf limit."""
+    for traj in _dca_runs(np.random.default_rng(60 + d), d):
+        assert len(traj.X) == 26
+        for g, f, spec in ((traj.G1, traj.f1, traj.instance.f1),
+                           (traj.G2, traj.f2, traj.instance.f2)):
+            triplets = [make_triplet(*t) for t in zip(traj.X, g, f)]
+            for cls in (spec.declared, Curvature(spec.declared.mu, INF)):
+                for tol in (0.0, 1e-9):
+                    rep = check_interpolation(triplets, cls, tol)
+                    assert (rep.slack.tobytes(), rep.min_slack.hex(),
+                            rep.feasible) == _d_last_check(triplets, cls, tol)
 
 
 def _random_triplets(rng, n, d=2):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from dcrates.curvature import Curvature, InvalidParams
-from dcrates.oracles import (LINK_TOL, AbsPlusQuadratic, FunctionSpec,
-                             MaxOfQuadratics, Quadratic, Unbounded,
+from dcrates.oracles import (KINK_TOL, LINK_TOL, AbsPlusQuadratic,
+                             FunctionSpec, MaxOfQuadratics, Quadratic, Unbounded,
                              analytic_infimum, evaluate, family_from_json,
                              family_to_json, instance_from_json,
                              instance_to_json, is_subgradient, make_instance,
@@ -327,6 +327,33 @@ def test_is_subgradient_verdict_is_scale_free_at_kinks():
             scaled = FunctionSpec(family(s), Curvature(-INF, INF))
             assert [is_subgradient(scaled, t, np.array([s * g]))
                     for g in gs] == want, (family(1.0), t, k)
+
+
+def test_stacked_1d_subgradient_test_matches_one_point_verdicts():
+    """On seeded abs-plus-quadratic and max-of-quadratics stacks, at a
+    kink, within KINK_TOL of it and off it, with g at the interval ends,
+    their midpoint, inside each end's pad and past it, the stack's verdicts
+    are the one-point verdicts."""
+    verdicts = set()
+    for family, t in _kinks(np.random.default_rng(29), 160):
+        spec = FunctionSpec(family(1.0), Curvature(-INF, INF))
+        unit = abs(t) if t else 1.0
+        ts, gs = [], []
+        for w in (0.0, 0.5, -0.5, 2.0, -2.0, 1e9, -1e9):
+            x = t + w * KINK_TOL * unit
+            _, lo, hi, lo_size, hi_size = _value_interval(spec.family, x)
+            pads = [(r * LINK_TOL * lo_size, r * LINK_TOL * hi_size)
+                    for r in (0.5, 4.0)]
+            for g in [lo, hi, 0.5 * (lo + hi)] + [
+                    e for pl, ph in pads for e in (lo - pl, hi + ph)]:
+                ts.append(x)
+                gs.append(g)
+        stacked = is_subgradient(spec, np.array(ts)[:, None],
+                                 np.array(gs)[:, None])
+        one = [is_subgradient(spec, x, np.array([g])) for x, g in zip(ts, gs)]
+        assert stacked.dtype == bool and stacked.tolist() == one, family(1.0)
+        verdicts.update(one)
+    assert verdicts == {True, False}
 
 
 def test_quadratic_subgradient_test_is_sized_by_its_terms():
