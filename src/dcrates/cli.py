@@ -13,7 +13,6 @@ import math
 import os
 import re
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -187,19 +186,23 @@ def cmd_classify(args) -> int:
 def cmd_regime_map(args) -> int:
     grid = GridSpec.parse(args.grid)
     index, p = regime_map(args.L1, args.L2, grid)
-    # each axis value is formatted once, and each mu1 block is written as
-    # one string
+    # each axis value and each distinct p (told apart by its bits, so -0.0
+    # and 0.0 keep their own text) is formatted once, and each mu1 block is
+    # written as one string
     axis = [repr(v) for v in grid.points().tolist()]
     mids = ["," + b + "," for b in axis]
+    bits, which = np.unique(p.view(np.int64), return_inverse=True)
+    p_text = [repr(v) for v in bits.view(float).tolist()]
     target = args.out or "regime_map.csv"
     with open(target, "w", newline="") as fh:
         fh.write("mu1,mu2,regime,p\r\n")
-        for a, i_row, p_row in zip(axis, index.tolist(), p.tolist()):
-            fh.write("".join([f"{a}{m}{i},{v!r}\r\n"
-                              for m, i, v in zip(mids, i_row, p_row)]))
-    counts = Counter(index.ravel().tolist())
+        for a, i_row, w_row in zip(axis, index.tolist(),
+                                   which.reshape(index.shape).tolist()):
+            fh.write("".join([f"{a}{m}{i},{p_text[w]}\r\n"
+                              for m, i, w in zip(mids, i_row, w_row)]))
+    regimes, counts = np.unique(index, return_counts=True)
     _say("wrote %d rows to %s; regime counts: %s"
-         % (index.size, target, dict(sorted(counts.items()))))
+         % (index.size, target, dict(zip(regimes.tolist(), counts.tolist()))))
     return EXIT_OK
 
 

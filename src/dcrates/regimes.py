@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +45,7 @@ class DenominatorZero(ZeroDivisionError):
     pass
 
 
-@dataclass(frozen=True)
-class RegimeCertificate:
+class RegimeCertificate(NamedTuple):
     index: int
     label: str
     sigma: float
@@ -70,14 +70,12 @@ class RegimeCertificate:
         }
 
 
-@dataclass(frozen=True)
-class ThresholdValues:
+class ThresholdValues(NamedTuple):
     S1: float
     S2: float
 
 
-@dataclass(frozen=True)
-class AsymptoticConstants:
+class AsymptoticConstants(NamedTuple):
     p5_inf: float
     p6_inf: float
 
@@ -90,8 +88,8 @@ def _le(a, b):
     a and b; the slack is finite only when both are, so infinities compare
     exactly."""
     # two floats skip the ndarray checks, which cost more than the comparison
-    if (isinstance(a, float) and isinstance(b, float)
-            or not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray))):
+    if type(a) is float is type(b) or not (isinstance(a, np.ndarray)
+                                           or isinstance(b, np.ndarray)):
         return a <= b or a - b <= DOMAIN_TOL * max(abs(a), abs(b)) < INF
     tol = DOMAIN_TOL * np.maximum(np.abs(a), np.abs(b))
     return (a <= b) | ((a - b <= tol) & (tol < INF))
@@ -185,11 +183,16 @@ def equality_gammas(index: int, params: DcParams) -> list:
 # smooth-regime domains, odd regimes; each takes S1 and thr1 from _sides and
 # yields its conditions lazily, in the order of the names in _ODD_DOMAINS
 
+def _S(r1, r2, rl1, rl2):
+    """(S1, S2) from 1/mu1, 1/mu2, 1/L1, 1/L2; S2 is S1 at the swap."""
+    return r1 + r2 + rl2, r2 + r1 + rl1
+
+
 def _sides(L1, L2, m1, m2):
     """((S1, thr1), (S2, thr2)): what the odd domains test, and at the swap the even."""
     r1, r2, rl1, rl2 = recip(m1), recip(m2), recip(L1), recip(L2)
-    return ((r1 + r2 + rl2, _threshold(rl1, L2, m2, r2)),
-            (r2 + r1 + rl1, _threshold(rl2, L1, m1, r1)))
+    s1, s2 = _S(r1, r2, rl1, rl2)
+    return (s1, _threshold(rl1, L2, m2, r2)), (s2, _threshold(rl2, L1, m1, r1))
 
 
 def _domain_p1(L1, L2, m1, m2, s1, thr):
@@ -241,13 +244,19 @@ _DOMAIN_NAMES = {i + k: tuple(n.translate(_SWAP_NAMES) if k else n for n in name
 _LABELS = {i: "p%d" % i for i in _DOMAIN_NAMES}
 _DETAIL_NAMES = {i: tuple("p%d:%s" % (i, n) for n in names)
                  for i, names in _DOMAIN_NAMES.items()}
+# classify's domain_trace by the pattern of the eight row flags: (label,
+# flag) per row, then each condition of the first matched row, all of which
+# held.  Filled as patterns are met: of the 255, a handful occur in practice
+_TRACES = {}
 
 
 def _domains(L1, L2, m1, m2, sides):
     """Condition generators of rows 1..8, given the _sides of the point."""
     (s1, thr1), (s2, thr2) = sides
-    return [conds for dom, _ in _ODD_DOMAINS.values()
-            for conds in (dom(L1, L2, m1, m2, s1, thr1), dom(L2, L1, m2, m1, s2, thr2))]
+    rows = []
+    for dom, _ in _ODD_DOMAINS.values():
+        rows += dom(L1, L2, m1, m2, s1, thr1), dom(L2, L1, m2, m1, s2, thr2)
+    return rows
 
 
 def _require_decrease(params: DcParams) -> None:
@@ -278,28 +287,19 @@ def classify(params: DcParams) -> RegimeCertificate:
     if math.isinf(L1) and math.isinf(L2):
         raise BothNonsmooth("both terms nonsmooth: use the T-measure analysis")
 
-    matched, trace = [], []
-    for i, conds in enumerate(_domains(L1, L2, m1, m2, _sides(L1, L2, m1, m2)), 1):
-        vals = []
-        for v in conds:             # a row stops at its first failed condition
-            if not v:
-                trace.append((_LABELS[i], False))
-                break
-            vals.append(v)
-        else:
-            trace.append((_LABELS[i], True))
-            matched.append((i, vals))
-
+    # all() stops a row at its first failed condition
+    flags = tuple(map(all, _domains(L1, L2, m1, m2, _sides(L1, L2, m1, m2))))
+    matched = [i for i, ok in enumerate(flags, 1) if ok]
     if not matched:
         raise NoRegime("no regime domain matched for %s" % (params.to_json_dict(),))
 
-    first, first_vals = matched[0]
+    first = matched[0]
     index, label, row = first, _LABELS[first], first
     if (math.isinf(L1) or math.isinf(L2)) and first in (1, 2, 7, 8):
         index = 2 - first % 2           # rows 1, 7 -> 1; rows 2, 8 -> 2
         label, row = "p%d%d" % (index, index + 6), index + 6
     s, sp, a = _coefficients(row, L1, L2, m1, m2)
-    for other, _ in matched[1:]:
+    for other in matched[1:]:
         oc = _coefficients(other, L1, L2, m1, m2)
         if not _coeffs_agree((s, sp), oc):
             raise InconsistentBoundary(
@@ -310,8 +310,11 @@ def classify(params: DcParams) -> RegimeCertificate:
     if not 0.0 < p < INF:
         raise OverflowError("regime %s gives p = %r at %s, not a finite positive float"
                             % (label, p, params.to_json_dict()))
-    detail = list(zip(_DETAIL_NAMES[first], first_vals))
-    return RegimeCertificate(index, label, s, sp, p, a, tuple(trace + detail))
+    trace = _TRACES.get(flags)
+    if trace is None:
+        trace = _TRACES[flags] = (tuple(zip(_LABELS.values(), flags))
+                                  + tuple((n, True) for n in _DETAIL_NAMES[first]))
+    return RegimeCertificate(index, label, s, sp, p, a, trace)
 
 
 # the name the certificates, the probe and the CLI import classify under
@@ -322,8 +325,8 @@ one_step_certificate = classify
 # thresholds and conjectured asymptotic constants
 
 def thresholds(params: DcParams) -> ThresholdValues:
-    (s1, _), (s2, _) = _sides(params.L1, params.L2, params.mu1, params.mu2)
-    return ThresholdValues(S1=s1, S2=s2)
+    return ThresholdValues(*_S(recip(params.mu1), recip(params.mu2),
+                               recip(params.L1), recip(params.L2)))
 
 
 def _p5_inf(L2: float, m1: float, m2: float) -> float:
@@ -336,12 +339,12 @@ def asymptotic_constants(params: DcParams) -> AsymptoticConstants:
     """Conjectured leading constants of the regime-5/6 asymptotic rates;
     p6_inf is the p5_inf formula at the swapped parameters."""
     L1, L2, m1, m2 = params.L1, params.L2, params.mu1, params.mu2
-    sides = ((L2, m1, m2), (L1, m2, m1))     # (L2, mu1, mu2) here and at the swap
-    for i, (L, ma, mb) in zip((5, 6), sides):
+    # (L2, mu1, mu2) here and at the swap; both are checked before either is computed
+    for i, L, ma, mb in ((5, L2, m1, m2), (6, L1, m2, m1)):
         if ma == 0.0 or L + mb == 0.0:
             raise DenominatorZero("p%d_inf undefined: (L%d+mu%d)*mu%d^2 vanishes"
                                   % (i, 7 - i, 7 - i, i - 4))
-    return AsymptoticConstants(*[_p5_inf(*side) for side in sides])
+    return AsymptoticConstants(_p5_inf(L2, m1, m2), _p5_inf(L1, m2, m1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -117,7 +118,10 @@ def test_classify_one_nonsmooth_term(tmp_path, capsys):
     (2.0, 1.0, "0:-0.0:2", False),
     (1.5, 1.5, "-1:1.25:10", True),
     (1.0, 0.5, "-2:3:11", True),
-], ids=["basic", "one_step", "signed_zero", "equal_L", "invalid_nodes"])
+    (1.0, 1.0, "5:6:4", True),
+    (3.0, 2.0, "-2:3:21", True),
+], ids=["basic", "one_step", "signed_zero", "equal_L", "invalid_nodes",
+        "all_invalid", "six_regimes"])
 def test_regime_map_csv(tmp_path, capsys, L1, L2, grid, has_invalid):
     # the file is what csv.writer makes of the grid nodes, mu1-major, and
     # regime_map's arrays, byte for byte
@@ -140,6 +144,46 @@ def test_regime_map_csv(tmp_path, capsys, L1, L2, grid, has_invalid):
     assert capsys.readouterr().out == "wrote %d rows to %s; regime counts: %s\n" % (
         len(rows), out, dict(sorted(counts.items())))
     assert (counts[0] > 0) == (b",nan\r\n" in data) == has_invalid
+
+
+def test_regime_map_csv_cases_cover_every_p_nan_and_repeated_p():
+    """The all_invalid grid has p = nan at every node, and the six_regimes
+    grid reaches six regimes with many nodes sharing one p, so the CSV pins
+    the text of each distinct p, the nan included, wherever it repeats."""
+    index, p = regime_map(1.0, 1.0, GridSpec.parse("5:6:4"))
+    assert not index.any() and np.isnan(p).all()
+    index, p = regime_map(3.0, 2.0, GridSpec.parse("-2:3:21"))
+    assert set(index.ravel().tolist()) == {0, 1, 3, 4, 5, 6, 7}
+    assert len(np.unique(p[index > 0])) < (index > 0).sum() // 3
+
+
+# SHA-256 of the `classify --out` file at each anchor with the
+# formula_revision value (a hash of regimes.py) blanked; the bytes were taken
+# when the three result types were frozen dataclasses
+_CLASSIFY_OUT_SHA256 = {
+    1: "0cd8f6769c695fce6a31666a721d34b546ce004de110634f1af46c8ac64a7897",
+    2: "644039153b8c6a5948e17f125007e637cb4439c004c7c3f61fdc4a3cb4da9a64",
+    3: "f49d46c23317bbbefb94681d0bb83bb655bafb7b56452e0af90751c26bb0f1ac",
+    4: "d254132704b7f47dd8063ee25d1cea653c8354564a0699e5309c0223d75dfbdb",
+    5: "b88fac5d74d945d5380c1aaa93763373e853dfae172202adb02e29547c645436",
+    6: "bc51d3d92882febdea2c554274a3a0b5a6d51b47bd6c5b6911ad70adfcbc452a",
+    7: "2d8d1d5b8bdb0ff0e2d0149270c6884ad3553e167d7ec98550b3d000c68b8a48",
+    8: "153740ee8f43cb3bb56b7bc1d0015e27f2e5862198a27c6afcd6bad2bae0ed95",
+}
+
+
+@pytest.mark.parametrize("regime", sorted(ANCHORS))
+def test_classify_out_keeps_its_bytes_at_the_anchors(tmp_path, capsys, regime):
+    p = ANCHORS[regime]
+    out = tmp_path / "cls.json"
+    assert main(["classify", "--mu1", repr(p.mu1), "--L1", repr(p.L1),
+                 "--mu2", repr(p.mu2), "--L2", repr(p.L2), "--out", str(out)]) == 0
+    capsys.readouterr()
+    data = out.read_bytes()
+    revision = json.loads(data)["formula_revision"]
+    blanked = data.replace(b'"formula_revision": "%s"' % revision.encode(),
+                           b'"formula_revision": "-"')
+    assert hashlib.sha256(blanked).hexdigest() == _CLASSIFY_OUT_SHA256[regime]
 
 
 @pytest.mark.parametrize("grid", ["-1:2:0", "-1:2:-3", "2:-1:10", "-1:inf:10",

@@ -12,8 +12,8 @@ from dcrates.regimes import (BOUNDARY_AGREE_TOL, BothNonsmooth, DenominatorZero,
                              asymptotic_constants,
                              classify, grid_classify, one_step_certificate,
                              regime_map, thresholds)
-from dcrates.regimes import (_DETAIL_NAMES, _coefficients, _coeffs_p1,
-                             _coeffs_p7, _domains, _sides)
+from dcrates.regimes import (_DETAIL_NAMES, _DOMAIN_NAMES, _coefficients,
+                             _coeffs_p1, _coeffs_p7, _domains, _sides)
 from dcrates.sampling import ANCHORS, jitter_params
 
 INF = math.inf
@@ -413,6 +413,15 @@ def test_short_circuit_flags_match_the_full_array_rows():
         first = flags.index(True) + 1
         assert c.domain_trace[8:] == tuple((n, True) for n in _DETAIL_NAMES[first]), p
         assert sum(flags) == grid_classify(L1, L2, m1, m2)[4][0], p
+        # the whole certificate: the first matched row's coefficients, bit for
+        # bit (every L here is finite, so no row merge applies), and the trace
+        # written out from the row flags
+        s, sp, a = _coefficients(first, L1, L2, p.mu1, p.mu2)
+        trace = tuple(("p%d" % i, bool(ok)) for i, ok in enumerate(full, 1)) + tuple(
+            ("p%d:%s" % (first, name), True) for name in _DOMAIN_NAMES[first])
+        assert c == RegimeCertificate(first, "p%d" % first, s, sp, s + sp, a, trace), p
+        assert [v.hex() for v in c[2:6]] == [v.hex() for v in (s, sp, s + sp, a)], p
+        assert all(type(ok) is bool for _, ok in c.domain_trace), p
     assert refused < len(points) // 20, (refused, len(points))
 
 
@@ -593,3 +602,92 @@ def test_grid_classify_is_invariant_under_scaling_by_powers_of_two():
             got_index, got_p = grid_classify(L1 * s, L2 * s, M1 * s, M2 * s)[:2]
             assert np.array_equal(got_index, index), (L1, L2, k)
             assert np.array_equal(got_p * s, p, equal_nan=True), (L1, L2, k)
+
+
+def _outcomes(p):
+    """What classify, thresholds and asymptotic_constants give at p: each
+    result, or the type of what it raised."""
+    out = []
+    for f in (classify, thresholds, asymptotic_constants):
+        try:
+            out.append(f(p))
+        except Exception as exc:
+            out.append(type(exc))
+    return out
+
+
+def _float_bits(result):
+    return [float(v).hex() for v in result if not isinstance(v, (str, tuple))]
+
+
+@pytest.mark.parametrize("kind", [int, np.float64])
+def test_results_do_not_depend_on_the_number_type(kind):
+    """Parameters given as Python ints or numpy float64 give the results of
+    the same values as Python floats, refusals included, and numpy float64
+    bit for bit (int arithmetic has no -0.0): the two-float shortcut in the
+    domain inequalities decides nothing."""
+    rng = np.random.default_rng(41)
+    if kind is int:     # an integer lattice, with L = inf kept a float
+        Ls = [1, 2, 3, 5, INF]
+        points = [(a, b, c, d) for a in range(-3, 5) for b in Ls
+                  for c in range(-3, 5) for d in Ls]
+    else:
+        points = _jittered(rng, 200)
+        points += _off_boundary_nonsmooth_points(rng, 300) + _corner(rng, 100)
+    answered = 0
+    for p in points:
+        ref = _outcomes(make_params(*map(float, p)))
+        got = _outcomes(make_params(*(v if v == INF and kind is int else kind(v)
+                                      for v in p)))
+        assert got == ref, p
+        for g, r in zip(got, ref):
+            if not isinstance(r, type):
+                answered += 1
+                assert kind is int or _float_bits(g) == _float_bits(r), p
+    assert answered > len(points), answered
+
+
+def test_thresholds_are_the_S_the_domains_test():
+    """thresholds and the domain tests read S1, S2 from one formula: equal
+    bit for bit at seeded points, with mu = 0 and each L = inf among them."""
+    rng = np.random.default_rng(43)
+    points = []
+    for k in range(600):
+        m1, m2 = (float(v) for v in rng.uniform(-3.0, 3.0, 2))
+        L1, L2 = (float(v) for v in rng.uniform(0.1, 5.0, 2))
+        m1, m2 = (0.0 if k % 5 == 0 else m1), (0.0 if k % 7 == 0 else m2)
+        L1, L2 = (INF if k % 3 == 1 else L1), (INF if k % 3 == 2 else L2)
+        points.append((m1, L1, m2, L2))
+    for m1, L1, m2, L2 in points:
+        t = thresholds(make_params(m1, L1, m2, L2))
+        (s1, _), (s2, _) = _sides(L1, L2, m1, m2)
+        assert (t.S1.hex(), t.S2.hex()) == (s1.hex(), s2.hex()), (m1, L1, m2, L2)
+
+
+def test_result_types_keep_fields_json_hash_and_equality():
+    """RegimeCertificate, ThresholdValues and AsymptoticConstants keep their
+    fields in order, their JSON, their hash (that of the field values) and
+    equality, and refuse assignment."""
+    params = make_params(2.0, 4.0, -1.0, 3.0)
+    for f, fields in [
+            (classify, ("index", "label", "sigma", "sigma_plus", "p", "alpha",
+                        "domain_trace")),
+            (thresholds, ("S1", "S2")),
+            (asymptotic_constants, ("p5_inf", "p6_inf"))]:
+        r, again = f(params), f(params)
+        assert type(r)._fields == fields
+        assert again == r and again is not r
+        assert hash(again) == hash(r) == hash(tuple(getattr(r, n) for n in fields))
+        assert {r: 1}[again] == 1
+        assert r._replace(**{fields[-2]: -7.0}) != r
+        with pytest.raises(AttributeError):
+            setattr(r, fields[0], 0.0)
+    c = classify(params)
+    assert c.to_json_dict() == {
+        "index": 3, "label": "p3", "sigma": c.sigma, "sigma_plus": c.sigma_plus,
+        "p": c.p, "alpha": c.alpha,
+        "domain_trace": [["p1", False], ["p2", False], ["p3", True], ["p4", False],
+                         ["p5", False], ["p6", False], ["p7", False], ["p8", False]]
+        + [["p3:" + n, True] for n in ("mu2<0", "mu1>-mu2", "L2>mu1", "L1>mu2",
+                                       "thr1<=S1", "S1<=0")]}
+    assert list(c.to_json_dict()) == list(RegimeCertificate._fields)
