@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .curvature import (Curvature, DcParams, InvalidParams, ValidationReport,
-                        make_params, recip, validate)
+from .curvature import (Curvature, DcParams, InvalidParams, make_params,
+                        recip, validate)
 from .regimes import (AsymptoticConstants, RegimeCertificate, ThresholdValues,
                       asymptotic_constants, classify, one_step_certificate,
                       regime_map, thresholds)

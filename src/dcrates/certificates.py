@@ -28,8 +28,7 @@ from .curvature import InvalidParams, validate
 from .engine import Trajectory
 from .interpolation import pair_lower_bound
 from .oracles import _dot
-from .regimes import (PreconditionViolated, RegimeCertificate,
-                      one_step_certificate)
+from .regimes import RegimeCertificate, one_step_certificate
 
 SLACK_TOL = 1e-9
 EQ_TOL = 1e-7
@@ -37,16 +36,6 @@ EQ_TOL = 1e-7
 
 class MissingFstar(RuntimeError):
     """An F*-dependent bound was requested without a lower-bound value."""
-
-
-def _require_precondition(params):
-    rep = validate(params)
-    if not rep.ok:
-        raise InvalidParams("; ".join(rep.violations))
-    if not rep.decrease_precondition:
-        raise PreconditionViolated(
-            "bounds need mu1 + mu2 > 0 or mu1 = mu2 = 0 "
-            "(got mu1=%r, mu2=%r)" % (params.mu1, params.mu2))
 
 
 def _f_scale(traj: Trajectory):
@@ -188,7 +177,7 @@ def check_nonsmooth_rate(traj: Trajectory, fstar: Optional[float] = None,
     params = traj.instance.params
     if math.isfinite(params.L1) or math.isfinite(params.L2):
         raise InvalidParams("nonsmooth analysis needs L1 = L2 = inf")
-    _require_precondition(params)
+    validate(params)
     if fstar is None:
         fstar = traj.instance.fstar
     if fstar is None:

@@ -39,6 +39,10 @@ class InvalidParams(ValueError):
     """Raised when an operation requires parameters that fail validation."""
 
 
+class PreconditionViolated(RuntimeError):
+    """The decrease precondition mu1 + mu2 > 0 (or both zero) fails."""
+
+
 @dataclass(frozen=True)
 class Curvature:
     """Membership class: lower curvature mu, upper curvature L (possibly inf)."""
@@ -100,31 +104,30 @@ def make_params(mu1: float, L1: float, mu2: float, L2: float) -> DcParams:
     return DcParams(Curvature(mu1, L1), Curvature(mu2, L2))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple
-    decrease_precondition: bool
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(params: DcParams) -> ValidationReport:
-    """Check Assumption-style constraints and the decrease precondition.
-
-    Report-valued: never raises.  The decrease precondition is
-    mu1 + mu2 > 0 or mu1 = mu2 = 0, under which the one-step and N-step
-    certificates are claimed.
+def in_domain(mu1, L1, mu2, L2):
+    """Whether the rates are claimed at (mu1, L1, mu2, L2): valid classes
+    (0 < L, finite mu < L) under the decrease precondition mu1 + mu2 > 0 or
+    mu1 = mu2 = 0.  Elementwise on arrays; False on NaN.  An infinite mu
+    fails mu < L or the precondition, so finiteness needs no test of its own.
     """
-    viol = params.f1.violations("f1") + params.f2.violations("f2")
-    m1, m2 = params.mu1, params.mu2
-    precond = m1 + m2 > 0.0 or (m1 == 0.0 and m2 == 0.0)    # False on NaN
-    return ValidationReport(tuple(viol), precond)
+    return ((mu1 < L1) & (mu2 < L2) & (0.0 < L1) & (0.0 < L2)
+            & ((mu1 + mu2 > 0.0) | ((mu1 == 0.0) & (mu2 == 0.0))))
 
 
-def require_valid(params: DcParams) -> ValidationReport:
-    rep = validate(params)
-    if not rep.ok:
-        raise InvalidParams("; ".join(rep.violations))
-    return rep
+def validate(params: DcParams) -> None:
+    """The one parameter gate: return where in_domain holds, else raise
+    InvalidParams naming every class violation or, when both classes are
+    valid, PreconditionViolated."""
+    f1, f2 = params.f1, params.f2
+    if in_domain(f1.mu, f1.L, f2.mu, f2.L):
+        return
+    viol = f1.violations("f1") + f2.violations("f2")
+    if viol:
+        raise InvalidParams("; ".join(viol))
+    raise PreconditionViolated(
+        "decrease precondition needs mu1+mu2 > 0 or mu1 = mu2 = 0 "
+        "(got mu1=%r, mu2=%r)" % (f1.mu, f2.mu))
+
+
+# the name the probe imports the gate under
+require_valid = validate

@@ -17,10 +17,10 @@ with s = p dg - q dx, the right-hand side is
 
 (a, b, p, q) = (2(L-mu), mu/2, 1, mu) for finite L and (inf, mu/2, 0, 0)
 for L = inf, where s = 0 exactly.  One L = inf class on its own skips s
-and is b ||dx||^2, so it never reads dg, and pair_matrix never forms it.
+and is b ||dx||^2, so it never reads dg, and pair_matrix_cm never forms it.
 For a stack of k classes each coefficient is an array with one entry per
 class, so k gradient sets at the same points are bounded in one broadcast
-pass (pair_matrix), each with its own class, by the same arithmetic as one
+pass (pair_matrix_cm), each with its own class, by the same arithmetic as one
 finite-L class on its own.
 
 The pair kernel (pair_matrix_cm) is coordinate-major: (..., d, n) points and
@@ -116,9 +116,17 @@ def pair_lower_bound(cls: Curvature, dx: np.ndarray, dg: np.ndarray):
     return float(rhs) if dx.ndim == 1 else rhs
 
 
-def pair_matrix_cm(X: np.ndarray, G: np.ndarray, cls, out=None):
-    """pair_matrix on coordinate-major X (..., d, n) and G (..., d, n):
-    c (..., n, n), each difference coordinate-major when X and G are."""
+def pair_matrix_cm(X: np.ndarray, G: np.ndarray, cls, out=None) -> np.ndarray:
+    """c[i, j]: minimal feasible f^i - f^j given coordinate-major points X
+    (d, n) and gradients G (d, n); each difference is coordinate-major when
+    X and G are.
+
+    G may also be a stack (k, d, n) of gradient sets at the same points X,
+    with cls a sequence of k classes; c is then (k, n, n).  Both may carry
+    further leading axes that broadcast, as X (m, 1, d, n) against G
+    (m, k, d, n) for m point sets with k classes each, c (m, k, n, n).  cls
+    may be given as its bound_coefficients, and c written into out.
+    """
     coef = cls if isinstance(cls, BoundCoefficients) else bound_coefficients(cls)
     dX = X[..., :, None] - X[..., None, :]
     dG = None if _reads_no_dg(coef) else G[..., :, None] - G[..., None, :]
@@ -130,19 +138,6 @@ def pair_matrix_cm(X: np.ndarray, G: np.ndarray, cls, out=None):
     c = np.add(inner, _lower_bound(coef, dX, dG, -3), out=out)
     np.einsum("...ii->...i", c)[...] = 0.0     # a view of the diagonal(s)
     return c
-
-
-def pair_matrix(X: np.ndarray, G: np.ndarray, cls, out=None) -> np.ndarray:
-    """c[i, j]: minimal feasible f^i - f^j given the (x, g) data.
-
-    G may also be a stack (k, n, d) of gradient sets at the same points X,
-    with cls a sequence of k classes; c is then (k, n, n).  Both may carry
-    further leading axes that broadcast, as X (m, 1, n, d) against G
-    (m, k, n, d) for m point sets with k classes each, c (m, k, n, n).  cls
-    may be given as its bound_coefficients, and c written into out.
-    """
-    return pair_matrix_cm(*(np.ascontiguousarray(np.swapaxes(A, -1, -2))
-                            for A in (X, G)), cls, out)
 
 
 def check_interpolation(triplets, cls: Curvature,

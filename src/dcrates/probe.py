@@ -241,7 +241,6 @@ def extremal_instance(regime_index: int, params: DcParams) -> PepVariables:
     as multiples of the step dx = 1; the two binding pairwise inequalities
     then pin the f-values.
     """
-    require_valid(params)
     cert = one_step_certificate(params)
     last_bad = None
     try:

@@ -19,7 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curvature import INF, DcParams, InvalidParams, recip, require_valid
+# PreconditionViolated is validate's, imported so that callers find it here too
+from .curvature import (INF, DcParams, InvalidParams, PreconditionViolated,
+                        in_domain, recip, validate)
 
 DOMAIN_TOL = 1e-12      # relative closure slack of the domain inequalities
 BOUNDARY_AGREE_TOL = 1e-9   # relative agreement of rows matched at one point
@@ -31,10 +33,6 @@ class NoRegime(RuntimeError):
 
 class InconsistentBoundary(RuntimeError):
     """Two regimes matched but their coefficients disagree."""
-
-
-class PreconditionViolated(RuntimeError):
-    """The decrease precondition mu1 + mu2 > 0 (or both zero) fails."""
 
 
 class BothNonsmooth(ValueError):
@@ -259,14 +257,6 @@ def _domains(L1, L2, m1, m2, sides):
     return rows
 
 
-def _require_decrease(params: DcParams) -> None:
-    if not require_valid(params).decrease_precondition:
-        raise PreconditionViolated(
-            "decrease precondition needs mu1+mu2 > 0 or mu1 = mu2 = 0 "
-            "(got mu1=%r, mu2=%r)" % (params.mu1, params.mu2)
-        )
-
-
 def _coeffs_agree(a, b) -> bool:
     tol = BOUNDARY_AGREE_TOL * max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]))
     return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
@@ -282,7 +272,7 @@ def classify(params: DcParams) -> RegimeCertificate:
     L -> inf limits of the p1/p2 rows.  A p that is not a finite positive
     float (a formula that overflowed or underflowed) raises OverflowError.
     """
-    _require_decrease(params)
+    validate(params)
     L1, L2, m1, m2 = params.L1, params.L2, params.mu1, params.mu2
     if math.isinf(L1) and math.isinf(L2):
         raise BothNonsmooth("both terms nonsmooth: use the T-measure analysis")
@@ -325,6 +315,7 @@ one_step_certificate = classify
 # thresholds and conjectured asymptotic constants
 
 def thresholds(params: DcParams) -> ThresholdValues:
+    validate(params)
     return ThresholdValues(*_S(recip(params.mu1), recip(params.mu2),
                                recip(params.L1), recip(params.L2)))
 
@@ -338,6 +329,7 @@ def _p5_inf(L2: float, m1: float, m2: float) -> float:
 def asymptotic_constants(params: DcParams) -> AsymptoticConstants:
     """Conjectured leading constants of the regime-5/6 asymptotic rates;
     p6_inf is the p5_inf formula at the swapped parameters."""
+    validate(params)
     L1, L2, m1, m2 = params.L1, params.L2, params.mu1, params.mu2
     # (L2, mu1, mu2) here and at the swap; both are checked before either is computed
     for i, L, ma, mb in ((5, L2, m1, m2), (6, L1, m2, m1)):
@@ -364,7 +356,7 @@ def grid_classify(L1: float, L2: float, mu1, mu2):
         raise InvalidParams("grid_classify requires finite positive L1, L2")
     M1 = np.asarray(mu1, dtype=float)
     M2 = np.asarray(mu2, dtype=float)
-    valid = (M1 < L1) & (M2 < L2) & ((M1 + M2 > 0.0) | ((M1 == 0.0) & (M2 == 0.0)))
+    valid = in_domain(M1, L1, M2, L2)
     masks, sigmas, sigma_ps = [], [], []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i, conds in enumerate(_domains(L1, L2, M1, M2, _sides(L1, L2, M1, M2)), 1):

@@ -797,6 +797,30 @@ def test_run_certify_nonsmooth_matches_certify_traj(tmp_path, capsys):
     assert rep["mode"] == "nonsmooth" and "regime" not in rep
 
 
+def test_both_nonsmooth_precondition_failure_exit_1(tmp_path, capsys):
+    """Both terms nonsmooth with mu1 + mu2 < 0: run --certify, certify --traj
+    and probe refuse with the one gate's message, and in probe the
+    precondition is refused before a bad N or d."""
+    f1 = FunctionSpec(AbsPlusQuadratic(1.0, 1.0, 0.0), Curvature(0.5, INF))
+    f2 = FunctionSpec(AbsPlusQuadratic(0.5, 0.5, 0.2), Curvature(-1.0, INF))
+    inst, traj = tmp_path / "inst.json", tmp_path / "traj.json"
+    inst.write_text(json.dumps(instance_to_json(make_instance(f1, f2))))
+    assert main(["run", "--instance", str(inst), "--x0", "1.0", "--N", "3",
+                 "--out", str(traj)]) == 0
+    capsys.readouterr()
+    params = ["--mu1", "0.5", "--L1", "inf", "--mu2=-1", "--L2", "inf"]
+    for argv in (["run", "--instance", str(inst), "--x0", "1.0", "--N", "3",
+                  "--fstar", "-1", "--certify"],
+                 ["certify", "--traj", str(traj), "--fstar", "-1"],
+                 ["probe"] + params + ["--budget", "40", "--starts", "2"],
+                 ["probe"] + params + ["--N", "11", "--d", "4"]):
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err == ("error: decrease precondition needs mu1+mu2 > 0 or "
+                       "mu1 = mu2 = 0 (got mu1=0.5, mu2=-1.0)\n"), argv
+
+
 @pytest.mark.parametrize("spelling", ["inf", "INF", "Infinity"])
 def test_infinity_spellings(tmp_path, capsys, spelling):
     out = tmp_path / "cls.json"

@@ -8,8 +8,9 @@ import pytest
 from dcrates.curvature import Curvature, InvalidParams
 from dcrates.engine import run_dca
 from dcrates.interpolation import (bound_coefficients, check_interpolation,
-                                   make_triplet, pair_lower_bound, pair_matrix,
-                                   sample_triplets, triplets_from_json)
+                                   make_triplet, pair_lower_bound,
+                                   pair_matrix_cm, sample_triplets,
+                                   triplets_from_json)
 from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, MaxOfQuadratics,
                              Quadratic, make_instance)
 
@@ -99,6 +100,11 @@ def _written_out_pair_matrix(X, g, cls):
     return c
 
 
+def _cm(A):
+    """Coordinate-major view (..., d, n) of (..., n, d) data."""
+    return np.swapaxes(A, -1, -2)
+
+
 @pytest.mark.parametrize("classes", [
     (Curvature(1.0, 10.0), Curvature(-0.8, 2.0)),
     (Curvature(0.5, INF), Curvature(-1.0, INF)),
@@ -113,10 +119,10 @@ def test_stacked_pair_matrix_matches_per_class(classes):
         for n in (2, 5, 11, 26):
             X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-1, 1)
             G = rng.normal(size=(len(classes), n, d)) * 10.0 ** rng.uniform(-1, 1)
-            stacked = pair_matrix(X, G, classes)
+            stacked = pair_matrix_cm(_cm(X), _cm(G), classes)
             assert stacked.shape == (len(classes), n, n)
             for c, g, cls in zip(stacked, G, classes):
-                assert np.array_equal(c, pair_matrix(X, g, cls))
+                assert np.array_equal(c, pair_matrix_cm(_cm(X), _cm(g), cls))
                 assert np.array_equal(c, _written_out_pair_matrix(X, g, cls))
     # the probe's broadcast shapes: X (m, 1, n, d) against G (m, k, n, d)
     for d in (1, 2, 3):
@@ -124,11 +130,11 @@ def test_stacked_pair_matrix_matches_per_class(classes):
             m = 5
             X = rng.normal(size=(m, 1, n, d)) * 10.0 ** rng.uniform(-1, 1)
             G = rng.normal(size=(m, len(classes), n, d)) * 10.0 ** rng.uniform(-1, 1)
-            stacked = pair_matrix(X, G, bound_coefficients(classes))
+            stacked = pair_matrix_cm(_cm(X), _cm(G), bound_coefficients(classes))
             assert stacked.shape == (m, len(classes), n, n)
             for cs, x, gs in zip(stacked, X[:, 0], G):
                 for c, g, cls in zip(cs, gs, classes):
-                    assert np.array_equal(c, pair_matrix(x, g, cls))
+                    assert np.array_equal(c, pair_matrix_cm(_cm(x), _cm(g), cls))
                     assert np.array_equal(c, _written_out_pair_matrix(x, g, cls))
 
 
@@ -140,14 +146,14 @@ def test_pair_matrix_bits_do_not_depend_on_memory_layout(d, n, L):
     matrix, and so does a stack of two classes; the d-last einsum kernel
     summed d = 3 coordinates in an order that followed the layout."""
     rng = np.random.default_rng(100 * d + n)
-    X, G = rng.normal(size=(2, n, d)) * 10.0 ** rng.uniform(-2, 2, (2, 1, 1))
+    X, G = _cm(rng.normal(size=(2, n, d)) * 10.0 ** rng.uniform(-2, 2, (2, 1, 1)))
     cls = Curvature(-0.7, L)
-    layouts = [lambda a: a, np.asfortranarray,
-               lambda a: np.ascontiguousarray(np.swapaxes(a, -1, -2)).swapaxes(-1, -2)]
-    want = pair_matrix(X, G, cls)
+    layouts = [lambda a: a, np.asfortranarray, np.ascontiguousarray,
+               lambda a: np.ascontiguousarray(_cm(a)).swapaxes(-1, -2)]
+    want = pair_matrix_cm(X, G, cls)
     for lay in layouts:
-        assert np.array_equal(pair_matrix(lay(X), lay(G), cls), want)
-        two = pair_matrix(lay(X), lay(np.stack([G, G])), (cls, cls))
+        assert np.array_equal(pair_matrix_cm(lay(X), lay(G), cls), want)
+        two = pair_matrix_cm(lay(X), lay(np.stack([G, G])), (cls, cls))
         assert np.array_equal(two[0], want) and np.array_equal(two[1], want)
 
 

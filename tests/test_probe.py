@@ -8,7 +8,7 @@ import pytest
 
 from dcrates.cli import main
 from dcrates.curvature import make_params
-from dcrates.interpolation import check_interpolation, make_triplet, pair_matrix
+from dcrates.interpolation import check_interpolation, make_triplet, pair_matrix_cm
 from dcrates.probe import (CERT_ALLOWANCE, FEAS_TOL, InfeasibleConstruction,
                            _chain_start, _Objective, _pack, _stretch,
                            extremal_instance, minimize, probe, ratio_trend)
@@ -190,7 +190,7 @@ def _reference_parts(params, N, d, z):
     g1 = np.vstack([z[n * d:(n + 1) * d], g2[:-1]])
     dist = []
     for g, cls in ((g1, params.f1), (g2, params.f2)):
-        c = pair_matrix(x, g, cls)
+        c = pair_matrix_cm(x.T, g.T, cls)
         for k in range(n):
             c = np.maximum(c, c[:, [k]] + c[[k], :])
         dist.append(c)

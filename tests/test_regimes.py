@@ -1,11 +1,12 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcrates.curvature import InvalidParams, make_params
+from dcrates.curvature import InvalidParams, in_domain, make_params, validate
 from dcrates.regimes import (BOUNDARY_AGREE_TOL, BothNonsmooth, DenominatorZero,
                              GridSpec, InconsistentBoundary, NoRegime,
                              PreconditionViolated, RegimeCertificate,
@@ -53,8 +54,9 @@ def test_classify_p5_example():
 def test_thresholds_examples():
     t = thresholds(make_params(2.0, 4.0, -1.0, 3.0))
     assert t.S1 == pytest.approx(-1.0 / 6.0, rel=1e-12)
-    t = thresholds(make_params(2.0, 4.0, -2.0, 3.0))
-    assert t.S1 == pytest.approx(1.0 / 3.0, rel=1e-12)
+    # mu1 + mu2 = 0 fails the decrease precondition, as classify refuses it
+    with pytest.raises(PreconditionViolated):
+        thresholds(make_params(2.0, 4.0, -2.0, 3.0))
     t = thresholds(make_params(1.0, INF, 1.0, 2.0))
     assert t.S2 == pytest.approx(2.0, rel=1e-12)
 
@@ -308,6 +310,29 @@ def test_grid_matches_scalar():
         assert c.p == pvals[i]
         assert c.sigma == sig[i]
         assert c.sigma_plus == sigp[i]
+
+
+def test_grid_refuses_exactly_where_the_scalar_gate_does():
+    """At fixed finite L, grid_classify's index-0 nodes are the nodes the
+    scalar gate refuses, on a grid with mu1 + mu2 = 0, mu = L, mu1 = mu2 = 0
+    (and -0.0) and NaN nodes; at the rest grid and scalar agree."""
+    L1, L2 = 2.0, 3.0
+    axis = np.array([-4.0, -3.0, -2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0,
+                     4.0, math.nan])
+    M1, M2 = np.meshgrid(axis, axis, indexing="ij")
+    index, p = grid_classify(L1, L2, M1, M2)[:2]
+    refused = 0
+    for m1, m2, i, pk in zip(M1.flat, M2.flat, index.flat, p.flat):
+        params = make_params(float(m1), L1, float(m2), L2)
+        try:
+            validate(params)
+        except (InvalidParams, PreconditionViolated):
+            assert i == 0, (m1, m2)
+            refused += 1
+            continue
+        c = classify(params)
+        assert (c.index, c.p) == (i, pk), (m1, m2)
+    assert (refused, index.size) == (123, 144)
 
 
 def test_regime_map_rows():
@@ -625,7 +650,9 @@ def test_results_do_not_depend_on_the_number_type(kind):
     """Parameters given as Python ints or numpy float64 give the results of
     the same values as Python floats, refusals included, and numpy float64
     bit for bit (int arithmetic has no -0.0): the two-float shortcut in the
-    domain inequalities decides nothing."""
+    domain inequalities decides nothing.  All three pass the one gate: where
+    classify refuses there, so do the other two, and where classify answers,
+    so do they (asymptotic_constants unless a denominator vanishes)."""
     rng = np.random.default_rng(41)
     if kind is int:     # an integer lattice, with L = inf kept a float
         Ls = [1, 2, 3, 5, INF]
@@ -642,14 +669,21 @@ def test_results_do_not_depend_on_the_number_type(kind):
         assert got == ref, p
         for g, r in zip(got, ref):
             if not isinstance(r, type):
-                answered += 1
                 assert kind is int or _float_bits(g) == _float_bits(r), p
-    assert answered > len(points), answered
+        c, t, a = ref
+        if c in (InvalidParams, PreconditionViolated):      # the gate refused
+            assert t is a is c, p
+        elif not isinstance(c, type):
+            assert not isinstance(t, type), p
+            assert a is DenominatorZero or not isinstance(a, type), p
+            answered += a is not DenominatorZero
+    assert answered >= {int: 197, np.float64: 1806}[kind], answered
 
 
 def test_thresholds_are_the_S_the_domains_test():
     """thresholds and the domain tests read S1, S2 from one formula: equal
-    bit for bit at seeded points, with mu = 0 and each L = inf among them."""
+    bit for bit at the seeded points the gate admits, with mu = 0 and each
+    L = inf among them; at the rest thresholds refuses as the gate does."""
     rng = np.random.default_rng(43)
     points = []
     for k in range(600):
@@ -658,10 +692,22 @@ def test_thresholds_are_the_S_the_domains_test():
         m1, m2 = (0.0 if k % 5 == 0 else m1), (0.0 if k % 7 == 0 else m2)
         L1, L2 = (INF if k % 3 == 1 else L1), (INF if k % 3 == 2 else L2)
         points.append((m1, L1, m2, L2))
+    sides = Counter()        # None for an admitted point, else the refusal
     for m1, L1, m2, L2 in points:
-        t = thresholds(make_params(m1, L1, m2, L2))
+        params = make_params(m1, L1, m2, L2)
+        if not in_domain(m1, L1, m2, L2):
+            with pytest.raises((InvalidParams, PreconditionViolated)) as exc:
+                thresholds(params)
+            with pytest.raises(type(exc.value)) as gate:
+                validate(params)
+            assert str(exc.value) == str(gate.value), (m1, L1, m2, L2)
+            sides[type(exc.value)] += 1
+            continue
+        sides[None] += 1
+        t = thresholds(params)
         (s1, _), (s2, _) = _sides(L1, L2, m1, m2)
         assert (t.S1.hex(), t.S2.hex()) == (s1.hex(), s2.hex()), (m1, L1, m2, L2)
+    assert sides == {None: 235, InvalidParams: 107, PreconditionViolated: 258}, sides
 
 
 def test_result_types_keep_fields_json_hash_and_equality():

@@ -4,6 +4,7 @@ one of those names, so a refactor that drops one fails here and not only in
 a traced benchmark run.  Running one item of each workload under the
 installed tracer checks that the library still calls through every one of
 those names."""
+import importlib
 import importlib.util
 from collections import Counter
 from pathlib import Path
@@ -27,6 +28,17 @@ def test_tracer_resolves_every_patched_name():
                                                               tracing.PATCHES):
         assert mod.__name__ == modname and attr == name
         assert getattr(mod, attr) is orig and callable(orig)
+
+
+def test_traced_gate_names_are_the_one_gate():
+    """The tracer wraps the gate at dcrates.certificates.validate and
+    dcrates.probe.require_valid; both must be curvature.validate itself, so
+    a curvature.validate span always means the one parameter gate."""
+    curvature, certificates, probe = (importlib.import_module("dcrates." + m)
+                                      for m in ("curvature", "certificates",
+                                                "probe"))
+    assert certificates.validate is curvature.validate
+    assert probe.require_valid is curvature.validate
 
 
 def test_tracer_sees_every_layer(tmp_path):
