@@ -11,9 +11,9 @@ from .oracles import (AbsPlusQuadratic, DcInstance, FunctionSpec,
                       MaxOfQuadratics, OracleAnswer, Quadratic,
                       analytic_infimum, evaluate, make_instance,
                       solve_dca_subproblem)
-from .engine import Trajectory, TrajectoryPoint, run_dca, t_measure
+from .engine import Trajectory, TrajectoryPoint, run_dca
 from .interpolation import (InterpReport, Triplet, check_interpolation,
-                            make_triplet, pair_lower_bound, sample_triplets)
+                            make_triplet, pair_lower_bound)
 from .certificates import (MissingFstar, OneStepCheck, RatePrediction,
                            certificate_report, check_nonsmooth_rate,
                            check_one_step, check_rate,

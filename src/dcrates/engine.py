@@ -33,7 +33,9 @@ STOP_REASONS = (STOP_MAX_ITERS, STOP_CRITICALITY, STOP_UNBOUNDED)
 
 
 class TrajectoryPoint(NamedTuple):
-    """Point k of a run, as Trajectory.points reads it from the columns."""
+    """Point k of a run, as Trajectory.points reads it from the columns; the
+    per-point API, kept for per-point callers (the JSON and CSV writers and
+    the benchmark's verify item, bench/workloads.py)."""
     k: int
     x: np.ndarray
     f1: float
@@ -77,8 +79,9 @@ class Trajectory:
 
     @cached_property
     def points(self) -> tuple:
-        """One read-only TrajectoryPoint per point, for JSON, CSV and the
-        CLI, built on first read."""
+        """One read-only TrajectoryPoint per point, built on first read: the
+        per-point API, kept for per-point callers (the JSON and CSV writers
+        and the benchmark's verify item); the columns are the run."""
         return tuple(map(TrajectoryPoint._make, zip(
             range(len(self.X)), self.X, self.f1.tolist(), self.f2.tolist(),
             self.F.tolist(), self.G1, self.G2, self.G_norm_sq.tolist(),
@@ -93,15 +96,6 @@ def _sq_dist(a: np.ndarray, b: np.ndarray):
     """||a - b||^2 of two vectors, or of each pair of rows of two stacks."""
     d = a - b
     return np.add.reduce(d * d, axis=-1)
-
-
-def t_measure(instance: DcInstance, x, x_plus, g1_plus) -> float:
-    """Linearization gap f1(x) - f1(x+) - <g1+, x - x+> of a genuine step:
-    T of the two-point record (x, x+), where g1+ must be a subgradient of f1
-    at x+."""
-    X = np.array([np.atleast_1d(x), np.atleast_1d(x_plus)], dtype=float)
-    g1 = np.atleast_1d(np.asarray(g1_plus, dtype=float))[None]
-    return float(_record(instance, X, g1=g1).T[0])
 
 
 def _record(instance: DcInstance, X: np.ndarray, policy: Policy = "least_norm",

@@ -50,7 +50,9 @@ class Triplet(NamedTuple):
 def make_triplet(x, g, f) -> Triplet:
     """x and g as float arrays of at least one axis, each in one
     conversion (an ndarray of floats is taken as it is), and f as a float;
-    every entry must be finite."""
+    every entry must be finite.  The per-point API, kept for per-point
+    callers: triplets_from_json and the benchmark's verify item.
+    check_interpolation also takes plain (x, g, f) rows of arrays."""
     xv = np.array(x, dtype=float, ndmin=1, copy=None)
     gv = np.array(g, dtype=float, ndmin=1, copy=None)
     f = float(f)
@@ -142,7 +144,9 @@ def pair_matrix_cm(X: np.ndarray, G: np.ndarray, cls, out=None) -> np.ndarray:
 
 def check_interpolation(triplets, cls: Curvature,
                         tol: float = DEFAULT_TOL) -> InterpReport:
-    """Evaluate all n(n-1) ordered-pair inequalities."""
+    """Evaluate all n(n-1) ordered-pair inequalities of a sequence of
+    (x, g, f) rows: Triplets, or plain tuples of a vector x and g and a
+    float f."""
     n = len(triplets)
     if n < 2:
         return InterpReport(np.zeros((n, n)), 0.0, True, tol)
@@ -154,16 +158,6 @@ def check_interpolation(triplets, cls: Curvature,
     # after S[0, 0], rows of n + 1 entries that each end at a diagonal one
     min_slack = float(S.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].min())
     return InterpReport(S, min_slack, min_slack >= -tol, tol)
-
-
-def sample_triplets(spec, xs) -> list:
-    """Exact triplets of a function family at the given points."""
-    from .oracles import evaluate
-    out = []
-    for x in xs:
-        a = evaluate(spec, x)
-        out.append(make_triplet(x, a.subgradient, a.value))
-    return out
 
 
 def triplets_from_json(rows) -> list:

@@ -14,8 +14,9 @@ least-objective stationary point or meeting point of its pieces at which g
 passes it.  `evaluate` and `is_subgradient` also take an (n, d) stack of
 points, which is how run_dca records a finished run in one pass: the
 quadratic formulas broadcast over the last axis, and the 1D families go
-row by row.  `subgradient` is evaluate's pick at one point without the
-value, all that run_dca's loop reads of f2.
+row by row.  `evaluate` answers a single point as a one-row stack.
+`subgradient` is evaluate's pick at one point without the value, all that
+run_dca's loop reads of f2, and the one single-point oracle.
 """
 from __future__ import annotations
 
@@ -128,15 +129,20 @@ class FunctionSpec:
         return self.family.dimension
 
     def certify_declared(self) -> list:
-        """Constraint violations of the declared (mu, L) membership claim."""
+        """Constraint violations of the declared (mu, L) membership claim;
+        a NaN in it or in the actual range is the one violation named."""
         lo, hi = self.family.curvature_range()
+        mu, L = self.declared.mu, self.declared.L
+        if any(map(math.isnan, (mu, L, lo, hi))):
+            return ["NaN curvature parameter (declared mu=%r, L=%r; actual "
+                    "range [%r, %r])" % (mu, L, lo, hi)]
         out = []
-        if _exceeds(self.declared.mu, lo):
+        if _exceeds(mu, lo):
             out.append("declared mu=%r exceeds actual lower curvature %r"
-                       % (self.declared.mu, lo))
-        if _exceeds(hi, self.declared.L):
+                       % (mu, lo))
+        if _exceeds(hi, L):
             out.append("actual upper curvature %r exceeds declared L=%r"
-                       % (hi, self.declared.L))
+                       % (hi, L))
         return out
 
 
@@ -278,14 +284,6 @@ def _pick(lo: float, hi: float, policy: Policy) -> float:
     return min(lo + policy * (hi - lo), hi)   # the sum may round past hi
 
 
-def _finite_point(x) -> np.ndarray:
-    """x as a float vector, refused when an entry is not finite."""
-    v = _as_vec(x)
-    if not all(map(math.isfinite, v.tolist())):
-        raise InvalidParams("oracle point must be finite")
-    return v
-
-
 def _evaluate_1d(fam: Family, ts: list, policy: Policy) -> tuple:
     """(values, subgradients) of a 1D family at the points ts, a list of
     floats, as (n,) and (n, 1) arrays: each value and [lo, hi] from
@@ -295,22 +293,18 @@ def _evaluate_1d(fam: Family, ts: list, policy: Policy) -> tuple:
             np.array([[_pick(e[1], e[2], policy)] for e in ends], dtype=float))
 
 
-def _subgradient(fam: Family, v: np.ndarray, policy: Policy) -> np.ndarray:
-    """The subgradient evaluate picks at the point v: c*x + b for a
-    quadratic (at each row of a stack v too), the policy's pick for a 1D
-    family."""
-    if isinstance(fam, Quadratic):
-        return fam.arrays.c * v + fam.arrays.b
-    return _evaluate_1d(fam, [float(v[0])], policy)[1][0]
-
-
 def subgradient(spec: FunctionSpec, x, policy: Policy = "least_norm") -> np.ndarray:
     """evaluate(spec, x, policy).subgradient at one point, without the
-    value, which may be past the float range; a non-finite x or subgradient
-    raises InvalidParams (so does a max-of-quadratics piece value past the
-    range, since the values pick the active pieces)."""
-    v = _finite_point(x)
-    g = _subgradient(spec.family, v, policy)
+    value, which may be past the float range: c*x + b for a quadratic, the
+    policy's pick for a 1D family.  A non-finite x or subgradient raises
+    InvalidParams (so does a max-of-quadratics piece value past the range,
+    since the values pick the active pieces)."""
+    v = _as_vec(x)
+    if not all(map(math.isfinite, v.tolist())):
+        raise InvalidParams("oracle point must be finite")
+    fam = spec.family
+    g = (fam.arrays.c * v + fam.arrays.b if isinstance(fam, Quadratic)
+         else _evaluate_1d(fam, [float(v[0])], policy)[1][0])
     if not all(map(math.isfinite, g.tolist())):
         raise InvalidParams("subgradient %r at x = %r is not finite (past the "
                             "float range)" % (g.tolist(), v.tolist()))
@@ -320,41 +314,31 @@ def subgradient(spec: FunctionSpec, x, policy: Policy = "least_norm") -> np.ndar
 def evaluate(spec: FunctionSpec, x, policy: Policy = "least_norm") -> OracleAnswer:
     """Exact value and one subgradient, chosen by the kink policy.  At an
     (n, d) stack of points the answer holds an (n,) array of values and an
-    (n, d) array of subgradients, and a stack with a failing row raises the
-    error of its first failing row."""
+    (n, d) array of subgradients; a point is answered as a one-row stack.
+    A stack that fails is evaluated again one row at a time, so it raises
+    the error of its first failing row."""
     v = _as_vec(x)
+    X = v if v.ndim == 2 else v[None]
     fam = spec.family
-    if v.ndim == 2:
-        if np.isfinite(v).all():
-            try:
-                val, g = (_evaluate_quadratic(fam, v) if isinstance(fam, Quadratic)
-                          else _evaluate_1d(fam, v[:, 0].tolist(), policy))
-            except InvalidParams:   # max-of-quadratics values past the range
-                pass
-            else:
-                if np.isfinite(val).all() and np.isfinite(g).all():
-                    return OracleAnswer(val, g)
-        rows = [evaluate(spec, row, policy) for row in v]
-        return OracleAnswer(np.array([a.value for a in rows], dtype=float),
-                            np.array([a.subgradient for a in rows],
-                                     dtype=float).reshape(v.shape))
-    v = _finite_point(v)
-    if isinstance(fam, Quadratic):
-        val, g = _evaluate_quadratic(fam, v)
-    else:
-        (val,), (g,) = _evaluate_1d(fam, [float(v[0])], policy)
-    val = float(val)
-    if not all(map(math.isfinite, [val] + g.tolist())):
-        raise InvalidParams("value %r or subgradient %r at x = %r is not finite "
-                            "(past the float range)" % (val, g.tolist(), v.tolist()))
-    return OracleAnswer(val, g)
-
-
-def _evaluate_quadratic(fam: Quadratic, v: np.ndarray) -> tuple:
-    """(value, gradient) at a point, or at each row of a stack."""
-    q = fam.arrays
-    return (np.add.reduce(q.half_c * v * v + q.b * v, axis=-1),
-            _subgradient(fam, v, None))
+    try:
+        if not np.isfinite(X).all():
+            raise InvalidParams("oracle point must be finite")
+        if isinstance(fam, Quadratic):
+            q = fam.arrays
+            val, g = (np.add.reduce(q.half_c * X * X + q.b * X, axis=-1),
+                      q.c * X + q.b)
+        else:
+            val, g = _evaluate_1d(fam, X[:, 0].tolist(), policy)
+        if not (np.isfinite(val).all() and np.isfinite(g).all()):
+            raise InvalidParams(   # the message of a one-row stack
+                "value %r or subgradient %r at x = %r is not finite (past the "
+                "float range)" % (float(val[0]), g[0].tolist(), X[0].tolist()))
+    except InvalidParams:
+        if len(X) > 1:   # the first failing row raises its own error
+            for row in X:
+                evaluate(spec, row, policy)
+        raise
+    return OracleAnswer(val, g) if v.ndim == 2 else OracleAnswer(float(val[0]), g[0])
 
 
 # ---------------------------------------------------------------------------

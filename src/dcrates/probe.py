@@ -42,7 +42,7 @@ import numpy as np
 
 from .curvature import DcParams, require_valid
 from .interpolation import (bound_coefficients, check_interpolation,
-                            make_triplet, pair_lower_bound, pair_matrix_cm)
+                            pair_lower_bound, pair_matrix_cm)
 from .regimes import (DenominatorZero, asymptotic_constants, equality_gammas,
                       one_step_certificate)
 
@@ -195,11 +195,13 @@ class PepVariables:
         F = self.f1 - self.f2
         return float(F[0] - F[-1])
 
-    def triplets(self, which: int) -> list:
-        g = self.g1 if which == 1 else self.g2
-        f = self.f1 if which == 1 else self.f2
-        return [make_triplet(self.x[i], g[i], float(f[i]))
-                for i in range(self.x.shape[0])]
+
+def _feasibility(w: PepVariables, params: DcParams) -> tuple:
+    """The InterpReports of w's (x, g1, f1) rows against params.f1 and of
+    its (x, g2, f2) rows against params.f2, within FEAS_TOL."""
+    return tuple(check_interpolation(list(zip(w.x, g, f)), cls, FEAS_TOL)
+                 for g, f, cls in ((w.g1, w.f1, params.f1),
+                                   (w.g2, w.f2, params.f2)))
 
 
 @dataclass(frozen=True)
@@ -252,8 +254,7 @@ def extremal_instance(regime_index: int, params: DcParams) -> PepVariables:
             last_bad = "gamma=%r, gamma_plus=%r" % (gamma, gamma_plus)
             continue
         w = _assemble_one_step(params, gamma, gamma_plus)
-        rep1 = check_interpolation(w.triplets(1), params.f1, FEAS_TOL)
-        rep2 = check_interpolation(w.triplets(2), params.f2, FEAS_TOL)
+        rep1, rep2 = _feasibility(w, params)
         bound = cert.decrease_bound(gamma ** 2, gamma_plus ** 2)
         slack = w.decrease() - bound
         scale = max(1.0, abs(bound))
@@ -471,8 +472,7 @@ def probe(params: DcParams, N: int = 1, d: int = 1, budget: int = 200000,
     witness = obj.witness(best[2]) if best[2] is not None else None
     feas = None
     if witness is not None:
-        feas = (check_interpolation(witness.triplets(1), params.f1, FEAS_TOL),
-                check_interpolation(witness.triplets(2), params.f2, FEAS_TOL))
+        feas = _feasibility(witness, params)
         if not (feas[0].feasible and feas[1].feasible):
             witness, feas, ratio = None, None, 0.0
     violation = ratio > certified + CERT_ALLOWANCE

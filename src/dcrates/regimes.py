@@ -356,9 +356,9 @@ def grid_classify(L1: float, L2: float, mu1, mu2):
         raise InvalidParams("grid_classify requires finite positive L1, L2")
     M1 = np.asarray(mu1, dtype=float)
     M2 = np.asarray(mu2, dtype=float)
-    valid = in_domain(M1, L1, M2, L2)
     masks, sigmas, sigma_ps = [], [], []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        valid = in_domain(M1, L1, M2, L2)
         for i, conds in enumerate(_domains(L1, L2, M1, M2, _sides(L1, L2, M1, M2)), 1):
             mask = valid.copy()
             for ok in conds:

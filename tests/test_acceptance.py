@@ -13,9 +13,10 @@ import pytest
 from dcrates.certificates import check_nonsmooth_rate, check_one_step, check_rate
 from dcrates.curvature import Curvature, make_params
 from dcrates.engine import Trajectory, run_dca
-from dcrates.interpolation import check_interpolation, sample_triplets
+from dcrates.interpolation import check_interpolation
 from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, MaxOfQuadratics,
-                             Quadratic, analytic_infimum, make_instance)
+                             Quadratic, analytic_infimum, evaluate,
+                             make_instance)
 from dcrates.probe import extremal_instance, probe, ratio_trend
 from dcrates.regimes import asymptotic_constants, classify, grid_classify
 from dcrates.sampling import ANCHORS, jitter_params, quad_instance_in
@@ -128,10 +129,10 @@ def test_criterion_4_equality_witnesses(report):
             slack = abs(w.decrease() - bound)
             worst = max(worst, slack)
             ok = ok and slack <= 1e-7
-            ok = ok and check_interpolation(w.triplets(1), params.f1,
-                                            1e-7).feasible
-            ok = ok and check_interpolation(w.triplets(2), params.f2,
-                                            1e-7).feasible
+            ok = ok and check_interpolation(list(zip(w.x, w.g1, w.f1)),
+                                            params.f1, 1e-7).feasible
+            ok = ok and check_interpolation(list(zip(w.x, w.g2, w.f2)),
+                                            params.f2, 1e-7).feasible
     report(4, "one-step equality witnesses in all regimes", ok,
             "max |slack| %.2e" % worst)
     assert ok
@@ -192,6 +193,12 @@ def test_criterion_6_nonsmooth_suite(report):
     assert ok
 
 
+def _sampled(spec, xs):
+    """(x, g, f) rows of spec at the points xs, from one stacked evaluate."""
+    a = evaluate(spec, np.array(xs))
+    return list(zip(xs, a.subgradient, a.value))
+
+
 def test_criterion_7_interpolation_oracle(report):
     rng = np.random.default_rng(707)
     ok = True
@@ -202,7 +209,7 @@ def test_criterion_7_interpolation_oracle(report):
         spec = FunctionSpec(Quadratic(tuple(c), tuple(rng.normal(size=d))),
                             Curvature(mu, L))
         xs = [rng.normal(size=d) * 1.5 for _ in range(50)]
-        ok = ok and check_interpolation(sample_triplets(spec, xs),
+        ok = ok and check_interpolation(_sampled(spec, xs),
                                         spec.declared, 1e-9).feasible
     for _ in range(10):
         pieces = tuple((rng.uniform(0.2, 3.0), rng.normal(), rng.normal())
@@ -210,7 +217,7 @@ def test_criterion_7_interpolation_oracle(report):
         spec = FunctionSpec(MaxOfQuadratics(pieces),
                             Curvature(min(p[0] for p in pieces), INF))
         xs = [rng.normal(size=1) * 1.5 for _ in range(50)]
-        ok = ok and check_interpolation(sample_triplets(spec, xs),
+        ok = ok and check_interpolation(_sampled(spec, xs),
                                         spec.declared, 1e-9).feasible
     for _ in range(10):
         m = rng.uniform(-0.5, 2.0)
@@ -218,17 +225,17 @@ def test_criterion_7_interpolation_oracle(report):
             AbsPlusQuadratic(rng.uniform(0.1, 2.0), m, rng.normal()),
             Curvature(m, INF))
         xs = [rng.normal(size=1) * 1.5 for _ in range(50)]
-        ok = ok and check_interpolation(sample_triplets(spec, xs),
+        ok = ok and check_interpolation(_sampled(spec, xs),
                                         spec.declared, 1e-9).feasible
 
     # deliberately under-declared classes must be flagged
     xs = [np.array([t]) for t in np.linspace(-2.0, 2.0, 50)]
     tight_L = FunctionSpec(Quadratic((2.0,), (0.0,)), Curvature(0.0, 1.0))
-    ok = ok and not check_interpolation(sample_triplets(tight_L, xs),
+    ok = ok and not check_interpolation(_sampled(tight_L, xs),
                                         tight_L.declared, 1e-9).feasible
     fake_mu = FunctionSpec(AbsPlusQuadratic(1.0, 0.5, 0.0),
                            Curvature(1.5, INF))
-    ok = ok and not check_interpolation(sample_triplets(fake_mu, xs),
+    ok = ok and not check_interpolation(_sampled(fake_mu, xs),
                                         fake_mu.declared, 1e-9).feasible
     report(7, "interpolation checker against exact oracles", ok)
     assert ok

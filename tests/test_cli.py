@@ -16,8 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dcrates.cli import build_parser, main
 from dcrates.curvature import Curvature, DcParams
-from dcrates.interpolation import sample_triplets
-from dcrates.engine import LINK_TOL, t_measure
+from dcrates.engine import LINK_TOL
 from dcrates.regimes import GridSpec, regime_map
 from dcrates.sampling import ANCHORS
 from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, Quadratic,
@@ -279,15 +278,19 @@ def test_run_csv_output(tmp_path, instance_file):
     assert len(lines) == 4
 
 
-def _triplets_json(triplets):
-    return [{"x": t.x.tolist(), "g": t.g.tolist(), "f": t.f} for t in triplets]
+def _triplets_json(spec, ts):
+    """The triplets of spec at the 1D points ts, from one stacked evaluate,
+    as interp-check reads them."""
+    X = np.array([[t] for t in ts])
+    a = evaluate(spec, X)
+    return [{"x": x, "g": g, "f": f} for x, g, f in
+            zip(X.tolist(), a.subgradient.tolist(), a.value.tolist())]
 
 
 def test_interp_check_exit_codes(tmp_path, capsys):
     spec = FunctionSpec(Quadratic((2.0,), (0.0,)), Curvature(1.5, 2.5))
-    trips = sample_triplets(spec, [np.array([t]) for t in (-1.0, 0.0, 1.0, 2.0)])
     path = tmp_path / "trips.json"
-    path.write_text(json.dumps(_triplets_json(trips)))
+    path.write_text(json.dumps(_triplets_json(spec, (-1.0, 0.0, 1.0, 2.0))))
     assert main(["interp-check", "--triplets", str(path),
                  "--mu", "1.5", "--L", "2.5"]) == 0
     # under-declared smoothness must be flagged as infeasible
@@ -503,6 +506,26 @@ def test_false_declared_class_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ("error: %s: f2: actual upper curvature 0.95 exceeds "
                    "declared L=0.1\n" % path)
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["run", "run_out"])
+def test_nan_declared_class_exit_1(tmp_path, capsys, out):
+    """f1 declares mu = NaN: the instance is refused with the term named,
+    before the run and before run --out's range check, which would blame
+    the float range."""
+    body = {"f1": {"family": "quadratic", "c": [2.0], "b": [0.0],
+                   "mu": math.nan, "L": 4.0},
+            "f2": {"family": "quadratic", "c": [1.0], "b": [0.0],
+                   "mu": 0.0, "L": 2.0}}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(body))
+    traj = tmp_path / "traj.json"
+    argv = ["run", "--instance", str(path), "--x0", "1", "--N", "2"]
+    assert main(argv + (["--out", str(traj)] if out else [])) == 1
+    assert capsys.readouterr() == ("", "error: %s: f1: NaN curvature parameter "
+                                   "(declared mu=nan, L=4.0; actual range "
+                                   "[2.0, 2.0])\n" % path)
+    assert not traj.exists()
 
 
 @pytest.mark.parametrize("f1, x0", [
@@ -887,7 +910,7 @@ def _move_x1_to_minimizer(body):
               G_norm_sq=float(np.sum((a1.subgradient - a2.subgradient) ** 2)))
     for p, q in ((p0, p1), (p1, p2)):
         x, xq = np.array(p["x"]), np.array(q["x"])
-        p["T"] = t_measure(inst, x, xq, np.array(q["g1"]))
+        p["T"] = p["f1"] - q["f1"] - float(np.array(q["g1"]) @ (x - xq))
         p["dx_norm_sq"] = float(np.sum((x - xq) ** 2))
 
 
@@ -1007,8 +1030,7 @@ def _command_argv(command, tmp_path, instance_file):
     if command == "interp-check":
         path = tmp_path / "trips.json"
         spec = FunctionSpec(Quadratic((2.0,), (0.0,)), Curvature(1.5, 2.5))
-        path.write_text(json.dumps(_triplets_json(sample_triplets(
-            spec, [np.array([t]) for t in (-1.0, 0.0, 2.0)]))))
+        path.write_text(json.dumps(_triplets_json(spec, (-1.0, 0.0, 2.0))))
         return ["--triplets", str(path), "--L", "2.5"]
     return {
         "classify": ["--mu1", "1", "--L1", "2", "--L2", "1"],

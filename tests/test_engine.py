@@ -9,7 +9,7 @@ import dcrates.engine as engine
 from dcrates.curvature import Curvature, InvalidParams
 from dcrates.engine import (LINK_TOL, RECORD_TOL, STOP_CRITICALITY,
                             STOP_MAX_ITERS, STOP_UNBOUNDED, Trajectory,
-                            TrajectoryPoint, run_dca, t_measure,
+                            TrajectoryPoint, run_dca,
                             trajectory_from_json, trajectory_to_csv,
                             trajectory_to_json)
 from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, MaxOfQuadratics,
@@ -62,12 +62,21 @@ def test_geometric_halving():
 
 
 def test_t_measure_matches_definition():
-    inst = quad_instance(2.0, 0.0, 1.0, 1.0)
-    traj = run_dca(inst, np.array([0.0]), 1)
-    p0, p1 = traj.points
-    direct = t_measure(inst, p0.x, p1.x, p1.g1)
-    assert p0.T == pytest.approx(direct, rel=1e-12)
-    assert direct >= 0.0
+    """Each T^k of a run is f1(x^k) - f1(x^{k+1}) - <g1^{k+1}, x^k - x^{k+1}>
+    bit for bit, with f1 from evaluate at each point, and a DCA step on a
+    convex f1 never makes it negative."""
+    abs_f1 = FunctionSpec(AbsPlusQuadratic(1.0, 1.0, 0.0), Curvature(1.0, INF))
+    quad_f2 = FunctionSpec(Quadratic((0.5,), (0.01,)), Curvature(0.0, 1.0))
+    for inst, x0 in ((quad_instance(2.0, 0.0, 1.0, 1.0), [0.0]),
+                     (quad_instance([2.0, 3.0], [0.1, -0.2], [1.0, 0.5],
+                                    [0.3, 0.0]), [1.0, -1.0]),
+                     (make_instance(abs_f1, quad_f2), [1.0])):
+        traj = run_dca(inst, np.array(x0), 4)
+        for k in range(traj.n_steps):
+            x, xq = traj.X[k], traj.X[k + 1]
+            T = (evaluate(inst.f1, x).value - evaluate(inst.f1, xq).value
+                 - float(traj.G1[k + 1] @ (x - xq)))
+            assert traj.T[k] == T and T >= 0.0
 
 
 def test_decrease_sandwich():
@@ -465,12 +474,15 @@ def test_trajectory_from_json_names_the_same_first_mismatch():
 
 
 def test_t_measure_is_the_two_point_record():
+    """T^k of a run is the T of the two-point record (x^k, x^{k+1}) with
+    the run's g1^{k+1}, which that record checks."""
     inst = quad_instance([2.0, 3.0], [0.1, -0.2], [1.0, 0.5], [0.3, 0.0])
     traj = run_dca(inst, np.array([1.0, -1.0]), 4)
-    for p, q in zip(traj.points, traj.points[1:]):
-        assert t_measure(inst, p.x, q.x, q.g1) == p.T
+    for k in range(traj.n_steps):
+        step = engine._record(inst, traj.X[k:k + 2], g1=traj.G1[k + 1:k + 2])
+        assert step.T.tolist() == [traj.T[k]]
     with pytest.raises(InvalidParams, match="^step 1: g1 = "):
-        t_measure(inst, p.x, q.x, q.g1 + 1.0)
+        engine._record(inst, traj.X[k:k + 2], g1=traj.G1[k + 1:k + 2] + 1.0)
 
 
 def test_stored_link_is_checked_relative_to_g2():

@@ -9,10 +9,9 @@ from dcrates.curvature import Curvature, InvalidParams
 from dcrates.engine import run_dca
 from dcrates.interpolation import (bound_coefficients, check_interpolation,
                                    make_triplet, pair_lower_bound,
-                                   pair_matrix_cm, sample_triplets,
-                                   triplets_from_json)
+                                   pair_matrix_cm, triplets_from_json)
 from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, MaxOfQuadratics,
-                             Quadratic, make_instance)
+                             Quadratic, evaluate, make_instance)
 
 INF = math.inf
 
@@ -212,6 +211,21 @@ def test_check_interpolation_is_bit_identical_to_the_d_last_kernel(d):
                             rep.feasible) == _d_last_check(triplets, cls, tol)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_check_interpolation_reads_plain_rows_as_triplets(d):
+    """(x, g, f) rows of arrays give the slack bytes, min_slack and verdict
+    of make_triplet triplets of the same data, for a finite-L class and an
+    L = inf one."""
+    rng = np.random.default_rng(70 + d)
+    rows = list(zip(rng.normal(size=(9, d)), rng.normal(size=(9, d)),
+                    rng.normal(size=9)))
+    triplets = [make_triplet(*r) for r in rows]
+    for cls in (Curvature(-0.5, 2.0), Curvature(0.3, INF)):
+        got, want = (check_interpolation(t, cls) for t in (rows, triplets))
+        assert (got.slack.tobytes(), got.min_slack.hex(), got.feasible) == (
+            want.slack.tobytes(), want.min_slack.hex(), want.feasible)
+
+
 def _random_triplets(rng, n, d=2):
     return [make_triplet(rng.normal(size=d), rng.normal(size=d), rng.normal())
             for _ in range(n)]
@@ -268,8 +282,9 @@ def test_soundness_all_families():
     for _ in range(30):
         spec = _spec_samples(rng)
         xs = [rng.normal(size=spec.dimension) * 2 for _ in range(50)]
-        trips = sample_triplets(spec, xs)
-        rep = check_interpolation(trips, spec.declared, tol=1e-9)
+        a = evaluate(spec, np.array(xs))
+        rep = check_interpolation(list(zip(xs, a.subgradient, a.value)),
+                                  spec.declared, tol=1e-9)
         assert rep.feasible, rep.min_slack
 
 

@@ -221,6 +221,24 @@ def test_certify_declared():
     assert bad.certify_declared()
 
 
+@pytest.mark.parametrize("tag, family, cls", [
+    ("f1", Quadratic((2.0,), (0.0,)), Curvature(math.nan, 4.0)),
+    ("f2", Quadratic((2.0,), (0.0,)), Curvature(1.0, math.nan)),
+    ("f1", Quadratic((math.nan,), (0.0,)), Curvature(1.0, 4.0)),
+    ("f2", AbsPlusQuadratic(1.0, math.nan, 0.0), Curvature(1.0, INF))],
+    ids=["mu", "L", "quadratic_range", "abs_range"])
+def test_nan_declared_class_is_refused(tag, family, cls):
+    """A NaN declared mu or L, or a NaN in the family's curvature range, is
+    refused with InvalidParams naming the term: every comparison with a NaN
+    is False, so the range comparisons alone would accept it."""
+    spec = FunctionSpec(family, cls)
+    other = FunctionSpec(Quadratic((1.0,), (0.0,)), Curvature(0.0, 2.0))
+    terms = (spec, other) if tag == "f1" else (other, spec)
+    with pytest.raises(InvalidParams,
+                       match="^%s: NaN curvature parameter " % tag):
+        make_instance(*terms)
+
+
 @pytest.mark.parametrize("k", [0, 50, -50])
 def test_certify_declared_verdict_is_scale_free(k):
     """The declared-class check pads by 1e-12 relative to the compared

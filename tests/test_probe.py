@@ -33,8 +33,10 @@ def test_extremal_hits_bound_and_interpolates(idx):
     gaps = np.sum((w.g1 - w.g2) ** 2, axis=1)
     bound = cert.sigma * 0.5 * gaps[0] + cert.sigma_plus * 0.5 * gaps[1]
     assert w.decrease() == pytest.approx(bound, abs=1e-7)
-    assert check_interpolation(w.triplets(1), params.f1, 1e-7).feasible
-    assert check_interpolation(w.triplets(2), params.f2, 1e-7).feasible
+    assert check_interpolation(list(zip(w.x, w.g1, w.f1)), params.f1,
+                               1e-7).feasible
+    assert check_interpolation(list(zip(w.x, w.g2, w.f2)), params.f2,
+                               1e-7).feasible
 
 
 def _explicit_even_gammas(index, params):
@@ -430,8 +432,9 @@ def _start_major(params, N, d, budget, seed, starts, warm=True, init=None):
     ratio = max(best[0], 0.0)
     w = obj.witness(best[2]) if best[2] is not None else None
     if w is not None and not all(
-            check_interpolation(w.triplets(k), cls, FEAS_TOL).feasible
-            for k, cls in ((1, params.f1), (2, params.f2))):
+            check_interpolation(list(zip(w.x, g, f)), cls, FEAS_TOL).feasible
+            for g, f, cls in ((w.g1, w.f1, params.f1),
+                              (w.g2, w.f2, params.f2))):
         w, ratio = None, 0.0
     start = None if best[2] is None else (best[1], inits[best[1]][1])
     return (ratio.hex(), obj.evals, start, _witness_bytes(w)), did
@@ -525,7 +528,7 @@ def test_probe_drops_a_witness_the_checker_refuses(monkeypatch, refused):
 
     def refuse_one(triplets, curv, tol):
         rep = check_interpolation(triplets, curv, tol)
-        if not np.array_equal([t.x for t in triplets], kept.witness.x):
+        if not np.array_equal([x for x, _, _ in triplets], kept.witness.x):
             return rep           # the warm starts' equality constructions
         calls.append(curv)
         return dataclasses.replace(rep, feasible=False) if len(calls) - 1 == refused else rep

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -333,6 +334,16 @@ def test_grid_refuses_exactly_where_the_scalar_gate_does():
         c = classify(params)
         assert (c.index, c.p) == (i, pk), (m1, m2)
     assert (refused, index.size) == (123, 144)
+
+
+def test_grid_classify_warns_of_nothing_at_an_infinite_mu():
+    """inf + -inf in the valid mask is computed under grid_classify's own
+    errstate: the node is refused (index 0) and no RuntimeWarning leaks."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        index = grid_classify(2.0, 3.0, np.array([np.inf]),
+                              np.array([-np.inf]))[0]
+    assert index.tolist() == [0]
 
 
 def test_regime_map_rows():
