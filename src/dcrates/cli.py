@@ -266,6 +266,7 @@ def cmd_probe(args) -> int:
         "starts": args.starts, "evals": result.evals,
         "best_start": (None if result.best_start is None else
                        dict(zip(("index", "kind"), result.best_start))),
+        "mirrored": result.mirrored,
         "elapsed_s": result.elapsed_s,
         "best_ratio": result.best_ratio,
         "certified_bound": result.certified_bound,
@@ -304,6 +305,7 @@ def cmd_trend(args) -> int:
                "starts": args.starts,
                "ratios": {str(N): res[N].best_ratio for N in horizons},
                "evals": {str(N): res[N].evals for N in horizons},
+               "mirrored": any(r.mirrored for r in res.values()),
                **{k: out[k] if math.isfinite(out[k]) else None
                   for k in ("a_fit", "b_fit")}}, args.out)
         _say("wrote %s" % args.out)

@@ -40,6 +40,13 @@ def _exceeds(a: float, b: float) -> bool:
     return a > b and not a - b <= 1e-12 * max(abs(a), abs(b)) < math.inf
 
 
+def _range(lo, hi, read) -> tuple:
+    """(lo, hi), or NaN for both when a coefficient in read is NaN: min and
+    max skip a NaN that does not come first, and a comparison with NaN is
+    False, so a NaN coefficient could otherwise read as a finite range."""
+    return (math.nan, math.nan) if any(map(math.isnan, read)) else (lo, hi)
+
+
 class Unbounded(RuntimeError):
     """The DCA subproblem has no minimizer."""
 
@@ -71,7 +78,7 @@ class Quadratic:
         return len(self.c)
 
     def curvature_range(self):
-        return min(self.c), max(self.c)
+        return _range(min(self.c), max(self.c), self.c)
 
     @cached_property
     def arrays(self) -> QuadraticArrays:
@@ -95,9 +102,7 @@ class MaxOfQuadratics:
 
     def curvature_range(self):
         cs = [p[0] for p in self.pieces]
-        if len(self.pieces) == 1:
-            return cs[0], cs[0]
-        return min(cs), math.inf
+        return _range(min(cs), cs[0] if len(cs) == 1 else math.inf, cs)
 
 
 @dataclass(frozen=True)
@@ -110,10 +115,11 @@ class AbsPlusQuadratic:
     dimension = 1
 
     def curvature_range(self):
-        if self.a == 0.0:
-            return self.m, self.m
+        m = self.m
         # a convex kink has no finite upper curvature, a concave one no lower
-        return (self.m, math.inf) if self.a > 0.0 else (-math.inf, self.m)
+        lo, hi = ((m, m) if self.a == 0.0 else
+                  (m, math.inf) if self.a > 0.0 else (-math.inf, m))
+        return _range(lo, hi, (self.a, m))
 
 
 Family = Union[Quadratic, MaxOfQuadratics, AbsPlusQuadratic]

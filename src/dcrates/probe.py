@@ -30,6 +30,19 @@ Every start takes the steps it takes on its own, so the result is the one
 running them start by start with those caps gives, bit for bit.
 Evaluations a chunk leaves unspent, when Nelder-Mead converges early, go to
 the polish of the best point, a search from a one-row stack.
+
+An even regime is the odd one under the swap (L1, mu1) <-> (L2, mu2),
+sigma <-> sigma^+.  A DCA run read backwards with f1 and f2 exchanged is a
+run of the swapped problem with the same gradient gaps and the same
+F(x^0) - F(x^N), so both problems have the same worst case (performance
+estimation; Drori & Teboulle 2014, Taylor, Hendrickx & Glineur 2017).  probe
+therefore searches an even-regime problem in its odd mirror,
+params.swapped(), and maps the result back by PepVariables.mirror:
+x -> x[::-1], W -> W[::-1], (f1, f2) -> (f2[::-1], f1[::-1]).  A caller's
+init goes into the mirror by the same map.  The mapped witness is checked
+against the caller's classes, and the certified bound is the caller's, whose
+p is the mirror's bit for bit.  ratio_trend fixes the orientation once, so
+its warm starts stretch the mirror's witnesses.
 """
 from __future__ import annotations
 
@@ -195,6 +208,13 @@ class PepVariables:
         F = self.f1 - self.f2
         return float(F[0] - F[-1])
 
+    def mirror(self) -> "PepVariables":
+        """The run read backwards with f1 and f2 exchanged: data of the
+        swapped problem with the same gradient gaps and decrease.  The map
+        is its own inverse."""
+        return PepVariables(self.x[::-1], self.W[::-1], self.f2[::-1],
+                            self.f1[::-1])
+
 
 def _feasibility(w: PepVariables, params: DcParams) -> tuple:
     """The InterpReports of w's (x, g1, f1) rows against params.f1 and of
@@ -208,7 +228,9 @@ def _feasibility(w: PepVariables, params: DcParams) -> tuple:
 class ProbeResult:
     """gap = certified_bound - best_ratio.  A witness is feasible only within
     FEAS_TOL, so gap may be negative by up to CERT_ALLOWANCE; beyond that,
-    certificate_violation is set.  budget_exhausted means evals >= budget."""
+    certificate_violation is set.  budget_exhausted means evals >= budget.
+    mirrored means the search ran on params.swapped() (an even regime), and
+    best_start indexes the starts of the orientation searched."""
     best_ratio: float
     certified_bound: float
     gap: float
@@ -218,6 +240,7 @@ class ProbeResult:
     certificate_violation: bool
     evals: int
     best_start: Optional[tuple]    # (index, kind) of the start that won
+    mirrored: bool
     elapsed_s: float
 
 
@@ -278,6 +301,12 @@ def _pack(x: np.ndarray, W: np.ndarray) -> np.ndarray:
 def _unpack(z: np.ndarray, N: int, d: int) -> tuple:
     n = N + 1
     return z[:n * d].reshape(n, d), z[n * d:].reshape(n + 1, d)
+
+
+def _mirror_vector(z: np.ndarray, N: int, d: int) -> np.ndarray:
+    """The search vector of PepVariables.mirror's (x, W)."""
+    x, W = _unpack(z, N, d)
+    return _pack(x[::-1], W[::-1])
 
 
 class _Objective:
@@ -394,7 +423,9 @@ def probe(params: DcParams, N: int = 1, d: int = 1, budget: int = 200000,
     """Multi-start local maximization of the worst-case ratio.
 
     warm=False runs cold (random starts only).  init adds one caller-supplied
-    start vector.  Deterministic for fixed (seed, budget, starts).
+    start vector.  Deterministic for fixed (seed, budget, starts).  An
+    even-regime problem is searched in its odd mirror (see the module
+    docstring), so it gives its mirror's ratio, evals and best_start.
     """
     t_start = time.perf_counter()
     require_valid(params)
@@ -405,23 +436,31 @@ def probe(params: DcParams, N: int = 1, d: int = 1, budget: int = 200000,
                          "starts=%r" % (budget, starts))
     cert = one_step_certificate(params)
     certified = 1.0 / (cert.p * N)
-    obj = _Objective(params, N, d)
-    rng = np.random.default_rng(seed)
     nz = (2 * N + 3) * d
-
-    inits = []     # (start vector, kind)
     if init is not None:
-        z = np.asarray(init, dtype=float)
-        if z.shape != (nz,):
+        init = np.asarray(init, dtype=float)
+        if init.shape != (nz,):
             raise ValueError("init must be a vector of (2N + 3) d = %d entries, "
-                             "got shape %r" % (nz, z.shape))
-        inits.append((z, "init"))
+                             "got shape %r" % (nz, init.shape))
+
+    # an even regime is searched in its odd mirror (see the module docstring)
+    mirrored = cert.index % 2 == 0
+    searched = params
+    if mirrored:
+        searched = params.swapped()
+        cert = one_step_certificate(searched)    # the warm starts' regime
+        if init is not None:
+            init = _mirror_vector(init, N, d)
+    obj = _Objective(searched, N, d)
+    rng = np.random.default_rng(seed)
+
+    inits = [] if init is None else [(init, "init")]   # (start vector, kind)
     if warm:
-        gamma = equality_gammas(cert.index, params)[0][0]
+        gamma = equality_gammas(cert.index, searched)[0][0]
         if math.isfinite(gamma):    # not so when the L it involves is inf
             inits.append((_chain_start(gamma, N, d), "chain"))
         try:
-            inits.append((_stretch(extremal_instance(cert.index, params), N, d),
+            inits.append((_stretch(extremal_instance(cert.index, searched), N, d),
                           "extremal"))
         except InfeasibleConstruction:
             pass
@@ -472,6 +511,8 @@ def probe(params: DcParams, N: int = 1, d: int = 1, budget: int = 200000,
     witness = obj.witness(best[2]) if best[2] is not None else None
     feas = None
     if witness is not None:
+        if mirrored:
+            witness = witness.mirror()
         feas = _feasibility(witness, params)
         if not (feas[0].feasible and feas[1].feasible):
             witness, feas, ratio = None, None, 0.0
@@ -479,7 +520,7 @@ def probe(params: DcParams, N: int = 1, d: int = 1, budget: int = 200000,
     best_start = None if best[2] is None else (best[1], inits[best[1]][1])
     return ProbeResult(ratio, certified, certified - ratio, witness, feas,
                        obj.evals >= budget, violation, obj.evals, best_start,
-                       time.perf_counter() - t_start)
+                       mirrored, time.perf_counter() - t_start)
 
 
 def ratio_trend(params: DcParams, Ns, d: int = 1, budget: int = 200000,
@@ -489,16 +530,20 @@ def ratio_trend(params: DcParams, Ns, d: int = 1, budget: int = 200000,
     Fits 1/ratio = a N + b by least squares, one point per distinct horizon
     that found a witness (a and b are NaN when fewer than two did), and
     reports (a, b) together with the asymptotic constants, as trend evidence
-    only.
+    only.  The warm starts stretch witnesses in the orientation probe
+    searches, so an even-regime trend is its odd mirror's, mapped back.
     """
     results = {}
-    prev = None
+    prev, mirrored = None, False     # the last witness, as searched
     for N in Ns:
         init = None if prev is None else _stretch(prev, N, d)
+        if init is not None and mirrored:
+            init = _mirror_vector(init, N, d)   # probe maps it back
         r = probe(params, N, d, budget, seed, starts, warm=True, init=init)
         results[N] = r
+        mirrored = r.mirrored
         if r.witness is not None:
-            prev = r.witness
+            prev = r.witness.mirror() if mirrored else r.witness
     xs = np.array([N for N in results if results[N].best_ratio > 0.0], dtype=float)
     ys = np.array([1.0 / results[N].best_ratio for N in xs.astype(int)])
     a, b = (np.polyfit(xs, ys, 1) if xs.size >= 2 else (math.nan, math.nan))

@@ -528,6 +528,28 @@ def test_nan_declared_class_exit_1(tmp_path, capsys, out):
     assert not traj.exists()
 
 
+@pytest.mark.parametrize("f1", [
+    {"family": "quadratic", "c": [2.0, math.nan], "b": [0.0, 0.0]},
+    {"family": "max_quadratics", "pieces": [[1.0, 0.0, 0.0], [math.nan, 1.0, 0.0]]},
+    {"family": "abs_quadratic", "a": math.nan, "m": 1.0, "b": 0.0}],
+    ids=["quadratic", "max_quadratics", "abs_quadratic"])
+def test_nan_coefficient_exit_1(tmp_path, capsys, f1):
+    """A NaN curvature coefficient after a finite one, or a NaN kink, is
+    refused as the one NaN line, not as an overflow in the run or a
+    declared mu above a lower curvature of -inf."""
+    d = len(f1.get("c", [0.0]))
+    body = {"f1": dict(f1, mu=0.5, L=math.inf),
+            "f2": {"family": "quadratic", "c": [1.0] * d, "b": [0.0] * d,
+                   "mu": 0.0, "L": 2.0}}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(body))
+    assert main(["run", "--instance", str(path), "--x0", ",".join(["1"] * d),
+                 "--N", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: %s: f1: NaN curvature parameter "
+                                   "(declared mu=0.5, L=inf; actual range "
+                                   "[nan, nan])\n" % path)
+
+
 @pytest.mark.parametrize("f1, x0", [
     # x^2/2 at 1e200: the value overflows, and F was inf - inf = nan (exit 2)
     ({"family": "quadratic", "c": [1.0], "b": [0.0], "mu": 0.5, "L": 2},

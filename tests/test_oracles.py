@@ -239,6 +239,28 @@ def test_nan_declared_class_is_refused(tag, family, cls):
         make_instance(*terms)
 
 
+# a NaN coefficient that min, max or a sign test would read past
+NAN_FAMILIES = {
+    "quadratic": Quadratic((2.0, math.nan), (0.0, 0.0)),
+    "max_quadratics": MaxOfQuadratics(((1.0, 0.0, 0.0), (math.nan, 1.0, 0.0))),
+    "abs_quadratic": AbsPlusQuadratic(math.nan, 1.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_FAMILIES))
+def test_a_nan_coefficient_gives_a_nan_range(name):
+    """min and max skip a NaN that does not come first, and a NaN kink is
+    neither 0 nor of a sign: each read a finite or one-sided range before.
+    The range is NaN, and the declared-class check names the NaN."""
+    family = NAN_FAMILIES[name]
+    lo, hi = family.curvature_range()
+    assert math.isnan(lo) and math.isnan(hi)
+    spec = FunctionSpec(family, Curvature(0.5, INF))
+    assert spec.certify_declared() == [
+        "NaN curvature parameter (declared mu=0.5, L=inf; actual range "
+        "[nan, nan])"]
+
+
 @pytest.mark.parametrize("k", [0, 50, -50])
 def test_certify_declared_verdict_is_scale_free(k):
     """The declared-class check pads by 1e-12 relative to the compared

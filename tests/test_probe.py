@@ -10,9 +10,10 @@ from dcrates.cli import main
 from dcrates.curvature import make_params
 from dcrates.interpolation import check_interpolation, make_triplet, pair_matrix_cm
 from dcrates.probe import (CERT_ALLOWANCE, FEAS_TOL, InfeasibleConstruction,
-                           _chain_start, _Objective, _pack, _stretch,
-                           extremal_instance, minimize, probe, ratio_trend)
-from dcrates.regimes import classify, equality_gammas
+                           _chain_start, _feasibility, _Objective, _pack,
+                           _stretch, extremal_instance, minimize, probe,
+                           ratio_trend)
+from dcrates.regimes import asymptotic_constants, classify, equality_gammas
 
 INF = math.inf
 
@@ -621,14 +622,15 @@ def test_witness_does_not_alias_the_reused_buffer():
 # (regime, N, d): best_ratio.hex(), evals, best_start of the benchmark's
 # probe call (budget 1200, 4 starts, seed 0).  Any change to the arithmetic
 # of one evaluation, or to the search, moves the Nelder-Mead path and shows
-# here first.
+# here first.  Only odd regimes are searched; an even one gives its mirror's
+# path (test_probe_searches_an_even_regime_in_its_odd_mirror).
 SEARCH_PATH = {
+    (3, 1, 3): ("0x1.a22aa99939892p+0", 1201, (0, "chain")),
+    (3, 2, 1): ("0x1.9dcbaec4ada68p-1", 1201, (0, "chain")),
     (3, 2, 2): ("0x1.951ed3a8ea0f7p-1", 1201, (0, "chain")),
-    (4, 1, 3): ("0x1.ff990077066bfp-1", 1201, (1, "extremal")),
-    (4, 2, 1): ("0x1.f1911f4a56383p-2", 1201, (3, "random")),
+    (5, 2, 1): ("0x1.3e3ac1905e576p-1", 1201, (0, "chain")),
     (5, 4, 3): ("0x1.a5c4f96d83836p-3", 1201, (0, "chain")),
-    (6, 2, 1): ("0x1.057a585e2a250p-1", 1201, (3, "random")),
-    (8, 2, 1): ("0x1.1b7916570dc87p-5", 1201, (0, "chain")),
+    (7, 2, 1): ("0x1.7146118ef1d43p-5", 1201, (0, "chain")),
 }
 
 
@@ -637,3 +639,115 @@ def test_search_path_is_pinned(item):
     regime, N, d = item
     r = probe(ANCHORS[regime], N=N, d=d, budget=1200, seed=0, starts=4)
     assert (r.best_ratio.hex(), r.evals, r.best_start) == SEARCH_PATH[item]
+
+
+def _mirror_bytes(w):
+    """The witness bytes of w read backwards with f1 and f2 exchanged."""
+    return None if w is None else [a[::-1].tobytes()
+                                   for a in (w.x, w.W, w.f2, w.f1)]
+
+
+def _mirror_init(z, N, d):
+    n = (N + 1) * d
+    return np.concatenate([z[:n].reshape(N + 1, d)[::-1].ravel(),
+                           z[n:].reshape(N + 2, d)[::-1].ravel()])
+
+
+def _same_up_to_the_swap(a, b, params):
+    """a is a probe of params and b of params.swapped(): the same search,
+    witnesses related by the time-reversal map, and each feasible against
+    params once in params' orientation."""
+    assert (a.best_ratio.hex(), a.evals, a.best_start) == (
+        b.best_ratio.hex(), b.evals, b.best_start)
+    assert a.certified_bound == b.certified_bound
+    assert a.mirrored != b.mirrored
+    assert _witness_bytes(a.witness) == _mirror_bytes(b.witness)
+    if a.witness is not None:
+        assert all(rep.feasible for rep in a.feasibility)
+        assert all(rep.feasible for rep in _feasibility(b.witness.mirror(), params))
+
+
+# every benchmark anchor, and a p17 point whose swap is p28
+SWAP_POINTS = [*ANCHORS.values(), make_params(1.0, INF, -0.5, 2.0)]
+
+
+@pytest.mark.parametrize("params", SWAP_POINTS,
+                         ids=["r%d" % i for i in ANCHORS] + ["p17"])
+def test_probe_searches_an_even_regime_in_its_odd_mirror(params):
+    """A run read backwards with f1 and f2 exchanged is a run of the swapped
+    problem, so probe searches an even regime in its odd mirror: probe(P)
+    and probe(P.swapped()) make the same search either way round."""
+    found = 0
+    for N in (1, 2, 4):
+        for d in (1, 3):
+            a = probe(params, N=N, d=d, budget=1200, seed=0, starts=4)
+            b = probe(params.swapped(), N=N, d=d, budget=1200, seed=0, starts=4)
+            assert a.mirrored == (classify(params).index % 2 == 0)
+            _same_up_to_the_swap(a, b, params)
+            found += a.witness is not None
+    assert found      # the witness map is exercised at every point
+
+
+@pytest.mark.parametrize("regime", (3, 4))
+def test_a_callers_init_is_mapped_into_the_mirror(regime):
+    """init is in the caller's orientation: the caller's own witness, given
+    back as init, is the start that wins either way round."""
+    params = ANCHORS[regime]
+    N, d = 2, 2
+    w = probe(params, N=N, d=d, budget=1200, seed=0, starts=4).witness
+    z = _pack(w.x, w.W)
+    a = probe(params, N=N, d=d, budget=600, seed=0, starts=3, init=z)
+    b = probe(params.swapped(), N=N, d=d, budget=600, seed=0, starts=3,
+              init=_mirror_init(z, N, d))
+    _same_up_to_the_swap(a, b, params)
+    assert a.best_start == (0, "init")
+
+
+@pytest.mark.parametrize("regime", (3, 4, 5, 6))
+def test_ratio_trend_fixes_the_orientation_once(regime):
+    """Every horizon is searched in one orientation, each warm-started from
+    the last witness as searched; the asymptotic constants stay the
+    caller's."""
+    params = ANCHORS[regime]
+    a, b = (ratio_trend(p, Ns=(2, 4), d=1, budget=600, starts=4)
+            for p in (params, params.swapped()))
+    for N in (2, 4):
+        _same_up_to_the_swap(a["results"][N], b["results"][N], params)
+    assert (a["a_fit"], a["b_fit"]) == (b["a_fit"], b["b_fit"])
+    assert a["asymptotic"] == asymptotic_constants(params)
+
+
+def test_probe_cli_finds_a_regime_4_witness(tmp_path):
+    """The regime-4 anchor at N = 4: the search in regime 3 finds a witness
+    (ratio 0.3811 against the bound 0.4167) that is feasible for the
+    caller's classes."""
+    out = tmp_path / "probe.json"
+    assert main(["probe", "--mu1", "-1", "--L1", "3", "--mu2", "2", "--L2", "4",
+                 "--N", "4", "--d", "1", "--budget", "1200", "--starts", "4",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["mirrored"] is True
+    assert payload["best_ratio"] == pytest.approx(0.3811, abs=1e-4)
+    assert payload["certified_bound"] == pytest.approx(5 / 12)
+    w = payload["witness"]
+    params = ANCHORS[4]
+    for cls, g, f in ((params.f1, w["g1"], w["f1"]),
+                      (params.f2, w["g2"], w["f2"])):
+        trips = [make_triplet(*t) for t in zip(w["x"], g, f)]
+        assert check_interpolation(trips, cls, FEAS_TOL).feasible
+
+
+def test_trend_cli_prints_the_swaps_ratios(tmp_path, capsys):
+    """dcrates trend on an even anchor prints its swap's horizon and fit
+    lines; only the asymptotic constants, the caller's, differ."""
+    lines = []
+    for params in (ANCHORS[4], ANCHORS[3]):
+        args = [v for k, x in params.to_json_dict().items()
+                for v in ("--" + k, str(x))]
+        out = tmp_path / ("trend%d.json" % len(lines))
+        assert main(["trend", *args, "--horizons", "2,4", "--budget", "600",
+                     "--starts", "4", "--out", str(out)]) == 0
+        lines.append(capsys.readouterr().out.splitlines()[:3])
+        assert json.loads(out.read_text())["mirrored"] is (params is ANCHORS[4])
+    assert lines[0] == lines[1]
+    assert lines[0][0].startswith("N= 2  best ratio ")
