@@ -58,10 +58,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def finite_float(text: str) -> float:
-    """A flag value that must be a finite number (F*, tolerances)."""
+    """A flag value that must be a finite number (F*)."""
     v = float(text)
     if not math.isfinite(v):
         raise argparse.ArgumentTypeError("expected a finite number, got %r" % text)
+    return v
+
+
+def tolerance(text: str) -> float:
+    """A tolerance flag's value: a finite number >= 0 (-0.0 is one)."""
+    v = float(text)
+    if not (math.isfinite(v) and v >= 0.0):
+        raise argparse.ArgumentTypeError(
+            "expected a finite number >= 0, got %r" % text)
     return v
 
 
@@ -369,14 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_check(p):
         p.add_argument("--fstar", type=finite_float)
-        p.add_argument("--check-tol", dest="check_tol", type=finite_float,
+        p.add_argument("--check-tol", dest="check_tol", type=tolerance,
                        default=SLACK_TOL)
 
     p = sub.add_parser("run", help="run DCA on an instance file")
     p.add_argument("--instance", required=True)
     p.add_argument("--x0", required=True, help="comma-separated start point")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--tol", type=finite_float, default=0.0)
+    p.add_argument("--tol", type=tolerance, default=0.0)
     p.add_argument("--policy", type=policy, default="least_norm",
                    help="kink subgradient: leftmost, rightmost, "
                    "least_norm or a weight in [0, 1]")
@@ -399,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triplets", required=True, help="JSON list of {x,g,f}")
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--L", type=float, required=True)
-    p.add_argument("--tol", type=finite_float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_interp_check)
 

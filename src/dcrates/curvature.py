@@ -13,6 +13,23 @@ from dataclasses import dataclass
 import numpy as np
 
 INF = math.inf
+DOMAIN_TOL = 1e-12      # relative closure slack of the domain inequalities
+
+
+def _le(a, b):
+    """a <= b up to the slack DOMAIN_TOL * max(|a|, |b|), which scales with
+    a and b; the slack is finite only when both are, so infinities compare
+    exactly.  Elementwise when a or b is a numpy array."""
+    # two floats skip the ndarray checks, which cost more than the comparison
+    if type(a) is float is type(b) or not (isinstance(a, np.ndarray)
+                                           or isinstance(b, np.ndarray)):
+        return a <= b or a - b <= DOMAIN_TOL * max(abs(a), abs(b)) < INF
+    tol = DOMAIN_TOL * np.maximum(np.abs(a), np.abs(b))
+    return (a <= b) | ((a - b <= tol) & (tol < INF))
+
+
+def _ge(a, b):
+    return _le(b, a)
 
 
 def recip(x):

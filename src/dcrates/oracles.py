@@ -28,16 +28,10 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .curvature import Curvature, DcParams, InvalidParams, ext_to_json
+from .curvature import Curvature, DcParams, InvalidParams, _le, ext_to_json
 
 KINK_TOL = 1e-12
 LINK_TOL = 1e-12   # relative; a subgradient's distance to the subdifferential
-
-
-def _exceeds(a: float, b: float) -> bool:
-    """a > b by more than 1e-12 * max(|a|, |b|), a pad that scales with a and
-    b; an infinite a or b makes it infinite, so infinities compare exactly."""
-    return a > b and not a - b <= 1e-12 * max(abs(a), abs(b)) < math.inf
 
 
 def _range(lo, hi, read) -> tuple:
@@ -143,10 +137,10 @@ class FunctionSpec:
             return ["NaN curvature parameter (declared mu=%r, L=%r; actual "
                     "range [%r, %r])" % (mu, L, lo, hi)]
         out = []
-        if _exceeds(mu, lo):
+        if not _le(mu, lo):
             out.append("declared mu=%r exceeds actual lower curvature %r"
                        % (mu, lo))
-        if _exceeds(hi, L):
+        if not _le(hi, L):
             out.append("actual upper curvature %r exceeds declared L=%r"
                        % (hi, L))
         return out

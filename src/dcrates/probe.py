@@ -39,10 +39,9 @@ estimation; Drori & Teboulle 2014, Taylor, Hendrickx & Glineur 2017).  probe
 therefore searches an even-regime problem in its odd mirror,
 params.swapped(), and maps the result back by PepVariables.mirror:
 x -> x[::-1], W -> W[::-1], (f1, f2) -> (f2[::-1], f1[::-1]).  A caller's
-init goes into the mirror by the same map.  The mapped witness is checked
-against the caller's classes, and the certified bound is the caller's, whose
-p is the mirror's bit for bit.  ratio_trend fixes the orientation once, so
-its warm starts stretch the mirror's witnesses.
+init witness goes into the mirror by the same map.  The mapped witness is
+checked against the caller's classes, and the certified bound is the
+caller's, whose p is the mirror's bit for bit.
 """
 from __future__ import annotations
 
@@ -303,12 +302,6 @@ def _unpack(z: np.ndarray, N: int, d: int) -> tuple:
     return z[:n * d].reshape(n, d), z[n * d:].reshape(n + 1, d)
 
 
-def _mirror_vector(z: np.ndarray, N: int, d: int) -> np.ndarray:
-    """The search vector of PepVariables.mirror's (x, W)."""
-    x, W = _unpack(z, N, d)
-    return _pack(x[::-1], W[::-1])
-
-
 class _Objective:
     """Ratio and merit of each row of a stack (m, nz) of search vectors (see
     _pack), and the witness of one vector.  The two classes' pair matrices
@@ -419,13 +412,15 @@ def _stretch(w: PepVariables, N: int, d: int) -> np.ndarray:
 
 def probe(params: DcParams, N: int = 1, d: int = 1, budget: int = 200000,
           seed: int = 0, starts: int = 32, warm: bool = True,
-          init: Optional[np.ndarray] = None) -> ProbeResult:
+          init: Optional[PepVariables] = None) -> ProbeResult:
     """Multi-start local maximization of the worst-case ratio.
 
-    warm=False runs cold (random starts only).  init adds one caller-supplied
-    start vector.  Deterministic for fixed (seed, budget, starts).  An
-    even-regime problem is searched in its odd mirror (see the module
-    docstring), so it gives its mirror's ratio, evals and best_start.
+    warm=False runs cold (random starts only).  init adds one start from a
+    caller's witness, of any N and of dimension at most d, in the caller's
+    orientation; it is stretched onto N steps and d like the extremal start.
+    Deterministic for fixed (seed, budget, starts).  An even-regime problem
+    is searched in its odd mirror (see the module docstring), so it gives its
+    mirror's ratio, evals and best_start.
     """
     t_start = time.perf_counter()
     require_valid(params)
@@ -437,11 +432,9 @@ def probe(params: DcParams, N: int = 1, d: int = 1, budget: int = 200000,
     cert = one_step_certificate(params)
     certified = 1.0 / (cert.p * N)
     nz = (2 * N + 3) * d
-    if init is not None:
-        init = np.asarray(init, dtype=float)
-        if init.shape != (nz,):
-            raise ValueError("init must be a vector of (2N + 3) d = %d entries, "
-                             "got shape %r" % (nz, init.shape))
+    if init is not None and init.x.shape[1] > d:
+        raise ValueError("init has dimension %d, more than d = %d"
+                         % (init.x.shape[1], d))
 
     # an even regime is searched in its odd mirror (see the module docstring)
     mirrored = cert.index % 2 == 0
@@ -450,11 +443,12 @@ def probe(params: DcParams, N: int = 1, d: int = 1, budget: int = 200000,
         searched = params.swapped()
         cert = one_step_certificate(searched)    # the warm starts' regime
         if init is not None:
-            init = _mirror_vector(init, N, d)
+            init = init.mirror()
     obj = _Objective(searched, N, d)
     rng = np.random.default_rng(seed)
 
-    inits = [] if init is None else [(init, "init")]   # (start vector, kind)
+    # (start vector, kind)
+    inits = [] if init is None else [(_stretch(init, N, d), "init")]
     if warm:
         gamma = equality_gammas(cert.index, searched)[0][0]
         if math.isfinite(gamma):    # not so when the L it involves is inf
@@ -530,20 +524,15 @@ def ratio_trend(params: DcParams, Ns, d: int = 1, budget: int = 200000,
     Fits 1/ratio = a N + b by least squares, one point per distinct horizon
     that found a witness (a and b are NaN when fewer than two did), and
     reports (a, b) together with the asymptotic constants, as trend evidence
-    only.  The warm starts stretch witnesses in the orientation probe
-    searches, so an even-regime trend is its odd mirror's, mapped back.
+    only.  Each horizon's init is the last witness found.
     """
     results = {}
-    prev, mirrored = None, False     # the last witness, as searched
+    prev = None
     for N in Ns:
-        init = None if prev is None else _stretch(prev, N, d)
-        if init is not None and mirrored:
-            init = _mirror_vector(init, N, d)   # probe maps it back
-        r = probe(params, N, d, budget, seed, starts, warm=True, init=init)
+        r = probe(params, N, d, budget, seed, starts, warm=True, init=prev)
         results[N] = r
-        mirrored = r.mirrored
         if r.witness is not None:
-            prev = r.witness.mirror() if mirrored else r.witness
+            prev = r.witness
     xs = np.array([N for N in results if results[N].best_ratio > 0.0], dtype=float)
     ys = np.array([1.0 / results[N].best_ratio for N in xs.astype(int)])
     a, b = (np.polyfit(xs, ys, 1) if xs.size >= 2 else (math.nan, math.nan))

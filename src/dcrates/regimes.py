@@ -21,9 +21,8 @@ import numpy as np
 
 # PreconditionViolated is validate's, imported so that callers find it here too
 from .curvature import (INF, DcParams, InvalidParams, PreconditionViolated,
-                        in_domain, recip, validate)
+                        _ge, _le, in_domain, recip, validate)
 
-DOMAIN_TOL = 1e-12      # relative closure slack of the domain inequalities
 BOUNDARY_AGREE_TOL = 1e-9   # relative agreement of rows matched at one point
 
 
@@ -80,22 +79,6 @@ class AsymptoticConstants(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # helpers: mu1, mu2 may be floats or numpy arrays, L1, L2 are always floats
-
-def _le(a, b):
-    """a <= b up to the slack DOMAIN_TOL * max(|a|, |b|), which scales with
-    a and b; the slack is finite only when both are, so infinities compare
-    exactly."""
-    # two floats skip the ndarray checks, which cost more than the comparison
-    if type(a) is float is type(b) or not (isinstance(a, np.ndarray)
-                                           or isinstance(b, np.ndarray)):
-        return a <= b or a - b <= DOMAIN_TOL * max(abs(a), abs(b)) < INF
-    tol = DOMAIN_TOL * np.maximum(np.abs(a), np.abs(b))
-    return (a <= b) | ((a - b <= tol) & (tol < INF))
-
-
-def _ge(a, b):
-    return _le(b, a)
-
 
 def _where(cond, a, b):
     """a where cond holds, else b; elementwise when cond is an array."""

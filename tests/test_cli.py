@@ -1302,18 +1302,44 @@ def test_certify_refuses_an_unknown_stop_reason(tmp_path, instance_file,
     ("run", "--tol", "nan"),
     ("certify", "--fstar", "-inf"),
     ("run", "--check-tol", "inf"),
-    ("interp-check", "--tol", "nan")])
+    ("interp-check", "--tol", "nan"),
+    ("run", "--tol", "-1"),
+    ("run", "--check-tol", "-1e-300"),
+    ("certify", "--check-tol", "-1"),
+    ("interp-check", "--tol", "-1"),
+    ("interp-check", "--tol", "-1e-300")])
 def test_non_finite_fstar_or_tolerance_is_usage_error(tmp_path, instance_file,
                                                       capsys, command, flag, value):
-    """A NaN or infinite F* or tolerance is malformed input, exit 1 naming
-    the flag; it read as a failed certificate (exit 2) or, for --tol, as a
-    run that never stops early (exit 0)."""
+    """A NaN or infinite F*, or a tolerance that is not a finite number
+    >= 0, is malformed input, exit 1 naming the flag; it read as a failed
+    certificate (exit 2) or, for --tol, as a run that never stops early
+    (exit 0)."""
     argv = [command] + _command_argv(command, tmp_path, instance_file)
     capsys.readouterr()
     assert _main_code(argv + [flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "argument %s: expected a finite number, got %r" % (flag, value) in err
+    expected = "a finite number" + (" >= 0" if "tol" in flag else "")
+    assert "argument %s: expected %s, got %r" % (flag, expected, value) in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("run", "--tol"), ("run", "--check-tol"), ("certify", "--check-tol"),
+    ("interp-check", "--tol")])
+def test_a_zero_tolerance_of_either_sign_is_accepted(tmp_path, instance_file,
+                                                     capsys, command, flag):
+    """-0.0 is a tolerance >= 0: it runs as 0 does, to the same exit code
+    and, once the echoed tolerance's sign is set aside, the same output."""
+    argv = [command] + _command_argv(command, tmp_path, instance_file)
+    if command == "interp-check":
+        argv += ["--mu", "1.5"]
+    capsys.readouterr()
+    runs = []
+    for value in ("0", "-0.0"):
+        code = _main_code(argv + [flag, value])
+        runs.append((code, capsys.readouterr().out.replace("-0.0", "0.0")))
+    assert runs[0] == runs[1]
+    assert runs[0][0] != 1
 
 
 @pytest.mark.parametrize("fstar", [math.nan, INF, -INF])

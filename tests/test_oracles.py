@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dcrates.curvature import Curvature, InvalidParams
+from dcrates.curvature import DOMAIN_TOL, Curvature, InvalidParams
 from dcrates.oracles import (KINK_TOL, LINK_TOL, AbsPlusQuadratic,
                              FunctionSpec, MaxOfQuadratics, Quadratic, Unbounded,
                              analytic_infimum, evaluate, family_from_json,
@@ -286,6 +286,25 @@ def test_certify_declared_verdict_is_scale_free(k):
     assert verdict(kinked, c[0], 1e300) == ["actual upper curvature inf exceeds declared L"]
     concave_kink = AbsPlusQuadratic(-1.0, c[0], 0.0)
     assert verdict(concave_kink, -1e300, INF) == ["declared mu"]
+
+
+def test_certify_declared_pads_by_the_domain_tolerance():
+    """The declared-class check is curvature._le, the regime domains' a <= b:
+    a declared mu or L past the true curvature by half the relative pad
+    DOMAIN_TOL passes, by twice the pad fails, and hi = L = inf holds."""
+    quad = Quadratic((1.0, 3.0), (0.0, 0.0))
+
+    def named(mu, L, family=quad):
+        spec = FunctionSpec(family, Curvature(mu, L))
+        return [v.split("=")[0] for v in spec.certify_declared()]
+
+    assert named(1.0 + 0.5 * DOMAIN_TOL, 3.0 * (1.0 - 0.5 * DOMAIN_TOL)) == []
+    assert named(1.0 + 2.0 * DOMAIN_TOL, 3.0) == ["declared mu"]
+    assert named(1.0, 3.0 * (1.0 - 2.0 * DOMAIN_TOL)) == [
+        "actual upper curvature 3.0 exceeds declared L"]
+    kinked = MaxOfQuadratics(((1.0, 0.0, 0.0), (3.0, 1.0, 0.0)))
+    assert kinked.curvature_range()[1] == INF
+    assert named(1.0, INF, kinked) == []
 
 
 def test_max_quadratics_meeting_point_of_nearly_equal_curvatures():

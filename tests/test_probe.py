@@ -10,9 +10,9 @@ from dcrates.cli import main
 from dcrates.curvature import make_params
 from dcrates.interpolation import check_interpolation, make_triplet, pair_matrix_cm
 from dcrates.probe import (CERT_ALLOWANCE, FEAS_TOL, InfeasibleConstruction,
-                           _chain_start, _feasibility, _Objective, _pack,
-                           _stretch, extremal_instance, minimize, probe,
-                           ratio_trend)
+                           PepVariables, _chain_start, _feasibility,
+                           _Objective, _pack, _stretch, extremal_instance,
+                           minimize, probe, ratio_trend)
 from dcrates.regimes import asymptotic_constants, classify, equality_gammas
 
 INF = math.inf
@@ -104,6 +104,11 @@ def test_probe_deterministic():
     assert c.best_ratio == pytest.approx(a.best_ratio, rel=0.2)
 
 
+def _zero_witness(N, d):
+    return PepVariables(np.zeros((N + 1, d)), np.zeros((N + 2, d)),
+                        np.zeros(N + 1), np.zeros(N + 1))
+
+
 def test_probe_warm_start_recovers_one_step_bound():
     params = REGIME_POINTS[1]
     r = probe(params, N=1, d=1, budget=20000, seed=0, starts=8, warm=True)
@@ -117,7 +122,7 @@ def test_probe_warm_start_recovers_one_step_bound():
     assert r.best_start == (0, "chain")
     assert r.elapsed_s > 0.0
     init = probe(params, N=1, d=1, budget=2000, seed=0, starts=3,
-                 init=np.zeros(5))
+                 init=_zero_witness(1, 1))
     assert init.best_start in ((0, "init"), (1, "chain"), (2, "extremal"))
     cold = probe(params, N=1, d=1, budget=2000, seed=0, starts=3, warm=False)
     assert cold.best_start[0] in (0, 1, 2) and cold.best_start[1] == "random"
@@ -161,10 +166,10 @@ def test_probe_rejects_large_problems():
         probe(REGIME_POINTS[1], d=4)
 
 
-def test_probe_rejects_init_of_wrong_length():
-    # N = 2, d = 1 searches over (2N + 3) d = 7 entries
-    with pytest.raises(ValueError, match="7 entries"):
-        probe(REGIME_POINTS[1], N=2, d=1, budget=100, starts=2, init=np.zeros(8))
+def test_probe_rejects_init_of_a_higher_dimension():
+    with pytest.raises(ValueError, match="init has dimension 2, more than d = 1"):
+        probe(REGIME_POINTS[1], N=2, d=1, budget=100, starts=2,
+              init=_zero_witness(2, 2))
 
 
 def test_ratio_trend_shape():
@@ -383,7 +388,7 @@ def _start_major(params, N, d, budget, seed, starts, warm=True, init=None):
     obj = _Objective(params, N, d)
     rng = np.random.default_rng(seed)
     nz = (2 * N + 3) * d
-    inits = [] if init is None else [(np.asarray(init, dtype=float), "init")]
+    inits = [] if init is None else [(_stretch(init, N, d), "init")]
     if warm:
         gamma = equality_gammas(cert.index, params)[0][0]
         if math.isfinite(gamma):
@@ -457,7 +462,8 @@ SCHEDULES = {
     "start_skipped": ((1, 1, 1, 70, 8, {}), {"entered": 7}),
     "no_chunk": ((1, 1, 1, 5, 2, {}), {"entered": 2, "caps": []}),
     "polish": ((1, 2, 1, 2000, 3, {}), {"polish": 1}),
-    "init": ((1, 1, 1, 2000, 3, {"init": np.zeros(5)}), {"entered": 3}),
+    "init": ((1, 1, 1, 2000, 3, {"init": _zero_witness(1, 1)}),
+             {"entered": 3}),
     "cold": ((1, 1, 1, 2000, 3, {"warm": False}), {"entered": 3}),
     "stops_short": ((1, 1, 1, 20000, 4, {}), {"short": 12}),
     # chunks stop short, and the last chunk is still cut to its planned cap
@@ -647,12 +653,6 @@ def _mirror_bytes(w):
                                    for a in (w.x, w.W, w.f2, w.f1)]
 
 
-def _mirror_init(z, N, d):
-    n = (N + 1) * d
-    return np.concatenate([z[:n].reshape(N + 1, d)[::-1].ravel(),
-                           z[n:].reshape(N + 2, d)[::-1].ravel()])
-
-
 def _same_up_to_the_swap(a, b, params):
     """a is a probe of params and b of params.swapped(): the same search,
     witnesses related by the time-reversal map, and each feasible against
@@ -695,12 +695,26 @@ def test_a_callers_init_is_mapped_into_the_mirror(regime):
     params = ANCHORS[regime]
     N, d = 2, 2
     w = probe(params, N=N, d=d, budget=1200, seed=0, starts=4).witness
-    z = _pack(w.x, w.W)
-    a = probe(params, N=N, d=d, budget=600, seed=0, starts=3, init=z)
+    a = probe(params, N=N, d=d, budget=600, seed=0, starts=3, init=w)
     b = probe(params.swapped(), N=N, d=d, budget=600, seed=0, starts=3,
-              init=_mirror_init(z, N, d))
+              init=w.mirror())
     _same_up_to_the_swap(a, b, params)
     assert a.best_start == (0, "init")
+
+
+@pytest.mark.parametrize("regime", (7, 8))
+@pytest.mark.parametrize("d", (2, 3))
+def test_a_lower_dimensional_witness_seeds_a_higher_dimensional_probe(regime, d):
+    """The d = 1 witness, zero-padded to d, starts a d-dimensional search
+    that finds at least its ratio and a feasible witness; regime 8 takes it
+    through the mirror."""
+    params = ANCHORS[regime]
+    one = probe(params, N=2, d=1, budget=1200, seed=0, starts=4)
+    r = probe(params, N=2, d=d, budget=1200, seed=0, starts=4,
+              init=one.witness)
+    assert r.best_ratio >= one.best_ratio > 0.0
+    assert r.witness.x.shape == (3, d)
+    assert all(rep.feasible for rep in r.feasibility)
 
 
 @pytest.mark.parametrize("regime", (3, 4, 5, 6))
