@@ -327,6 +327,8 @@ def cmd_sweep(args) -> int:
                         ("--steps", args.steps)):
         if value < 1:
             raise ValueError("%s must be at least 1, got %d" % (flag, value))
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0, got %d" % args.seed)
     rng = np.random.default_rng(args.seed)
     worst, rate_failures = math.inf, 0
     for regime in sorted(ANCHORS):

@@ -17,16 +17,22 @@ with s = p dg - q dx, the right-hand side is
 
 (a, b, p, q) = (2(L-mu), mu/2, 1, mu) for finite L and (inf, mu/2, 0, 0)
 for L = inf, where s = 0 exactly.  One L = inf class on its own skips s
-and is b ||dx||^2, so it never reads dg, and pair_matrix_cm never forms it.
+and is b ||dx||^2, so it never reads dg, and the pair kernel never forms it.
 For a stack of k classes each coefficient is an array with one entry per
 class, so k gradient sets at the same points are bounded in one broadcast
-pass (pair_matrix_cm), each with its own class, by the same arithmetic as one
-finite-L class on its own.
+pass, each with its own class, by the same arithmetic as one finite-L class
+on its own.
 
-The pair kernel (pair_matrix_cm) is coordinate-major: (..., d, n) points and
-gradients, (..., d, n, n) differences.  Its sums over coordinates run in one
-order whatever the memory layout: that of numpy's einsum on d-last C-ordered
-data up to d = 7, even coordinates then odd ones ((0 + 2) + 1 at d = 3).
+The one pair kernel, PairKernel, is coordinate-major: (..., 1 + k, d, n)
+points then gradients, (..., d, n, n) differences, made in one subtraction.
+Its sums over coordinates run in one order whatever the memory layout: that
+of numpy's einsum on d-last C-ordered data up to d = 7, even coordinates
+then odd ones ((0 + 2) + 1 at d = 3).  A kernel is built for one shape with
+its workspace: the differences, the products g_j (x_i - x_j), the output
+and the views of them it reads.  The probe objective holds one per stack
+shape and refills its data for each evaluation; check_interpolation and
+pair_matrix_cm build one per call.  Where the results are written changes
+nothing else, so both give the same bits.
 """
 from __future__ import annotations
 
@@ -118,28 +124,63 @@ def pair_lower_bound(cls: Curvature, dx: np.ndarray, dg: np.ndarray):
     return float(rhs) if dx.ndim == 1 else rhs
 
 
-def pair_matrix_cm(X: np.ndarray, G: np.ndarray, cls, out=None) -> np.ndarray:
+class PairKernel:
+    """The pair kernel on the caller's array data, with its workspace: the
+    differences, the products g_j (x_i - x_j), the output and the views of
+    them a call reads are built once, here, so a caller that refills data
+    in place and calls again pays only for the bound's own temporaries.
+
+    data (..., 1 + k, d, n) holds the coordinate-major points, then k
+    gradient sets at them, one per class of cls (one class for k = 1; cls
+    may be given as its bound_coefficients).  A call writes c (..., k, n, n),
+    c[..., l, i, j] the minimal feasible f^i - f^j of class l, into self.c
+    and returns it; the next call overwrites it.
+    """
+
+    def __init__(self, cls, data: np.ndarray):
+        self._coef = coef = (cls if isinstance(cls, BoundCoefficients)
+                             else bound_coefficients(cls))
+        *lead, rows, d, n = data.shape
+        self.c = c = np.empty((*lead, rows - 1, n, n))
+        # the points' differences, then the gradients' where the bound
+        # reads them
+        read = data[..., :1, :, :] if _reads_no_dg(coef) else data
+        self._p_i, self._p_j = read[..., None], read[..., None, :]
+        self._diff = diff = np.empty(read.shape + (n,))
+        self._dx = diff[..., :1, :, :, :]
+        self._dg = None if read is not data else diff[..., 1:, :, :, :]
+        self._g_j = data[..., 1:, :, None, :]
+        self._gdx = gdx = np.empty((*lead, rows - 1, d, n, n))
+        self._even = gdx[..., ::2, :, :]
+        self._odd = gdx[..., 1::2, :, :] if d > 1 else None
+        self._diag = c.reshape(*lead, rows - 1, n * n)[..., ::n + 1]
+
+    def __call__(self) -> np.ndarray:
+        c = self.c
+        np.subtract(self._p_i, self._p_j, out=self._diff)
+        np.multiply(self._g_j, self._dx, out=self._gdx)
+        # <g_j, x_i - x_j> as einsum sums it, from +0.0 (reduce's start value)
+        np.add.reduce(self._even, -3, out=c)
+        if self._odd is not None:
+            c += np.add.reduce(self._odd, -3)
+        c += _lower_bound(self._coef, self._dx, self._dg, -3)
+        self._diag[...] = 0.0
+        return c
+
+
+def pair_matrix_cm(X: np.ndarray, G: np.ndarray, cls) -> np.ndarray:
     """c[i, j]: minimal feasible f^i - f^j given coordinate-major points X
-    (d, n) and gradients G (d, n); each difference is coordinate-major when
-    X and G are.
+    (d, n) and gradients G (d, n), from a PairKernel of its own.
 
     G may also be a stack (k, d, n) of gradient sets at the same points X,
     with cls a sequence of k classes; c is then (k, n, n).  Both may carry
-    further leading axes that broadcast, as X (m, 1, d, n) against G
-    (m, k, d, n) for m point sets with k classes each, c (m, k, n, n).  cls
-    may be given as its bound_coefficients, and c written into out.
+    the same further leading axes, as X (m, 1, d, n) and G (m, k, d, n) for
+    m point sets with k classes each, c (m, k, n, n).  cls may be given as
+    its bound_coefficients.
     """
-    coef = cls if isinstance(cls, BoundCoefficients) else bound_coefficients(cls)
-    dX = X[..., :, None] - X[..., None, :]
-    dG = None if _reads_no_dg(coef) else G[..., :, None] - G[..., None, :]
-    # <g_j, x_i - x_j> as einsum sums it, from +0.0 (reduce's start value)
-    gdx = G[..., None, :] * dX
-    inner = np.add.reduce(gdx[..., ::2, :, :], -3)
-    if gdx.shape[-3] > 1:
-        inner += np.add.reduce(gdx[..., 1::2, :, :], -3)
-    c = np.add(inner, _lower_bound(coef, dX, dG, -3), out=out)
-    np.einsum("...ii->...i", c)[...] = 0.0     # a view of the diagonal(s)
-    return c
+    c = PairKernel(cls, np.concatenate([A if A.ndim > 2 else A[None]
+                                        for A in (X, G)], -3))()
+    return c if G.ndim > 2 else c[0]
 
 
 def check_interpolation(triplets, cls: Curvature,
@@ -151,10 +192,10 @@ def check_interpolation(triplets, cls: Curvature,
     if n < 2:
         return InterpReport(np.zeros((n, n)), 0.0, True, tol)
     xs, gs, fs = zip(*triplets)
-    X, G = (np.array(vs, order="F").T for vs in (xs, gs))   # C-ordered (d, n)
     F = np.array(fs)
     S = np.subtract.outer(F, F)
-    S -= pair_matrix_cm(X, G, cls)
+    P = np.array((xs, gs)).swapaxes(-1, -2)      # points, gradients (2, d, n)
+    S -= PairKernel(cls, P)()[0]
     # after S[0, 0], rows of n + 1 entries that each end at a diagonal one
     min_slack = float(S.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].min())
     return InterpReport(S, min_slack, min_slack >= -tol, tol)

@@ -19,7 +19,11 @@ The local search (minimize) is scipy's adaptive Nelder-Mead, step for step,
 so it gives scipy's points; the package therefore needs no scipy at run
 time.  The search has one shape: minimize runs an (m, nz) stack of starts
 in lockstep, and the objective always takes a (k, nz) stack, evaluated in
-one broadcast pass.
+one broadcast pass.  The objective keeps a workspace per stack shape: the
+gathered points and gradients, the pair kernel on them
+(interpolation.PairKernel) with its own workspace, the Floyd-Warshall views
+and one array of the results, so evaluating a shape seen before rebuilds
+none of them.
 
 The starts' searches are independent, and run in chunks of at most
 per_chunk evaluations.  Every chunk's cap is fixed before the search, as if
@@ -53,8 +57,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .curvature import DcParams, require_valid
-from .interpolation import (bound_coefficients, check_interpolation,
-                            pair_lower_bound, pair_matrix_cm)
+from .interpolation import (PairKernel, bound_coefficients,
+                            check_interpolation, pair_lower_bound)
 from .regimes import (DenominatorZero, asymptotic_constants, equality_gammas,
                       one_step_certificate)
 
@@ -305,8 +309,9 @@ def _unpack(z: np.ndarray, N: int, d: int) -> tuple:
 class _Objective:
     """Ratio and merit of each row of a stack (m, nz) of search vectors (see
     _pack), and the witness of one vector.  The two classes' pair matrices
-    and longest paths of every vector are one (..., 2, n, n) broadcast pass,
-    from bound coefficients built once, in buffers kept per stack shape."""
+    and longest paths of every vector are one (..., 2, n, n) broadcast pass
+    in a workspace kept per stack shape (see _buffer), so an evaluation of a
+    shape seen before rebuilds none of its arrays and views."""
 
     def __init__(self, params: DcParams, N: int, d: int):
         self.N = N
@@ -320,47 +325,57 @@ class _Objective:
         self._buffers = {}
 
     def _buffer(self, lead: tuple) -> tuple:
-        """For a stack of shape lead: dist, tmp, views of dist (the two
-        entries D adds, the diagonals) and the Floyd-Warshall (column, row)
-        views."""
+        """For a stack of shape lead: x, g1 and g2 (..., 3, d, n) and the
+        pair kernel on them, whose c is dist; tmp and the Floyd-Warshall
+        (column, row) views; g1, g2, their gap and its squared sums; the two
+        entries of dist D adds, and its diagonals; and the (3,) + lead array
+        of (num, D, cyc) with a view of each row."""
         buf = self._buffers.get(lead)
         if buf is None:
             n = self.N + 1
-            dist = np.empty(lead + (2, n, n))
+            P = np.empty(lead + (3, self.d, n))
+            kernel = PairKernel(self._coef, P)
+            dist = kernel.c
             steps = [(dist[..., :, k:k + 1], dist[..., k:k + 1, :])
                      for k in range(n)]
+            out = np.empty((3,) + lead)
             buf = self._buffers[lead] = (
-                dist, np.empty_like(dist), dist[..., 0, 0, -1],
-                dist[..., 1, -1, 0], np.einsum("...ii->...i", dist), steps)
+                P, kernel, np.empty_like(dist), steps,
+                (P[..., 1, :, :], P[..., 2, :, :], np.empty(lead + (self.d, n)),
+                 np.empty(lead + (n,))),
+                (dist[..., 0, 0, -1], dist[..., 1, -1, 0],
+                 np.einsum("...ii->...i", dist)),
+                (out, *(out[k, ...] for k in range(3))))
         return buf
 
-    def _longest_paths(self, z: np.ndarray) -> tuple:
-        """G (..., 2, d, n) of z, and max-plus Floyd-Warshall on both
-        classes' pair matrices in the reused buffer: dist and its views (see
-        _buffer), valid until the next evaluation of that shape."""
-        P = z.take(self._index, -1)    # C-ordered, unlike z[..., index]
-        G = P[..., 1:, :, :]
-        buf = self._buffer(z.shape[:-1])
-        dist, tmp, *_, steps = buf
-        pair_matrix_cm(P[..., :1, :, :], G, self._coef, out=dist)
+    def _evaluate(self, z: np.ndarray) -> np.ndarray:
+        """(num, D, cyc) of z in the reused buffer (3,) + z.shape[:-1]: half
+        the least squared gradient gap, the minimal feasible decrease and
+        the largest cycle (NaN if either class has a NaN one).  It and the
+        longest paths, the kernel's c, are valid until the next evaluation
+        of that shape."""
+        (P, kernel, tmp, steps, (g1, g2, gap, sq), (f1_decrease, f2_increase,
+         diag), (out, num, D, cyc)) = self._buffer(z.shape[:-1])
+        z.take(self._index, -1, out=P, mode="clip")    # unbuffered; in range
+        dist = kernel()
         for col, row in steps:
             np.maximum(dist, np.add(col, row, out=tmp), out=dist)
-        return G, buf
+        np.subtract(g1, g2, out=gap)
+        np.add.reduce(np.multiply(gap, gap, out=gap), -2, out=sq)
+        np.multiply(0.5, np.minimum.reduce(sq, -1, out=num), out=num)
+        np.add(f1_decrease, f2_increase, out=D)
+        np.maximum.reduce(diag, (-2, -1), out=cyc)
+        return out
 
     def parts(self, z: np.ndarray) -> tuple:
-        """(num, D, cyc), each of shape z.shape[:-1]: half the least squared
-        gradient gap, the minimal feasible decrease and the largest cycle
-        (NaN if either class has a NaN one)."""
-        G, (_, _, f1_decrease, f2_increase, diag, _) = self._longest_paths(z)
-        gap = G[..., 0, :, :] - G[..., 1, :, :]
-        num = 0.5 * np.minimum.reduce(np.add.reduce(gap * gap, -2), -1)
-        return (num, f1_decrease + f2_increase,
-                np.maximum.reduce(diag, (-2, -1)))
+        """(num, D, cyc) of _evaluate, each of shape z.shape[:-1], in arrays
+        the caller owns."""
+        return tuple(self._evaluate(z).copy())
 
     def _rows(self, Z: np.ndarray):
         """(num, D, cyc) of each row of the stack Z, as len(Z) evaluations."""
         self.evals += len(Z)
-        return zip(*np.array(self.parts(Z)).tolist())
+        return zip(*self._evaluate(Z).tolist())
 
     def ratio(self, Z: np.ndarray) -> list:
         """The ratio of each row of a stack (m, nz), as a list; infeasible
@@ -378,11 +393,12 @@ class _Objective:
                 for num, D, cyc in self._rows(Z)]
 
     def witness(self, z: np.ndarray) -> Optional[PepVariables]:
-        num, D, cyc = map(float, self.parts(z))
+        num, D, cyc = self._evaluate(z).tolist()
         if cyc > _CYCLE_TOL or D < _D_FLOOR:
             return None
         z = (1.0 / math.sqrt(D)) * z   # ratio is invariant; normalize D to 1
-        dist = self._longest_paths(z)[1][0]
+        self._evaluate(z)
+        dist = self._buffer(z.shape[:-1])[1].c
         # potentials: f1^j = -dist1(0, j), f2^j = -dist2(N, j); new arrays
         return PepVariables(*_unpack(z, self.N, self.d),
                             -dist[0, 0, :], -dist[1, -1, :])
@@ -426,9 +442,9 @@ def probe(params: DcParams, N: int = 1, d: int = 1, budget: int = 200000,
     require_valid(params)
     if N < 1 or N > 10 or d < 1 or d > 3:
         raise ValueError("desk scale only: 1 <= N <= 10, 1 <= d <= 3")
-    if budget < 0 or starts < 0:
-        raise ValueError("budget and starts must be >= 0, got budget=%r, "
-                         "starts=%r" % (budget, starts))
+    if budget < 0 or starts < 0 or seed < 0:
+        raise ValueError("budget, starts and seed must be >= 0, got budget=%r, "
+                         "starts=%r, seed=%r" % (budget, starts, seed))
     cert = one_step_certificate(params)
     certified = 1.0 / (cert.p * N)
     nz = (2 * N + 3) * d

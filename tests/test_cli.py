@@ -407,10 +407,16 @@ _HORIZONS_ERROR = "error: dcrates trend: argument --horizons: "
     (["sweep", "--per-regime", "0"], 1, "", None, "error: "),
     (["sweep", "--steps", "0"], 1, "", None,
      "error: --steps must be at least 1, got 0\n"),
+    (_TREND + ["--seed", "-1"], 1, "", None,
+     "error: budget, starts and seed must be >= 0, got budget=300, starts=2, "
+     "seed=-1\n"),
+    (["sweep", "--seed", "-1"], 1, "", None,
+     "error: --seed must be >= 0, got -1\n"),
 ], ids=["sweep", "trend", "trend_one_horizon", "trend_invalid_params",
         "trend_horizon_0", "trend_horizons_not_integer",
         "trend_horizons_empty_entry", "trend_horizons_empty",
-        "sweep_per_regime_0", "sweep_steps_0"])
+        "sweep_per_regime_0", "sweep_steps_0", "trend_seed_negative",
+        "sweep_seed_negative"])
 def test_trend_and_sweep_output(tmp_path, capsys, argv, code, stdout, fit, err):
     """The lines trend and sweep print, byte for byte, and trend's strict
     JSON.  A bad input is an input error: it was a traceback or, for sweep

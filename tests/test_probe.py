@@ -566,7 +566,8 @@ def test_probe_spends_at_most_one_evaluation_past_the_budget():
             assert r.evals <= budget + 1, (budget, starts, r.evals)
 
 
-@pytest.mark.parametrize("flag,value", (("budget", -5), ("starts", -3)))
+@pytest.mark.parametrize("flag,value", (("budget", -5), ("starts", -3),
+                                        ("seed", -1)))
 def test_negative_budget_or_starts_is_refused(flag, value, capsys):
     with pytest.raises(ValueError, match="must be >= 0"):
         probe(REGIME_POINTS[1], **{flag: value})
@@ -609,20 +610,39 @@ def test_probe_cli_one_nonsmooth_term(tmp_path, capsys):
     assert payload["elapsed_s"] > 0.0
 
 
+def _bytes(values):
+    """The bytes of a sequence of arrays or floats, which tell -0.0 from 0.0
+    and one NaN from another."""
+    return [np.asarray(v).tobytes() for v in values]
+
+
 def test_witness_does_not_alias_the_reused_buffer():
-    """The objective reuses one buffer for every evaluation; a witness must
-    own its arrays, so later evaluations leave it unchanged."""
-    params = ANCHORS[5]
-    obj = _Objective(params, 2, 2)
-    r = probe(params, N=2, d=2, budget=600, seed=0, starts=2)
-    w = obj.witness(_pack(r.witness.x, r.witness.W))
-    assert w is not None
-    before = [a.copy() for a in (w.x, w.W, w.f1, w.f2)]
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        obj.parts(rng.normal(size=7 * 2))
-    for a, b in zip((w.x, w.W, w.f1, w.f2), before):
-        assert np.array_equal(a, b)
+    """The objective reuses one workspace per stack shape for every
+    evaluation.  Stacks of interleaved shapes and a single vector give a
+    fresh objective's bits whatever was evaluated before them, and a
+    witness, a parts result and a merit list are the caller's own, so later
+    evaluations of the same shape leave them unchanged.  At an anchor and at
+    p17, whose f1 is nonsmooth."""
+    N, d = 2, 2
+    nz = (2 * N + 3) * d
+    for params in (ANCHORS[5], make_params(1.0, INF, -0.5, 2.0)):
+        obj = _Objective(params, N, d)
+        r = probe(params, N=N, d=d, budget=600, seed=0, starts=2)
+        w = obj.witness(_pack(r.witness.x, r.witness.W))
+        assert w is not None
+        kept = [((w.x, w.W, w.f1, w.f2), _bytes((w.x, w.W, w.f1, w.f2)))]
+        rng = np.random.default_rng(5)
+        for shape in [(4, nz), (1, nz), (nz + 1, nz), (4, nz), (nz,)] * 2:
+            Z = rng.normal(size=shape) * 10.0 ** rng.uniform(-1, 1)
+            parts = obj.parts(Z)
+            assert _bytes(parts) == _bytes(_Objective(params, N, d).parts(Z))
+            kept.append((parts, _bytes(parts)))
+            if len(shape) == 2:
+                merit = obj.merit(Z)
+                assert _bytes(merit) == _bytes(_Objective(params, N, d).merit(Z))
+                kept.append((merit, _bytes(merit)))
+        for result, before in kept:
+            assert _bytes(result) == before
 
 
 # (regime, N, d): best_ratio.hex(), evals, best_start of the benchmark's
@@ -637,6 +657,10 @@ SEARCH_PATH = {
     (5, 2, 1): ("0x1.3e3ac1905e576p-1", 1201, (0, "chain")),
     (5, 4, 3): ("0x1.a5c4f96d83836p-3", 1201, (0, "chain")),
     (7, 2, 1): ("0x1.7146118ef1d43p-5", 1201, (0, "chain")),
+    # the largest stacks: initial simplices of 46 rows at N = 6, d = 3
+    (1, 6, 3): ("0x1.999999999999ap-4", 1201, (0, "chain")),
+    (5, 6, 3): ("0x1.17246517f2362p-3", 1201, (0, "chain")),
+    (3, 4, 2): ("0x1.8c62affb87adcp-2", 1201, (0, "chain")),
 }
 
 
