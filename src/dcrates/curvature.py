@@ -28,23 +28,16 @@ def _le(a, b):
     return (a <= b) | ((a - b <= tol) & (tol < INF))
 
 
-def _ge(a, b):
-    return _le(b, a)
-
-
 def recip(x):
     """Reciprocal with the conventions 1/0 = +inf and 1/inf = 0.
 
     Elementwise on a numpy array; a fractions.Fraction stays exact.
     """
-    if isinstance(x, np.ndarray):
-        with np.errstate(divide="ignore"):
-            return np.where(x == 0.0, INF, 1.0 / x)
-    if x == 0.0:
-        return INF
-    if x == INF:
-        return 0.0
-    return 1 / x
+    # a float skips the ndarray check, which costs more than the division
+    if type(x) is float or not isinstance(x, np.ndarray):
+        return INF if x == 0.0 else 0.0 if x == INF else 1 / x
+    with np.errstate(divide="ignore"):
+        return np.where(x == 0.0, INF, 1.0 / x)
 
 
 def ext_to_json(v):

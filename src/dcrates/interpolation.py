@@ -30,9 +30,9 @@ of numpy's einsum on d-last C-ordered data up to d = 7, even coordinates
 then odd ones ((0 + 2) + 1 at d = 3).  A kernel is built for one shape with
 its workspace: the differences, the products g_j (x_i - x_j), the output
 and the views of them it reads.  The probe objective holds one per stack
-shape and refills its data for each evaluation; check_interpolation and
-pair_matrix_cm build one per call.  Where the results are written changes
-nothing else, so both give the same bits.
+shape and refills its data for each evaluation; check_interpolation
+builds one per call.  Where the results are written changes nothing else,
+so both give the same bits.
 """
 from __future__ import annotations
 
@@ -166,21 +166,6 @@ class PairKernel:
         c += _lower_bound(self._coef, self._dx, self._dg, -3)
         self._diag[...] = 0.0
         return c
-
-
-def pair_matrix_cm(X: np.ndarray, G: np.ndarray, cls) -> np.ndarray:
-    """c[i, j]: minimal feasible f^i - f^j given coordinate-major points X
-    (d, n) and gradients G (d, n), from a PairKernel of its own.
-
-    G may also be a stack (k, d, n) of gradient sets at the same points X,
-    with cls a sequence of k classes; c is then (k, n, n).  Both may carry
-    the same further leading axes, as X (m, 1, d, n) and G (m, k, d, n) for
-    m point sets with k classes each, c (m, k, n, n).  cls may be given as
-    its bound_coefficients.
-    """
-    c = PairKernel(cls, np.concatenate([A if A.ndim > 2 else A[None]
-                                        for A in (X, G)], -3))()
-    return c if G.ndim > 2 else c[0]
 
 
 def check_interpolation(triplets, cls: Curvature,

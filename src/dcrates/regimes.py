@@ -21,7 +21,7 @@ import numpy as np
 
 # PreconditionViolated is validate's, imported so that callers find it here too
 from .curvature import (INF, DcParams, InvalidParams, PreconditionViolated,
-                        _ge, _le, in_domain, recip, validate)
+                        _le, in_domain, recip, validate)
 
 BOUNDARY_AGREE_TOL = 1e-9   # relative agreement of rows matched at one point
 
@@ -161,8 +161,7 @@ def equality_gammas(index: int, params: DcParams) -> list:
 
 
 # ---------------------------------------------------------------------------
-# smooth-regime domains, odd regimes; each takes S1 and thr1 from _sides and
-# yields its conditions lazily, in the order of the names in _ODD_DOMAINS
+# smooth-regime domains, odd regimes (evens by the parameter swap)
 
 def _S(r1, r2, rl1, rl2):
     """(S1, S2) from 1/mu1, 1/mu2, 1/L1, 1/L2; S2 is S1 at the swap."""
@@ -176,53 +175,36 @@ def _sides(L1, L2, m1, m2):
     return (s1, _threshold(rl1, L2, m2, r2)), (s2, _threshold(rl2, L1, m1, r1))
 
 
-def _domain_p1(L1, L2, m1, m2, s1, thr):
-    yield _le(L2, L1)
-    yield _le(m1, L2)
-    yield _ge(m1, 0.0)
-    yield (m2 >= 0.0) | (_ge(m1 + m2, 0.0) & _le(s1, thr))
+def _odd_rows(L1, L2, m1, m2, s1, thr):
+    """Flags of the domains of p1, p3, p5 and p7, given S1 and thr1 from
+    _sides; each comparison is made once, for every row that reads it.
+    Bools on floats, elementwise masks on arrays."""
+    l2_le_l1, m1_le_l2, l2_le_m1 = _le(L2, L1), _le(m1, L2), _le(L2, m1)
+    m1_pos, sum_pos = _le(0.0, m1), _le(0.0, m1 + m2)
+    m2_neg, m2_pos = m2 < 0.0, m2 >= 0.0
+    s1_neg, s1_pos, thr_le_s1 = _le(s1, 0.0), _le(0.0, s1), _le(thr, s1)
+    return (l2_le_l1 & m1_le_l2 & m1_pos & (m2_pos | (sum_pos & _le(s1, thr))),
+            m2_neg & sum_pos & m1_le_l2 & _le(m2, L1) & thr_le_s1 & s1_neg,
+            # the published domain uses S1 > max{thr1, 0}; the decrease argument only needs
+            # S1 > 0 once mu1 >= L2, which closes the sliver left between the p1 and p7 rows.
+            m2_neg & sum_pos & s1_pos & (thr_le_s1 | l2_le_m1),
+            # mu2 * S1 >= 0, on the S1 that p5 tests
+            l2_le_m1 & (not math.isinf(L2)) & m1_pos & (m2_pos | s1_neg))
 
 
-def _domain_p3(L1, L2, m1, m2, s1, thr):
-    yield m2 < 0.0
-    yield _ge(m1 + m2, 0.0)
-    yield _le(m1, L2)
-    yield _le(m2, L1)
-    yield _le(thr, s1)
-    yield _le(s1, 0.0)
-
-
-def _domain_p5(L1, L2, m1, m2, s1, thr):
-    # the published domain uses S1 > max{thr1, 0}; the decrease argument only needs S1 > 0 once
-    # mu1 >= L2, which closes the sliver left between the p1 and p7 rows.
-    yield m2 < 0.0
-    yield _ge(m1 + m2, 0.0)
-    yield _ge(s1, 0.0)
-    yield _ge(s1, thr) | _ge(m1, L2)
-
-
-def _domain_p7(L1, L2, m1, m2, s1, thr):
-    yield _ge(m1, L2)
-    yield not math.isinf(L2)
-    yield _ge(m1, 0.0)
-    yield (m2 >= 0.0) | _le(s1, 0.0)     # mu2 * S1 >= 0, on the S1 that p5 tests
-
-
-# the one domain table of both paths: grid_classify consumes every condition
-# of every row on arrays, classify stops each row at its first failed one
-_ODD_DOMAINS = {
-    1: (_domain_p1, ("L1>=L2", "L2>mu1", "mu1>=0",
-                     "mu2>=0 or (mu1>-mu2 and S1<=thr1)")),
-    3: (_domain_p3, ("mu2<0", "mu1>-mu2", "L2>mu1", "L1>mu2", "thr1<=S1", "S1<=0")),
-    5: (_domain_p5, ("mu2<0", "mu1>-mu2", "S1>=0", "S1>=thr1 or mu1>=L2")),
-    7: (_domain_p7, ("mu1>=L2", "L2 finite", "mu1>=0", "mu2*S1>=0")),
+# the condition names of each odd row's domain, in the order of its flag's terms
+_ODD_NAMES = {
+    1: ("L1>=L2", "L2>mu1", "mu1>=0", "mu2>=0 or (mu1>-mu2 and S1<=thr1)"),
+    3: ("mu2<0", "mu1>-mu2", "L2>mu1", "L1>mu2", "thr1<=S1", "S1<=0"),
+    5: ("mu2<0", "mu1>-mu2", "S1>=0", "S1>=thr1 or mu1>=L2"),
+    7: ("mu1>=L2", "L2 finite", "mu1>=0", "mu2*S1>=0"),
 }
 _SWAP_NAMES = str.maketrans("12", "21")
 # condition names of all eight domains; the even ones swap the indices 1 <-> 2
 _DOMAIN_NAMES = {i + k: tuple(n.translate(_SWAP_NAMES) if k else n for n in names)
-                 for i, (_, names) in _ODD_DOMAINS.items() for k in (0, 1)}
+                 for i, names in _ODD_NAMES.items() for k in (0, 1)}
 # each row's label and the "p<i>:<condition>" names of its detail trace
-_LABELS = {i: "p%d" % i for i in _DOMAIN_NAMES}
+_LABELS = {i: "p%d" % i for i in range(1, 9)}
 _DETAIL_NAMES = {i: tuple("p%d:%s" % (i, n) for n in names)
                  for i, names in _DOMAIN_NAMES.items()}
 # classify's domain_trace by the pattern of the eight row flags: (label,
@@ -232,12 +214,12 @@ _TRACES = {}
 
 
 def _domains(L1, L2, m1, m2, sides):
-    """Condition generators of rows 1..8, given the _sides of the point."""
+    """Flags of rows 1..8, given the _sides of the point: the one domain
+    table of scalar classify and array grid_classify."""
     (s1, thr1), (s2, thr2) = sides
-    rows = []
-    for dom, _ in _ODD_DOMAINS.values():
-        rows += dom(L1, L2, m1, m2, s1, thr1), dom(L2, L1, m2, m1, s2, thr2)
-    return rows
+    p1, p3, p5, p7 = _odd_rows(L1, L2, m1, m2, s1, thr1)
+    p2, p4, p6, p8 = _odd_rows(L2, L1, m2, m1, s2, thr2)
+    return p1, p2, p3, p4, p5, p6, p7, p8
 
 
 def _coeffs_agree(a, b) -> bool:
@@ -260,19 +242,19 @@ def classify(params: DcParams) -> RegimeCertificate:
     if math.isinf(L1) and math.isinf(L2):
         raise BothNonsmooth("both terms nonsmooth: use the T-measure analysis")
 
-    # all() stops a row at its first failed condition
-    flags = tuple(map(all, _domains(L1, L2, m1, m2, _sides(L1, L2, m1, m2))))
-    matched = [i for i, ok in enumerate(flags, 1) if ok]
-    if not matched:
+    flags = tuple(map(bool, _domains(L1, L2, m1, m2, _sides(L1, L2, m1, m2))))
+    if True not in flags:
         raise NoRegime("no regime domain matched for %s" % (params.to_json_dict(),))
 
-    first = matched[0]
+    first = flags.index(True) + 1
     index, label, row = first, _LABELS[first], first
     if (math.isinf(L1) or math.isinf(L2)) and first in (1, 2, 7, 8):
         index = 2 - first % 2           # rows 1, 7 -> 1; rows 2, 8 -> 2
         label, row = "p%d%d" % (index, index + 6), index + 6
     s, sp, a = _coefficients(row, L1, L2, m1, m2)
-    for other in matched[1:]:
+    for other, ok in enumerate(flags[first:], first + 1):
+        if not ok:
+            continue
         oc = _coefficients(other, L1, L2, m1, m2)
         if not _coeffs_agree((s, sp), oc):
             raise InconsistentBoundary(
@@ -342,12 +324,9 @@ def grid_classify(L1: float, L2: float, mu1, mu2):
     masks, sigmas, sigma_ps = [], [], []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         valid = in_domain(M1, L1, M2, L2)
-        for i, conds in enumerate(_domains(L1, L2, M1, M2, _sides(L1, L2, M1, M2)), 1):
-            mask = valid.copy()
-            for ok in conds:
-                mask &= ok
+        for i, flag in enumerate(_domains(L1, L2, M1, M2, _sides(L1, L2, M1, M2)), 1):
             s, sp, _ = _coefficients(i, L1, L2, M1, M2)
-            masks.append(mask)
+            masks.append(valid & flag)
             sigmas.append(s)
             sigma_ps.append(sp)
     index = np.select(masks, list(range(1, 9)), default=0)

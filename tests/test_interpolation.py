@@ -7,9 +7,9 @@ import pytest
 
 from dcrates.curvature import Curvature, InvalidParams
 from dcrates.engine import run_dca
-from dcrates.interpolation import (bound_coefficients, check_interpolation,
-                                   make_triplet, pair_lower_bound,
-                                   pair_matrix_cm, triplets_from_json)
+from dcrates.interpolation import (PairKernel, bound_coefficients,
+                                   check_interpolation, make_triplet,
+                                   pair_lower_bound, triplets_from_json)
 from dcrates.oracles import (AbsPlusQuadratic, FunctionSpec, MaxOfQuadratics,
                              Quadratic, evaluate, make_instance)
 
@@ -118,10 +118,10 @@ def test_stacked_pair_matrix_matches_per_class(classes):
         for n in (2, 5, 11, 26):
             X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-1, 1)
             G = rng.normal(size=(len(classes), n, d)) * 10.0 ** rng.uniform(-1, 1)
-            stacked = pair_matrix_cm(_cm(X), _cm(G), classes)
+            stacked = PairKernel(classes, np.concatenate([_cm(X)[None], _cm(G)]))()
             assert stacked.shape == (len(classes), n, n)
             for c, g, cls in zip(stacked, G, classes):
-                assert np.array_equal(c, pair_matrix_cm(_cm(X), _cm(g), cls))
+                assert np.array_equal(c, PairKernel(cls, np.stack([_cm(X), _cm(g)]))()[0])
                 assert np.array_equal(c, _written_out_pair_matrix(X, g, cls))
     # the probe's broadcast shapes: X (m, 1, n, d) against G (m, k, n, d)
     for d in (1, 2, 3):
@@ -129,11 +129,12 @@ def test_stacked_pair_matrix_matches_per_class(classes):
             m = 5
             X = rng.normal(size=(m, 1, n, d)) * 10.0 ** rng.uniform(-1, 1)
             G = rng.normal(size=(m, len(classes), n, d)) * 10.0 ** rng.uniform(-1, 1)
-            stacked = pair_matrix_cm(_cm(X), _cm(G), bound_coefficients(classes))
+            stacked = PairKernel(bound_coefficients(classes),
+                                 np.concatenate([_cm(X), _cm(G)], -3))()
             assert stacked.shape == (m, len(classes), n, n)
             for cs, x, gs in zip(stacked, X[:, 0], G):
                 for c, g, cls in zip(cs, gs, classes):
-                    assert np.array_equal(c, pair_matrix_cm(_cm(x), _cm(g), cls))
+                    assert np.array_equal(c, PairKernel(cls, np.stack([_cm(x), _cm(g)]))()[0])
                     assert np.array_equal(c, _written_out_pair_matrix(x, g, cls))
 
 
@@ -149,10 +150,11 @@ def test_pair_matrix_bits_do_not_depend_on_memory_layout(d, n, L):
     cls = Curvature(-0.7, L)
     layouts = [lambda a: a, np.asfortranarray, np.ascontiguousarray,
                lambda a: np.ascontiguousarray(_cm(a)).swapaxes(-1, -2)]
-    want = pair_matrix_cm(X, G, cls)
+    want = PairKernel(cls, np.stack([X, G]))()[0]
     for lay in layouts:
-        assert np.array_equal(pair_matrix_cm(lay(X), lay(G), cls), want)
-        two = pair_matrix_cm(lay(X), lay(np.stack([G, G])), (cls, cls))
+        assert np.array_equal(PairKernel(cls, np.stack([lay(X), lay(G)]))()[0], want)
+        two = PairKernel((cls, cls),
+                         np.concatenate([lay(X)[None], lay(np.stack([G, G]))]))()
         assert np.array_equal(two[0], want) and np.array_equal(two[1], want)
 
 

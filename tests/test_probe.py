@@ -8,7 +8,7 @@ import pytest
 
 from dcrates.cli import main
 from dcrates.curvature import make_params
-from dcrates.interpolation import check_interpolation, make_triplet, pair_matrix_cm
+from dcrates.interpolation import PairKernel, check_interpolation, make_triplet
 from dcrates.probe import (CERT_ALLOWANCE, FEAS_TOL, InfeasibleConstruction,
                            PepVariables, _chain_start, _feasibility,
                            _Objective, _pack, _stretch, extremal_instance,
@@ -198,7 +198,7 @@ def _reference_parts(params, N, d, z):
     g1 = np.vstack([z[n * d:(n + 1) * d], g2[:-1]])
     dist = []
     for g, cls in ((g1, params.f1), (g2, params.f2)):
-        c = pair_matrix_cm(x.T, g.T, cls)
+        c = PairKernel(cls, np.stack([x.T, g.T]))()[0]
         for k in range(n):
             c = np.maximum(c, c[:, [k]] + c[[k], :])
         dist.append(c)

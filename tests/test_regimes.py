@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from collections import Counter
@@ -424,9 +425,10 @@ def _atlas_boundary_nodes(rng, pages, per_page):
 
 
 def test_short_circuit_flags_match_the_full_array_rows():
-    """classify stops each row at its first failed condition; its row flags
-    must equal all() of the row evaluated in full by the array path, and its
-    count of matched rows must equal grid_classify's n_matched."""
+    """classify's row flags, from the shared comparisons made once on floats,
+    must equal the same rows decided on a one-node array, as the array path
+    decides them, and its count of matched rows must equal grid_classify's
+    n_matched."""
     rng = np.random.default_rng(23)
     points = [jitter_params(a, i, rng, scale=0.3)
               for i, a in sorted(ANCHORS.items()) for _ in range(40)]
@@ -476,8 +478,9 @@ def test_short_circuit_flags_match_the_full_array_rows():
      InconsistentBoundary, None),
 ])
 def test_scalar_refusals_keep_their_type_and_message(p, error, message):
-    """The row short-circuit changes no refusal: which error wins and what it
-    says stay as before, the corner point next to mu1 = L1 = L2 included."""
+    """Deciding the rows from shared comparisons changes no refusal: which
+    error wins and what it says stay as before, the corner point next to
+    mu1 = L1 = L2 included."""
     with pytest.raises(error) as exc:
         classify(make_params(*p))
     assert type(exc.value) is error
@@ -748,3 +751,72 @@ def test_result_types_keep_fields_json_hash_and_equality():
         + [["p3:" + n, True] for n in ("mu2<0", "mu1>-mu2", "L2>mu1", "L1>mu2",
                                        "thr1<=S1", "S1<=0")]}
     assert list(c.to_json_dict()) == list(RegimeCertificate._fields)
+
+
+# The regime table's numbers, pinned.  Every point (mu1, L1, mu2, L2) of two
+# classes from the rational lattice below, with mu <= L so that mu = L refusals
+# count too (228 classes, 51,984 points), gives one line: the .hex() of each
+# classify, thresholds and asymptotic_constants result, or the refusal's type
+# and message.  The digest is over those lines, in class order, and over
+# grid_classify's five arrays on three (L1, L2) pages of the mu lattice.  A
+# change to any number, trace or refusal changes it; a refactor that keeps
+# every one of them keeps it.  The 4-hex-digit digest of each class's row of
+# 228 points only serves to name where a change starts.
+_PIN_MU = sorted({Fraction(a, b) for a in range(-6, 7) for b in range(1, 4)})
+_PIN_L = sorted({Fraction(a, b) for a in range(1, 7) for b in range(1, 3)}) + [INF]
+_PIN_CLASSES = [(float(m), float(L)) for L in _PIN_L for m in _PIN_MU if m <= L]
+_PIN_PAGES = ((2.0, 1.0), (1.5, 3.0), (4.0, 4.0))
+_PIN_DIGEST = "d9da88f1da7d42ec"
+_PIN_ROWS = ("7ef3bbee11311ee4d86babcee101cf54a8b2956c749c9ff91d4ea5af4e8ab90a"
+             "7ef3506ed6085d0f28032365dc0f04c19997f05a2a6de9d02b9f145827557f71"
+             "ccb6819f7ef346c7a1d3285ca9a5eff657ce3795fc66e0877b75aa422e7ae56f"
+             "5475b1dacc9f51569f6878057ef30807b3581962ddcdd23066d7d78fe5d65535"
+             "105516e3b1251311e393eca708d4933cd5afa6ea596f32b37ef36538c3d3c782"
+             "1ab1589efee80a98ac57fac253ba78c67f56730e144c9e5dbb317f7703765bf6"
+             "6558517cfc1b7ef3a309d2f6d82ceba583c14bc9ded5c83d61ccaa8f4bde27e8"
+             "40a6d629c676ca62d97941141ee97d466944693773117ef3739bd2f4087dc078"
+             "978ac0fd2f178fe827d055b74179819243c448e3be37bf4dcfd70e96fe1b1067"
+             "15f6e24599b113857ef3e0b7b4929bb796713b239ed48ed7bd09965bb7d61b59"
+             "46b182c9b050eee14bca5ed011970b2eef13d7c918a3a8b0558fd3b27ef3fe65"
+             "10dac18cd462bedf37368200ca855ad6c4aa399b5b6a9bb2240870b69141c751"
+             "2faf3df731aef8832df7e6c256503ca0092f7ef3ad5332d370e7436127668141"
+             "0746a7de4f77fdd0413a249f062f624bda9689e06a41905e0ac389ea97e01ce2"
+             "866e81c22e518d9f")
+
+
+def _pin_line(p):
+    out = []
+    for f in (classify, thresholds, asymptotic_constants):
+        try:
+            r = f(p)
+        except Exception as exc:
+            out.append("%s: %s" % (type(exc).__name__, exc))
+        else:
+            out.append(" ".join(v.hex() if isinstance(v, float) else repr(v) for v in r))
+    return ("; ".join(out) + "\n").encode()
+
+
+def _pin():
+    """(digest, row digests) of the regime table on the lattice and pages."""
+    h, rows = hashlib.sha256(), []
+    for m1, L1 in _PIN_CLASSES:
+        row = b"".join(_pin_line(make_params(m1, L1, m2, L2)) for m2, L2 in _PIN_CLASSES)
+        h.update(row)
+        rows.append(hashlib.sha256(row).hexdigest()[:4])
+    M1, M2 = np.meshgrid(*[[float(m) for m in _PIN_MU]] * 2, indexing="ij")
+    for L1, L2 in _PIN_PAGES:
+        for a in grid_classify(L1, L2, M1, M2):
+            h.update(a.dtype.str.encode() + a.tobytes())
+    return h.hexdigest()[:16], "".join(rows)
+
+
+def test_regime_table_numbers_match_their_pinned_digest():
+    """A refactor of the regime table keeps every number, trace and refusal
+    on the lattice and the pages; on a mismatch the first class (mu1, L1)
+    whose row of points differs is named."""
+    digest, rows = _pin()
+    first = next((k // 4 for k in range(0, len(rows), 4)
+                  if rows[k:k + 4] != _PIN_ROWS[k:k + 4]), None)
+    assert first is None, ("first class whose row differs: (mu1, L1) = %r"
+                           % (_PIN_CLASSES[first],))
+    assert digest == _PIN_DIGEST, "the grid pages differ"
